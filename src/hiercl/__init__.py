@@ -15,8 +15,7 @@ from .curvature import (CurvatureEstimate, SolveResult, estimate_diag_curvature,
                         exact_dense_hessian_oracle, min_eig_lower_bound,
                         regularized_solve)
 from .federated import FedConfig, fed_compare_run, fedavg_aggregate, fedprox_train_local
-from .learners import (LearnerConfig, LearnerState, ReplayBuffer,
-                       buffer_insert_reservoir, ewc_penalty, train_seq)
+from .learners import LearnerConfig, LearnerState, ReplayBuffer, ewc_penalty, train_seq
 from .metrics import (AccuracyMatrix, MetricsRecord, avg_forgetting, mean_accuracy,
                       read_records, std_across_permutations, summarize, write_records)
 from .model import Batch, ModelSpec, accuracy_eval, finite_diff_hessian, init_params, loss_and_grad

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: `run` (permutation sweep from a config file and/or flags),
-`audit` (quick property self-checks), `gen` (dump a synthetic dataset),
-`report` (summarize a results CSV). Flags override config-file values.
+Subcommands: `run` (permutation sweep from a config file), `audit` (quick
+property self-checks), `gen` (dump a synthetic dataset as text), `report`
+(summarize a results CSV). `run` and `gen` read `--config FILE` and then
+apply each repeatable `--set KEY=VALUE` on top, so `--set` wins; the keys
+are the config-file keys, e.g. `--set run.perms=1 --set run.seeds=3`.
 """
 
 from __future__ import annotations
@@ -15,33 +17,12 @@ from .experiment import make_tasks, run_experiment, run_property_audits
 from .metrics import format_summary, read_records, summarize
 from .tasks import dump_tasks
 
-# command-line flag -> config key it overrides
-_FLAG_KEYS = (
-    ("dataset", "dataset.kind"),
-    ("learner", "learner.kind"),
-    ("group_size", "run.group_size"),
-    ("levels", "run.levels"),
-    ("lam", "run.lambda"),
-    ("eta", "run.eta"),
-    ("catchup", "run.catchup"),
-    ("curvature", "run.curvature"),
-    ("perms", "run.perms"),
-    ("out", "run.out"),
-)
 
-
-def _add_override_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dataset", choices=("gaussians", "permuted", "sine"))
-    p.add_argument("--learner", choices=("sgd", "er", "ewc"))
-    p.add_argument("--group-size", dest="group_size", type=int)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--catchup", type=int)
-    p.add_argument("--curvature")
-    p.add_argument("--perms", help="'all' or an integer budget")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+def _add_config_args(p: argparse.ArgumentParser):
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--set", dest="overrides", action="append", default=[],
+                   metavar="KEY=VALUE",
+                   help="override one config key (repeatable; applied after --config)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,15 +33,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a permutation-sweep experiment")
-    run_p.add_argument("--config", help="key=value config file")
-    _add_override_flags(run_p)
+    _add_config_args(run_p)
 
     audit_p = sub.add_parser("audit", help="run the property self-checks")
     audit_p.add_argument("--seed", type=int, default=0)
 
     gen_p = sub.add_parser("gen", help="generate and dump a synthetic dataset")
-    gen_p.add_argument("--config", help="config file supplying dataset sizes")
-    gen_p.add_argument("--dataset", choices=("gaussians", "permuted", "sine"))
+    _add_config_args(gen_p)
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--out", required=True)
 
@@ -69,22 +48,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_kv(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+def _config_from_args(args):
+    kv = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            kv = parse_config_text(fh.read())
+    for item in args.overrides:
+        key, sep, value = item.partition("=")
+        if not sep or not key.strip():
+            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
+        kv[key.strip()] = value.strip()
+    return build_experiment_config(kv)
 
 
 def _cmd_run(args) -> int:
-    kv = _load_kv(args.config)
-    for flag, key in _FLAG_KEYS:
-        value = getattr(args, flag)
-        if value is not None:
-            kv[key] = str(value)
-    if args.seed is not None:
-        kv["run.seeds"] = str(args.seed)
-    cfg = build_experiment_config(kv)
+    cfg = _config_from_args(args)
     records, summary = run_experiment(cfg)
     print(format_summary(summary))
     print(f"wrote {len(records)} records to {cfg.out}")
@@ -100,10 +78,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    kv = _load_kv(args.config)
-    if args.dataset is not None:
-        kv["dataset.kind"] = args.dataset
-    cfg = build_experiment_config(kv)
+    cfg = _config_from_args(args)
     tasks = make_tasks(cfg.dataset, args.seed)
     dump_tasks(tasks, args.out)
     print(f"wrote {len(tasks)} tasks to {args.out}")

@@ -1,5 +1,9 @@
 """Experiment configuration: a flat key=value text format with dotted
-section prefixes (dataset.*, learner.*, run.*), plus typed defaults.
+section prefixes, plus typed defaults. The keys are derived from the
+dataclass fields: dataset.* from DatasetConfig, learner.* from
+LearnerConfig, and run.* from PipelineConfig and ExperimentConfig
+(`run.lambda` sets `lam`, `run.catchup` sets `n_catch`). Per-run `seed`
+fields are derived from `run.seeds` and are not keys.
 
 Example::
 
@@ -12,7 +16,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .learners import LearnerConfig
 from .pipeline import PipelineConfig
@@ -48,25 +52,14 @@ class DatasetConfig:
 @dataclass
 class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    learner: LearnerConfig = field(default_factory=LearnerConfig)
-    group_size: int = 2
-    levels: int = 2
-    lam: float = 1.0
-    lambda_factor: float = 1.0
-    eta: float = 0.9
-    clip: float | None = 1.0
-    n_catch: int = 2
-    curvature: str = "diag"
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     perms: str | int = "all"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     perm_sample_seed: int = 0
-    eval_policy: str = "group_val"
     methods: tuple[str, ...] = ("seq", "hier")
     hidden: tuple[int, ...] = (16,)
     prox_mu: float = 0.1
     fed_aggregate: str = "running"
-    sample_cap: int | None = 512
-    audit_draws: int = 1000
     out: str = "results.csv"
 
     def __post_init__(self):
@@ -79,89 +72,38 @@ class ExperimentConfig:
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}; pick from {sorted(known)}")
 
-    def to_pipeline(self, seed: int) -> PipelineConfig:
-        return PipelineConfig(
-            learner=self.learner, group_size=self.group_size, levels=self.levels,
-            lam=self.lam, lambda_factor=self.lambda_factor, eta=self.eta,
-            clip=self.clip, n_catch=self.n_catch, curvature=self.curvature,
-            eval_policy=self.eval_policy, sample_cap=self.sample_cap,
-            audit_draws=self.audit_draws, seed=seed,
-        )
+
+def _opt(conv):
+    return lambda s: None if s.lower() in ("none", "off") else conv(s)
 
 
-def _to_int(s):
-    return int(s)
+# field annotation -> converter from the config-file string
+_CONVERTERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": _opt(float),
+    "int | None": _opt(int),
+    "tuple[int, ...]": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
+    "tuple[str, ...]": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
+    "str | int": lambda s: "all" if s.strip().lower() == "all" else int(s),
+}
+# nested sections, and seeds that every run derives for itself
+_NOT_KEYS = {"dataset", "learner", "pipeline", "seed"}
+_ALIASES = {"lam": "lambda", "n_catch": "catchup"}
 
 
-def _to_float(s):
-    return float(s)
-
-
-def _to_opt_float(s):
-    return None if s.lower() in ("none", "off") else float(s)
-
-
-def _to_opt_int(s):
-    return None if s.lower() in ("none", "off") else int(s)
-
-
-def _to_str(s):
-    return s
-
-
-def _to_ints(s):
-    return tuple(int(v) for v in s.split(",") if v.strip())
-
-
-def _to_strs(s):
-    return tuple(v.strip() for v in s.split(",") if v.strip())
-
-
-def _to_perms(s):
-    return "all" if s.strip().lower() == "all" else int(s)
+def _keys(prefix: str, cls, section: str) -> dict:
+    return {f"{prefix}.{_ALIASES.get(f.name, f.name)}": (section, f.name, _CONVERTERS[f.type])
+            for f in fields(cls) if f.name not in _NOT_KEYS}
 
 
 # key -> (section, attribute, converter)
 _KEYMAP = {
-    "dataset.kind": ("dataset", "kind", _to_str),
-    "dataset.num_tasks": ("dataset", "num_tasks", _to_int),
-    "dataset.num_classes": ("dataset", "num_classes", _to_int),
-    "dataset.classes_per_task": ("dataset", "classes_per_task", _to_int),
-    "dataset.dim": ("dataset", "dim", _to_int),
-    "dataset.samples_per_class": ("dataset", "samples_per_class", _to_int),
-    "dataset.spread": ("dataset", "spread", _to_float),
-    "dataset.val_per_class": ("dataset", "val_per_class", _to_int),
-    "dataset.test_per_class": ("dataset", "test_per_class", _to_int),
-    "dataset.samples_per_task": ("dataset", "samples_per_task", _to_int),
-    "dataset.noise_std": ("dataset", "noise_std", _to_float),
-    "learner.kind": ("learner", "kind", _to_str),
-    "learner.learning_rate": ("learner", "learning_rate", _to_float),
-    "learner.epochs_per_task": ("learner", "epochs_per_task", _to_int),
-    "learner.batch_size": ("learner", "batch_size", _to_int),
-    "learner.momentum": ("learner", "momentum", _to_float),
-    "learner.weight_decay": ("learner", "weight_decay", _to_float),
-    "learner.grad_clip": ("learner", "grad_clip", _to_opt_float),
-    "learner.buffer_capacity": ("learner", "buffer_capacity", _to_int),
-    "learner.ewc_strength": ("learner", "ewc_strength", _to_float),
-    "run.group_size": ("run", "group_size", _to_int),
-    "run.levels": ("run", "levels", _to_int),
-    "run.lambda": ("run", "lam", _to_float),
-    "run.lambda_factor": ("run", "lambda_factor", _to_float),
-    "run.eta": ("run", "eta", _to_float),
-    "run.clip": ("run", "clip", _to_opt_float),
-    "run.catchup": ("run", "n_catch", _to_int),
-    "run.curvature": ("run", "curvature", _to_str),
-    "run.perms": ("run", "perms", _to_perms),
-    "run.seeds": ("run", "seeds", _to_ints),
-    "run.perm_sample_seed": ("run", "perm_sample_seed", _to_int),
-    "run.eval_policy": ("run", "eval_policy", _to_str),
-    "run.methods": ("run", "methods", _to_strs),
-    "run.hidden": ("run", "hidden", _to_ints),
-    "run.prox_mu": ("run", "prox_mu", _to_float),
-    "run.fed_aggregate": ("run", "fed_aggregate", _to_str),
-    "run.sample_cap": ("run", "sample_cap", _to_opt_int),
-    "run.audit_draws": ("run", "audit_draws", _to_int),
-    "run.out": ("run", "out", _to_str),
+    **_keys("dataset", DatasetConfig, "dataset"),
+    **_keys("learner", LearnerConfig, "learner"),
+    **_keys("run", PipelineConfig, "pipeline"),
+    **_keys("run", ExperimentConfig, "run"),
 }
 
 
@@ -180,15 +122,19 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
-    sections: dict[str, dict] = {"dataset": {}, "learner": {}, "run": {}}
+    sections: dict[str, dict] = {"dataset": {}, "learner": {}, "pipeline": {}, "run": {}}
     for key, value in kv.items():
         if key not in _KEYMAP:
             raise ValueError(f"unknown config key {key!r}")
         section, attr, conv = _KEYMAP[key]
-        sections[section][attr] = conv(value)
+        try:
+            sections[section][attr] = conv(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
+    pipeline = PipelineConfig(learner=LearnerConfig(**sections["learner"]),
+                              **sections["pipeline"])
     return ExperimentConfig(dataset=DatasetConfig(**sections["dataset"]),
-                            learner=LearnerConfig(**sections["learner"]),
-                            **sections["run"])
+                            pipeline=pipeline, **sections["run"])
 
 
 def load_config(path: str) -> ExperimentConfig:

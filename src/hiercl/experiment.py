@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .learners import LearnerConfig, ReplayBuffer, train_seq
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
                       mean_accuracy, summarize)
 from .model import ModelSpec, accuracy_eval, init_params
-from .pipeline import derive_seed, run_pipeline
+from .pipeline import PipelineConfig, derive_seed, run_pipeline
 from .tasks import (Permutation, TaskDataset, gen_permuted_features,
                     gen_sine_tasks, gen_split_gaussians, sample_full_permutations)
 
@@ -77,21 +78,22 @@ def run_baseline_seq(
 
 def _method_tag(method: str, cfg: ExperimentConfig) -> str:
     if method == "seq":
-        return cfg.learner.kind
+        return cfg.pipeline.learner.kind
     if method == "hier":
-        return f"{cfg.learner.kind}+hier"
+        return f"{cfg.pipeline.learner.kind}+hier"
     return method
 
 
 def _run_method(method, tasks, perm, cfg, spec, seed, init) -> AccuracyMatrix:
+    learner = cfg.pipeline.learner
     if method == "seq":
-        return run_baseline_seq(tasks, perm, cfg.learner, spec, seed, init)
+        return run_baseline_seq(tasks, perm, learner, spec, seed, init)
     if method == "hier":
-        return run_pipeline(tasks, perm, cfg.to_pipeline(seed), spec, init).matrix
+        return run_pipeline(tasks, perm, replace(cfg.pipeline, seed=seed), spec, init).matrix
     fed = FedConfig(kind=method,
                     prox_mu=cfg.prox_mu if method == "fedprox" else 0.0,
                     aggregate=cfg.fed_aggregate)
-    return fed_compare_run(tasks, perm, fed, cfg.learner, spec, seed, init)[1]
+    return fed_compare_run(tasks, perm, fed, learner, spec, seed, init)[1]
 
 
 def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
@@ -170,14 +172,15 @@ def run_property_audits(seed: int = 0) -> list[tuple[str, bool, str]]:
     cfg = ExperimentConfig(
         dataset=DatasetConfig(num_classes=4, classes_per_task=1, dim=4,
                               samples_per_class=12, val_per_class=8, test_per_class=8),
-        learner=LearnerConfig(kind="sgd", epochs_per_task=1),
-        group_size=2, levels=2, seeds=(seed,), methods=("hier",), hidden=(8,),
+        pipeline=PipelineConfig(learner=LearnerConfig(kind="sgd", epochs_per_task=1),
+                                group_size=2, levels=2, seed=seed),
+        seeds=(seed,), methods=("hier",), hidden=(8,),
     )
     tasks = make_tasks(cfg.dataset, seed)
     spec = make_model_spec(cfg)
     perm = Permutation(tuple(range(cfg.dataset.task_count)))
     try:
-        run = run_pipeline(tasks, perm, cfg.to_pipeline(seed), spec)
+        run = run_pipeline(tasks, perm, cfg.pipeline, spec)
         ok = run.audit["violations"] == 0 and run.audit["gap_vs_mean"] >= 0
         detail = f"gap vs mean {run.audit['gap_vs_mean']:.4f}"
     except Exception as exc:  # audit raises on violation

@@ -29,7 +29,6 @@ _FED_STREAM = 2  # seed-stream tag for per-client rngs
 class FedConfig:
     kind: str = "fedavg"
     prox_mu: float = 0.0
-    weights: tuple[float, ...] | None = None
     aggregate: str = "running"
 
     def __post_init__(self):
@@ -100,8 +99,8 @@ def fed_compare_run(
         local = fedprox_train_local(tasks[tid], global_w, child, mu, spec)
         if fed_cfg.aggregate == "running":
             locals_.append(local)
-            global_w = fedavg_aggregate(locals_, fed_cfg.weights)
+            global_w = fedavg_aggregate(locals_)
         else:
-            global_w = fedavg_aggregate([global_w, local], fed_cfg.weights)
+            global_w = fedavg_aggregate([global_w, local])
         matrix[i] = [accuracy_eval(global_w, tasks[t].test, spec) for t in order]
     return global_w, AccuracyMatrix(matrix)

@@ -102,13 +102,6 @@ class ReplayBuffer:
         return out
 
 
-def buffer_insert_reservoir(buffer: ReplayBuffer, item, rng: np.random.Generator) -> ReplayBuffer:
-    """Single reservoir offer; item is (input, target, source_task_id)."""
-    x, y, task_id = item
-    buffer.insert(x, y, task_id, rng)
-    return buffer
-
-
 @dataclass
 class LearnerConfig:
     kind: str = "sgd"
@@ -144,13 +137,6 @@ class LearnerState:
     buffer: ReplayBuffer | None = None
     # one (weights, fisher diagonal) anchor per completed task, ewc only
     anchors: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-    def clone(self) -> "LearnerState":
-        return LearnerState(
-            self.params.copy(),
-            self.buffer.clone() if self.buffer is not None else None,
-            list(self.anchors),
-        )
 
 
 def ewc_penalty(params: np.ndarray, anchors, strength: float) -> float:

@@ -24,8 +24,9 @@ class AccuracyMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("accuracy matrix must be square (stages x tasks)")
-        if v.size and (v.min() < -1e-9 or v.max() > 1 + 1e-9):
-            raise ValueError("accuracies must lie in [0, 1]")
+        # written so that NaN fails the test too
+        if not np.all((v >= -1e-9) & (v <= 1 + 1e-9)):
+            raise ValueError("accuracies must be finite and lie in [0, 1]")
 
     @property
     def num_tasks(self) -> int:

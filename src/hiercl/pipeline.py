@@ -23,7 +23,7 @@ import numpy as np
 from .consolidation import (HierarchyState, catch_up, init_hierarchy,
                             initialize_from_local, lambda_schedule,
                             multi_level_consolidate)
-from .curvature import (estimate_diag_curvature, estimate_gradient,
+from .curvature import (DEFAULT_SAMPLE_CAP, estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         parse_curvature_spec)
 from .learners import LearnerConfig, LearnerState, ReplayBuffer, train_seq
@@ -53,7 +53,7 @@ class PipelineConfig:
     n_catch: int = 2
     curvature: str = "diag"
     eval_policy: str = "group_val"
-    sample_cap: int | None = 512
+    sample_cap: int | None = DEFAULT_SAMPLE_CAP
     audit_draws: int = 1000
     seed: int = 0
 
@@ -141,6 +141,9 @@ def explore_group(
             anchors=anchors,
         )
         score = accuracy_eval(state.params, eval_batch, spec)
+        if not math.isfinite(score):
+            raise ValueError(f"group {group.group_index}: ordering {perm.label()} "
+                             f"scored {score}; training diverged")
         scored.append((perm, score))
         if best is None or score > best[1]:
             best = (perm, score, state)
@@ -272,6 +275,9 @@ def selection_audit(group_results, n_draws: int = 1000, seed: int = 0) -> dict:
     best_scores = []
     for res in group_results:
         scores = [s for _, s in res.per_perm_scores]
+        if not all(math.isfinite(s) for s in scores):
+            raise SelectionAuditError(
+                f"group {res.group.group_index} has a nonfinite score")
         match = [s for p, s in res.per_perm_scores if p.order == res.best_perm.order]
         if len(match) != 1:
             raise SelectionAuditError("selected ordering missing from the score table")

@@ -223,14 +223,13 @@ def sample_full_permutations(
     num_tasks: int,
     how_many: int,
     seed: int,
-    exhaustive_if_possible: bool = True,
 ) -> list[Permutation]:
     """Full-sequence orderings: exhaustive when the budget covers all
     num_tasks! of them, otherwise distinct uniform samples."""
     if num_tasks < 1 or how_many < 1:
         raise ValueError("need positive task and permutation counts")
     total = math.factorial(num_tasks)
-    if exhaustive_if_possible and total <= how_many:
+    if total <= how_many:
         return [Permutation(p) for p in itertools.permutations(range(num_tasks))]
     rng = np.random.default_rng(seed)
     seen = set()

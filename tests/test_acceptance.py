@@ -45,11 +45,10 @@ def benchmark_sweep():
     """One full sweep reused by the three benchmark criteria: 5 seeds x
     120 permutations x (er, er+hier, fedavg, fedprox at mu=0)."""
     cfg = ExperimentConfig(
-        dataset=BENCH_DATASET, learner=BENCH_LEARNER,
-        group_size=2, levels=2, lam=0.3, lambda_factor=0.5, eta=1.0,
-        clip=1.0, n_catch=2, curvature="diag", perms="all",
-        seeds=BENCH_SEEDS, methods=("seq", "hier", "fedavg", "fedprox"),
-        hidden=(16,), prox_mu=0.0, audit_draws=1000,
+        dataset=BENCH_DATASET,
+        pipeline=_bench_pipeline(seed=0),  # each data seed replaces the seed
+        perms="all", seeds=BENCH_SEEDS, methods=("seq", "hier", "fedavg", "fedprox"),
+        hidden=(16,), prox_mu=0.0,
     )
     start = time.perf_counter()
     records, summary = run_experiment(cfg, csv_path="")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hiercl.cli import main
-from hiercl.config import (DatasetConfig, ExperimentConfig,
+from hiercl.config import (_KEYMAP, DatasetConfig, ExperimentConfig,
                            build_experiment_config, load_config,
                            parse_config_text)
 from hiercl.experiment import (make_model_spec, make_tasks, run_baseline_seq,
@@ -10,6 +10,7 @@ from hiercl.experiment import (make_model_spec, make_tasks, run_baseline_seq,
 from hiercl.learners import LearnerConfig
 from hiercl.metrics import read_records
 from hiercl.model import init_params
+from hiercl.pipeline import PipelineConfig
 from hiercl.tasks import Permutation, load_tasks
 
 TINY = DatasetConfig(num_classes=4, classes_per_task=2, dim=4,
@@ -20,9 +21,10 @@ TINY = DatasetConfig(num_classes=4, classes_per_task=2, dim=4,
 def _tiny_cfg(**kw):
     base = dict(
         dataset=TINY,
-        learner=LearnerConfig(kind="sgd", epochs_per_task=1, batch_size=16),
-        group_size=2, levels=2, seeds=(0, 1), methods=("seq", "hier"),
-        hidden=(8,), audit_draws=50,
+        pipeline=PipelineConfig(
+            learner=LearnerConfig(kind="sgd", epochs_per_task=1, batch_size=16),
+            group_size=2, levels=2, audit_draws=50),
+        seeds=(0, 1), methods=("seq", "hier"), hidden=(8,),
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -50,12 +52,43 @@ def test_build_experiment_config_conversions():
         "run.hidden": "8,4",
     })
     assert cfg.dataset.kind == "sine" and cfg.dataset.num_tasks == 3
-    assert cfg.learner.kind == "er" and cfg.learner.grad_clip is None
-    assert cfg.lam == 0.25 and cfg.n_catch == 4 and cfg.clip is None
+    pipe = cfg.pipeline
+    assert pipe.learner.kind == "er" and pipe.learner.grad_clip is None
+    assert pipe.lam == 0.25 and pipe.n_catch == 4 and pipe.clip is None
     assert cfg.seeds == (0, 2, 5)
     assert cfg.perms == "all"
     assert cfg.methods == ("seq", "hier") and cfg.hidden == (8, 4)
     assert build_experiment_config({"run.perms": "6"}).perms == 6
+
+
+def test_config_key_set_is_pinned():
+    # derived from the dataclass fields; per-run seed fields are not keys
+    assert set(_KEYMAP) == {
+        "dataset.kind", "dataset.num_tasks", "dataset.num_classes",
+        "dataset.classes_per_task", "dataset.dim", "dataset.samples_per_class",
+        "dataset.spread", "dataset.val_per_class", "dataset.test_per_class",
+        "dataset.samples_per_task", "dataset.noise_std",
+        "learner.kind", "learner.learning_rate", "learner.epochs_per_task",
+        "learner.batch_size", "learner.momentum", "learner.weight_decay",
+        "learner.grad_clip", "learner.buffer_capacity", "learner.ewc_strength",
+        "run.group_size", "run.levels", "run.lambda", "run.lambda_factor",
+        "run.eta", "run.clip", "run.catchup", "run.curvature", "run.perms",
+        "run.seeds", "run.perm_sample_seed", "run.eval_policy", "run.methods",
+        "run.hidden", "run.prox_mu", "run.fed_aggregate", "run.sample_cap",
+        "run.audit_draws", "run.out",
+    }
+    for key in ("run.seed", "learner.seed", "run.lam", "run.n_catch"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            build_experiment_config({key: "1"})
+
+
+def test_bad_pipeline_values_fail_at_build_time_even_for_seq_only():
+    for key, value in (("run.eta", "1.5"), ("run.levels", "0"),
+                       ("run.curvature", "kfac"), ("run.eval_policy", "train")):
+        with pytest.raises(ValueError):
+            build_experiment_config({"run.methods": "seq", key: value})
+    with pytest.raises(ValueError, match="run.levels"):
+        build_experiment_config({"run.levels": "two"})
 
 
 def test_build_experiment_config_rejects_unknown_key():
@@ -80,7 +113,7 @@ def test_load_config(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("dataset.kind=gaussians\ndataset.num_classes=4\nrun.eta=0.7\n")
     cfg = load_config(str(path))
-    assert cfg.dataset.num_classes == 4 and cfg.eta == 0.7
+    assert cfg.dataset.num_classes == 4 and cfg.pipeline.eta == 0.7
 
 
 def test_make_model_spec():
@@ -106,8 +139,8 @@ def test_run_baseline_seq_shape_and_determinism():
     spec = make_model_spec(cfg)
     init = init_params(spec, 9)
     perm = Permutation((1, 0))
-    m1 = run_baseline_seq(tasks, perm, cfg.learner, spec, 3, init)
-    m2 = run_baseline_seq(tasks, perm, cfg.learner, spec, 3, init)
+    m1 = run_baseline_seq(tasks, perm, cfg.pipeline.learner, spec, 3, init)
+    m2 = run_baseline_seq(tasks, perm, cfg.pipeline.learner, spec, 3, init)
     assert m1.values.shape == (2, 2)
     assert np.array_equal(m1.values, m2.values)
     # row i evaluates every task in arrival order, trained or not
@@ -192,7 +225,7 @@ def test_cli_run_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(CFG_TEXT)
     out_csv = tmp_path / "res.csv"
-    rc = main(["run", "--config", str(cfg_path), "--out", str(out_csv)])
+    rc = main(["run", "--config", str(cfg_path), "--set", f"run.out={out_csv}"])
     captured = capsys.readouterr()
     assert rc == 0
     assert "wrote 4 records" in captured.out
@@ -208,12 +241,48 @@ def test_cli_run_flag_overrides(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(CFG_TEXT)
     out_csv = tmp_path / "res.csv"
-    rc = main(["run", "--config", str(cfg_path), "--perms", "1",
-               "--seed", "3", "--out", str(out_csv)])
+    rc = main(["run", "--config", str(cfg_path), "--set", "run.perms=1",
+               "--set", "run.seeds=3", "--set", f"run.out={out_csv}"])
     assert rc == 0
     capsys.readouterr()
     recs = read_records(str(out_csv))
     assert len(recs) == 2 and all(r.seed == 3 for r in recs)
+
+
+def test_cli_set_is_applied_after_config(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("dataset.kind=gaussians\ndataset.num_tasks=3\n")
+    out = tmp_path / "tasks.txt"
+    # --set wins whatever its position; among repeats the last one wins
+    rc = main(["gen", "--set", "dataset.kind=permuted", "--set", "dataset.kind=sine",
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    tasks = load_tasks(str(out))
+    assert len(tasks) == 3 and tasks[0].train.inputs.shape[1] == 1  # sine: 1-d inputs
+
+
+def test_cli_malformed_set_is_a_clean_error(tmp_path, capsys):
+    for item in ("run.perms", "=1"):
+        rc = main(["run", "--set", item, "--set", f"run.out={tmp_path / 'x.csv'}"])
+        captured = capsys.readouterr()
+        assert rc == 2 and "KEY=VALUE" in captured.err and repr(item) in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_config_and_set_routes_write_identical_rows(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CFG_TEXT)
+    via_config, via_set = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["run", "--config", str(cfg_path), "--set", f"run.out={via_config}"]) == 0
+    sets = [a for line in CFG_TEXT.splitlines() for a in ("--set", line)]
+    assert main(["run", *sets, "--set", f"run.out={via_set}"]) == 0
+    capsys.readouterr()
+
+    def rows(path):  # wall_time_seconds is the last column
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    assert len(rows(via_config)) == 5 and rows(via_config) == rows(via_set)
 
 
 def test_cli_missing_config_is_a_clean_error(tmp_path, capsys):
@@ -232,8 +301,8 @@ def test_cli_bad_config_key_reported(tmp_path, capsys):
 
 
 def test_cli_gen(tmp_path, capsys):
-    out = tmp_path / "tasks.npz"
-    rc = main(["gen", "--dataset", "sine", "--seed", "1", "--out", str(out)])
+    out = tmp_path / "tasks.txt"
+    rc = main(["gen", "--set", "dataset.kind=sine", "--seed", "1", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 0 and "wrote" in captured.out
     tasks = load_tasks(str(out))

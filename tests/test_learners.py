@@ -6,7 +6,6 @@ import pytest
 from hiercl.learners import (
     LearnerConfig,
     ReplayBuffer,
-    buffer_insert_reservoir,
     ewc_penalty,
     train_on_task,
     train_seq,
@@ -37,7 +36,7 @@ def test_buffer_fill_phase_keeps_everything():
     rng = np.random.default_rng(0)
     buf = ReplayBuffer(5)
     for i in range(5):
-        buffer_insert_reservoir(buf, (np.full(2, float(i)), i % 2, i), rng)
+        buf.insert(np.full(2, float(i)), i % 2, i, rng)
     assert len(buf) == 5
     assert buf.seen_count == 5
     got = sorted(float(x[0]) for x in buf.inputs)

@@ -20,6 +20,12 @@ def test_matrix_validation():
     assert AccuracyMatrix(np.eye(4)).num_tasks == 4
 
 
+def test_matrix_rejects_nonfinite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            AccuracyMatrix([[bad, 0.5], [0.5, 0.5]])
+
+
 def test_mean_accuracy_hand_values():
     m = AccuracyMatrix(np.array([
         [0.5, 0.0, 0.0],

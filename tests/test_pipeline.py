@@ -1,5 +1,7 @@
 """Tests for group exploration, the grouped pipeline, and the selection audit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from hiercl.pipeline import (
     selection_audit,
     write_run_log,
 )
-from hiercl.tasks import Permutation, TaskDataset, TaskGroup, gen_split_gaussians
+from hiercl.tasks import (Permutation, TaskDataset, TaskGroup, enumerate_intra_group_perms,
+                          gen_sine_tasks, gen_split_gaussians)
 
 SPEC = ModelSpec((4, 8, 8))
 
@@ -71,8 +74,6 @@ def test_explore_group_counts_and_argmax():
     sel = [s for p, s in res.per_perm_scores if p.order == res.best_perm.order]
     assert sel == [best]
     # selected score >= mean of all scores (difference form is rounding-safe)
-    import math
-
     assert math.fsum(best - s for _, s in res.per_perm_scores) >= 0.0
     single = explore_group(TaskGroup(1, (3,)), tasks, init,
                            LearnerConfig(epochs_per_task=1), SPEC, base_seed=0)
@@ -234,6 +235,22 @@ def test_selection_audit_flags_non_argmax_winner():
     missing = _fake_results((1, 2), [((0, 1), 0.9), ((1, 0), 0.4)])
     with pytest.raises(SelectionAuditError):
         selection_audit(missing, n_draws=10, seed=0)
+
+
+def test_diverged_scores_are_rejected_not_selected():
+    # sine regression at lr=1e8 overflows: every ordering of the group
+    # scores NaN, which used to "select" 0-1-2 and pass the audit
+    group = TaskGroup(0, (0, 1, 2))
+    spec = ModelSpec((1, 16, 1), task_kind="regression")
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="group 0: ordering 0-1-2"):
+        explore_group(group, gen_sine_tasks(3, 0), init_params(spec, 0),
+                      LearnerConfig(learning_rate=1e8), spec, base_seed=0)
+    # the score table that run recorded, and tables with one bad score
+    orders = [p.order for p in enumerate_intra_group_perms(group)]
+    for scores in ([math.nan] * 6, [0.5, math.nan, 0.1, 0.2, 0.3, 0.4],
+                   [math.inf] + [0.1] * 5):
+        with pytest.raises(SelectionAuditError, match="nonfinite"):
+            selection_audit(_fake_results((0, 1, 2), list(zip(orders, scores))), n_draws=20)
 
 
 def test_write_run_log(tmp_path):
