@@ -1,5 +1,6 @@
-"""Gradient and curvature estimates of the cumulative loss, plus the
-regularized solve (H + lambda*I)x = v under three representations.
+"""Gradient and curvature estimates of the cumulative loss over one
+sample Batch, plus the regularized solve (H + lambda*I)x = v under three
+representations.
 
 Diagonal and low-rank variants use the empirical Fisher (mean squared
 per-sample gradients), which is PSD by construction, so any lambda > 0
@@ -16,9 +17,6 @@ import numpy as np
 from .model import Batch, ModelSpec, finite_diff_hessian, loss_and_grad, per_sample_grads
 
 VARIANTS = ("diagonal", "lowrank", "dense")
-
-# uniform cap on samples fed to the estimators; keeps cost bounded
-DEFAULT_SAMPLE_CAP = 512
 
 _ORTHO_TOL = 1e-8
 
@@ -94,53 +92,19 @@ def parse_curvature_spec(text: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown curvature spec {text!r}")
 
 
-def _pool(buffer, current_group_data, max_samples, sample_seed) -> Batch:
-    """Union of buffer contents (slot order) and group batches, optionally
-    thinned to max_samples by a seeded uniform draw (order preserved)."""
-    if isinstance(current_group_data, Batch):
-        current_group_data = [current_group_data]
-    xs, ys = [], []
-    if buffer is not None and len(buffer) > 0:
-        b = buffer.as_batch()
-        xs.append(b.inputs)
-        ys.append(b.targets)
-    for b in current_group_data or []:
-        xs.append(b.inputs)
-        ys.append(b.targets)
-    if not xs:
-        raise ValueError("no data: buffer and current-group data are both empty")
-    inputs = np.concatenate(xs)
-    targets = np.concatenate(ys)
-    if max_samples is not None and inputs.shape[0] > max_samples:
-        rng = np.random.default_rng(sample_seed)
-        keep = np.sort(rng.choice(inputs.shape[0], size=max_samples, replace=False))
-        inputs, targets = inputs[keep], targets[keep]
-    return Batch(inputs, targets)
-
-
-def estimate_gradient(
-    params, buffer, current_group_data, spec: ModelSpec,
-    max_samples: int | None = DEFAULT_SAMPLE_CAP, sample_seed: int = 0,
-) -> np.ndarray:
-    """Mean gradient over buffer samples plus current-group samples."""
-    pool = _pool(buffer, current_group_data, max_samples, sample_seed)
+def estimate_gradient(params, pool: Batch, spec: ModelSpec) -> np.ndarray:
+    """Mean gradient over the pool."""
     return loss_and_grad(params, pool, spec)[1]
 
 
-def estimate_diag_curvature(
-    params, buffer, current_group_data, spec: ModelSpec,
-    max_samples: int | None = DEFAULT_SAMPLE_CAP, sample_seed: int = 0,
-) -> CurvatureEstimate:
-    pool = _pool(buffer, current_group_data, max_samples, sample_seed)
+def estimate_diag_curvature(params, pool: Batch, spec: ModelSpec) -> CurvatureEstimate:
+    """Diagonal of the empirical Fisher: mean squared per-sample gradients."""
     g = per_sample_grads(params, pool, spec)
     return CurvatureEstimate("diagonal", diag=np.mean(g * g, axis=0),
                              source_sample_count=pool.n)
 
 
-def estimate_lowrank_curvature(
-    params, buffer, current_group_data, spec: ModelSpec, r: int,
-    max_samples: int | None = DEFAULT_SAMPLE_CAP, sample_seed: int = 0,
-) -> CurvatureEstimate:
+def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> CurvatureEstimate:
     """Top-r eigenpairs of the empirical Fisher F = G^T G / n.
 
     When n < p the eigenproblem is solved on the n x n Gram matrix
@@ -149,7 +113,6 @@ def estimate_lowrank_curvature(
     """
     if r < 1:
         raise ValueError("rank must be positive")
-    pool = _pool(buffer, current_group_data, max_samples, sample_seed)
     g = per_sample_grads(params, pool, spec)
     n, p = g.shape
     r = min(r, n, p)
@@ -177,10 +140,10 @@ def estimate_lowrank_curvature(
     return CurvatureEstimate("lowrank", factors=(u, d), source_sample_count=pool.n)
 
 
-def exact_dense_hessian_oracle(params, data, spec: ModelSpec, h: float = 1e-4) -> CurvatureEstimate:
-    """Finite-difference Hessian of the pooled mean loss. Small p only;
+def exact_dense_hessian_oracle(params, pool: Batch, spec: ModelSpec,
+                               h: float = 1e-4) -> CurvatureEstimate:
+    """Finite-difference Hessian of the pool's mean loss. Small p only;
     the dimension guard lives in the differencing helper."""
-    pool = _pool(None, data, None, 0)
     hess = finite_diff_hessian(params, pool, spec, h=h)
     return CurvatureEstimate("dense", matrix=hess, source_sample_count=pool.n)
 
@@ -234,7 +197,8 @@ def regularized_solve(curv: CurvatureEstimate, lam: float, rhs: np.ndarray) -> S
     if curv.variant == "diagonal":
         if lam <= 0:
             raise ValueError("lambda must be positive for a diagonal estimate")
-        return SolveResult(rhs / (curv.diag + lam), lam)
+        x = curv.diag + lam
+        return SolveResult(np.divide(rhs, x, out=x), lam)
     if curv.variant == "lowrank":
         if lam <= 0:
             raise ValueError("lambda must be positive for a lowrank estimate")

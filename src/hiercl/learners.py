@@ -7,11 +7,13 @@ N offers every past item survives with probability capacity/N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Batch, ModelSpec, loss_and_grad, per_sample_grads
+from .curvature import estimate_diag_curvature
+from .model import Batch, ModelSpec, loss_and_grad
 from .tasks import Permutation, TaskDataset
 
 LEARNER_KINDS = ("sgd", "er", "ewc")
@@ -20,84 +22,67 @@ LEARNER_KINDS = ("sgd", "er", "ewc")
 class ReplayBuffer:
     """Bounded sample memory with reservoir eviction.
 
-    Entries are (input row, target, source task id). The first `capacity`
-    offers always land; offer N > capacity lands with probability
-    capacity/N, evicting a uniformly random slot.
+    `inputs`, `targets` and `task_ids` are arrays holding exactly the
+    stored items, in slot order. The first `capacity` offers always land;
+    offer N > capacity lands with probability capacity/N, evicting a
+    uniformly random slot.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
         self.capacity = int(capacity)
-        self.inputs: list[np.ndarray] = []
-        self.targets: list = []
-        self.task_ids: list[int] = []
+        self.inputs, self.targets = np.empty((0, 0)), np.empty(0)
+        self.task_ids = np.empty(0, dtype=np.int64)
         self.seen_count = 0
 
     def __len__(self):
-        return len(self.inputs)
-
-    def insert(self, x, y, task_id: int, rng: np.random.Generator):
-        if len(self.inputs) < self.capacity:
-            self._store_new(x, y, task_id)
-        else:
-            # draw over all seen_count+1 candidates; keep iff it hits a slot
-            idx = int(rng.integers(0, self.seen_count + 1))
-            if idx < self.capacity:
-                self._store_at(idx, x, y, task_id)
-        self.seen_count += 1
+        return self.task_ids.size
 
     def insert_many(self, inputs, targets, task_id: int, rng: np.random.Generator):
-        """Offer a batch of same-task items; equivalent to repeated insert
-        but with the eviction draws vectorized."""
-        inputs = np.asarray(inputs)
+        """Offer a batch of same-task items, in row order; the eviction
+        draws for the items past the fill phase are vectorized."""
+        inputs = np.asarray(inputs, dtype=np.float64)
+        targets = np.asarray(targets)
         n = inputs.shape[0]
-        i = 0
-        while len(self.inputs) < self.capacity and i < n:
-            self._store_new(inputs[i], targets[i], task_id)
-            self.seen_count += 1
-            i += 1
-        if i == n:
+        k = min(self.capacity - len(self), n)  # fill phase: these always land
+        if k > 0:
+            if not len(self):  # the first items fix the row shape and target dtype
+                self.inputs, self.targets = inputs[:0], targets[:0]
+            self.inputs = np.concatenate([self.inputs, inputs[:k]])
+            self.targets = np.concatenate([self.targets, targets[:k]])
+            self.task_ids = np.concatenate([self.task_ids, np.full(k, int(task_id))])
+            self.seen_count += k
+        m = n - k
+        if m == 0:
             return
-        m = n - i
         # item j (0-based among the rest) is candidate number seen_count+j+1
         draws = rng.integers(0, self.seen_count + 1 + np.arange(m))
-        for j in np.nonzero(draws < self.capacity)[0]:
-            self._store_at(int(draws[j]), inputs[i + j], targets[i + j], task_id)
+        # in offer order, so a slot hit twice keeps the later item
+        for j in np.nonzero(draws < self.capacity)[0].tolist():
+            slot, row = int(draws[j]), k + j
+            self.inputs[slot], self.targets[slot] = inputs[row], targets[row]
+            self.task_ids[slot] = task_id
         self.seen_count += m
-
-    def _store_new(self, x, y, task_id):
-        self.inputs.append(np.array(x, dtype=np.float64))
-        self.targets.append(np.array(y))
-        self.task_ids.append(int(task_id))
-
-    def _store_at(self, idx, x, y, task_id):
-        self.inputs[idx] = np.array(x, dtype=np.float64)
-        self.targets[idx] = np.array(y)
-        self.task_ids[idx] = int(task_id)
 
     def sample(self, size: int, rng: np.random.Generator):
         """Uniform draw of `size` stored items -> (inputs, targets, task_ids).
         Samples without replacement when the buffer is large enough."""
-        if not self.inputs:
+        if not len(self):
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.choice(len(self.inputs), size=size, replace=len(self.inputs) < size)
-        xs = np.stack([self.inputs[i] for i in idx])
-        ys = np.stack([self.targets[i] for i in idx])
-        ids = np.array([self.task_ids[i] for i in idx])
-        return xs, ys, ids
+        idx = rng.choice(len(self), size=size, replace=len(self) < size)
+        return self.inputs[idx], self.targets[idx], self.task_ids[idx]
 
     def as_batch(self) -> Batch:
         """All stored items in slot order."""
-        if not self.inputs:
+        if not len(self):
             raise ValueError("buffer is empty")
-        return Batch(np.stack(self.inputs), np.stack(self.targets))
+        return Batch(self.inputs.copy(), self.targets.copy())
 
     def clone(self) -> "ReplayBuffer":
         out = ReplayBuffer(self.capacity)
-        out.inputs = [x.copy() for x in self.inputs]
-        out.targets = [np.array(y) for y in self.targets]
-        out.task_ids = list(self.task_ids)
+        out.inputs, out.targets = self.inputs.copy(), self.targets.copy()
+        out.task_ids = self.task_ids.copy()
         out.seen_count = self.seen_count
         return out
 
@@ -155,11 +140,6 @@ def _ewc_penalty_grad(params, anchors, strength):
     return strength * g
 
 
-def _fisher_diag(params, batch: Batch, spec: ModelSpec) -> np.ndarray:
-    g = per_sample_grads(params, batch, spec)
-    return np.mean(g * g, axis=0)
-
-
 def _sgd_step(params, grad, velocity, cfg: LearnerConfig):
     g = grad + cfg.weight_decay * params
     if cfg.grad_clip is not None:
@@ -196,7 +176,7 @@ def train_on_task(
     velocity = np.zeros_like(params)
     data = task.train
     for epoch in range(cfg.epochs_per_task):
-        for idx in _minibatch_indices(data.n, cfg.batch_size, rng):
+        for step, idx in enumerate(_minibatch_indices(data.n, cfg.batch_size, rng)):
             xb = data.inputs[idx]
             yb = data.targets[idx]
             mb = Batch(xb, yb)
@@ -204,7 +184,10 @@ def train_on_task(
                 # half current task, half replayed
                 rx, ry, _ = buffer.sample(len(idx), rng)
                 mb = Batch(np.concatenate([xb, rx]), np.concatenate([yb, ry]))
-            _, grad = loss_and_grad(params, mb, spec)
+            loss, grad = loss_and_grad(params, mb, spec)
+            if not math.isfinite(loss):
+                raise ValueError(f"task {task.task_id}: epoch {epoch}, step {step}: "
+                                 f"minibatch loss is {loss}; training diverged")
             if anchors:
                 grad = grad + _ewc_penalty_grad(params, anchors, cfg.ewc_strength)
             if prox is not None:
@@ -247,7 +230,6 @@ def train_seq(
             anchors=state.anchors if cfg.kind == "ewc" else None,
         )
         if cfg.kind == "ewc":
-            state.anchors.append(
-                (state.params.copy(), _fisher_diag(state.params, task.train, spec))
-            )
+            fisher = estimate_diag_curvature(state.params, task.train, spec).diag
+            state.anchors.append((state.params.copy(), fisher))
     return state

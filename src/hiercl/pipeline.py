@@ -23,7 +23,7 @@ import numpy as np
 from .consolidation import (HierarchyState, catch_up, init_hierarchy,
                             initialize_from_local, lambda_schedule,
                             multi_level_consolidate)
-from .curvature import (DEFAULT_SAMPLE_CAP, estimate_diag_curvature, estimate_gradient,
+from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         parse_curvature_spec)
 from .learners import LearnerConfig, LearnerState, ReplayBuffer, train_seq
@@ -33,6 +33,9 @@ from .tasks import (Permutation, TaskDataset, TaskGroup,
                     enumerate_intra_group_perms, partition_into_groups)
 
 EVAL_POLICIES = ("group_val", "seen_test")
+
+# uniform cap on samples fed to the estimators; keeps cost bounded
+DEFAULT_SAMPLE_CAP = 512
 
 
 def derive_seed(*parts) -> int:
@@ -135,15 +138,18 @@ def explore_group(
     best = None
     for perm in perms:
         child = cfg.reseeded(derive_seed(base_seed, group.group_index, *perm.order))
-        state = train_seq(
-            perm, tasks, init, child, spec,
-            shared_buffer=buffer.clone() if buffer is not None else None,
-            anchors=anchors,
-        )
+        where = f"group {group.group_index}: ordering {perm.label()}"
+        try:
+            state = train_seq(
+                perm, tasks, init, child, spec,
+                shared_buffer=buffer.clone() if buffer is not None else None,
+                anchors=anchors,
+            )
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from err
         score = accuracy_eval(state.params, eval_batch, spec)
         if not math.isfinite(score):
-            raise ValueError(f"group {group.group_index}: ordering {perm.label()} "
-                             f"scored {score}; training diverged")
+            raise ValueError(f"{where} scored {score}; training diverged")
         scored.append((perm, score))
         if best is None or score > best[1]:
             best = (perm, score, state)
@@ -158,20 +164,29 @@ def explore_group(
     )
 
 
-def _estimators(cfg: PipelineConfig, buffer, group_batches, spec):
+def consolidation_pool(buffer: ReplayBuffer, group_batches: list[Batch],
+                       cap: int | None, seed: int) -> Batch:
+    """The one sample set behind g and H for a group: the buffer's items
+    (slot order) then the group's batches, thinned to `cap` by a seeded
+    uniform draw that keeps their order."""
+    pool = _concat_batches(([buffer.as_batch()] if len(buffer) else []) + group_batches)
+    if cap is not None and pool.n > cap:
+        keep = np.sort(np.random.default_rng(seed).choice(pool.n, size=cap, replace=False))
+        pool = Batch(pool.inputs[keep], pool.targets[keep])
+    return pool
+
+
+def _estimators(cfg: PipelineConfig, pool: Batch, spec):
     variant, rank = parse_curvature_spec(cfg.curvature)
-    cap, cap_seed = cfg.sample_cap, cfg.seed
 
     def grad_fn(w):
-        return estimate_gradient(w, buffer, group_batches, spec, cap, cap_seed)
+        return estimate_gradient(w, pool, spec)
 
     def curv_fn(w):
         if variant == "diagonal":
-            return estimate_diag_curvature(w, buffer, group_batches, spec, cap, cap_seed)
+            return estimate_diag_curvature(w, pool, spec)
         if variant == "lowrank":
-            return estimate_lowrank_curvature(w, buffer, group_batches, spec, rank,
-                                              cap, cap_seed)
-        pool = ([buffer.as_batch()] if len(buffer) else []) + list(group_batches)
+            return estimate_lowrank_curvature(w, pool, spec, rank)
         return exact_dense_hessian_oracle(w, pool, spec)
 
     return grad_fn, curv_fn
@@ -225,8 +240,9 @@ def run_pipeline(
         anchors = res.best_state.anchors
         last_local = res.best_params
 
-        group_batches = [tasks[i].train for i in sorted(group.task_ids)]
-        grad_fn, curv_fn = _estimators(cfg, buffer, group_batches, spec)
+        pool = consolidation_pool(buffer, [tasks[i].train for i in sorted(group.task_ids)],
+                                  cfg.sample_cap, cfg.seed)
+        grad_fn, curv_fn = _estimators(cfg, pool, spec)
         if group.group_index == 0:
             hier = initialize_from_local(hier, last_local)
             norms = None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hiercl.curvature import (
-    DEFAULT_SAMPLE_CAP,
     CurvatureEstimate,
     estimate_diag_curvature,
     estimate_gradient,
@@ -18,6 +17,7 @@ from hiercl.curvature import (
 )
 from hiercl.learners import ReplayBuffer
 from hiercl.model import Batch, ModelSpec, init_params, loss_and_grad, per_sample_grads, predict
+from hiercl.pipeline import DEFAULT_SAMPLE_CAP, consolidation_pool
 
 SPEC = ModelSpec((3, 6, 3))
 
@@ -55,7 +55,7 @@ def test_gradient_matches_samplewise_average():
     rng = np.random.default_rng(0)
     w = init_params(SPEC, 1)
     batch = _batch(rng, n=14)
-    g = estimate_gradient(w, None, [batch], SPEC)
+    g = estimate_gradient(w, batch, SPEC)
     per = [loss_and_grad(w, Batch(batch.inputs[i : i + 1], batch.targets[i : i + 1]), SPEC)[1]
            for i in range(batch.n)]
     assert np.max(np.abs(g - np.mean(per, axis=0))) < 1e-10
@@ -67,7 +67,7 @@ def test_gradient_zero_on_perfect_fit():
     w = init_params(spec, 0)
     x = rng.normal(size=(8, 2))
     batch = Batch(x, predict(w, x, spec))
-    g = estimate_gradient(w, None, [batch], spec)
+    g = estimate_gradient(w, batch, spec)
     assert np.max(np.abs(g)) == 0.0
 
 
@@ -77,21 +77,21 @@ def test_gradient_pools_buffer_and_group():
     group = _batch(rng, n=5)
     buf = ReplayBuffer(4)
     buf.insert_many(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4), 0, rng)
-    g = estimate_gradient(w, buf, [group], SPEC)
+    g = estimate_gradient(w, consolidation_pool(buf, [group], DEFAULT_SAMPLE_CAP, 0), SPEC)
     merged = Batch(
         np.concatenate([buf.as_batch().inputs, group.inputs]),
         np.concatenate([buf.as_batch().targets, group.targets]),
     )
     assert np.array_equal(g, loss_and_grad(w, merged, SPEC)[1])
     with pytest.raises(ValueError):
-        estimate_gradient(w, None, [], SPEC)
+        consolidation_pool(ReplayBuffer(1), [], DEFAULT_SAMPLE_CAP, 0)
 
 
 def test_diag_is_mean_squared_per_sample_grads():
     rng = np.random.default_rng(3)
     w = init_params(SPEC, 3)
     batch = _batch(rng, n=9)
-    est = estimate_diag_curvature(w, None, [batch], SPEC)
+    est = estimate_diag_curvature(w, batch, SPEC)
     rows = per_sample_grads(w, batch, SPEC)
     assert np.array_equal(est.diag, np.mean(rows * rows, axis=0))
     assert est.source_sample_count == 9
@@ -102,11 +102,12 @@ def test_sample_cap_thins_pool_deterministically():
     rng = np.random.default_rng(4)
     w = init_params(SPEC, 4)
     batch = _batch(rng, n=40)
-    a = estimate_diag_curvature(w, None, [batch], SPEC, max_samples=16, sample_seed=5)
-    b = estimate_diag_curvature(w, None, [batch], SPEC, max_samples=16, sample_seed=5)
+    empty = ReplayBuffer(1)
+    a = estimate_diag_curvature(w, consolidation_pool(empty, [batch], 16, 5), SPEC)
+    b = estimate_diag_curvature(w, consolidation_pool(empty, [batch], 16, 5), SPEC)
     assert a.source_sample_count == 16
     assert np.array_equal(a.diag, b.diag)
-    c = estimate_diag_curvature(w, None, [batch], SPEC, max_samples=16, sample_seed=6)
+    c = estimate_diag_curvature(w, consolidation_pool(empty, [batch], 16, 6), SPEC)
     assert not np.array_equal(a.diag, c.diag)
     assert DEFAULT_SAMPLE_CAP == 512
 
@@ -116,7 +117,7 @@ def test_lowrank_rank_one_case():
     spec = ModelSpec((2, 3, 2))
     w = init_params(spec, 0) + 0.1 * rng.normal(size=spec.param_count)
     batch = Batch(rng.normal(size=(1, 2)), np.array([1]))
-    est = estimate_lowrank_curvature(w, None, [batch], spec, r=5)
+    est = estimate_lowrank_curvature(w, batch, spec, r=5)
     v = per_sample_grads(w, batch, spec)[0]
     u, d = est.factors
     assert u.shape[1] == 1
@@ -129,7 +130,7 @@ def test_lowrank_reconstructs_low_rank_fisher():
     rng = np.random.default_rng(6)
     w = init_params(SPEC, 6) + 0.1 * rng.normal(size=SPEC.param_count)
     batch = _batch(rng, n=6)
-    est = estimate_lowrank_curvature(w, None, [batch], SPEC, r=6)
+    est = estimate_lowrank_curvature(w, batch, SPEC, r=6)
     g = per_sample_grads(w, batch, SPEC)
     fisher = g.T @ g / batch.n
     assert np.max(np.abs(materialize(est) - fisher)) < 1e-8
@@ -147,7 +148,7 @@ def test_lowrank_direct_route_matches_gram_route():
     batch = Batch(rng.normal(size=(20, 2)), rng.integers(0, 2, size=20))
     small = Batch(batch.inputs[:8], batch.targets[:8])  # n < p takes the gram route
     for data in (batch, small):
-        est = estimate_lowrank_curvature(w, None, [data], spec, r=4)
+        est = estimate_lowrank_curvature(w, data, spec, r=4)
         u, d = est.factors
         assert np.allclose(u.T @ u, np.eye(d.size), atol=1e-8)
         g = per_sample_grads(w, data, spec)
@@ -162,7 +163,7 @@ def test_dense_oracle_recovers_quadratic():
     spec = ModelSpec((2, 3, 2))
     w = init_params(spec, 1)
     batch = Batch(rng.normal(size=(6, 2)), rng.integers(0, 2, size=6))
-    est = exact_dense_hessian_oracle(w, [batch], spec)
+    est = exact_dense_hessian_oracle(w, batch, spec)
     m = est.matrix
     assert m.shape == (spec.param_count, spec.param_count)
     assert np.allclose(m, m.T)
@@ -181,8 +182,8 @@ def test_quad_form_matches_materialized():
     batch = _batch(rng, n=8)
     v = rng.normal(size=SPEC.param_count)
     for est in (
-        estimate_diag_curvature(w, None, [batch], SPEC),
-        estimate_lowrank_curvature(w, None, [batch], SPEC, r=4),
+        estimate_diag_curvature(w, batch, SPEC),
+        estimate_lowrank_curvature(w, batch, SPEC, r=4),
     ):
         assert abs(quad_form(est, v) - v @ materialize(est) @ v) < 1e-8
 
@@ -214,6 +215,8 @@ def test_diag_solve_elementwise():
     rhs = np.array([2.0, 2.0, 2.0])
     res = regularized_solve(est, 1.0, rhs)
     assert np.array_equal(res.x, rhs / (diag + 1.0))
+    # the solve writes into its own temporary, never into H or rhs
+    assert np.array_equal(est.diag, [0.0, 1.0, 3.0]) and np.array_equal(rhs, [2.0, 2.0, 2.0])
     assert res.lambda_used == 1.0
     assert res.min_eig_bound is None
     # H = 0 -> x = rhs / lambda

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiercl.learners import (
     LearnerConfig,
@@ -22,6 +24,75 @@ def _tasks(seed=0):
     )
 
 
+def _insert(buf, x, y, task_id, rng):
+    """Offer one item: a one-row insert_many (the same reservoir draw)."""
+    buf.insert_many(np.asarray(x)[None], np.asarray(y)[None], task_id, rng)
+
+
+class _ListReplayBuffer:
+    """Reference reservoir: one list entry per stored row, re-stacked on
+    every read. The array-backed ReplayBuffer must match it exactly."""
+
+    def __init__(self, capacity):
+        self.capacity = int(capacity)
+        self.inputs, self.targets, self.task_ids = [], [], []
+        self.seen_count = 0
+
+    def insert_many(self, inputs, targets, task_id, rng):
+        inputs = np.asarray(inputs)
+        n = inputs.shape[0]
+        i = 0
+        while len(self.inputs) < self.capacity and i < n:
+            self.inputs.append(np.array(inputs[i], dtype=np.float64))
+            self.targets.append(np.array(targets[i]))
+            self.task_ids.append(int(task_id))
+            self.seen_count += 1
+            i += 1
+        if i == n:
+            return
+        m = n - i
+        draws = rng.integers(0, self.seen_count + 1 + np.arange(m))
+        for j in np.nonzero(draws < self.capacity)[0]:
+            idx = int(draws[j])
+            self.inputs[idx] = np.array(inputs[i + j], dtype=np.float64)
+            self.targets[idx] = np.array(targets[i + j])
+            self.task_ids[idx] = int(task_id)
+        self.seen_count += m
+
+    def sample(self, size, rng):
+        idx = rng.choice(len(self.inputs), size=size, replace=len(self.inputs) < size)
+        return (np.stack([self.inputs[i] for i in idx]),
+                np.stack([self.targets[i] for i in idx]),
+                np.array([self.task_ids[i] for i in idx]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 12),
+       sizes=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1),
+       sample_size=st.integers(1, 20))
+def test_array_buffer_matches_list_reference(capacity, sizes, seed, sample_size):
+    # batch sizes around the capacity make some batches straddle the fill boundary
+    data = np.random.default_rng(seed)
+    buf, ref = ReplayBuffer(capacity), _ListReplayBuffer(capacity)
+    rng_buf, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for tid, m in enumerate(sizes):
+        x, y = data.normal(size=(m, 3)), data.integers(0, 5, size=m)
+        buf.insert_many(x, y, tid, rng_buf)
+        ref.insert_many(x, y, tid, rng_ref)
+        assert buf.seen_count == ref.seen_count
+        assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
+    if ref.seen_count:
+        assert np.array_equal(buf.inputs, np.stack(ref.inputs))
+        assert np.array_equal(buf.targets, np.stack(ref.targets))
+        assert np.array_equal(buf.task_ids, np.array(ref.task_ids))
+        for got, want in zip(buf.sample(sample_size, rng_buf), ref.sample(sample_size, rng_ref)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
+    else:
+        assert len(buf) == 0
+
+
 def test_buffer_validation():
     with pytest.raises(ValueError):
         ReplayBuffer(0)
@@ -36,7 +107,7 @@ def test_buffer_fill_phase_keeps_everything():
     rng = np.random.default_rng(0)
     buf = ReplayBuffer(5)
     for i in range(5):
-        buf.insert(np.full(2, float(i)), i % 2, i, rng)
+        _insert(buf, np.full(2, float(i)), i % 2, i, rng)
     assert len(buf) == 5
     assert buf.seen_count == 5
     got = sorted(float(x[0]) for x in buf.inputs)
@@ -51,7 +122,7 @@ def test_buffer_never_exceeds_capacity():
         offered = 0
         while offered < n:
             if rng.random() < 0.5:
-                buf.insert(rng.normal(size=2), 0, 0, rng)
+                _insert(buf, rng.normal(size=2), 0, 0, rng)
                 offered += 1
             else:
                 m = int(rng.integers(1, 9))
@@ -68,8 +139,8 @@ def test_capacity_one_coin_flip():
     trials = 5000
     for _ in range(trials):
         buf = ReplayBuffer(1)
-        buf.insert(np.zeros(1), 0, 0, rng)
-        buf.insert(np.ones(1), 1, 1, rng)
+        _insert(buf, np.zeros(1), 0, 0, rng)
+        _insert(buf, np.ones(1), 1, 1, rng)
         hits += int(buf.task_ids[0] == 1)
     assert abs(hits / trials - 0.5) < 0.02
 
@@ -80,7 +151,7 @@ def test_inclusion_probability_tracks_capacity_over_seen():
     hits = 0
     for _ in range(trials):
         buf = ReplayBuffer(cap)
-        buf.insert(np.zeros(1), 0, -1, rng)  # the tracked first item
+        _insert(buf, np.zeros(1), 0, -1, rng)  # the tracked first item
         buf.insert_many(np.ones((stream - 1, 1)), np.zeros(stream - 1, dtype=np.intp), 0, rng)
         hits += int(-1 in buf.task_ids)
     assert abs(hits / trials - cap / stream) < 0.015
@@ -102,7 +173,7 @@ def test_buffer_clone_is_independent():
     buf = ReplayBuffer(4)
     buf.insert_many(np.eye(3), np.arange(3), 0, rng)
     twin = buf.clone()
-    twin.insert(np.full(3, 9.0), 2, 9, rng)
+    _insert(twin, np.full(3, 9.0), 2, 9, rng)
     assert buf.seen_count == 3
     assert 9 not in buf.task_ids
     twin.inputs[0][:] = -1.0

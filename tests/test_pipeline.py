@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hiercl import curvature
 from hiercl.learners import LearnerConfig
 from hiercl.model import Batch, ModelSpec, init_params, predict
 from hiercl.pipeline import (
@@ -211,6 +212,33 @@ def test_dense_curvature_path_runs():
         assert np.max(np.abs(level - w)) < 1e-9
 
 
+def test_dense_hessian_and_gradient_share_the_capped_pool(monkeypatch):
+    # buffer (8) plus a group's train data (10) exceed sample_cap=7: g and
+    # H must both come from the same thinned pool
+    spec = ModelSpec((3, 4, 2), task_kind="regression")
+    w = init_params(spec, 0)
+    tasks = _constant_score_tasks(spec, w, ids=(0, 1, 2, 3))
+    cfg = _cfg(curvature="dense", sample_cap=7,
+               learner=LearnerConfig(kind="er", epochs_per_task=1,
+                                     weight_decay=0.0, buffer_capacity=8))
+    seen = {"grad": [], "hess": []}
+    real_grad, real_hess = curvature.loss_and_grad, curvature.finite_diff_hessian
+
+    def grad(params, batch, spec):
+        seen["grad"].append(batch.n)
+        return real_grad(params, batch, spec)
+
+    def hess(params, batch, spec, h):
+        seen["hess"].append(batch.n)
+        return real_hess(params, batch, spec, h=h)
+
+    monkeypatch.setattr(curvature, "loss_and_grad", grad)
+    monkeypatch.setattr(curvature, "finite_diff_hessian", hess)
+    run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, spec, init=w)
+    assert seen["grad"] and seen["hess"]
+    assert set(seen["grad"]) == set(seen["hess"]) == {7}
+
+
 def _fake_results(best_order, scores_by_perm):
     scored = [(Permutation(o), s) for o, s in scores_by_perm]
     sel = dict(scores_by_perm).get(best_order)
@@ -251,6 +279,17 @@ def test_diverged_scores_are_rejected_not_selected():
                    [math.inf] + [0.1] * 5):
         with pytest.raises(SelectionAuditError, match="nonfinite"):
             selection_audit(_fake_results((0, 1, 2), list(zip(orders, scores))), n_draws=20)
+
+
+@pytest.mark.filterwarnings("ignore:group size 5 costs")
+def test_divergence_fails_fast_naming_group_ordering_task_and_step():
+    # sine regression at lr=1e8 overflows while training the first ordering;
+    # the run stops there instead of finishing it and scoring NaN
+    spec = ModelSpec((1, 16, 1), task_kind="regression")
+    cfg = _cfg(learner=LearnerConfig(learning_rate=1e8), group_size=5)
+    want = r"^group 0: ordering 0-1-2-3-4: task 1: epoch 1, step 1: minibatch loss is inf"
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
+        run_pipeline(gen_sine_tasks(5, 0), Permutation(tuple(range(5))), cfg, spec)
 
 
 def test_write_run_log(tmp_path):
