@@ -98,9 +98,12 @@ def estimate_gradient(params, pool: Batch, spec: ModelSpec) -> np.ndarray:
 
 
 def estimate_diag_curvature(params, pool: Batch, spec: ModelSpec) -> CurvatureEstimate:
-    """Diagonal of the empirical Fisher: mean squared per-sample gradients."""
+    """Diagonal of the empirical Fisher: mean squared per-sample gradients.
+    The (n, p) gradient array is squared in place, so the call holds one
+    array of that size."""
     g = per_sample_grads(params, pool, spec)
-    return CurvatureEstimate("diagonal", diag=np.mean(g * g, axis=0),
+    np.multiply(g, g, out=g)
+    return CurvatureEstimate("diagonal", diag=np.mean(g, axis=0),
                              source_sample_count=pool.n)
 
 

@@ -129,31 +129,27 @@ def _split_params(params: ParamVector, spec: ModelSpec):
     return layers
 
 
-def _forward(params: ParamVector, inputs: np.ndarray, spec: ModelSpec):
-    """Forward pass keeping hidden activations for backprop.
+def _forward(layers, inputs: np.ndarray, spec: ModelSpec) -> list[np.ndarray]:
+    """Forward pass keeping every layer's input activation for backprop.
 
     Hidden layers use the configured nonlinearity; the output layer is
     linear (logits for classification, raw values for regression).
     """
-    layers = _split_params(params, spec)
     acts = [np.asarray(inputs, dtype=np.float64)]
-    pre = []
     a = acts[0]
     for i, (w, b) in enumerate(layers):
         z = a @ w + b
-        pre.append(z)
         if i < len(layers) - 1:
             a = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
         else:
             a = z
         acts.append(a)
-    return acts, pre
+    return acts
 
 
 def predict(params: ParamVector, inputs: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """Network outputs: logits (classification) or values (regression)."""
-    acts, _ = _forward(params, inputs, spec)
-    return acts[-1]
+    return _forward(_split_params(params, spec), inputs, spec)[-1]
 
 
 def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
@@ -174,23 +170,20 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     return loss, 2.0 * r / r.size
 
 
-def _backward(acts, pre, delta, spec: ModelSpec, params: ParamVector) -> ParamVector:
-    """Backpropagate an output-side delta into a flat parameter gradient."""
-    layers = _split_params(params, spec)
-    grads = [None] * len(layers)
+def _backprop(acts, delta, spec: ModelSpec, layers):
+    """Walk the layers from the last one down, yielding (i, acts[i], delta)
+    with delta the loss gradient w.r.t. layer i's pre-activation output.
+
+    The hidden-layer derivative reuses the stored activation a: 1 - a**2
+    for tanh and a > 0 for relu, the same bits as recomputing them from
+    the pre-activations. Callers must not write into the yielded delta.
+    """
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = acts[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = (gw, gb)
+        yield i, acts[i], delta
         if i > 0:
-            delta = delta @ w.T
-            z = pre[i - 1]
-            if spec.activation == "tanh":
-                delta = delta * (1.0 - np.tanh(z) ** 2)
-            else:
-                delta = delta * (z > 0.0)
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+            a = acts[i]
+            delta = delta @ layers[i][0].T
+            delta = delta * (1.0 - a ** 2) if spec.activation == "tanh" else delta * (a > 0.0)
 
 
 def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
@@ -200,47 +193,47 @@ def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
     over all output entries.
     """
     _check_batch(batch, spec)
-    acts, pre = _forward(params, batch.inputs, spec)
+    layers = _split_params(params, spec)
+    acts = _forward(layers, batch.inputs, spec)
     loss, delta = _output_loss_and_delta(acts[-1], batch, spec)
-    return loss, _backward(acts, pre, delta, spec, params)
+    grads = [None] * len(layers)
+    for i, a, d in _backprop(acts, delta, spec, layers):
+        grads[i] = np.concatenate([(a.T @ d).ravel(), d.sum(axis=0)])
+    return loss, np.concatenate(grads)
 
 
 def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec) -> np.ndarray:
     """Gradient of each sample's own loss, stacked into an (n, p) matrix.
 
-    Row i equals loss_and_grad on the single-sample batch i. Vectorized:
-    the per-layer weight gradient for sample i is outer(activation_i,
-    delta_i), assembled with einsum instead of a Python loop.
+    Row i equals loss_and_grad on the single-sample batch i. The result is
+    the only (n, p) array built: each layer's bias block is delta and its
+    weight block, outer(activation_i, delta_i) per sample, is multiplied
+    straight into an (n, fan_in, fan_out) view of its columns.
     """
     _check_batch(batch, spec)
-    acts, pre = _forward(params, batch.inputs, spec)
+    layers = _split_params(params, spec)
+    acts = _forward(layers, batch.inputs, spec)
     out = acts[-1]
     n = out.shape[0]
     if spec.task_kind == "classification":
         y = np.asarray(batch.targets, dtype=np.intp)
         m = out.max(axis=1, keepdims=True)
-        p = np.exp(out - m)
-        p /= p.sum(axis=1, keepdims=True)
-        delta = p.copy()
+        delta = np.exp(out - m)
+        delta /= delta.sum(axis=1, keepdims=True)
         delta[np.arange(n), y] -= 1.0
     else:
         t = _regression_targets(batch)
         delta = 2.0 * (out - t) / t.shape[1]
 
-    layers = _split_params(params, spec)
-    pieces = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = np.einsum("ni,nj->nij", acts[i], delta).reshape(n, -1)
-        pieces[i] = np.concatenate([gw, delta], axis=1)
-        if i > 0:
-            delta = delta @ w.T
-            z = pre[i - 1]
-            if spec.activation == "tanh":
-                delta = delta * (1.0 - np.tanh(z) ** 2)
-            else:
-                delta = delta * (z > 0.0)
-    return np.concatenate(pieces, axis=1)
+    g = np.empty((n, spec.param_count))
+    end = spec.param_count
+    for _, a, d in _backprop(acts, delta, spec, layers):
+        fan_in, fan_out = a.shape[1], d.shape[1]
+        g[:, end - fan_out : end] = d
+        end -= fan_out + fan_in * fan_out
+        block = g[:, end : end + fan_in * fan_out].reshape(n, fan_in, fan_out)
+        np.multiply(a[:, :, None], d[:, None, :], out=block)
+    return g
 
 
 def accuracy_eval(params: ParamVector, batch: Batch, spec: ModelSpec) -> float:
@@ -264,18 +257,6 @@ def accuracy_eval(params: ParamVector, batch: Batch, spec: ModelSpec) -> float:
 def _coord_steps(w: np.ndarray, h: float) -> np.ndarray:
     # relative step balances truncation against rounding error
     return h * (1.0 + np.abs(w))
-
-
-def fd_gradient(fn, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function. Test oracle."""
-    w = np.asarray(w, dtype=np.float64)
-    steps = _coord_steps(w, h)
-    g = np.empty_like(w)
-    for i in range(w.size):
-        e = np.zeros_like(w)
-        e[i] = steps[i]
-        g[i] = (fn(w + e) - fn(w - e)) / (2.0 * steps[i])
-    return g
 
 
 def fd_hessian_from_grad(grad_fn, w: np.ndarray, h: float = 1e-4) -> np.ndarray:

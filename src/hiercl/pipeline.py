@@ -225,7 +225,8 @@ def run_pipeline(
                          for tid in order])
 
     pos = 0
-    for slot_group in partition_into_groups(t_count, cfg.group_size):
+    slot_groups = partition_into_groups(t_count, cfg.group_size)
+    for slot_group in slot_groups:
         # slots hold arrival positions; the group itself is a set of task ids
         group = TaskGroup(slot_group.group_index,
                           tuple(order[s] for s in slot_group.task_ids))
@@ -240,9 +241,12 @@ def run_pipeline(
         anchors = res.best_state.anchors
         last_local = res.best_params
 
-        pool = consolidation_pool(buffer, [tasks[i].train for i in sorted(group.task_ids)],
-                                  cfg.sample_cap, cfg.seed)
-        grad_fn, curv_fn = _estimators(cfg, pool, spec)
+        # group 0 only copies the local model; its pool is needed only
+        # when it is also the last group, for the catch-up passes
+        if group.group_index > 0 or len(slot_groups) == 1:
+            pool = consolidation_pool(buffer, [tasks[i].train for i in sorted(group.task_ids)],
+                                      cfg.sample_cap, cfg.seed)
+            grad_fn, curv_fn = _estimators(cfg, pool, spec)
         if group.group_index == 0:
             hier = initialize_from_local(hier, last_local)
             norms = None

@@ -20,9 +20,10 @@ from hiercl.experiment import make_tasks, run_experiment
 from hiercl.learners import LearnerConfig, ReplayBuffer, train_on_task
 from hiercl.federated import fedprox_train_local
 from hiercl.metrics import CSV_HEADER
-from hiercl.model import Batch, ModelSpec, fd_gradient, init_params, loss_and_grad
+from hiercl.model import Batch, ModelSpec, init_params, loss_and_grad
 from hiercl.pipeline import PipelineConfig, derive_seed, run_pipeline
 from hiercl.tasks import Permutation, gen_sine_tasks
+from model_reference import fd_gradient
 
 BENCH_DATASET = DatasetConfig(num_classes=10, classes_per_task=2, dim=8,
                               samples_per_class=40, spread=2.0,

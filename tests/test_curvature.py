@@ -1,5 +1,7 @@
 """Tests for gradient/curvature estimation and the regularized solves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,21 @@ def test_diag_is_mean_squared_per_sample_grads():
     assert np.array_equal(est.diag, np.mean(rows * rows, axis=0))
     assert est.source_sample_count == 9
     assert np.all(est.diag >= 0.0)
+
+
+def test_diag_curvature_holds_one_per_sample_gradient_array():
+    # the consolidate-wide-k1 shape: p = 26,122 at n = 240, about 50 MB
+    spec = ModelSpec((64, 128, 128, 10))
+    rng = np.random.default_rng(7)
+    w = init_params(spec, 7)
+    batch = _batch(rng, n=240, spec=spec)
+    tracemalloc.start()
+    try:
+        estimate_diag_curvature(w, batch, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * batch.n * spec.param_count * 8
 
 
 def test_sample_cap_thins_pool_deterministically():

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hiercl.curvature import estimate_diag_curvature
 from hiercl.model import (
     Batch,
     ModelSpec,
     accuracy_eval,
-    fd_gradient,
     fd_hessian_from_grad,
     finite_diff_hessian,
     init_params,
@@ -15,6 +17,7 @@ from hiercl.model import (
     per_sample_grads,
     predict,
 )
+from model_reference import fd_gradient, ref_loss_and_grad, ref_per_sample_grads
 
 CLS = ModelSpec((4, 6, 3))
 REG = ModelSpec((3, 5, 2), task_kind="regression")
@@ -108,6 +111,31 @@ def test_per_sample_rows_match_singleton_batches():
         one = Batch(batch.inputs[i : i + 1], batch.targets[i : i + 1])
         _, gi = loss_and_grad(w, one, CLS)
         assert np.max(np.abs(rows[i] - gi)) < 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(widths=st.lists(st.integers(1, 24), min_size=3, max_size=4),
+       activation=st.sampled_from(("tanh", "relu")),
+       task_kind=st.sampled_from(("classification", "regression")),
+       n=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, seed):
+    # 3 or 4 widths: 1 or 2 hidden layers
+    spec = ModelSpec(tuple(widths), activation=activation, task_kind=task_kind)
+    rng = np.random.default_rng(seed)
+    w = init_params(spec, seed) + 0.3 * rng.normal(size=spec.param_count)
+    x = rng.normal(size=(n, spec.input_dim))
+    if task_kind == "classification":
+        batch = Batch(x, rng.integers(0, spec.output_dim, size=n))
+    else:
+        batch = Batch(x, rng.normal(size=(n, spec.output_dim)))
+    ref = ref_per_sample_grads(w, batch, spec)
+    assert np.array_equal(per_sample_grads(w, batch, spec), ref)
+    loss, g = loss_and_grad(w, batch, spec)
+    ref_loss, ref_g = ref_loss_and_grad(w, batch, spec)
+    assert loss == ref_loss and np.array_equal(g, ref_g)
+    assert np.array_equal(estimate_diag_curvature(w, batch, spec).diag,
+                          np.mean(ref * ref, axis=0))
 
 
 def test_accuracy_classification():

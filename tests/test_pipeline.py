@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hiercl import curvature
+from hiercl import curvature, pipeline
 from hiercl.learners import LearnerConfig
 from hiercl.model import Batch, ModelSpec, init_params, predict
 from hiercl.pipeline import (
@@ -237,6 +237,28 @@ def test_dense_hessian_and_gradient_share_the_capped_pool(monkeypatch):
     run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, spec, init=w)
     assert seen["grad"] and seen["hess"]
     assert set(seen["grad"]) == set(seen["hess"]) == {7}
+
+
+@pytest.mark.parametrize("num_classes, group_size, pools", [(8, 1, 3), (8, 2, 1), (4, 2, 1)])
+def test_pool_is_built_only_for_groups_that_use_it(monkeypatch, num_classes, group_size, pools):
+    # every group after group 0 consolidates; a single group (2 tasks in
+    # one group of 2) still needs its pool for catch-up
+    tasks = _tasks(num_classes=num_classes)
+    order = Permutation(tuple(range(len(tasks))))
+    cfg = _cfg(group_size=group_size)
+    plain = run_pipeline(tasks, order, cfg, SPEC)
+    calls = []
+    real = pipeline.consolidation_pool
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "consolidation_pool", counting)
+    res = run_pipeline(tasks, order, cfg, SPEC)
+    assert len(calls) == pools
+    for got, want in zip(res.hierarchy.levels, plain.hierarchy.levels):
+        assert np.array_equal(got, want)
 
 
 def _fake_results(best_order, scores_by_perm):
