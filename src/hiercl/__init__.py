@@ -12,8 +12,7 @@ from .consolidation import (HierarchyState, catch_up, init_hierarchy,
                             two_step_recursive_check)
 from .curvature import (CurvatureEstimate, SolveResult, estimate_diag_curvature,
                         estimate_gradient, estimate_lowrank_curvature,
-                        exact_dense_hessian_oracle, min_eig_lower_bound,
-                        regularized_solve)
+                        exact_dense_hessian_oracle, regularized_solve)
 from .federated import FedConfig, fed_compare_run, fedavg_aggregate, fedprox_train_local
 from .learners import LearnerConfig, LearnerState, ReplayBuffer, ewc_penalty, train_seq
 from .metrics import (AccuracyMatrix, MetricsRecord, avg_forgetting, mean_accuracy,

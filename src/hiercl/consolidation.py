@@ -212,26 +212,3 @@ def two_step_recursive_check(
     s1 = dense_step(c1, lam * (t2 - (w0 + s0)) - g1)
     closed = w0 + s0 + s1
     return float(np.max(np.abs(w2 - closed)))
-
-
-def save_hierarchy(path: str, state: HierarchyState):
-    """Flat text snapshot: first line the group counter, then one line per
-    level: level index, lambda, the p weight values."""
-    with open(path, "w") as fh:
-        fh.write(f"{state.group_counter}\n")
-        for i, (w, lam) in enumerate(zip(state.levels, state.lambdas)):
-            vals = " ".join(repr(float(v)) for v in w)
-            fh.write(f"{i} {lam!r} {vals}\n")
-
-
-def load_hierarchy(path: str) -> HierarchyState:
-    with open(path) as fh:
-        counter = int(fh.readline())
-        levels, lambdas = [], []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            lambdas.append(float(parts[1]))
-            levels.append(np.array([float(v) for v in parts[2:]]))
-    return HierarchyState(levels, tuple(lambdas), counter)

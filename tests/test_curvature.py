@@ -4,15 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiercl.curvature import (
+    VARIANTS,
     CurvatureEstimate,
     estimate_diag_curvature,
     estimate_gradient,
     estimate_lowrank_curvature,
     exact_dense_hessian_oracle,
     materialize,
-    min_eig_lower_bound,
     parse_curvature_spec,
     quad_form,
     regularized_solve,
@@ -205,6 +207,19 @@ def test_quad_form_matches_materialized():
         assert abs(quad_form(est, v) - v @ materialize(est) @ v) < 1e-8
 
 
+def min_eig_lower_bound(curv: CurvatureEstimate) -> float:
+    """Smallest eigenvalue (exact for diagonal/dense; 0 for a strictly
+    low-rank PSD factorization, whose nullspace contributes eigenvalue 0)."""
+    if curv.variant == "diagonal":
+        return float(curv.diag.min()) if curv.diag.size else 0.0
+    if curv.variant == "lowrank":
+        u, d = curv.factors
+        if u.shape[1] < u.shape[0]:
+            return min(0.0, float(d.min())) if d.size else 0.0
+        return float(d.min())
+    return float(np.linalg.eigvalsh(curv.matrix)[0])
+
+
 def test_min_eig_examples():
     assert min_eig_lower_bound(CurvatureEstimate("dense", matrix=np.eye(3))) == 1.0
     assert min_eig_lower_bound(CurvatureEstimate("dense", matrix=np.diag([-2.0, 5.0]))) == -2.0
@@ -259,6 +274,35 @@ def test_woodbury_matches_dense_solve():
         x = regularized_solve(est, lam, rhs).x
         want = np.linalg.solve(materialize(est) + lam * np.eye(p), rhs)
         assert np.max(np.abs(x - want)) < 1e-8
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.sampled_from(VARIANTS),
+       p=st.integers(1, 30),
+       rank=st.integers(0, 30),
+       lam=st.floats(0.05, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_regularized_solve_matches_dense_solve_and_writes_nothing(variant, p, rank, lam, seed):
+    rng = np.random.default_rng(seed)
+    if variant == "diagonal":
+        curv = CurvatureEstimate("diagonal", diag=rng.random(p) * 10.0)
+    elif variant == "lowrank":
+        q, _ = np.linalg.qr(rng.normal(size=(p, min(rank, p))))
+        curv = CurvatureEstimate("lowrank", factors=(q, rng.random(q.shape[1]) * 10.0))
+    else:
+        a = rng.normal(size=(p, p))
+        h = (a + a.T) / 2.0  # indefinite in general; lam clears its lowest eigenvalue
+        curv = CurvatureEstimate("dense", matrix=h)
+        lam = lam + max(0.0, -float(np.linalg.eigvalsh(h)[0]))
+    rhs = rng.normal(size=p)
+    before = [a.copy() for a in (curv.diag, curv.matrix, *(curv.factors or ())) if a is not None]
+    rhs_before = rhs.copy()
+    x = regularized_solve(curv, lam, rhs).x
+    want = np.linalg.solve(materialize(curv) + lam * np.eye(p), rhs)
+    assert np.max(np.abs(x - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+    after = [a for a in (curv.diag, curv.matrix, *(curv.factors or ())) if a is not None]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert np.array_equal(rhs, rhs_before)
 
 
 def test_dense_solve_and_pd_guard():

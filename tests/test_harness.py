@@ -270,6 +270,15 @@ def test_cli_malformed_set_is_a_clean_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_rejects_bad_learner_value_when_building_the_config(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    rc = main(["run", "--set", "learner.grad_clip=-1", "--set", f"run.out={out_csv}"])
+    assert rc == 2 and "grad_clip" in capsys.readouterr().err
+    assert not out_csv.exists()
+    with pytest.raises(ValueError, match="grad_clip"):
+        build_experiment_config({"learner.grad_clip": "-1"})
+
+
 def test_cli_config_and_set_routes_write_identical_rows(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(CFG_TEXT)

@@ -1,19 +1,25 @@
 """Tests for the replay buffer and the sequential learners."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from learners_reference import train_on_task as serial_train_on_task
+from learners_reference import train_seq as serial_train_seq
 
 from hiercl.learners import (
+    LEARNER_KINDS,
     LearnerConfig,
     ReplayBuffer,
+    TrainingDiverged,
     ewc_penalty,
     train_on_task,
     train_seq,
 )
 from hiercl.model import Batch, ModelSpec, init_params, loss_and_grad, predict
-from hiercl.tasks import Permutation, TaskDataset, gen_split_gaussians
+from hiercl.tasks import Permutation, TaskDataset, gen_sine_tasks, gen_split_gaussians
 
 SPEC = ModelSpec((4, 8, 4))
 
@@ -192,6 +198,25 @@ def test_learner_config_validation():
     assert LearnerConfig().reseeded(5).seed == 5
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
+    ("momentum", -0.1), ("momentum", 1.0), ("momentum", float("nan")),
+    ("weight_decay", -1e-4), ("weight_decay", float("nan")),
+    ("ewc_strength", -1.0), ("ewc_strength", float("nan")),
+    ("learning_rate", float("inf")), ("learning_rate", float("nan")),
+])
+def test_learner_config_rejects_bad_optimizer_values(field, value):
+    # a negative clip used to flip the step: grad (3, 4) moved the params
+    # by +(0.06, 0.08) instead of -(0.3, 0.4), so training climbed the loss
+    with pytest.raises(ValueError, match=field):
+        LearnerConfig(**{field: value})
+
+
+def test_learner_config_accepts_boundary_values():
+    cfg = LearnerConfig(momentum=0.0, weight_decay=0.0, ewc_strength=0.0, grad_clip=1e-9)
+    assert cfg.momentum == 0.0 and cfg.grad_clip == 1e-9
+
+
 def test_ewc_penalty_hand_values():
     w = np.array([1.0, 2.0])
     anchor = (np.zeros(2), np.ones(2))
@@ -316,3 +341,135 @@ def test_ewc_strength_pulls_toward_anchor():
         anchor_w = state.anchors[0][0]
         dists.append(float(np.linalg.norm(state.params - anchor_w)))
     assert dists[1] < dists[0]
+
+
+def _lockstep_problem(kind, activation, task_kind, sizes, rows, seed):
+    """Tasks of the given train sizes, `rows` random orderings of them with
+    one seed each, and per-ordering incoming buffers, some of them empty
+    or absent, so stacked steps split by minibatch shape."""
+    rng = np.random.default_rng(seed)
+    classify = task_kind == "classification"
+    out_dim = int(rng.integers(2, 4)) if classify else int(rng.integers(1, 3))
+    spec = ModelSpec((3, int(rng.integers(1, 9)), out_dim),
+                     activation=activation, task_kind=task_kind)
+
+    def targets(n):
+        return rng.integers(0, out_dim, size=n) if classify else rng.normal(size=(n, out_dim))
+
+    tasks = []
+    for tid, n in enumerate(sizes):
+        b = Batch(rng.normal(size=(n, 3)), targets(n))
+        tasks.append(TaskDataset(tid, b, b, b))
+    capacity = int(rng.integers(1, 12))
+    base = LearnerConfig(kind=kind, learning_rate=0.05, epochs_per_task=2,
+                         batch_size=int(rng.integers(1, 9)), buffer_capacity=capacity,
+                         ewc_strength=0.5, grad_clip=[None, 0.5][int(rng.integers(2))])
+    cfgs = [base.reseeded(int(s)) for s in rng.integers(0, 2**32, size=rows)]
+    perms = [Permutation(rng.permutation(len(sizes))) for _ in range(rows)]
+    buffers = []
+    for _ in range(rows):
+        m = int(rng.integers(0, capacity + 4))  # past capacity the offers draw evictions
+        buf = None
+        if m or rng.random() < 0.5:
+            buf = ReplayBuffer(capacity)
+            if m:
+                buf.insert_many(rng.normal(size=(m, 3)), targets(m), 9, rng)
+        buffers.append(buf)
+    p = spec.param_count
+    anchors = [(rng.normal(size=p), rng.random(p)) for _ in range(int(rng.integers(0, 3)))]
+    init = init_params(spec, 0) + 0.3 * rng.normal(size=p)
+    return spec, tasks, cfgs, perms, buffers, anchors, init, rng
+
+
+def _clone(buf):
+    return buf.clone() if buf is not None else None
+
+
+def _assert_same_buffer(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.seen_count == want.seen_count
+        for a, b in ((got.inputs, want.inputs), (got.targets, want.targets),
+                     (got.task_ids, want.task_ids)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+_LOCKSTEP_CASES = dict(
+    kind=st.sampled_from(LEARNER_KINDS),
+    activation=st.sampled_from(("tanh", "relu")),
+    task_kind=st.sampled_from(("classification", "regression")),
+    sizes=st.lists(st.integers(1, 20), min_size=1, max_size=3),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_LOCKSTEP_CASES)
+def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind, sizes, rows, seed):
+    spec, tasks, cfgs, _, buffers, shared, init, rng = _lockstep_problem(
+        kind, activation, task_kind, sizes, rows, seed)
+    cfg = cfgs[0]
+    stack = init + 0.1 * rng.normal(size=(rows, spec.param_count))
+    row_tasks = [tasks[int(t)] for t in rng.integers(0, len(tasks), size=rows)]
+    own = [(stack + 0.1, rng.random(stack.shape))]  # one (P, p) anchor stack
+    anchors = shared + own if kind == "ewc" else None
+    prox = (rng.normal(size=spec.param_count), [0.0, 0.3][int(rng.integers(2))])
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    lock_buffers = [_clone(b) for b in buffers]
+    out = train_on_task(stack, row_tasks, cfg, spec, rngs, buffer=lock_buffers,
+                        anchors=anchors, prox=prox)
+    assert out.shape == stack.shape
+    for i in range(rows):
+        ref_rng = np.random.default_rng(cfgs[i].seed)
+        ref_buffer = _clone(buffers[i])
+        row_anchors = shared + [(w[i], f[i]) for w, f in own] if kind == "ewc" else None
+        want = serial_train_on_task(stack[i], row_tasks[i], cfg, spec, ref_rng,
+                                    buffer=ref_buffer, anchors=row_anchors, prox=prox)
+        assert np.array_equal(out[i], want)
+        assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
+        _assert_same_buffer(lock_buffers[i], ref_buffer)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_LOCKSTEP_CASES)
+def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind, sizes, rows, seed):
+    spec, tasks, cfgs, perms, buffers, anchors, init, _ = _lockstep_problem(
+        kind, activation, task_kind, sizes, rows, seed)
+    states = train_seq(perms, tasks, init, cfgs, spec,
+                       shared_buffer=[_clone(b) for b in buffers], anchors=anchors)
+    assert len(states) == rows
+    for perm, cfg, buf, got in zip(perms, cfgs, buffers, states):
+        want = serial_train_seq(perm, tasks, init, cfg, spec,
+                                shared_buffer=_clone(buf), anchors=anchors)
+        assert np.array_equal(got.params, want.params)
+        _assert_same_buffer(got.buffer, want.buffer)
+        assert len(got.anchors) == len(want.anchors)
+        for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
+            assert np.array_equal(w_got, w_want) and np.array_equal(f_got, f_want)
+
+
+def test_lockstep_orderings_must_share_settings_and_length():
+    tasks = _tasks()
+    init = init_params(SPEC, 0)
+    cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
+    perms = [Permutation((0, 1)), Permutation((1, 0))]
+    with pytest.raises(ValueError, match="every setting but the seed"):
+        train_seq(perms, tasks, init, [cfg, replace(cfg, learning_rate=0.2)], SPEC)
+    with pytest.raises(ValueError, match="equal length"):
+        train_seq([Permutation((0, 1)), Permutation((1,))], tasks, init, [cfg, cfg], SPEC)
+    with pytest.raises(ValueError, match="one config"):
+        train_seq(perms, tasks, init, [cfg], SPEC)
+
+
+def test_lockstep_divergence_names_the_first_diverged_row():
+    # rows 1 and 2 start with huge weights, so their first loss overflows
+    spec = ModelSpec((1, 16, 1), task_kind="regression")
+    tasks = gen_sine_tasks(2, 0)
+    stack = np.repeat(init_params(spec, 0)[None], 3, axis=0)
+    stack[1:] = 1e200
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        train_on_task(stack, [tasks[0], tasks[1], tasks[0]], LearnerConfig(), spec, rngs)
+    assert info.value.index == 1
+    assert str(info.value).startswith("task 1: epoch 0, step 0: minibatch loss is inf")

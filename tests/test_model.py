@@ -17,7 +17,8 @@ from hiercl.model import (
     per_sample_grads,
     predict,
 )
-from model_reference import fd_gradient, ref_loss_and_grad, ref_per_sample_grads
+from model_reference import (fd_gradient, ref_accuracy_eval, ref_loss_and_grad,
+                             ref_per_sample_grads)
 
 CLS = ModelSpec((4, 6, 3))
 REG = ModelSpec((3, 5, 2), task_kind="regression")
@@ -118,17 +119,20 @@ def test_per_sample_rows_match_singleton_batches():
        activation=st.sampled_from(("tanh", "relu")),
        task_kind=st.sampled_from(("classification", "regression")),
        n=st.integers(1, 40),
+       rows=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
-def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, seed):
+def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, rows, seed):
     # 3 or 4 widths: 1 or 2 hidden layers
     spec = ModelSpec(tuple(widths), activation=activation, task_kind=task_kind)
     rng = np.random.default_rng(seed)
     w = init_params(spec, seed) + 0.3 * rng.normal(size=spec.param_count)
-    x = rng.normal(size=(n, spec.input_dim))
-    if task_kind == "classification":
-        batch = Batch(x, rng.integers(0, spec.output_dim, size=n))
-    else:
-        batch = Batch(x, rng.normal(size=(n, spec.output_dim)))
+
+    def targets(*shape):
+        if task_kind == "classification":
+            return rng.integers(0, spec.output_dim, size=shape)
+        return rng.normal(size=(*shape, spec.output_dim))
+
+    batch = Batch(rng.normal(size=(n, spec.input_dim)), targets(n))
     ref = ref_per_sample_grads(w, batch, spec)
     assert np.array_equal(per_sample_grads(w, batch, spec), ref)
     loss, g = loss_and_grad(w, batch, spec)
@@ -136,6 +140,18 @@ def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, seed)
     assert loss == ref_loss and np.array_equal(g, ref_g)
     assert np.array_equal(estimate_diag_curvature(w, batch, spec).diag,
                           np.mean(ref * ref, axis=0))
+    assert accuracy_eval(w, batch, spec) == ref_accuracy_eval(w, batch, spec)
+    # a (P, p) stack: a stacked batch for the loss, the shared batch for the
+    # score; every row gets the bits of its own unstacked call
+    ws = w + 0.3 * rng.normal(size=(rows, spec.param_count))
+    stacked = Batch(rng.normal(size=(rows, n, spec.input_dim)), targets(rows, n))
+    losses, grads = loss_and_grad(ws, stacked, spec)
+    scores = accuracy_eval(ws, batch, spec)
+    assert losses.shape == scores.shape == (rows,) and grads.shape == ws.shape
+    for i in range(rows):
+        ref_loss, ref_g = ref_loss_and_grad(ws[i], Batch(stacked.inputs[i], stacked.targets[i]), spec)
+        assert losses[i] == ref_loss and np.array_equal(grads[i], ref_g)
+        assert scores[i] == ref_accuracy_eval(ws[i], batch, spec)
 
 
 def test_accuracy_classification():

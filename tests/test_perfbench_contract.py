@@ -10,6 +10,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import hiercl  # noqa: F401  (loads the modules the tracer patches)
 import hiercl.experiment  # noqa: F401
 
@@ -33,3 +35,73 @@ def test_tracer_binds_every_rebound_site(monkeypatch):
         sites = set(tr.site_calls)
     missing = sorted(set(workloads.REBOUND_SITES) - sites)
     assert not missing, f"tracer found no binding for {missing}"
+
+
+_TINY_ER = """\
+dataset.kind=gaussians
+dataset.num_classes=8
+dataset.classes_per_task=2
+dataset.dim=3
+dataset.samples_per_class=6
+dataset.val_per_class=3
+dataset.test_per_class=3
+learner.kind=er
+learner.epochs_per_task=1
+learner.batch_size=4
+learner.buffer_capacity=5
+run.group_size=2
+run.methods=seq,hier,fedavg,fedprox
+run.perms=2
+run.seeds=0
+run.hidden=4
+run.audit_draws=20
+"""
+
+_TINY_EWC = """\
+dataset.kind=gaussians
+dataset.num_classes=12
+dataset.classes_per_task=2
+dataset.dim=3
+dataset.samples_per_class=6
+dataset.val_per_class=3
+dataset.test_per_class=3
+learner.kind=ewc
+learner.epochs_per_task=1
+learner.batch_size=4
+learner.buffer_capacity=5
+run.group_size=3
+run.methods=hier
+run.perms=1
+run.seeds=0
+run.hidden=4
+run.audit_draws=20
+"""
+
+
+@pytest.mark.parametrize("config, like", [(_TINY_ER, "sweep-er-k2"),
+                                          (_TINY_EWC, "explore-ewc-k4")])
+def test_traced_tiny_run_reaches_every_traced_name(monkeypatch, config, like):
+    # A structural change can break a benchmark run only at bench time: a
+    # traced function no longer called, or a stacked result reaching a
+    # probe that unpacks a 2-D shape. Run the tracer with its probes over
+    # a tiny config of the same shape as a benchmark workload.
+    from hiercl.config import build_experiment_config, parse_config_text
+    from hiercl.experiment import run_experiment
+
+    tracer = _load(monkeypatch, "tracer")
+    workloads = _load(monkeypatch, "workloads")
+    expect_zero = workloads.WORKLOADS[like].expect_zero
+    cfg = build_experiment_config(parse_config_text(config))
+    with tracer.Tracer(workloads.TRACED) as tr:
+        records, _ = run_experiment(cfg, csv_path="")
+    assert len(records) == len(cfg.methods) * int(cfg.perms)
+    summary = tr.layer_summary()
+    silent = [name for name in workloads.TRACED
+              if name not in expect_zero and summary["calls"][name] == 0]
+    assert not silent, f"traced names with no calls: {silent}"
+    silent = [site for site, name in workloads.REBOUND_SITES.items()
+              if name not in expect_zero and site not in expect_zero
+              and not summary["site_calls"].get(site)]
+    assert not silent, f"bindings with no calls: {silent}"
+    assert summary["counts"]["pipeline.orderings_scored"] > 0
+    assert summary["counts"]["model.per_sample_grads.bytes_computed"] > 0
