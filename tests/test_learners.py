@@ -385,6 +385,22 @@ def _clone(buf):
     return buf.clone() if buf is not None else None
 
 
+def _same(got, want):
+    """Bitwise-equal values; a run that overflowed without a nonfinite
+    loss (the loss is checked before each step) holds NaN in the same
+    places on both sides."""
+    return got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
+def _assert_same_divergence(err, serial_run):
+    """A stack stops at the first step where any row's loss goes
+    nonfinite; a lone run of the row it names fails there with the same
+    message."""
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+        serial_run(err.index)
+    assert str(info.value) == str(err)
+
+
 def _assert_same_buffer(got, want):
     assert (got is None) == (want is None)
     if got is not None:
@@ -417,16 +433,27 @@ def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind,
     prox = (rng.normal(size=spec.param_count), [0.0, 0.3][int(rng.integers(2))])
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     lock_buffers = [_clone(b) for b in buffers]
-    out = train_on_task(stack, row_tasks, cfg, spec, rngs, buffer=lock_buffers,
-                        anchors=anchors, prox=prox)
-    assert out.shape == stack.shape
-    for i in range(rows):
-        ref_rng = np.random.default_rng(cfgs[i].seed)
-        ref_buffer = _clone(buffers[i])
+
+    def serial_row(i):
+        """Row i trained alone: its params, Generator and buffer."""
+        ref_rng, ref_buffer = np.random.default_rng(cfgs[i].seed), _clone(buffers[i])
         row_anchors = shared + [(w[i], f[i]) for w, f in own] if kind == "ewc" else None
         want = serial_train_on_task(stack[i], row_tasks[i], cfg, spec, ref_rng,
                                     buffer=ref_buffer, anchors=row_anchors, prox=prox)
-        assert np.array_equal(out[i], want)
+        return want, ref_rng, ref_buffer
+
+    try:
+        with np.errstate(all="ignore"):
+            out = train_on_task(stack, row_tasks, cfg, spec, rngs, buffer=lock_buffers,
+                                anchors=anchors, prox=prox)
+    except TrainingDiverged as err:
+        _assert_same_divergence(err, serial_row)
+        return
+    assert out.shape == stack.shape
+    for i in range(rows):
+        with np.errstate(all="ignore"):
+            want, ref_rng, ref_buffer = serial_row(i)
+        assert _same(out[i], want)
         assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
         _assert_same_buffer(lock_buffers[i], ref_buffer)
 
@@ -436,17 +463,27 @@ def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind,
 def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind, sizes, rows, seed):
     spec, tasks, cfgs, perms, buffers, anchors, init, _ = _lockstep_problem(
         kind, activation, task_kind, sizes, rows, seed)
-    states = train_seq(perms, tasks, init, cfgs, spec,
-                       shared_buffer=[_clone(b) for b in buffers], anchors=anchors)
+
+    def serial_ordering(i):
+        return serial_train_seq(perms[i], tasks, init, cfgs[i], spec,
+                                shared_buffer=_clone(buffers[i]), anchors=anchors)
+
+    try:
+        with np.errstate(all="ignore"):
+            states = train_seq(perms, tasks, init, cfgs, spec,
+                               shared_buffer=[_clone(b) for b in buffers], anchors=anchors)
+    except TrainingDiverged as err:
+        _assert_same_divergence(err, serial_ordering)
+        return
     assert len(states) == rows
-    for perm, cfg, buf, got in zip(perms, cfgs, buffers, states):
-        want = serial_train_seq(perm, tasks, init, cfg, spec,
-                                shared_buffer=_clone(buf), anchors=anchors)
-        assert np.array_equal(got.params, want.params)
+    for i, got in enumerate(states):
+        with np.errstate(all="ignore"):
+            want = serial_ordering(i)
+        assert _same(got.params, want.params)
         _assert_same_buffer(got.buffer, want.buffer)
         assert len(got.anchors) == len(want.anchors)
         for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
-            assert np.array_equal(w_got, w_want) and np.array_equal(f_got, f_want)
+            assert _same(w_got, w_want) and _same(f_got, f_want)
 
 
 def test_lockstep_orderings_must_share_settings_and_length():
