@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: `run` (permutation sweep from a config file), `audit` (quick
-property self-checks), `gen` (dump a synthetic dataset as text), `report`
-(summarize a results CSV). `run` and `gen` read `--config FILE` and then
-apply each repeatable `--set KEY=VALUE` on top, so `--set` wins; the keys
-are the config-file keys, e.g. `--set run.perms=1 --set run.seeds=3`.
+Subcommands: `run` (permutation sweep from a config file), `gen` (dump a
+synthetic dataset as text), `report` (summarize a results CSV). `run` and
+`gen` read `--config FILE` and then apply each repeatable `--set
+KEY=VALUE` on top, so `--set` wins; the keys are the config-file keys,
+e.g. `--set run.perms=1 --set run.seeds=3`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .config import build_experiment_config, parse_config_text
-from .experiment import make_tasks, run_experiment, run_property_audits
+from .experiment import make_tasks, run_experiment
 from .metrics import format_summary, read_records, summarize
 from .tasks import dump_tasks
 
@@ -34,9 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a permutation-sweep experiment")
     _add_config_args(run_p)
-
-    audit_p = sub.add_parser("audit", help="run the property self-checks")
-    audit_p.add_argument("--seed", type=int, default=0)
 
     gen_p = sub.add_parser("gen", help="generate and dump a synthetic dataset")
     _add_config_args(gen_p)
@@ -69,14 +66,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_audit(args) -> int:
-    failed = False
-    for name, ok, detail in run_property_audits(args.seed):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        failed = failed or not ok
-    return 1 if failed else 0
-
-
 def _cmd_gen(args) -> int:
     cfg = _config_from_args(args)
     tasks = make_tasks(cfg.dataset, args.seed)
@@ -92,8 +81,7 @@ def _cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {"run": _cmd_run, "audit": _cmd_audit,
-               "gen": _cmd_gen, "report": _cmd_report}[args.command]
+    handler = {"run": _cmd_run, "gen": _cmd_gen, "report": _cmd_report}[args.command]
     try:
         return handler(args)
     except (OSError, ValueError) as exc:

@@ -135,8 +135,3 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
                               **sections["pipeline"])
     return ExperimentConfig(dataset=DatasetConfig(**sections["dataset"]),
                             pipeline=pipeline, **sections["run"])
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return build_experiment_config(parse_config_text(fh.read()))

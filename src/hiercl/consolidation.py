@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureEstimate, materialize, quad_form, regularized_solve
+from .curvature import CurvatureEstimate, quad_form, regularized_solve
 
 
 @dataclass
@@ -45,16 +45,8 @@ class HierarchyState:
             raise ValueError("lambdas must be positive")
 
     @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    @property
     def top(self) -> np.ndarray:
         return self.levels[-1]
-
-    def clone(self) -> "HierarchyState":
-        return HierarchyState([w.copy() for w in self.levels], self.lambdas,
-                              self.group_counter)
 
 
 def lambda_schedule(base: float, num_levels: int, factor: float = 1.0) -> tuple[float, ...]:
@@ -82,7 +74,7 @@ def taylor_consolidate(
     dd = np.asarray(w_target, dtype=np.float64) - w_prev
     if dd.size != grad.size:
         raise ValueError("weight and gradient lengths disagree")
-    dw = regularized_solve(curv, lam, lam * dd - grad).x
+    dw = regularized_solve(curv, lam, lam * dd - grad)
     if clip is not None:
         norm = float(np.linalg.norm(dw))
         if norm > clip:
@@ -96,34 +88,6 @@ def surrogate_value(
     """The quadratic objective the consolidation step minimizes over dw."""
     diff = dw - dd
     return float(grad @ dw) + 0.5 * quad_form(curv, dw) + 0.5 * lam * float(diff @ diff)
-
-
-def descent_reference_min(
-    grad: np.ndarray,
-    curv: CurvatureEstimate,
-    lam: float,
-    dd: np.ndarray,
-    tol: float = 1e-10,
-    max_iters: int = 200_000,
-) -> np.ndarray:
-    """Minimize the surrogate by steepest descent with exact line search.
-
-    First-order route only (never calls the regularized solver); used to
-    cross-check the closed form. The surrogate gradient is
-    A dw - b with A = H + lambda*I and b = lambda*dd - g.
-    """
-    h = materialize(curv)
-    a = h + lam * np.eye(h.shape[0])
-    b = lam * dd - grad
-    x = np.zeros_like(b)
-    scale = max(1.0, float(np.linalg.norm(b)))
-    for _ in range(max_iters):
-        r = b - a @ x
-        rr = float(r @ r)
-        if np.sqrt(rr) <= tol * scale:
-            break
-        x = x + (rr / float(r @ (a @ r))) * r
-    return x
 
 
 def initialize_from_local(state: HierarchyState, w_local: np.ndarray) -> HierarchyState:
@@ -181,34 +145,3 @@ def catch_up(
         norms_per_iter.append(norms)
     return state, norms_per_iter
 
-
-def two_step_recursive_check(
-    w0: np.ndarray,
-    targets: tuple[np.ndarray, np.ndarray],
-    first: tuple[np.ndarray, CurvatureEstimate],
-    second: tuple[np.ndarray, CurvatureEstimate],
-    lam: float,
-) -> float:
-    """Max-abs difference between two chained consolidation steps and the
-    unrolled two-term closed form.
-
-    Chained route: two taylor_consolidate calls (eta=1). Closed form:
-    w0 + S0(lam*dd1 - g0) + S1(lam*dd2 - g1) with each S_j applied by a
-    direct dense solve, dd2 measured from the once-updated point.
-    """
-    t1, t2 = (np.asarray(t, dtype=np.float64) for t in targets)
-    g0, c0 = first
-    g1, c1 = second
-    w0 = np.asarray(w0, dtype=np.float64)
-
-    w1 = taylor_consolidate(w0, t1, g0, c0, lam, eta=1.0)
-    w2 = taylor_consolidate(w1, t2, g1, c1, lam, eta=1.0)
-
-    def dense_step(curv, rhs):
-        a = materialize(curv) + lam * np.eye(curv.dim)
-        return np.linalg.solve(a, rhs)
-
-    s0 = dense_step(c0, lam * (t1 - w0) - g0)
-    s1 = dense_step(c1, lam * (t2 - (w0 + s0)) - g1)
-    closed = w0 + s0 + s1
-    return float(np.max(np.abs(w2 - closed)))

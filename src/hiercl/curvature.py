@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Batch, ModelSpec, finite_diff_hessian, loss_and_grad, per_sample_grads
+from .model import Batch, ModelSpec, fd_hessian_from_grad, loss_and_grad, per_sample_grads
 
 VARIANTS = ("diagonal", "lowrank", "dense")
 
@@ -27,7 +27,6 @@ class CurvatureEstimate:
     diag: np.ndarray | None = None
     factors: tuple[np.ndarray, np.ndarray] | None = None  # (U p x r, d r)
     matrix: np.ndarray | None = None
-    source_sample_count: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -69,13 +68,6 @@ class CurvatureEstimate:
         return self.matrix.shape[0]
 
 
-@dataclass
-class SolveResult:
-    x: np.ndarray
-    lambda_used: float
-    min_eig_bound: float | None = None  # dense route only
-
-
 def parse_curvature_spec(text: str) -> tuple[str, int | None]:
     """"diag" | "lowrank:R" | "dense" -> (variant, rank)."""
     text = text.strip().lower()
@@ -103,8 +95,7 @@ def estimate_diag_curvature(params, pool: Batch, spec: ModelSpec) -> CurvatureEs
     array of that size."""
     g = per_sample_grads(params, pool, spec)
     np.multiply(g, g, out=g)
-    return CurvatureEstimate("diagonal", diag=np.mean(g, axis=0),
-                             source_sample_count=pool.n)
+    return CurvatureEstimate("diagonal", diag=np.mean(g, axis=0))
 
 
 def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> CurvatureEstimate:
@@ -140,25 +131,16 @@ def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> 
     # drop directions with negligible mass; keeps the basis well-conditioned
     keep = d > 1e-12
     u, d = u[:, keep], np.maximum(d[keep], 0.0)
-    return CurvatureEstimate("lowrank", factors=(u, d), source_sample_count=pool.n)
+    return CurvatureEstimate("lowrank", factors=(u, d))
 
 
 def exact_dense_hessian_oracle(params, pool: Batch, spec: ModelSpec,
                                h: float = 1e-4) -> CurvatureEstimate:
-    """Finite-difference Hessian of the pool's mean loss. Small p only;
-    the dimension guard lives in the differencing helper."""
-    hess = finite_diff_hessian(params, pool, spec, h=h)
-    return CurvatureEstimate("dense", matrix=hess, source_sample_count=pool.n)
-
-
-def materialize(curv: CurvatureEstimate) -> np.ndarray:
-    """Dense p x p view of any estimate. For checks and small problems."""
-    if curv.variant == "diagonal":
-        return np.diag(curv.diag)
-    if curv.variant == "lowrank":
-        u, d = curv.factors
-        return (u * d) @ u.T
-    return curv.matrix.copy()
+    """Finite-difference Hessian of the pool's mean loss, by central
+    differences of the analytic gradient. Small p only; the dimension
+    guard lives in the differencing helper."""
+    hess = fd_hessian_from_grad(lambda w: loss_and_grad(w, pool, spec)[1], params, h)
+    return CurvatureEstimate("dense", matrix=hess)
 
 
 def quad_form(curv: CurvatureEstimate, v: np.ndarray) -> float:
@@ -172,7 +154,7 @@ def quad_form(curv: CurvatureEstimate, v: np.ndarray) -> float:
     return float(v @ curv.matrix @ v)
 
 
-def regularized_solve(curv: CurvatureEstimate, lam: float, rhs: np.ndarray) -> SolveResult:
+def regularized_solve(curv: CurvatureEstimate, lam: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (H + lambda*I)x = rhs.
 
     Diagonal: elementwise, O(p). Lowrank: Woodbury form
@@ -188,19 +170,17 @@ def regularized_solve(curv: CurvatureEstimate, lam: float, rhs: np.ndarray) -> S
         if lam <= 0:
             raise ValueError("lambda must be positive for a diagonal estimate")
         x = curv.diag + lam
-        return SolveResult(np.divide(rhs, x, out=x), lam)
+        return np.divide(rhs, x, out=x)
     if curv.variant == "lowrank":
         if lam <= 0:
             raise ValueError("lambda must be positive for a lowrank estimate")
         u, d = curv.factors
         coeff = u.T @ rhs * (d / (lam + d)) if d.size else np.empty(0)
-        x = (rhs - u @ coeff) / lam if d.size else rhs / lam
-        return SolveResult(x, lam)
+        return (rhs - u @ coeff) / lam if d.size else rhs / lam
     mu = float(np.linalg.eigvalsh(curv.matrix)[0])
     if lam <= -mu:
         raise ValueError(
             f"lambda {lam} does not make the dense system positive definite "
             f"(needs lambda > {-mu})"
         )
-    x = np.linalg.solve(curv.matrix + lam * np.eye(curv.dim), rhs)
-    return SolveResult(x, lam, min_eig_bound=mu)
+    return np.linalg.solve(curv.matrix + lam * np.eye(curv.dim), rhs)

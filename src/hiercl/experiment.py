@@ -16,14 +16,12 @@ from dataclasses import replace
 import numpy as np
 
 from .config import DatasetConfig, ExperimentConfig
-from .consolidation import descent_reference_min, taylor_consolidate, two_step_recursive_check
-from .curvature import CurvatureEstimate
 from .federated import FedConfig, fed_compare_run
 from .learners import LearnerConfig, ReplayBuffer, train_seq
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
                       mean_accuracy, summarize)
 from .model import ModelSpec, accuracy_eval, init_params
-from .pipeline import PipelineConfig, derive_seed, run_pipeline
+from .pipeline import derive_seed, run_pipeline
 from .tasks import (Permutation, TaskDataset, gen_permuted_features,
                     gen_sine_tasks, gen_split_gaussians, sample_full_permutations)
 
@@ -129,61 +127,3 @@ def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
             sink.close()
     return records, summarize(records)
 
-
-def run_property_audits(seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Quick self-checks behind the `audit` CLI command: the closed-form
-    update against a descent reference, the two-step identity, and the
-    selection audit on a small live run. Returns (name, passed, detail)."""
-    rng = np.random.default_rng(seed)
-    results = []
-
-    worst = 0.0
-    for _ in range(25):
-        p = 15
-        m = rng.normal(size=(p, p))
-        h = (m + m.T) / 2
-        lam = max(0.0, -float(np.linalg.eigvalsh(h)[0])) + 0.5
-        curv = CurvatureEstimate("dense", matrix=h)
-        w_prev = rng.normal(size=p)
-        w_tgt = rng.normal(size=p)
-        g = rng.normal(size=p)
-        dw = taylor_consolidate(w_prev, w_tgt, g, curv, lam) - w_prev
-        ref = descent_reference_min(g, curv, lam, w_tgt - w_prev)
-        worst = max(worst, float(np.linalg.norm(dw - ref) / max(np.linalg.norm(ref), 1e-12)))
-    results.append(("closed-form vs descent reference", worst <= 1e-6,
-                    f"max rel err {worst:.2e}"))
-
-    worst = 0.0
-    for _ in range(200):
-        p = 12
-        mats = []
-        for _ in range(2):
-            m = rng.normal(size=(p, p))
-            mats.append(CurvatureEstimate("dense", matrix=(m + m.T) / 2))
-        lam = float(rng.uniform(0.5, 5.0)) + max(
-            0.0, -min(np.linalg.eigvalsh(c.matrix)[0] for c in mats))
-        diff = two_step_recursive_check(
-            rng.normal(size=p), (rng.normal(size=p), rng.normal(size=p)),
-            (rng.normal(size=p), mats[0]), (rng.normal(size=p), mats[1]), lam)
-        worst = max(worst, diff)
-    results.append(("two-step recursive identity", worst <= 1e-10,
-                    f"max abs diff {worst:.2e}"))
-
-    cfg = ExperimentConfig(
-        dataset=DatasetConfig(num_classes=4, classes_per_task=1, dim=4,
-                              samples_per_class=12, val_per_class=8, test_per_class=8),
-        pipeline=PipelineConfig(learner=LearnerConfig(kind="sgd", epochs_per_task=1),
-                                group_size=2, levels=2, seed=seed),
-        seeds=(seed,), methods=("hier",), hidden=(8,),
-    )
-    tasks = make_tasks(cfg.dataset, seed)
-    spec = make_model_spec(cfg)
-    perm = Permutation(tuple(range(cfg.dataset.task_count)))
-    try:
-        run = run_pipeline(tasks, perm, cfg.pipeline, spec)
-        ok = run.audit["violations"] == 0 and run.audit["gap_vs_mean"] >= 0
-        detail = f"gap vs mean {run.audit['gap_vs_mean']:.4f}"
-    except Exception as exc:  # audit raises on violation
-        ok, detail = False, str(exc)
-    results.append(("selection audit on a live run", ok, detail))
-    return results

@@ -42,20 +42,11 @@ class FedConfig:
             raise ValueError(f"aggregate must be one of {AGG_MODES}")
 
 
-def fedavg_aggregate(models, weights=None) -> np.ndarray:
-    """Weighted mean of parameter vectors; uniform when weights is None."""
+def fedavg_aggregate(models) -> np.ndarray:
+    """Uniform mean of parameter vectors."""
     if not models:
         raise ValueError("nothing to aggregate")
-    stack = np.stack([np.asarray(m, dtype=np.float64) for m in models])
-    if weights is None:
-        return stack.mean(axis=0)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (stack.shape[0],):
-        raise ValueError("one weight per model required")
-    if w.min() < 0 or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
-    w = w / w.sum()
-    return w @ stack
+    return np.stack([np.asarray(m, dtype=np.float64) for m in models]).mean(axis=0)
 
 
 def fedprox_train_local(

@@ -135,17 +135,9 @@ class LearnerState:
     anchors: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def ewc_penalty(params: np.ndarray, anchors, strength: float) -> float:
-    """Quadratic retention penalty (strength/2) * sum_a sum_i F_i (w_i - w*_i)^2."""
-    total = 0.0
-    for w_star, fisher in anchors:
-        d = params - w_star
-        total += float(fisher @ (d * d))
-    return 0.5 * strength * total
-
-
 class TrainingDiverged(ValueError):
-    """A minibatch loss went nonfinite. `index` is the stack row (the
+    """A minibatch loss, the params a task ends with, or the EWC Fisher
+    estimated from them went nonfinite. `index` is the stack row (the
     ordering) that the message names."""
 
     def __init__(self, message: str, index: int):
@@ -215,7 +207,8 @@ def train_on_task(
     kind="er". `prox` = (anchor, mu) adds (mu/2)||w - anchor||^2; mu == 0
     takes the exact unmodified code path. A nonfinite minibatch loss raises
     TrainingDiverged at the first stacked step where one occurs, naming the
-    first row whose loss it is.
+    first row whose loss it is; so do nonfinite params at the end of the
+    task, naming the first row that holds them.
     """
     params = np.array(params, dtype=np.float64)
     single = params.ndim == 1
@@ -266,7 +259,18 @@ def train_on_task(
                 for i in active:
                     if buffer[i] is not None:
                         buffer[i].insert_many(*fresh[i], task[i].task_id, rng[i])
+    _check_rows(params, task, "params are")
     return params[0] if single else params
+
+
+def _check_rows(stack, tasks, what: str):
+    """Raise TrainingDiverged naming the first row of the (P, p) stack that
+    holds a nonfinite value."""
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise TrainingDiverged(f"task {tasks[i].task_id}: {what} not finite after "
+                               f"training; training diverged", i)
 
 
 def train_seq(
@@ -292,7 +296,8 @@ def train_seq(
     mutated in place (reservoir offers for every visited sample); all other
     inputs stay untouched. A nonfinite loss raises TrainingDiverged at the
     first stacked step where one occurs; its `index` is the first ordering
-    in the list that diverged there.
+    in the list that diverged there. Nonfinite params or EWC Fisher at the
+    end of a task raise it too, naming the first such ordering.
     """
     single = isinstance(perm, Permutation)
     if single:
@@ -323,9 +328,10 @@ def train_seq(
             anchors=shared + own if base.kind == "ewc" else None,
         )
         if base.kind == "ewc":
-            fishers = [estimate_diag_curvature(w, t.train, spec).diag
-                       for w, t in zip(params, step_tasks)]
-            own.append((params, np.stack(fishers)))  # train_on_task never writes its input
+            fishers = np.stack([estimate_diag_curvature(w, t.train, spec).diag
+                                for w, t in zip(params, step_tasks)])
+            _check_rows(fishers, step_tasks, "EWC Fisher is")
+            own.append((params, fishers))  # train_on_task never writes its input
     states = [LearnerState(params[i].copy(), buffers[i],
                            shared + [(w[i].copy(), f[i].copy()) for w, f in own])
               for i in range(len(perms))]

@@ -87,18 +87,6 @@ class CsvSink:
     def close(self):
         self._fh.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def write_records(path: str, records):
-    with CsvSink(path) as sink:
-        for rec in records:
-            sink.write(rec)
-
 
 def read_records(path: str) -> list[MetricsRecord]:
     out = []

@@ -296,11 +296,3 @@ def fd_hessian_from_grad(grad_fn, w: np.ndarray, h: float = 1e-4) -> np.ndarray:
         cols[:, i] = (grad_fn(w + e) - grad_fn(w - e)) / (2.0 * steps[i])
     return 0.5 * (cols + cols.T)
 
-
-def finite_diff_hessian(
-    params: ParamVector, batch: Batch, spec: ModelSpec, h: float = 1e-4
-) -> np.ndarray:
-    """Dense Hessian of the batch loss via central differences of the
-    analytic gradient. Oracle for tiny models only (p <= 200)."""
-    grad_fn = lambda w: loss_and_grad(w, batch, spec)[1]
-    return fd_hessian_from_grad(grad_fn, np.asarray(params, dtype=np.float64), h)

@@ -81,9 +81,7 @@ class PipelineConfig:
 class GroupExplorationResult:
     group: TaskGroup
     best_perm: Permutation
-    best_params: np.ndarray
     per_perm_scores: list[tuple[Permutation, float]]
-    trainings_performed: int
     best_state: LearnerState
 
 
@@ -95,10 +93,6 @@ class RunResult:
     update_norms: list[list[float]]  # one row per consolidation event
     audit: dict
     log: list[dict]
-
-    @property
-    def final_params(self) -> np.ndarray:
-        return self.hierarchy.top
 
 
 class SelectionAuditError(AssertionError):
@@ -139,7 +133,8 @@ def explore_group(
     own rng stream, buffer clone and anchors, so its result does not depend
     on the others. A nonfinite loss stops training at the first stacked
     step where one occurs, and the error names the lexicographically first
-    ordering whose loss is nonfinite there."""
+    ordering whose loss is nonfinite there; nonfinite params or EWC Fisher
+    at the end of a task stop it the same way."""
     perms = enumerate_intra_group_perms(group)
     eval_batch = _eval_batch(tasks, group, eval_policy,
                              seen_task_ids or group.task_ids)
@@ -162,9 +157,7 @@ def explore_group(
     return GroupExplorationResult(
         group=group,
         best_perm=perms[best],
-        best_params=states[best].params,
         per_perm_scores=[(perm, float(score)) for perm, score in zip(perms, scores)],
-        trainings_performed=len(perms),
         best_state=states[best],
     )
 
@@ -244,7 +237,7 @@ def run_pipeline(
         group_results.append(res)
         buffer = res.best_state.buffer
         anchors = res.best_state.anchors
-        last_local = res.best_params
+        last_local = res.best_state.params
 
         # group 0 only copies the local model; its pool is needed only
         # when it is also the last group, for the catch-up passes

@@ -3,20 +3,21 @@ catch-up, and the two-step identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from hiercl.consolidation import (
     HierarchyState,
     catch_up,
-    descent_reference_min,
     init_hierarchy,
     initialize_from_local,
     lambda_schedule,
     multi_level_consolidate,
     surrogate_value,
     taylor_consolidate,
-    two_step_recursive_check,
 )
-from hiercl.curvature import CurvatureEstimate, materialize
+from hiercl.curvature import VARIANTS, CurvatureEstimate
+from consolidation_reference import descent_reference_min, materialize, two_step_recursive_check
 
 
 def _dense_psd(rng, p, shift=0.0):
@@ -39,7 +40,6 @@ def test_state_validation():
     with pytest.raises(ValueError):
         HierarchyState([np.zeros(3)], (1.0, 1.0))
     st = HierarchyState([np.zeros(3), np.ones(3)], (1.0, 2.0))
-    assert st.num_levels == 2
     assert np.array_equal(st.top, np.ones(3))
 
 
@@ -48,13 +48,6 @@ def test_lambda_schedule():
     assert lambda_schedule(2.0, 3, factor=0.5) == (2.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         lambda_schedule(0.0, 2)
-
-
-def test_clone_is_deep():
-    st = init_hierarchy(np.zeros(4), (1.0, 1.0))
-    twin = st.clone()
-    twin.levels[0][:] = 5.0
-    assert np.all(st.levels[0] == 0.0)
 
 
 def test_zero_grad_zero_curv_lands_on_target():
@@ -85,6 +78,42 @@ def test_closed_form_matches_descent_oracle():
         ref = descent_reference_min(g, curv, lam, dd)
         rel = np.linalg.norm((out - w_prev) - ref) / max(np.linalg.norm(ref), 1e-12)
         assert rel < 1e-6
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=strategies.sampled_from(VARIANTS),
+       p=strategies.integers(1, 30),
+       rank=strategies.integers(0, 30),
+       lam=strategies.floats(0.05, 20.0),
+       clip=strategies.floats(1e-3, 10.0),
+       seed=strategies.integers(0, 2**32 - 1))
+def test_step_solves_the_regularized_system_and_clips_along_it(variant, p, rank, lam,
+                                                              clip, seed):
+    rng = np.random.default_rng(seed)
+    if variant == "diagonal":
+        curv = CurvatureEstimate("diagonal", diag=rng.random(p) * 10.0)
+    elif variant == "lowrank":
+        q, _ = np.linalg.qr(rng.normal(size=(p, min(rank, p))))
+        curv = CurvatureEstimate("lowrank", factors=(q, rng.random(q.shape[1]) * 10.0))
+    else:
+        a = rng.normal(size=(p, p))
+        h = (a + a.T) / 2.0  # indefinite in general; lam clears its lowest eigenvalue
+        curv = CurvatureEstimate("dense", matrix=h)
+        lam = lam + max(0.0, -float(np.linalg.eigvalsh(h)[0]))
+    g, dd = rng.normal(size=p), rng.normal(size=p)
+    # from w_prev = 0 the returned weights are the step itself, bit for bit
+    dw = taylor_consolidate(np.zeros(p), dd, g, curv, lam, eta=1.0, clip=None)
+    a = materialize(curv) + lam * np.eye(p)
+    b = lam * dd - g
+    scale = max(1.0, float(np.max(np.abs(a) @ np.abs(dw))), float(np.max(np.abs(b))))
+    assert np.max(np.abs(a @ dw - b)) <= 1e-10 * scale
+
+    clipped = taylor_consolidate(np.zeros(p), dd, g, curv, lam, eta=1.0, clip=clip)
+    norm = float(np.linalg.norm(dw))
+    assert np.linalg.norm(clipped) <= clip * (1 + 1e-12)
+    # parallel to the unclipped step, shortened only when it was too long
+    shrink = min(1.0, clip / norm) if norm > 0 else 1.0
+    assert np.max(np.abs(clipped - shrink * dw)) <= 1e-12 * max(clip, norm)
 
 
 def test_minimizer_beats_local_perturbations():

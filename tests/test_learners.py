@@ -14,7 +14,6 @@ from hiercl.learners import (
     LearnerConfig,
     ReplayBuffer,
     TrainingDiverged,
-    ewc_penalty,
     train_on_task,
     train_seq,
 )
@@ -217,19 +216,6 @@ def test_learner_config_accepts_boundary_values():
     assert cfg.momentum == 0.0 and cfg.grad_clip == 1e-9
 
 
-def test_ewc_penalty_hand_values():
-    w = np.array([1.0, 2.0])
-    anchor = (np.zeros(2), np.ones(2))
-    # (2/2) * (1*1^2 + 1*2^2) = 5
-    assert ewc_penalty(w, [anchor], 2.0) == 5.0
-    assert ewc_penalty(np.zeros(2), [anchor], 2.0) == 0.0
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        p = rng.normal(size=4)
-        anchors = [(rng.normal(size=4), rng.random(4)) for _ in range(3)]
-        assert ewc_penalty(p, anchors, rng.random() + 0.1) >= 0.0
-
-
 def _zero_grad_task(spec, w, n=6, seed=0):
     """Regression samples whose targets equal the model's own outputs."""
     rng = np.random.default_rng(seed)
@@ -392,13 +378,28 @@ def _same(got, want):
     return got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
 
 
-def _assert_same_divergence(err, serial_run):
+def _assert_same_divergence(err, serial_run, serial_task_end):
     """A stack stops at the first step where any row's loss goes
     nonfinite; a lone run of the row it names fails there with the same
-    message."""
-    with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
-        serial_run(err.index)
-    assert str(info.value) == str(err)
+    message. A row whose losses stay finite but whose params, or the EWC
+    Fisher taken from them, end a task nonfinite is stopped by the check
+    after that task. The verbatim reference has no such check, so a lone
+    run of that row must end the named task with those nonfinite values:
+    `serial_task_end(row, task_id)` gives its (params, Fisher or None)."""
+    message = str(err)
+    if "minibatch loss" in message:
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+            serial_run(err.index)
+        assert str(info.value) == message
+        return
+    task_id = int(message.split(":")[0].removeprefix("task "))
+    with np.errstate(all="ignore"):
+        params, fisher = serial_task_end(err.index, task_id)
+    if message.endswith(": params are not finite after training; training diverged"):
+        assert not np.isfinite(params).all()
+    else:
+        assert message.endswith(": EWC Fisher is not finite after training; training diverged")
+        assert np.isfinite(params).all() and not np.isfinite(fisher).all()
 
 
 def _assert_same_buffer(got, want):
@@ -447,7 +448,11 @@ def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind,
             out = train_on_task(stack, row_tasks, cfg, spec, rngs, buffer=lock_buffers,
                                 anchors=anchors, prox=prox)
     except TrainingDiverged as err:
-        _assert_same_divergence(err, serial_row)
+        def serial_task_end(i, task_id):
+            assert task_id == row_tasks[i].task_id
+            return serial_row(i)[0], None
+
+        _assert_same_divergence(err, serial_row, serial_task_end)
         return
     assert out.shape == stack.shape
     for i in range(rows):
@@ -473,7 +478,15 @@ def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind
             states = train_seq(perms, tasks, init, cfgs, spec,
                                shared_buffer=[_clone(b) for b in buffers], anchors=anchors)
     except TrainingDiverged as err:
-        _assert_same_divergence(err, serial_ordering)
+        def serial_task_end(i, task_id):
+            """Ordering i trained alone up to and including that task."""
+            order = perms[i].order
+            state = serial_train_seq(Permutation(order[: order.index(task_id) + 1]), tasks,
+                                     init, cfgs[i], spec, shared_buffer=_clone(buffers[i]),
+                                     anchors=anchors)
+            return state.params, state.anchors[-1][1] if kind == "ewc" else None
+
+        _assert_same_divergence(err, serial_ordering, serial_task_end)
         return
     assert len(states) == rows
     for i, got in enumerate(states):
@@ -510,3 +523,32 @@ def test_lockstep_divergence_names_the_first_diverged_row():
         train_on_task(stack, [tasks[0], tasks[1], tasks[0]], LearnerConfig(), spec, rngs)
     assert info.value.index == 1
     assert str(info.value).startswith("task 1: epoch 0, step 0: minibatch loss is inf")
+
+
+def test_train_on_task_rejects_params_that_end_the_task_nonfinite():
+    # one step per task and a learning rate whose update overflows: the
+    # loss before the step is finite, the params after it are not. Row 0
+    # starts where its gradient is zero, so it does not move.
+    spec = ModelSpec((1, 4, 1), task_kind="regression")
+    w = init_params(spec, 0)
+    still = _zero_grad_task(spec, w, n=8)
+    moving = gen_sine_tasks(2, 0, samples_per_task=8)[1]
+    cfg = LearnerConfig(learning_rate=1e308, epochs_per_task=1, batch_size=8,
+                        weight_decay=0.0)
+    rngs = [np.random.default_rng(s) for s in range(2)]
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        train_on_task(np.stack([w, w]), [still, moving], cfg, spec, rngs)
+    assert info.value.index == 1
+    assert str(info.value) == "task 1: params are not finite after training; training diverged"
+
+
+def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
+    # ordering 4 keeps finite losses, but its weights end the task near
+    # 3e168, so its mean squared per-sample gradients overflow
+    spec, tasks, cfgs, perms, buffers, anchors, init, _ = _lockstep_problem(
+        "ewc", "relu", "regression", [20], 5, 205)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        train_seq(perms, tasks, init, cfgs, spec,
+                  shared_buffer=[_clone(b) for b in buffers], anchors=anchors)
+    assert info.value.index == 4
+    assert str(info.value) == "task 0: EWC Fisher is not finite after training; training diverged"

@@ -1,10 +1,11 @@
+from contextlib import closing
+
 import numpy as np
 import pytest
 
 from hiercl.metrics import (AccuracyMatrix, CsvSink, MetricsRecord,
                             avg_forgetting, format_summary, mean_accuracy,
-                            read_records, std_across_permutations, summarize,
-                            write_records)
+                            read_records, std_across_permutations, summarize)
 
 
 def test_matrix_validation():
@@ -93,7 +94,9 @@ def test_csv_roundtrip(tmp_path):
         MetricsRecord("er", 0, "0,1,2", 0.8125, 0.0625, 1.5),
         MetricsRecord("hier", 3, "2,1,0", 1 / 3, -0.125, 0.03125),
     ]
-    write_records(path, recs)
+    with closing(CsvSink(path)) as sink:
+        for rec in recs:
+            sink.write(rec)
     back = read_records(path)
     assert back == recs
     # repr round-trips doubles exactly, including the awkward 1/3
@@ -110,7 +113,7 @@ def test_csv_header_enforced(tmp_path):
 
 def test_csv_sink_context_manager(tmp_path):
     path = str(tmp_path / "sink.csv")
-    with CsvSink(path) as sink:
+    with closing(CsvSink(path)) as sink:
         sink.write(MetricsRecord("a", 1, "0", 0.5, 0.1, 2.0))
     with open(path) as fh:
         lines = fh.read().splitlines()

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiercl.curvature import estimate_diag_curvature
+from hiercl.curvature import estimate_diag_curvature, exact_dense_hessian_oracle
 from hiercl.model import (
     Batch,
     ModelSpec,
     accuracy_eval,
     fd_hessian_from_grad,
-    finite_diff_hessian,
     init_params,
     loss_and_grad,
     per_sample_grads,
@@ -195,7 +194,7 @@ def test_model_hessian_matches_loss_curvature():
     spec = ModelSpec((2, 3, 2))
     w = init_params(spec, 1) + 0.1 * rng.normal(size=spec.param_count)
     batch = Batch(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5))
-    h = finite_diff_hessian(w, batch, spec)
+    h = exact_dense_hessian_oracle(w, batch, spec).matrix
     assert h.shape == (spec.param_count, spec.param_count)
     assert np.allclose(h, h.T)
     # directional second difference of the loss agrees with u'Hu

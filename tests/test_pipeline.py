@@ -69,7 +69,6 @@ def test_explore_group_counts_and_argmax():
     init = init_params(SPEC, 0)
     group = TaskGroup(0, (0, 1, 2))
     res = explore_group(group, tasks, init, LearnerConfig(epochs_per_task=1), SPEC, base_seed=0)
-    assert res.trainings_performed == 6
     assert len(res.per_perm_scores) == 6
     best = max(s for _, s in res.per_perm_scores)
     sel = [s for p, s in res.per_perm_scores if p.order == res.best_perm.order]
@@ -78,7 +77,7 @@ def test_explore_group_counts_and_argmax():
     assert math.fsum(best - s for _, s in res.per_perm_scores) >= 0.0
     single = explore_group(TaskGroup(1, (3,)), tasks, init,
                            LearnerConfig(epochs_per_task=1), SPEC, base_seed=0)
-    assert single.trainings_performed == 1
+    assert len(single.per_perm_scores) == 1
 
 
 def _constant_score_tasks(spec, w, ids, n=5, seed=0):
@@ -120,14 +119,13 @@ def test_run_pipeline_shapes_counts_and_audit():
     assert res.matrix.values.shape == (4, 4)
     assert len(res.group_results) == 2
     # groups of 2: 2! trainings each
-    assert [g.trainings_performed for g in res.group_results] == [2, 2]
+    assert [len(g.per_perm_scores) for g in res.group_results] == [2, 2]
     # one consolidation event (group 2) plus n_catch catch-up passes
     assert len(res.update_norms) == 1 + cfg.n_catch
     assert all(len(n) == cfg.levels for n in res.update_norms)
     assert res.audit["violations"] == 0
     assert res.audit["groups"] == 2
     assert res.audit["gap_vs_mean"] >= 0.0
-    assert res.final_params is res.hierarchy.top
     events = [e["event"] for e in res.log]
     assert events.count("group") == 2
     assert events.count("catch_up") == cfg.n_catch
@@ -176,7 +174,7 @@ def test_single_group_copies_best_local_before_catchup():
     res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC)
     assert len(res.group_results) == 1
     for level in res.hierarchy.levels:
-        assert np.array_equal(level, res.group_results[0].best_params)
+        assert np.array_equal(level, res.group_results[0].best_state.params)
     assert res.update_norms == []
 
 
@@ -222,18 +220,18 @@ def test_dense_hessian_and_gradient_share_the_capped_pool(monkeypatch):
                learner=LearnerConfig(kind="er", epochs_per_task=1,
                                      weight_decay=0.0, buffer_capacity=8))
     seen = {"grad": [], "hess": []}
-    real_grad, real_hess = curvature.loss_and_grad, curvature.finite_diff_hessian
+    real_grad, real_hess = curvature.loss_and_grad, pipeline.exact_dense_hessian_oracle
 
     def grad(params, batch, spec):
         seen["grad"].append(batch.n)
         return real_grad(params, batch, spec)
 
-    def hess(params, batch, spec, h):
-        seen["hess"].append(batch.n)
-        return real_hess(params, batch, spec, h=h)
+    def hess(params, pool, spec):
+        seen["hess"].append(pool.n)
+        return real_hess(params, pool, spec)
 
     monkeypatch.setattr(curvature, "loss_and_grad", grad)
-    monkeypatch.setattr(curvature, "finite_diff_hessian", hess)
+    monkeypatch.setattr(pipeline, "exact_dense_hessian_oracle", hess)
     run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, spec, init=w)
     assert seen["grad"] and seen["hess"]
     assert set(seen["grad"]) == set(seen["hess"]) == {7}
@@ -267,9 +265,7 @@ def _fake_results(best_order, scores_by_perm):
     return [GroupExplorationResult(
         group=TaskGroup(0, tuple(sorted(best_order))),
         best_perm=Permutation(best_order),
-        best_params=np.zeros(1),
         per_perm_scores=scored,
-        trainings_performed=len(scored),
         best_state=None,
     )]
 
@@ -312,6 +308,18 @@ def test_divergence_fails_fast_naming_group_ordering_task_and_step():
     want = r"^group 0: ordering 0-1-2-3-4: task 1: epoch 1, step 1: minibatch loss is inf"
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         run_pipeline(gen_sine_tasks(5, 0), Permutation(tuple(range(5))), cfg, spec)
+
+
+def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
+    # one step per task at lr=1e308: on task 1 that step overflows, so
+    # ordering 1-0 ends its first task with inf params while every loss
+    # it computed was finite; ordering 0-1 is still finite there
+    spec = ModelSpec((1, 4, 1), task_kind="regression")
+    cfg = LearnerConfig(learning_rate=1e308, epochs_per_task=1, batch_size=8, weight_decay=0.0)
+    want = r"^group 3: ordering 1-0: task 1: params are not finite after training"
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
+        explore_group(TaskGroup(3, (1, 0)), gen_sine_tasks(2, 0, samples_per_task=8),
+                      init_params(spec, 0), cfg, spec, base_seed=0)
 
 
 def test_write_run_log(tmp_path):

@@ -1,7 +1,13 @@
 """Tests for task generators, grouping and permutation enumeration."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tasks_reference import load_tasks
 
 from hiercl.tasks import (
     Permutation,
@@ -11,7 +17,6 @@ from hiercl.tasks import (
     gen_permuted_features,
     gen_sine_tasks,
     gen_split_gaussians,
-    load_tasks,
     partition_into_groups,
     sample_full_permutations,
 )
@@ -119,29 +124,30 @@ def test_sample_full_permutations_exhaustive():
     assert [p.order for p in again] == [p.order for p in sampled]
 
 
-def test_dump_load_roundtrip_classification(tmp_path):
-    tasks = gen_split_gaussians(4, 2, 3, 5, 1.0, seed=4)
-    path = str(tmp_path / "tasks.txt")
-    dump_tasks(tasks, path)
-    back = load_tasks(path)
-    assert len(back) == len(tasks)
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("gaussians", "permuted", "sine")),
+       count=st.integers(1, 4),
+       classes=st.integers(1, 5),
+       dim=st.integers(1, 5),
+       per=st.integers(1, 6),
+       noise=st.sampled_from((0.0, 0.3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_dump_load_roundtrip(kind, count, classes, dim, per, noise, seed):
+    if kind == "gaussians":
+        tasks = gen_split_gaussians(count * classes, classes, dim, per, 1.5, seed)
+    elif kind == "permuted":
+        tasks = gen_permuted_features(count, classes, dim, per, 1.5, seed)
+    else:
+        tasks = gen_sine_tasks(count, seed, samples_per_task=per, noise_std=noise)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tasks.txt")
+        dump_tasks(tasks, path)
+        back = load_tasks(path, "regression" if kind == "sine" else "classification")
+    assert [t.task_id for t in back] == [t.task_id for t in tasks]
     for a, b in zip(tasks, back):
-        assert a.task_id == b.task_id
         assert a.class_ids == b.class_ids
         for split in ("train", "val", "test"):
             sa, sb = getattr(a, split), getattr(b, split)
-            assert np.array_equal(sa.inputs, sb.inputs)
-            assert np.array_equal(sa.targets, sb.targets)
-
-
-def test_dump_load_roundtrip_regression(tmp_path):
-    tasks = gen_sine_tasks(2, seed=5, samples_per_task=12)
-    path = str(tmp_path / "sine.txt")
-    dump_tasks(tasks, path)
-    back = load_tasks(path, task_kind="regression")
-    for a, b in zip(tasks, back):
-        for split in ("train", "val", "test"):
-            sa, sb = getattr(a, split), getattr(b, split)
-            assert np.array_equal(sa.inputs, sb.inputs)
-            assert np.array_equal(sa.targets, sb.targets)
-            assert sb.targets.shape == sa.targets.shape
+            for want, got in ((sa.inputs, sb.inputs), (sa.targets, sb.targets)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
