@@ -124,6 +124,34 @@ def test_sample_full_permutations_exhaustive():
     assert [p.order for p in again] == [p.order for p in sampled]
 
 
+def test_dump_load_roundtrip_classification(tmp_path):
+    tasks = gen_split_gaussians(4, 2, 3, 5, 1.0, seed=4)
+    path = str(tmp_path / "tasks.txt")
+    dump_tasks(tasks, path)
+    back = load_tasks(path)
+    assert len(back) == len(tasks)
+    for a, b in zip(tasks, back):
+        assert a.task_id == b.task_id
+        assert a.class_ids == b.class_ids
+        for split in ("train", "val", "test"):
+            sa, sb = getattr(a, split), getattr(b, split)
+            assert np.array_equal(sa.inputs, sb.inputs)
+            assert np.array_equal(sa.targets, sb.targets)
+
+
+def test_dump_load_roundtrip_regression(tmp_path):
+    tasks = gen_sine_tasks(2, seed=5, samples_per_task=12)
+    path = str(tmp_path / "sine.txt")
+    dump_tasks(tasks, path)
+    back = load_tasks(path, task_kind="regression")
+    for a, b in zip(tasks, back):
+        for split in ("train", "val", "test"):
+            sa, sb = getattr(a, split), getattr(b, split)
+            assert np.array_equal(sa.inputs, sb.inputs)
+            assert np.array_equal(sa.targets, sb.targets)
+            assert sb.targets.shape == sa.targets.shape
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(("gaussians", "permuted", "sine")),
        count=st.integers(1, 4),
