@@ -2,8 +2,7 @@
 section prefixes, plus typed defaults. The keys are derived from the
 dataclass fields: dataset.* from DatasetConfig, learner.* from
 LearnerConfig, and run.* from PipelineConfig and ExperimentConfig
-(`run.lambda` sets `lam`, `run.catchup` sets `n_catch`). Per-run `seed`
-fields are derived from `run.seeds` and are not keys.
+(`run.lambda` sets `lam`, `run.catchup` sets `n_catch`).
 
 Example::
 
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .federated import FedConfig
 from .learners import LearnerConfig
 from .pipeline import PipelineConfig
 
@@ -41,6 +41,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        if self.classes_per_task < 1 or self.task_count < 1:  # task_count divides by the first
+            raise ValueError("the dataset needs classes_per_task >= 1 and at least one task")
 
     @property
     def task_count(self) -> int:
@@ -63,14 +65,20 @@ class ExperimentConfig:
     out: str = "results.csv"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be one or more nonnegative ints, got {self.seeds}")
         if isinstance(self.perms, str) and self.perms != "all":
             raise ValueError("perms must be 'all' or an integer budget")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         known = {"seq", "hier", "fedavg", "fedprox"}
         bad = set(self.methods) - known
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}; pick from {sorted(known)}")
+        FedConfig("fedprox", self.prox_mu, self.fed_aggregate)  # checks both values
+        if self.pipeline.group_size > self.dataset.task_count:
+            raise ValueError(f"group_size {self.pipeline.group_size} exceeds task_count "
+                             f"{self.dataset.task_count}")
 
 
 def _opt(conv):
@@ -88,8 +96,7 @@ _CONVERTERS = {
     "tuple[str, ...]": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
     "str | int": lambda s: "all" if s.strip().lower() == "all" else int(s),
 }
-# nested sections, and seeds that every run derives for itself
-_NOT_KEYS = {"dataset", "learner", "pipeline", "seed"}
+_NOT_KEYS = {"dataset", "learner", "pipeline"}  # nested sections
 _ALIASES = {"lam": "lambda", "n_catch": "catchup"}
 
 

@@ -14,6 +14,7 @@ freshly updated level below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class HierarchyState:
 
 def lambda_schedule(base: float, num_levels: int, factor: float = 1.0) -> tuple[float, ...]:
     """Constant by default; factor != 1 gives a geometric per-level scale."""
-    if base <= 0 or factor <= 0:
-        raise ValueError("lambda and factor must be positive")
+    if not (0 < base < math.inf and 0 < factor < math.inf):
+        raise ValueError(f"lambda and lambda_factor must be positive and finite: {base}, {factor}")
     return tuple(base * factor**i for i in range(num_levels))
 
 

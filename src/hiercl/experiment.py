@@ -11,21 +11,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from .config import DatasetConfig, ExperimentConfig
 from .federated import FedConfig, fed_compare_run
-from .learners import LearnerConfig, ReplayBuffer, train_seq
+from .learners import LearnerConfig, LearnerState, train_seq
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
                       mean_accuracy, summarize)
 from .model import ModelSpec, accuracy_eval, init_params
-from .pipeline import derive_seed, run_pipeline
+from .pipeline import INIT_STREAM, SEQ_STREAM, derive_seed, run_pipeline
 from .tasks import (Permutation, TaskDataset, gen_permuted_features,
                     gen_sine_tasks, gen_split_gaussians, sample_full_permutations)
-
-_SEQ_STREAM = 1  # seed-stream tag for sequential-baseline task rngs
 
 
 def make_tasks(dcfg: DatasetConfig, seed: int) -> list[TaskDataset]:
@@ -61,16 +58,13 @@ def run_baseline_seq(
     """Plain continual learner over the arrival order, no grouping and no
     consolidation; one accuracy row per finished task."""
     order = list(full_perm)
-    params = np.array(init, dtype=np.float64)
-    buffer = ReplayBuffer(lcfg.buffer_capacity) if lcfg.kind == "er" else None
-    anchors: list = []
+    state = LearnerState(init)  # train_seq gives er its buffer at the first task
     matrix = np.zeros((len(order), len(order)))
     for i, tid in enumerate(order):
-        child = lcfg.reseeded(derive_seed(seed, _SEQ_STREAM, i))
-        state = train_seq(Permutation((tid,)), tasks, params, child, spec,
-                          shared_buffer=buffer, anchors=anchors)
-        params, buffer, anchors = state.params, state.buffer, state.anchors
-        matrix[i] = [accuracy_eval(params, tasks[t].test, spec) for t in order]
+        state = train_seq([Permutation((tid,))], tasks, state.params, lcfg, spec,
+                          [derive_seed(seed, SEQ_STREAM, i)], buffers=[state.buffer],
+                          anchors=state.anchors)[0]
+        matrix[i] = [accuracy_eval(state.params, tasks[t].test, spec) for t in order]
     return AccuracyMatrix(matrix)
 
 
@@ -87,7 +81,7 @@ def _run_method(method, tasks, perm, cfg, spec, seed, init) -> AccuracyMatrix:
     if method == "seq":
         return run_baseline_seq(tasks, perm, learner, spec, seed, init)
     if method == "hier":
-        return run_pipeline(tasks, perm, replace(cfg.pipeline, seed=seed), spec, init).matrix
+        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed).matrix
     fed = FedConfig(kind=method,
                     prox_mu=cfg.prox_mu if method == "fedprox" else 0.0,
                     aggregate=cfg.fed_aggregate)
@@ -103,13 +97,13 @@ def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
     budget = math.factorial(t_count) if cfg.perms == "all" else int(cfg.perms)
     perms = sample_full_permutations(t_count, budget, cfg.perm_sample_seed)
 
+    spec = make_model_spec(cfg)
     records: list[MetricsRecord] = []
-    sink = CsvSink(csv_path) if csv_path else None
+    sink = None  # opened at the first record, so a run that fails before it writes nothing
     try:
-        spec = make_model_spec(cfg)
         for seed in cfg.seeds:
             tasks = make_tasks(cfg.dataset, seed)
-            init = init_params(spec, derive_seed(seed, 0))
+            init = init_params(spec, derive_seed(seed, INIT_STREAM))
             for perm in perms:
                 for method in cfg.methods:
                     start = time.perf_counter()
@@ -120,7 +114,8 @@ def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
                         mean_accuracy(matrix), avg_forgetting(matrix), wall,
                     )
                     records.append(rec)
-                    if sink:
+                    if csv_path:
+                        sink = sink or CsvSink(csv_path)
                         sink.write(rec)
     finally:
         if sink:

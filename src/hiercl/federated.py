@@ -16,13 +16,11 @@ import numpy as np
 from .learners import LearnerConfig, train_on_task
 from .metrics import AccuracyMatrix
 from .model import ModelSpec, accuracy_eval, init_params
-from .pipeline import derive_seed
+from .pipeline import FED_STREAM, derive_seed
 from .tasks import Permutation, TaskDataset
 
 FED_KINDS = ("fedavg", "fedprox")
 AGG_MODES = ("running", "pairwise")
-
-_FED_STREAM = 2  # seed-stream tag for per-client rngs
 
 
 @dataclass
@@ -34,12 +32,12 @@ class FedConfig:
     def __post_init__(self):
         if self.kind not in FED_KINDS:
             raise ValueError(f"unknown federated kind {self.kind!r}")
-        if self.prox_mu < 0:
-            raise ValueError("prox_mu must be nonnegative")
+        if not self.prox_mu >= 0:
+            raise ValueError(f"prox_mu must be nonnegative, got {self.prox_mu}")
         if self.kind == "fedavg" and self.prox_mu != 0:
             raise ValueError("fedavg does not take a proximal coefficient")
         if self.aggregate not in AGG_MODES:
-            raise ValueError(f"aggregate must be one of {AGG_MODES}")
+            raise ValueError(f"aggregate must be one of {AGG_MODES}, got {self.aggregate!r}")
 
 
 def fedavg_aggregate(models) -> np.ndarray:
@@ -55,15 +53,16 @@ def fedprox_train_local(
     cfg: LearnerConfig,
     prox_mu: float,
     spec: ModelSpec,
+    seed: int,
 ) -> np.ndarray:
     """Train one client task from (and proximally tied to) the anchor.
 
     prox_mu = 0 follows the exact unmodified optimizer path, so it is
     bitwise-identical to plain training with the same seed.
     """
-    rng = np.random.default_rng(cfg.seed)
-    return train_on_task(anchor, task, cfg, spec, rng, buffer=None,
-                         prox=(np.asarray(anchor, dtype=np.float64), prox_mu))
+    anchor = np.asarray(anchor, dtype=np.float64)
+    return train_on_task(anchor[None], [task], cfg, spec, [np.random.default_rng(seed)],
+                         prox=(anchor, prox_mu))[0]
 
 
 def fed_compare_run(
@@ -86,8 +85,8 @@ def fed_compare_run(
     matrix = np.zeros((len(order), len(order)))
     locals_: list[np.ndarray] = []
     for i, tid in enumerate(order):
-        child = learner_cfg.reseeded(derive_seed(base_seed, _FED_STREAM, i))
-        local = fedprox_train_local(tasks[tid], global_w, child, mu, spec)
+        local = fedprox_train_local(tasks[tid], global_w, learner_cfg, mu, spec,
+                                    derive_seed(base_seed, FED_STREAM, i))
         if fed_cfg.aggregate == "running":
             locals_.append(local)
             global_w = fedavg_aggregate(locals_)

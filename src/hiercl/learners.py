@@ -1,9 +1,9 @@
 """Local sequential learners: plain SGD, experience replay, and EWC.
 
-A learner trains one flat parameter vector through an ordered sequence of
-tasks, or a (P, p) stack of them through P equal-length orderings in
-lockstep: each step runs one loss and gradient over the whole stack, while
-every ordering keeps its own random stream, replay buffer and EWC anchors.
+A learner trains a (P, p) stack of flat parameter vectors through P
+equal-length task orderings in lockstep (P = 1 for a lone ordering): each
+step runs one loss and gradient over the whole stack, while every ordering
+keeps its own seed, random stream, replay buffer and EWC anchors.
 The replay buffer uses single-draw reservoir sampling so that after N
 offers every past item survives with probability capacity/N.
 """
@@ -11,7 +11,7 @@ offers every past item survives with probability capacity/N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class LearnerConfig:
     grad_clip: float | None = None
     buffer_capacity: int = 50
     ewc_strength: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
@@ -122,9 +121,6 @@ class LearnerConfig:
             raise ValueError("batch_size must be at least 1")
         if self.kind == "er" and self.buffer_capacity < 1:
             raise ValueError("er needs a positive buffer capacity")
-
-    def reseeded(self, seed: int) -> "LearnerConfig":
-        return replace(self, seed=int(seed))
 
 
 @dataclass
@@ -190,16 +186,16 @@ def train_on_task(
     anchors=None,
     prox: tuple[np.ndarray, float] | None = None,
 ) -> np.ndarray:
-    """Epochs of momentum SGD on one task. Returns fresh params.
+    """Epochs of momentum SGD on one task. Returns a fresh (P, p) stack.
 
-    `params` is one flat vector, or a (P, p) stack of P orderings stepped
-    in lockstep; for a stack, `task`, `rng` and `buffer` (when given) are
-    sequences with one entry per row. Each stacked step makes one
-    loss_and_grad call per minibatch shape (rows differ when their tasks
-    differ in size, or when only some replay buffers are empty), and rows
-    whose epoch has run out of minibatches sit the step out. Every row
-    draws from its own rng in the order a lone run does: a permutation at
-    each epoch start, then per step the replay sample and the buffer offer.
+    `params` is a (P, p) stack of P orderings stepped in lockstep; `task`,
+    `rng` and `buffer` (when given) hold one entry per row. Each stacked
+    step makes one loss_and_grad call per minibatch shape (rows differ when
+    their tasks differ in size, or when only some replay buffers are
+    empty), and rows whose epoch has run out of minibatches sit the step
+    out. Every row draws from its own rng in the order a lone run does: a
+    permutation at each epoch start, then per step the replay sample and
+    the buffer offer.
     Arrays in `anchors` and `prox` are (p,), shared by all rows, or (P, p).
 
     When a buffer is given, every training sample is offered to it exactly
@@ -211,12 +207,10 @@ def train_on_task(
     task, naming the first row that holds them.
     """
     params = np.array(params, dtype=np.float64)
-    single = params.ndim == 1
-    if single:
-        params, task, rng, buffer = params[None], [task], [rng], [buffer]
-    elif buffer is None:
-        buffer = [None] * len(params)
+    if params.ndim != 2:
+        raise ValueError(f"params must be a (P, p) stack, got shape {params.shape}")
     rows = len(params)
+    buffer = [None] * rows if buffer is None else buffer
     velocity = np.zeros_like(params)
     for epoch in range(cfg.epochs_per_task):
         plans = [_minibatch_indices(t.train.n, cfg.batch_size, r) for t, r in zip(task, rng)]
@@ -260,7 +254,7 @@ def train_on_task(
                     if buffer[i] is not None:
                         buffer[i].insert_many(*fresh[i], task[i].task_id, rng[i])
     _check_rows(params, task, "params are")
-    return params[0] if single else params
+    return params
 
 
 def _check_rows(stack, tasks, what: str):
@@ -274,65 +268,55 @@ def _check_rows(stack, tasks, what: str):
 
 
 def train_seq(
-    perm,
+    perms: list[Permutation],
     tasks: list[TaskDataset],
     init: np.ndarray,
-    cfg,
+    cfg: LearnerConfig,
     spec: ModelSpec,
-    shared_buffer=None,
+    seeds: list[int],
+    buffers=None,
     anchors=None,
-):
-    """Train through the tasks selected by `perm`, in that order.
+) -> list[LearnerState]:
+    """Train P equal-length orderings in lockstep from the same `init` and
+    incoming `anchors`; returns one state per ordering.
 
-    `perm` is one Permutation, or a list of P equal-length orderings that
-    train in lockstep from the same `init` and incoming `anchors` and come
-    back as a list of P states. For a list, `cfg` and `shared_buffer` (when
-    given) are lists with one entry per ordering, the configs differing only
-    in seed. Each ordering keeps its own rng (seeded from its cfg.seed),
-    buffer and anchor list, so its state is bitwise the one a lone call
-    gives; EWC anchors take one Fisher estimate per ordering and task.
+    Ordering i draws from an rng seeded with seeds[i] and keeps its own
+    buffer (buffers[i] when given) and anchor list, so its state is bitwise
+    the one a lone call gives; EWC anchors take one Fisher estimate per
+    ordering and task.
 
-    Deterministic given identical inputs and cfg.seed. The passed buffer is
+    Deterministic given identical inputs and seeds. The passed buffers are
     mutated in place (reservoir offers for every visited sample); all other
     inputs stay untouched. A nonfinite loss raises TrainingDiverged at the
     first stacked step where one occurs; its `index` is the first ordering
     in the list that diverged there. Nonfinite params or EWC Fisher at the
     end of a task raise it too, naming the first such ordering.
     """
-    single = isinstance(perm, Permutation)
-    if single:
-        perms, cfgs, buffers = [perm], [cfg], [shared_buffer]
-    else:
-        perms, cfgs = list(perm), list(cfg)
-        buffers = list(shared_buffer) if shared_buffer is not None else [None] * len(perms)
+    buffers = list(buffers) if buffers is not None else [None] * len(perms)
     if not perms or not len(perms[0]):
         raise ValueError("no tasks to train on")
-    if len(cfgs) != len(perms) or len(buffers) != len(perms):
-        raise ValueError("lockstep training needs one config and one buffer slot per ordering")
-    base = cfgs[0]
-    if any(replace(c, seed=base.seed) != base for c in cfgs):
-        raise ValueError("orderings trained in lockstep must share every setting but the seed")
+    if len(seeds) != len(perms) or len(buffers) != len(perms):
+        raise ValueError("lockstep training needs one seed and one buffer slot per ordering")
     if any(len(p) != len(perms[0]) for p in perms):
         raise ValueError("orderings trained in lockstep must have equal length")
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    if base.kind == "er":
-        buffers = [ReplayBuffer(base.buffer_capacity) if b is None else b for b in buffers]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    if cfg.kind == "er":
+        buffers = [ReplayBuffer(cfg.buffer_capacity) if b is None else b for b in buffers]
     shared = list(anchors or [])
     own = []  # one (P, p) weight stack and Fisher stack per finished task
     params = np.repeat(np.asarray(init, dtype=np.float64)[None], len(perms), axis=0)
     for pos in range(len(perms[0])):
         step_tasks = [tasks[p.order[pos]] for p in perms]
         params = train_on_task(
-            params, step_tasks, base, spec, rngs,
+            params, step_tasks, cfg, spec, rngs,
             buffer=buffers,
-            anchors=shared + own if base.kind == "ewc" else None,
+            anchors=shared + own if cfg.kind == "ewc" else None,
         )
-        if base.kind == "ewc":
+        if cfg.kind == "ewc":
             fishers = np.stack([estimate_diag_curvature(w, t.train, spec).diag
                                 for w, t in zip(params, step_tasks)])
             _check_rows(fishers, step_tasks, "EWC Fisher is")
             own.append((params, fishers))  # train_on_task never writes its input
-    states = [LearnerState(params[i].copy(), buffers[i],
-                           shared + [(w[i].copy(), f[i].copy()) for w, f in own])
-              for i in range(len(perms))]
-    return states[0] if single else states
+    return [LearnerState(params[i].copy(), buffers[i],
+                         shared + [(w[i].copy(), f[i].copy()) for w, f in own])
+            for i in range(len(perms))]

@@ -38,9 +38,19 @@ EVAL_POLICIES = ("group_val", "seen_test")
 # uniform cap on samples fed to the estimators; keeps cost bounded
 DEFAULT_SAMPLE_CAP = 512
 
+# seed-stream tags
+INIT_STREAM, SEQ_STREAM, FED_STREAM, AUDIT_STREAM = 0, 1, 2, 3
+
 
 def derive_seed(*parts) -> int:
-    """Collision-resistant child seed from a tuple of nonnegative ints."""
+    """Collision-resistant child seed from a tuple of nonnegative ints.
+
+    The streams of a run with data seed s: (s, INIT_STREAM) initial weights;
+    (s, SEQ_STREAM, i) and (s, FED_STREAM, i) the seq and fed learners at
+    arrival position i; (s, AUDIT_STREAM) the selection audit; (s, g,
+    *ordering) an ordering's learner in hier group g, whose tag g runs over
+    the named tags' integers; s itself the consolidation-pool draws.
+    """
     ss = np.random.SeedSequence(tuple(int(p) for p in parts))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -59,7 +69,6 @@ class PipelineConfig:
     eval_policy: str = "group_val"
     sample_cap: int | None = DEFAULT_SAMPLE_CAP
     audit_draws: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if self.group_size < 1:
@@ -72,8 +81,13 @@ class PipelineConfig:
             raise ValueError("eta must lie in (0, 1]")
         if self.eval_policy not in EVAL_POLICIES:
             raise ValueError(f"eval_policy must be one of {EVAL_POLICIES}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if self.clip is not None and not self.clip > 0:
+            raise ValueError(f"clip must be positive when set, got {self.clip}")
+        if self.sample_cap is not None and self.sample_cap < 1:
+            raise ValueError(f"sample_cap must be at least 1 when set, got {self.sample_cap}")
+        if self.audit_draws < 0:
+            raise ValueError(f"audit_draws must be nonnegative, got {self.audit_draws}")
+        lambda_schedule(self.lam, self.levels, self.lambda_factor)
         parse_curvature_spec(self.curvature)  # fail fast on typos
 
 
@@ -138,15 +152,11 @@ def explore_group(
     perms = enumerate_intra_group_perms(group)
     eval_batch = _eval_batch(tasks, group, eval_policy,
                              seen_task_ids or group.task_ids)
-    children = [cfg.reseeded(derive_seed(base_seed, group.group_index, *perm.order))
-                for perm in perms]
+    seeds = [derive_seed(base_seed, group.group_index, *perm.order) for perm in perms]
     where = f"group {group.group_index}: ordering"
     try:
-        states = train_seq(
-            perms, tasks, init, children, spec,
-            shared_buffer=[buffer.clone() for _ in perms] if buffer is not None else None,
-            anchors=anchors,
-        )
+        states = train_seq(perms, tasks, init, cfg, spec, seeds, anchors=anchors,
+                           buffers=None if buffer is None else [buffer.clone() for _ in perms])
     except TrainingDiverged as err:
         raise ValueError(f"{where} {perms[err.index].label()}: {err}") from err
     scores = accuracy_eval(np.stack([state.params for state in states]), eval_batch, spec)
@@ -196,6 +206,7 @@ def run_pipeline(
     cfg: PipelineConfig,
     spec: ModelSpec,
     init: np.ndarray | None = None,
+    seed: int = 0,
 ) -> RunResult:
     order = list(full_perm)
     t_count = len(order)
@@ -205,7 +216,7 @@ def run_pipeline(
         raise ValueError("group size exceeds the number of tasks")
 
     if init is None:
-        init = init_params(spec, cfg.seed)
+        init = init_params(spec, seed)
     hier = init_hierarchy(init, lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor))
     buffer = ReplayBuffer(cfg.learner.buffer_capacity)
     anchors: list = []
@@ -230,7 +241,7 @@ def run_pipeline(
                           tuple(order[s] for s in slot_group.task_ids))
         seen.extend(group.task_ids)
         res = explore_group(
-            group, tasks, hier.levels[0], cfg.learner, spec, cfg.seed,
+            group, tasks, hier.levels[0], cfg.learner, spec, seed,
             cfg.eval_policy, buffer=buffer, anchors=anchors,
             seen_task_ids=tuple(seen),
         )
@@ -243,7 +254,7 @@ def run_pipeline(
         # when it is also the last group, for the catch-up passes
         if group.group_index > 0 or len(slot_groups) == 1:
             pool = consolidation_pool(buffer, [tasks[i].train for i in sorted(group.task_ids)],
-                                      cfg.sample_cap, cfg.seed)
+                                      cfg.sample_cap, seed)
             grad_fn, curv_fn = _estimators(cfg, pool, spec)
         if group.group_index == 0:
             hier = initialize_from_local(hier, last_local)
@@ -271,7 +282,7 @@ def run_pipeline(
     matrix[t_count - 1] = eval_row()
 
     audit = selection_audit(group_results, n_draws=cfg.audit_draws,
-                            seed=derive_seed(cfg.seed, 3))
+                            seed=derive_seed(seed, AUDIT_STREAM))
     log.append({"event": "audit", **audit})
     return RunResult(hier, AccuracyMatrix(matrix), group_results,
                      update_norms, audit, log)

@@ -1,11 +1,12 @@
 """Serial reference for the lockstep learner.
 
 `train_on_task` and `train_seq` (with their helpers) are the earlier
-one-ordering learner kept verbatim: one parameter vector, one loss and
-gradient call per minibatch, one ordering per call. Its loss and gradient
-come from `model_reference.ref_loss_and_grad`, so it shares no stacked
-code with the library. The library's lockstep engine must match a loop of
-these calls bit for bit, row by row.
+one-ordering learner: one parameter vector, one loss and gradient call per
+minibatch, one ordering per call. They are kept verbatim but for one edit:
+`train_seq` takes its seed as an argument instead of reading `cfg.seed`.
+Its loss and gradient come from `model_reference.ref_loss_and_grad`, so it
+shares no stacked code with the library. The library's lockstep engine
+must match a loop of these calls bit for bit, row by row.
 """
 
 from __future__ import annotations
@@ -94,18 +95,19 @@ def train_seq(
     init: np.ndarray,
     cfg: LearnerConfig,
     spec: ModelSpec,
+    seed: int,
     shared_buffer: ReplayBuffer | None = None,
     anchors=None,
 ) -> LearnerState:
     """Train through the tasks selected by `perm`, in that order.
 
-    Deterministic given identical inputs and cfg.seed. The passed buffer is
+    Deterministic given identical inputs and seed. The passed buffer is
     mutated in place (reservoir offers for every visited sample); all other
     inputs stay untouched.
     """
     if not tasks:
         raise ValueError("no tasks to train on")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     buffer = shared_buffer
     if buffer is None and cfg.kind == "er":
         buffer = ReplayBuffer(cfg.buffer_capacity)

@@ -34,10 +34,10 @@ BENCH_LEARNER = LearnerConfig(kind="er", learning_rate=0.1, epochs_per_task=2,
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 
 
-def _bench_pipeline(seed: int, **overrides) -> PipelineConfig:
+def _bench_pipeline(**overrides) -> PipelineConfig:
     base = dict(learner=BENCH_LEARNER, group_size=2, levels=2, lam=0.3,
                 lambda_factor=0.5, eta=1.0, clip=1.0, n_catch=2,
-                curvature="diag", audit_draws=1000, seed=seed)
+                curvature="diag", audit_draws=1000)
     base.update(overrides)
     return PipelineConfig(**base)
 
@@ -48,7 +48,7 @@ def benchmark_sweep():
     120 permutations x (er, er+hier, fedavg, fedprox at mu=0)."""
     cfg = ExperimentConfig(
         dataset=BENCH_DATASET,
-        pipeline=_bench_pipeline(seed=0),  # each data seed replaces the seed
+        pipeline=_bench_pipeline(),
         perms="all", seeds=BENCH_SEEDS, methods=("seq", "hier", "fedavg", "fedprox"),
         hidden=(16,), prox_mu=0.0,
     )
@@ -128,8 +128,9 @@ def test_criterion_03_selection_audit_zero_violations(criterion_log, benchmark_s
     for seed in BENCH_SEEDS:
         tasks = make_tasks(BENCH_DATASET, seed)
         run = run_pipeline(tasks, Permutation(tuple(range(5))),
-                           _bench_pipeline(seed), ModelSpec((8, 16, 10)),
-                           init_params(ModelSpec((8, 16, 10)), derive_seed(seed, 0)))
+                           _bench_pipeline(), ModelSpec((8, 16, 10)),
+                           init_params(ModelSpec((8, 16, 10)), derive_seed(seed, 0)),
+                           seed=seed)
         assert run.audit["violations"] == 0
         assert run.audit["draws"] == 1000
         assert run.audit["gap_vs_mean"] >= 0.0
@@ -149,7 +150,7 @@ def test_criterion_04_permutation_accounting(criterion_log):
     for n_tasks, k in ((10, 3), (5, 2)):
         tasks = gen_sine_tasks(n_tasks, 0, samples_per_task=12)
         run = run_pipeline(tasks, Permutation(tuple(range(n_tasks))),
-                           _bench_pipeline(0, learner=lcfg, group_size=k,
+                           _bench_pipeline(learner=lcfg, group_size=k,
                                            audit_draws=100),
                            spec, init_params(spec, 0))
         counts[(n_tasks, k)] = sum(len(g.per_perm_scores) for g in run.group_results)
@@ -165,7 +166,7 @@ def test_criterion_05_intra_group_order_invariance(criterion_log):
     spec = ModelSpec((1, 8, 1), task_kind="regression")
     tasks = gen_sine_tasks(6, 3, samples_per_task=24)
     init = init_params(spec, 1)
-    cfg = _bench_pipeline(0, learner=lcfg, group_size=3, audit_draws=100)
+    cfg = _bench_pipeline(learner=lcfg, group_size=3, audit_draws=100)
     # same groups {0,1,2} and {3,4,5}, shuffled inside each
     run_a = run_pipeline(tasks, Permutation((0, 1, 2, 3, 4, 5)), cfg, spec, init)
     run_b = run_pipeline(tasks, Permutation((2, 0, 1, 5, 3, 4)), cfg, spec, init)
@@ -270,10 +271,10 @@ def test_criterion_11_multi_level_smoothing(criterion_log):
     ratios = []
     for seed in BENCH_SEEDS:
         tasks = make_tasks(BENCH_DATASET, seed)
-        cfg = _bench_pipeline(seed, levels=3, lam=30.0, lambda_factor=1.0,
+        cfg = _bench_pipeline(levels=3, lam=30.0, lambda_factor=1.0,
                               eta=0.5, clip=None)
         run = run_pipeline(tasks, Permutation(tuple(range(5))), cfg, spec,
-                           init_params(spec, derive_seed(seed, 0)))
+                           init_params(spec, derive_seed(seed, 0)), seed=seed)
         norms = np.array(run.update_norms)
         mean_l1, mean_l3 = float(norms[:, 0].mean()), float(norms[:, 2].mean())
         wins += mean_l3 < mean_l1
@@ -323,13 +324,12 @@ def test_criterion_13_federated_harness(criterion_log, benchmark_sweep):
 
     # and the local trainer itself follows the plain optimizer path at mu=0
     tasks = make_tasks(BENCH_DATASET, 0)
-    lcfg = BENCH_LEARNER.reseeded(7)
     spec = ModelSpec((8, 16, 10))
     anchor = init_params(spec, 4)
     local_bitwise = all(
         np.array_equal(
-            fedprox_train_local(t, anchor, lcfg, 0.0, spec),
-            train_on_task(anchor, t, lcfg, spec, np.random.default_rng(7)))
+            fedprox_train_local(t, anchor, BENCH_LEARNER, 0.0, spec, 7),
+            train_on_task(anchor[None], [t], BENCH_LEARNER, spec, [np.random.default_rng(7)])[0])
         for t in tasks[:2])
 
     fa = summary["fedavg"]["perm_std_per_seed"]

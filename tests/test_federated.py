@@ -56,19 +56,20 @@ def test_aggregate_permutation_invariant_with_uniform_weights():
 def test_prox_mu_zero_is_bitwise_plain_training():
     tasks = _tasks()
     anchor = init_params(SPEC, 0)
-    cfg = LearnerConfig(kind="sgd", epochs_per_task=2, seed=7)
-    prox = fedprox_train_local(tasks[0], anchor, cfg, 0.0, SPEC)
-    plain = train_on_task(anchor, tasks[0], cfg, SPEC, np.random.default_rng(7), buffer=None)
+    cfg = LearnerConfig(kind="sgd", epochs_per_task=2)
+    prox = fedprox_train_local(tasks[0], anchor, cfg, 0.0, SPEC, 7)
+    plain = train_on_task(anchor[None], [tasks[0]], cfg, SPEC, [np.random.default_rng(7)],
+                          buffer=None)[0]
     assert np.array_equal(prox, plain)
 
 
 def test_prox_pull_is_monotone_in_mu():
     tasks = _tasks()
     anchor = init_params(SPEC, 1)
-    cfg = LearnerConfig(kind="sgd", epochs_per_task=3, seed=3)
+    cfg = LearnerConfig(kind="sgd", epochs_per_task=3)
     dists = []
     for mu in (0.0, 0.1, 1.0, 10.0):
-        out = fedprox_train_local(tasks[0], anchor, cfg, mu, SPEC)
+        out = fedprox_train_local(tasks[0], anchor, cfg, mu, SPEC, 3)
         dists.append(float(np.linalg.norm(out - anchor)))
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
     assert dists[-1] < dists[0]
@@ -81,7 +82,7 @@ def test_fed_compare_run_single_task_global_equals_local():
     for agg in ("running", "pairwise"):
         fed = FedConfig(kind="fedavg", aggregate=agg)
         global_w, matrix = fed_compare_run(tasks, Permutation((0,)), fed, cfg, SPEC, 0, init=init)
-        local = fedprox_train_local(tasks[0], init, cfg.reseeded(derive_seed(0, 2, 0)), 0.0, SPEC)
+        local = fedprox_train_local(tasks[0], init, cfg, 0.0, SPEC, derive_seed(0, 2, 0))
         if agg == "running":
             assert np.array_equal(global_w, local)
         else:
@@ -100,8 +101,7 @@ def test_fed_compare_run_running_average_identity():
     locals_ = []
     g = init.copy()
     for i, tid in enumerate(perm):
-        child = cfg.reseeded(derive_seed(4, 2, i))
-        locals_.append(fedprox_train_local(tasks[tid], g, child, 0.0, SPEC))
+        locals_.append(fedprox_train_local(tasks[tid], g, cfg, 0.0, SPEC, derive_seed(4, 2, i)))
         g = fedavg_aggregate(locals_)
     assert np.array_equal(global_w, g)
     assert matrix.values.shape == (3, 3)

@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hiercl.cli import main
+from hiercl.cli import _build_parser, _config_from_args, main
 from hiercl.config import (_KEYMAP, DatasetConfig, ExperimentConfig,
                            build_experiment_config, parse_config_text)
 from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run_experiment
@@ -79,6 +83,76 @@ def test_config_key_set_is_pinned():
     for key in ("run.seed", "learner.seed", "run.lam", "run.n_catch"):
         with pytest.raises(ValueError, match="unknown config key"):
             build_experiment_config({key: "1"})
+
+
+_SECTIONS = {"dataset": DatasetConfig, "learner": LearnerConfig,
+             "pipeline": PipelineConfig, "run": ExperimentConfig}
+_INTS = st.integers(-2**16, 2**16)
+_NONE = st.sampled_from(("none", "off", "None"))
+_WORDS = ("gaussians", "permuted", "sine", "sgd", "er", "ewc", "diag", "dense", "lowrank:3",
+          "lowrank:0", "group_val", "seen_test", "running", "pairwise", "all", "results.csv")
+_METHODS = ("seq", "hier", "fedavg", "fedprox", "central")
+# field annotation -> text a config file could hold for it
+_TEXT_FOR = {
+    "int": _INTS.map(str),
+    "float": st.one_of(st.floats().map(repr), _INTS.map(str)),
+    "float | None": st.one_of(st.floats().map(repr), _INTS.map(str), _NONE),
+    "int | None": st.one_of(_INTS.map(str), _NONE),
+    "str": st.sampled_from(_WORDS),
+    "tuple[int, ...]": st.lists(_INTS, max_size=4).map(lambda v: ",".join(map(str, v))),
+    "tuple[str, ...]": st.lists(st.sampled_from(_METHODS), max_size=4).map(",".join),
+    "str | int": st.one_of(st.just("all"), _INTS.map(str)),
+}
+
+
+def _text_for(key):
+    section, attr, _ = _KEYMAP[key]
+    annotation = {f.name: f.type for f in fields(_SECTIONS[section])}[attr]
+    return st.one_of(_TEXT_FOR[annotation], st.text(max_size=8))
+
+
+def _attr(cfg, section, attr):
+    owner = {"dataset": cfg.dataset, "learner": cfg.pipeline.learner,
+             "pipeline": cfg.pipeline, "run": cfg}[section]
+    return getattr(owner, attr)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(sorted(_KEYMAP)), data=st.data())
+def test_every_key_builds_the_config_it_names_or_raises_value_error(key, data):
+    text = data.draw(_text_for(key), label="text")
+    try:
+        cfg = build_experiment_config({key: text})
+    except ValueError:
+        return
+    default = ExperimentConfig()
+    for other, (section, attr, conv) in _KEYMAP.items():
+        got = _attr(cfg, section, attr)
+        want = conv(text) if other == key else _attr(default, section, attr)
+        assert got == want or (got != got and want != want), other  # NaN matches NaN
+    assert cfg.dataset.task_count >= 1
+
+
+def _outcome(build):
+    try:
+        return repr(build())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(sorted(_KEYMAP)), data=st.data())
+def test_a_later_set_overrides_the_config_file(tmp_path_factory, key, data):
+    # one ASCII line, so the file reads back the same under any locale
+    in_file = data.draw(_text_for(key).filter(
+        lambda t: t.isascii() and "".join(t.splitlines()) == t))
+    on_cli = data.draw(_text_for(key))
+    path = tmp_path_factory.getbasetemp() / "override.cfg"
+    path.write_text(f"{key}={in_file}\n")
+    args = _build_parser().parse_args(["run", "--config", str(path),
+                                       "--set", f"{key}={on_cli}"])
+    assert (_outcome(lambda: _config_from_args(args))
+            == _outcome(lambda: build_experiment_config({key: on_cli.strip()})))
 
 
 def test_bad_pipeline_values_fail_at_build_time_even_for_seq_only():
@@ -262,13 +336,47 @@ def test_cli_malformed_set_is_a_clean_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+# each value, and the field or key its error names
+_BAD_VALUES = [
+    ("learner.grad_clip=-1", "grad_clip"),
+    ("run.lambda=0", "lambda"),
+    ("run.lambda_factor=0", "lambda_factor"),
+    ("run.lambda=nan", "lambda"),
+    ("run.sample_cap=0", "sample_cap"),
+    ("run.audit_draws=-1", "audit_draws"),
+    ("run.group_size=9", "group_size"),  # the default dataset has 5 tasks
+    ("run.fed_aggregate=bogus", "aggregate"),
+    ("run.prox_mu=-1", "prox_mu"),
+    ("run.clip=0", "clip"),  # would zero every consolidation step
+    ("run.clip=-1", "clip"),  # would reverse every consolidation step
+    ("run.methods=", "methods"),
+    ("run.seeds=-1", "seeds"),
+]
+
+
 def test_cli_rejects_bad_learner_value_when_building_the_config(tmp_path, capsys):
     out_csv = tmp_path / "x.csv"
-    rc = main(["run", "--set", "learner.grad_clip=-1", "--set", f"run.out={out_csv}"])
-    assert rc == 2 and "grad_clip" in capsys.readouterr().err
-    assert not out_csv.exists()
-    with pytest.raises(ValueError, match="grad_clip"):
-        build_experiment_config({"learner.grad_clip": "-1"})
+    for setting, name in _BAD_VALUES:
+        rc = main(["run", "--set", "run.perms=1", "--set", "run.seeds=0", "--set", setting,
+                   "--set", f"run.out={out_csv}"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "error:" in err and name in err, setting
+        assert not out_csv.exists(), setting
+        key, _, value = setting.partition("=")
+        with pytest.raises(ValueError, match=name):
+            build_experiment_config({key: value})
+
+
+@pytest.mark.parametrize("setting", [
+    "run.hidden=0", "dataset.samples_per_class=0", "dataset.classes_per_task=0",
+])
+def test_failed_run_leaves_an_existing_out_file_untouched(tmp_path, capsys, setting):
+    out_csv = tmp_path / "x.csv"
+    out_csv.write_bytes(b"method,seed\nkept,0\n")
+    rc = main(["run", "--set", "run.perms=1", "--set", "run.seeds=0", "--set", setting,
+               "--set", f"run.out={out_csv}"])
+    assert rc == 2 and "error:" in capsys.readouterr().err
+    assert out_csv.read_bytes() == b"method,seed\nkept,0\n"
 
 
 def test_cli_config_and_set_routes_write_identical_rows(tmp_path, capsys):

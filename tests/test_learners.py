@@ -1,7 +1,5 @@
 """Tests for the replay buffer and the sequential learners."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,7 +192,6 @@ def test_learner_config_validation():
         LearnerConfig(epochs_per_task=0)
     with pytest.raises(ValueError):
         LearnerConfig(kind="er", buffer_capacity=0)
-    assert LearnerConfig().reseeded(5).seed == 5
 
 
 @pytest.mark.parametrize("field, value", [
@@ -230,7 +227,7 @@ def test_zero_gradient_start_is_a_fixed_point():
     w = init_params(spec, 0) + 0.3
     task = _zero_grad_task(spec, w)
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1, weight_decay=0.0)
-    out = train_on_task(w, task, cfg, spec, np.random.default_rng(0))
+    out = train_on_task(w[None], [task], cfg, spec, [np.random.default_rng(0)])[0]
     assert np.array_equal(out, w)
 
 
@@ -242,7 +239,7 @@ def test_single_sample_step_matches_hand_sgd():
         kind="sgd", learning_rate=0.3, epochs_per_task=2, batch_size=4,
         momentum=0.9, weight_decay=0.0,
     )
-    out = train_on_task(w0, task, cfg, spec, np.random.default_rng(0))
+    out = train_on_task(w0[None], [task], cfg, spec, [np.random.default_rng(0)])[0]
     _, g0 = loss_and_grad(w0, task.train, spec)
     v1 = -0.3 * g0
     w1 = w0 + v1
@@ -260,7 +257,7 @@ def test_grad_clip_bounds_first_step():
         kind="sgd", learning_rate=1.0, epochs_per_task=1, momentum=0.0,
         weight_decay=0.0, grad_clip=0.01,
     )
-    out = train_on_task(w0, task, cfg, spec, np.random.default_rng(0))
+    out = train_on_task(w0[None], [task], cfg, spec, [np.random.default_rng(0)])[0]
     assert np.linalg.norm(out - w0) <= 0.01 + 1e-12
 
 
@@ -268,20 +265,20 @@ def test_train_seq_deterministic_and_pure():
     tasks = _tasks()
     init = init_params(SPEC, 0)
     init_copy = init.copy()
-    cfg = LearnerConfig(kind="er", epochs_per_task=2, seed=11)
-    a = train_seq(Permutation((0, 1)), tasks, init, cfg, SPEC)
-    b = train_seq(Permutation((0, 1)), tasks, init, cfg, SPEC)
+    cfg = LearnerConfig(kind="er", epochs_per_task=2)
+    a = train_seq([Permutation((0, 1))], tasks, init, cfg, SPEC, [11])[0]
+    b = train_seq([Permutation((0, 1))], tasks, init, cfg, SPEC, [11])[0]
     assert np.array_equal(a.params, b.params)
     assert np.array_equal(init, init_copy)
-    c = train_seq(Permutation((0, 1)), tasks, init, cfg.reseeded(12), SPEC)
+    c = train_seq([Permutation((0, 1))], tasks, init, cfg, SPEC, [12])[0]
     assert not np.array_equal(a.params, c.params)
 
 
 def test_train_seq_reduces_loss_on_easy_task():
     tasks = _tasks()
     init = init_params(SPEC, 3)
-    cfg = LearnerConfig(kind="sgd", epochs_per_task=5, seed=0)
-    state = train_seq(Permutation((0,)), tasks, init, cfg, SPEC)
+    cfg = LearnerConfig(kind="sgd", epochs_per_task=5)
+    state = train_seq([Permutation((0,))], tasks, init, cfg, SPEC, [0])[0]
     before, _ = loss_and_grad(init, tasks[0].train, SPEC)
     after, _ = loss_and_grad(state.params, tasks[0].train, SPEC)
     assert after < before
@@ -289,8 +286,8 @@ def test_train_seq_reduces_loss_on_easy_task():
 
 def test_train_seq_er_populates_buffer():
     tasks = _tasks()
-    cfg = LearnerConfig(kind="er", buffer_capacity=10, epochs_per_task=1, seed=0)
-    state = train_seq(Permutation((0, 1)), tasks, init_params(SPEC, 0), cfg, SPEC)
+    cfg = LearnerConfig(kind="er", buffer_capacity=10, epochs_per_task=1)
+    state = train_seq([Permutation((0, 1))], tasks, init_params(SPEC, 0), cfg, SPEC, [0])[0]
     assert state.buffer is not None
     assert len(state.buffer) == 10
     # every sample was offered exactly once
@@ -300,17 +297,18 @@ def test_train_seq_er_populates_buffer():
 
 def test_train_seq_respects_shared_buffer():
     tasks = _tasks()
-    cfg = LearnerConfig(kind="er", buffer_capacity=6, epochs_per_task=1, seed=0)
+    cfg = LearnerConfig(kind="er", buffer_capacity=6, epochs_per_task=1)
     shared = ReplayBuffer(6)
-    state = train_seq(Permutation((0,)), tasks, init_params(SPEC, 0), cfg, SPEC, shared_buffer=shared)
+    state = train_seq([Permutation((0,))], tasks, init_params(SPEC, 0), cfg, SPEC, [0],
+                      buffers=[shared])[0]
     assert state.buffer is shared
     assert shared.seen_count == tasks[0].train.n
 
 
 def test_train_seq_ewc_accumulates_anchors():
     tasks = _tasks()
-    cfg = LearnerConfig(kind="ewc", epochs_per_task=2, ewc_strength=5.0, seed=0)
-    state = train_seq(Permutation((0, 1)), tasks, init_params(SPEC, 0), cfg, SPEC)
+    cfg = LearnerConfig(kind="ewc", epochs_per_task=2, ewc_strength=5.0)
+    state = train_seq([Permutation((0, 1))], tasks, init_params(SPEC, 0), cfg, SPEC, [0])[0]
     assert len(state.anchors) == 2
     for w_star, fisher in state.anchors:
         assert w_star.shape == fisher.shape == (SPEC.param_count,)
@@ -322,8 +320,8 @@ def test_ewc_strength_pulls_toward_anchor():
     init = init_params(SPEC, 0)
     dists = []
     for strength in (0.0, 200.0):
-        cfg = LearnerConfig(kind="ewc", epochs_per_task=3, ewc_strength=strength, seed=0)
-        state = train_seq(Permutation((0, 1)), tasks, init, cfg, SPEC)
+        cfg = LearnerConfig(kind="ewc", epochs_per_task=3, ewc_strength=strength)
+        state = train_seq([Permutation((0, 1))], tasks, init, cfg, SPEC, [0])[0]
         anchor_w = state.anchors[0][0]
         dists.append(float(np.linalg.norm(state.params - anchor_w)))
     assert dists[1] < dists[0]
@@ -347,10 +345,10 @@ def _lockstep_problem(kind, activation, task_kind, sizes, rows, seed):
         b = Batch(rng.normal(size=(n, 3)), targets(n))
         tasks.append(TaskDataset(tid, b, b, b))
     capacity = int(rng.integers(1, 12))
-    base = LearnerConfig(kind=kind, learning_rate=0.05, epochs_per_task=2,
-                         batch_size=int(rng.integers(1, 9)), buffer_capacity=capacity,
-                         ewc_strength=0.5, grad_clip=[None, 0.5][int(rng.integers(2))])
-    cfgs = [base.reseeded(int(s)) for s in rng.integers(0, 2**32, size=rows)]
+    cfg = LearnerConfig(kind=kind, learning_rate=0.05, epochs_per_task=2,
+                        batch_size=int(rng.integers(1, 9)), buffer_capacity=capacity,
+                        ewc_strength=0.5, grad_clip=[None, 0.5][int(rng.integers(2))])
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=rows)]
     perms = [Permutation(rng.permutation(len(sizes))) for _ in range(rows)]
     buffers = []
     for _ in range(rows):
@@ -364,7 +362,7 @@ def _lockstep_problem(kind, activation, task_kind, sizes, rows, seed):
     p = spec.param_count
     anchors = [(rng.normal(size=p), rng.random(p)) for _ in range(int(rng.integers(0, 3)))]
     init = init_params(spec, 0) + 0.3 * rng.normal(size=p)
-    return spec, tasks, cfgs, perms, buffers, anchors, init, rng
+    return spec, tasks, cfg, seeds, perms, buffers, anchors, init, rng
 
 
 def _clone(buf):
@@ -424,20 +422,19 @@ _LOCKSTEP_CASES = dict(
 @settings(max_examples=80, deadline=None)
 @given(**_LOCKSTEP_CASES)
 def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind, sizes, rows, seed):
-    spec, tasks, cfgs, _, buffers, shared, init, rng = _lockstep_problem(
+    spec, tasks, cfg, seeds, _, buffers, shared, init, rng = _lockstep_problem(
         kind, activation, task_kind, sizes, rows, seed)
-    cfg = cfgs[0]
     stack = init + 0.1 * rng.normal(size=(rows, spec.param_count))
     row_tasks = [tasks[int(t)] for t in rng.integers(0, len(tasks), size=rows)]
     own = [(stack + 0.1, rng.random(stack.shape))]  # one (P, p) anchor stack
     anchors = shared + own if kind == "ewc" else None
     prox = (rng.normal(size=spec.param_count), [0.0, 0.3][int(rng.integers(2))])
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    rngs = [np.random.default_rng(s) for s in seeds]
     lock_buffers = [_clone(b) for b in buffers]
 
     def serial_row(i):
         """Row i trained alone: its params, Generator and buffer."""
-        ref_rng, ref_buffer = np.random.default_rng(cfgs[i].seed), _clone(buffers[i])
+        ref_rng, ref_buffer = np.random.default_rng(seeds[i]), _clone(buffers[i])
         row_anchors = shared + [(w[i], f[i]) for w, f in own] if kind == "ewc" else None
         want = serial_train_on_task(stack[i], row_tasks[i], cfg, spec, ref_rng,
                                     buffer=ref_buffer, anchors=row_anchors, prox=prox)
@@ -466,24 +463,24 @@ def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind,
 @settings(max_examples=80, deadline=None)
 @given(**_LOCKSTEP_CASES)
 def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind, sizes, rows, seed):
-    spec, tasks, cfgs, perms, buffers, anchors, init, _ = _lockstep_problem(
+    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _lockstep_problem(
         kind, activation, task_kind, sizes, rows, seed)
 
     def serial_ordering(i):
-        return serial_train_seq(perms[i], tasks, init, cfgs[i], spec,
+        return serial_train_seq(perms[i], tasks, init, cfg, spec, seeds[i],
                                 shared_buffer=_clone(buffers[i]), anchors=anchors)
 
     try:
         with np.errstate(all="ignore"):
-            states = train_seq(perms, tasks, init, cfgs, spec,
-                               shared_buffer=[_clone(b) for b in buffers], anchors=anchors)
+            states = train_seq(perms, tasks, init, cfg, spec, seeds,
+                               buffers=[_clone(b) for b in buffers], anchors=anchors)
     except TrainingDiverged as err:
         def serial_task_end(i, task_id):
             """Ordering i trained alone up to and including that task."""
             order = perms[i].order
             state = serial_train_seq(Permutation(order[: order.index(task_id) + 1]), tasks,
-                                     init, cfgs[i], spec, shared_buffer=_clone(buffers[i]),
-                                     anchors=anchors)
+                                     init, cfg, spec, seeds[i],
+                                     shared_buffer=_clone(buffers[i]), anchors=anchors)
             return state.params, state.anchors[-1][1] if kind == "ewc" else None
 
         _assert_same_divergence(err, serial_ordering, serial_task_end)
@@ -504,12 +501,16 @@ def test_lockstep_orderings_must_share_settings_and_length():
     init = init_params(SPEC, 0)
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
     perms = [Permutation((0, 1)), Permutation((1, 0))]
-    with pytest.raises(ValueError, match="every setting but the seed"):
-        train_seq(perms, tasks, init, [cfg, replace(cfg, learning_rate=0.2)], SPEC)
     with pytest.raises(ValueError, match="equal length"):
-        train_seq([Permutation((0, 1)), Permutation((1,))], tasks, init, [cfg, cfg], SPEC)
-    with pytest.raises(ValueError, match="one config"):
-        train_seq(perms, tasks, init, [cfg], SPEC)
+        train_seq([Permutation((0, 1)), Permutation((1,))], tasks, init, cfg, SPEC, [0, 1])
+    with pytest.raises(ValueError, match="one seed"):
+        train_seq(perms, tasks, init, cfg, SPEC, [0])
+
+
+def test_train_on_task_rejects_a_lone_vector():
+    w = init_params(SPEC, 0)
+    with pytest.raises(ValueError, match=r"\(P, p\) stack, got shape \(%d,\)" % w.size):
+        train_on_task(w, _tasks()[0], LearnerConfig(), SPEC, np.random.default_rng(0))
 
 
 def test_lockstep_divergence_names_the_first_diverged_row():
@@ -545,10 +546,10 @@ def test_train_on_task_rejects_params_that_end_the_task_nonfinite():
 def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
     # ordering 4 keeps finite losses, but its weights end the task near
     # 3e168, so its mean squared per-sample gradients overflow
-    spec, tasks, cfgs, perms, buffers, anchors, init, _ = _lockstep_problem(
+    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _lockstep_problem(
         "ewc", "relu", "regression", [20], 5, 205)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-        train_seq(perms, tasks, init, cfgs, spec,
-                  shared_buffer=[_clone(b) for b in buffers], anchors=anchors)
+        train_seq(perms, tasks, init, cfg, spec, seeds,
+                  buffers=[_clone(b) for b in buffers], anchors=anchors)
     assert info.value.index == 4
     assert str(info.value) == "task 0: EWC Fisher is not finite after training; training diverged"

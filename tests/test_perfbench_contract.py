@@ -77,9 +77,32 @@ run.hidden=4
 run.audit_draws=20
 """
 
+_TINY_WIDE = """\
+dataset.kind=gaussians
+dataset.num_classes=4
+dataset.classes_per_task=1
+dataset.dim=3
+dataset.samples_per_class=6
+dataset.val_per_class=3
+dataset.test_per_class=3
+learner.kind=sgd
+learner.epochs_per_task=1
+learner.batch_size=4
+learner.buffer_capacity=5
+run.group_size=1
+run.levels=3
+run.catchup=2
+run.methods=hier
+run.perms=1
+run.seeds=0
+run.hidden=4,4
+run.audit_draws=20
+"""
+
 
 @pytest.mark.parametrize("config, like", [(_TINY_ER, "sweep-er-k2"),
-                                          (_TINY_EWC, "explore-ewc-k4")])
+                                          (_TINY_EWC, "explore-ewc-k4"),
+                                          (_TINY_WIDE, "consolidate-wide-k1")])
 def test_traced_tiny_run_reaches_every_traced_name(monkeypatch, config, like):
     # A structural change can break a benchmark run only at bench time: a
     # traced function no longer called, or a stacked result reaching a
