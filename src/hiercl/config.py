@@ -67,8 +67,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be one or more nonnegative ints, got {self.seeds}")
-        if isinstance(self.perms, str) and self.perms != "all":
-            raise ValueError("perms must be 'all' or an integer budget")
+        if self.perms != "all" and (isinstance(self.perms, str) or self.perms < 1):
+            raise ValueError(f"run.perms must be 'all' or a positive integer, got {self.perms!r}")
         if not self.methods:
             raise ValueError("methods must name at least one method")
         known = {"seq", "hier", "fedavg", "fedprox"}

@@ -51,10 +51,21 @@ class HierarchyState:
 
 
 def lambda_schedule(base: float, num_levels: int, factor: float = 1.0) -> tuple[float, ...]:
-    """Constant by default; factor != 1 gives a geometric per-level scale."""
+    """Constant by default; factor != 1 gives a geometric per-level scale.
+    Every level's lambda must come out positive and finite."""
     if not (0 < base < math.inf and 0 < factor < math.inf):
         raise ValueError(f"lambda and lambda_factor must be positive and finite: {base}, {factor}")
-    return tuple(base * factor**i for i in range(num_levels))
+    lambdas = []
+    for i in range(num_levels):
+        try:
+            lam = base * factor**i
+        except OverflowError:  # factor**i alone is past the float range
+            lam = math.inf
+        if not 0 < lam < math.inf:
+            raise ValueError(f"the level-{i} lambda {base} * {factor}**{i} is {lam}, "
+                             f"not positive and finite")
+        lambdas.append(lam)
+    return tuple(lambdas)
 
 
 def init_hierarchy(init: np.ndarray, lambdas) -> HierarchyState:

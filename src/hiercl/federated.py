@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import LearnerConfig, train_on_task
+from .memo import PrefixMemo, arrival_prefixes
 from .metrics import AccuracyMatrix
 from .model import ModelSpec, accuracy_eval, init_params
 from .pipeline import FED_STREAM, derive_seed
@@ -73,24 +74,32 @@ def fed_compare_run(
     spec: ModelSpec,
     base_seed: int,
     init: np.ndarray | None = None,
+    memo: PrefixMemo | None = None,
 ) -> tuple[np.ndarray, AccuracyMatrix]:
     """Sequential federated consolidation over the arrival order; returns
-    the final global weights and the per-stage accuracy matrix."""
+    the final global weights and the per-stage accuracy matrix. Resumes
+    from the longest arrival prefix stored in `memo` and offers it each
+    later one."""
     order = list(full_perm)
     if sorted(order) != list(range(len(tasks))):
         raise ValueError("full permutation must cover every task exactly once")
-    global_w = np.array(init if init is not None else init_params(spec, base_seed),
-                        dtype=np.float64)
+    keys = arrival_prefixes(order)
+    memo = PrefixMemo() if memo is None else memo
+    depth, node = memo.resume(keys)
+    if node is None:
+        global_w = np.array(init if init is not None else init_params(spec, base_seed),
+                            dtype=np.float64)
+        node = (global_w, (), ())
+    global_w, locals_, accs = node  # tuples, so a stored node is never written
     mu = fed_cfg.prox_mu if fed_cfg.kind == "fedprox" else 0.0
-    matrix = np.zeros((len(order), len(order)))
-    locals_: list[np.ndarray] = []
-    for i, tid in enumerate(order):
-        local = fedprox_train_local(tasks[tid], global_w, learner_cfg, mu, spec,
+    for i in range(depth, len(order)):
+        local = fedprox_train_local(tasks[order[i]], global_w, learner_cfg, mu, spec,
                                     derive_seed(base_seed, FED_STREAM, i))
         if fed_cfg.aggregate == "running":
-            locals_.append(local)
+            locals_ += (local,)
             global_w = fedavg_aggregate(locals_)
         else:
             global_w = fedavg_aggregate([global_w, local])
-        matrix[i] = [accuracy_eval(global_w, tasks[t].test, spec) for t in order]
-    return global_w, AccuracyMatrix(matrix)
+        accs += (np.array([accuracy_eval(global_w, t.test, spec) for t in tasks]),)
+        memo.store(keys[i], (global_w, locals_, accs))
+    return global_w, AccuracyMatrix(np.stack(accs)[:, order])

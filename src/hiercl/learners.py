@@ -61,11 +61,15 @@ class ReplayBuffer:
             return
         # item j (0-based among the rest) is candidate number seen_count+j+1
         draws = rng.integers(0, self.seen_count + 1 + np.arange(m))
-        # in offer order, so a slot hit twice keeps the later item
-        for j in np.nonzero(draws < self.capacity)[0].tolist():
-            slot, row = int(draws[j]), k + j
-            self.inputs[slot], self.targets[slot] = inputs[row], targets[row]
-            self.task_ids[slot] = task_id
+        hits = np.flatnonzero(draws < self.capacity)
+        if hits.size:
+            # filled in offer order, so a slot hit twice keeps the later item
+            slot_of = draws.tolist()
+            last = {slot_of[j]: k + j for j in hits.tolist()}
+            slots = np.fromiter(last, np.intp, len(last))
+            rows = np.fromiter(last.values(), np.intp, len(last))
+            self.inputs[slots], self.targets[slots] = inputs[rows], targets[rows]
+            self.task_ids[slots] = task_id
         self.seen_count += m
 
     def sample(self, size: int, rng: np.random.Generator):

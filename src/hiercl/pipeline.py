@@ -10,14 +10,15 @@ toward the final local model.
 Anything that feeds float arithmetic is assembled in task-id order, and
 per-ordering training seeds depend only on (base seed, group index, task
 ids), so two arrival sequences with the same group membership produce
-bitwise-identical hierarchies.
+bitwise-identical hierarchies. A sweep uses that: run_pipeline resumes from
+the deepest run of group memberships that a PrefixMemo holds.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         parse_curvature_spec)
 from .learners import LearnerConfig, LearnerState, ReplayBuffer, TrainingDiverged, train_seq
+from .memo import PrefixMemo, membership_prefixes
 from .metrics import AccuracyMatrix
 from .model import Batch, ModelSpec, accuracy_eval, init_params
 from .tasks import (Permutation, TaskDataset, TaskGroup,
@@ -87,7 +89,11 @@ class PipelineConfig:
             raise ValueError(f"sample_cap must be at least 1 when set, got {self.sample_cap}")
         if self.audit_draws < 0:
             raise ValueError(f"audit_draws must be nonnegative, got {self.audit_draws}")
-        lambda_schedule(self.lam, self.levels, self.lambda_factor)
+        try:
+            lambda_schedule(self.lam, self.levels, self.lambda_factor)
+        except ValueError as exc:
+            raise ValueError(f"run.lambda={self.lam}, run.lambda_factor={self.lambda_factor}, "
+                             f"run.levels={self.levels}: {exc}") from None
         parse_curvature_spec(self.curvature)  # fail fast on typos
 
 
@@ -200,6 +206,65 @@ def _estimators(cfg: PipelineConfig, pool: Batch, spec):
     return grad_fn, curv_fn
 
 
+def arrival_groups(order, group_size: int) -> list[TaskGroup]:
+    """Cut an arrival order into groups of task ids; each group's ids keep
+    their arrival order."""
+    return [TaskGroup(g.group_index, tuple(order[s] for s in g.task_ids))
+            for g in partition_into_groups(len(order), group_size)]
+
+
+@dataclass(frozen=True)
+class _Prefix:
+    """The pipeline after a prefix of groups, which every arrival order
+    with the same group memberships shares: accuracies are per task id, and
+    each cell replaces the `group` of every result with its own. Nothing in
+    it is written once it is built. After the last group it holds the
+    catch-up outcome as well."""
+
+    hier: HierarchyState
+    buffer: ReplayBuffer
+    anchors: list
+    results: tuple = ()      # GroupExplorationResult per group
+    norms: tuple = ()        # update norms per group, None for group 0
+    accs: tuple = ()         # hier.top accuracy per task id after each group
+    catch_norms: tuple = ()  # last group only: update norms per catch-up pass
+    final_acc: np.ndarray | None = None  # last group only: accuracy after catch-up
+
+
+def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
+                  tasks, cfg: PipelineConfig, spec, seed: int) -> _Prefix:
+    """Explore one group from `node`, consolidate its winner and, after the
+    last group, run the catch-up passes."""
+    res = explore_group(
+        group, tasks, node.hier.levels[0], cfg.learner, spec, seed,
+        cfg.eval_policy, buffer=node.buffer, anchors=node.anchors, seen_task_ids=seen,
+    )
+    buffer, local = res.best_state.buffer, res.best_state.params
+    # group 0 only copies the local model; its pool is needed only when it
+    # is also the last group, for the catch-up passes
+    if group.group_index > 0 or last:
+        pool = consolidation_pool(buffer, [tasks[i].train for i in sorted(group.task_ids)],
+                                  cfg.sample_cap, seed)
+        grad_fn, curv_fn = _estimators(cfg, pool, spec)
+    if group.group_index == 0:
+        hier, norms = initialize_from_local(node.hier, local), None
+    else:
+        hier, norms = multi_level_consolidate(node.hier, local, grad_fn, curv_fn,
+                                              eta=cfg.eta, clip=cfg.clip)
+
+    def accuracy(h):
+        return np.array([accuracy_eval(h.top, t.test, spec) for t in tasks])
+
+    node = _Prefix(hier, buffer, res.best_state.anchors, node.results + (res,),
+                   node.norms + (norms,), node.accs + (accuracy(hier),))
+    if not last:
+        return node
+    hier, catch_norms = catch_up(hier, local, grad_fn, curv_fn,
+                                 cfg.n_catch, eta=cfg.eta, clip=cfg.clip)
+    return replace(node, hier=hier, catch_norms=tuple(catch_norms),
+                   final_acc=accuracy(hier))
+
+
 def run_pipeline(
     tasks: list[TaskDataset],
     full_perm: Permutation,
@@ -207,7 +272,12 @@ def run_pipeline(
     spec: ModelSpec,
     init: np.ndarray | None = None,
     seed: int = 0,
+    memo: PrefixMemo | None = None,
 ) -> RunResult:
+    """Resumes from the longest run of group memberships stored in `memo`
+    and offers it each later one; the matrix rows, each TaskGroup's task ids
+    and the log's task ids follow this call's own arrival order, and the
+    selection audit runs on every call."""
     order = list(full_perm)
     t_count = len(order)
     if sorted(order) != list(range(len(tasks))):
@@ -215,76 +285,47 @@ def run_pipeline(
     if cfg.group_size > t_count:
         raise ValueError("group size exceeds the number of tasks")
 
-    if init is None:
-        init = init_params(spec, seed)
-    hier = init_hierarchy(init, lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor))
-    buffer = ReplayBuffer(cfg.learner.buffer_capacity)
-    anchors: list = []
-    seen: list[int] = []
+    groups = arrival_groups(order, cfg.group_size)
+    keys = membership_prefixes(groups)
+    memo = PrefixMemo() if memo is None else memo
+    depth, node = memo.resume(keys)
+    if node is None:
+        if init is None:
+            init = init_params(spec, seed)
+        lambdas = lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor)
+        node = _Prefix(init_hierarchy(init, lambdas),
+                       ReplayBuffer(cfg.learner.buffer_capacity), [])
+    for g in range(depth, len(groups)):
+        seen = tuple(t for group in groups[: g + 1] for t in group.task_ids)
+        node = _absorb_group(node, groups[g], seen, g == len(groups) - 1,
+                             tasks, cfg, spec, seed)
+        memo.store(keys[g], node)
 
     matrix = np.zeros((t_count, t_count))
     group_results: list[GroupExplorationResult] = []
-    update_norms: list[list[float]] = []
     log: list[dict] = []
-    grad_fn = curv_fn = None
-    last_local = None
-
-    def eval_row():
-        return np.array([accuracy_eval(hier.top, tasks[tid].test, spec)
-                         for tid in order])
-
     pos = 0
-    slot_groups = partition_into_groups(t_count, cfg.group_size)
-    for slot_group in slot_groups:
-        # slots hold arrival positions; the group itself is a set of task ids
-        group = TaskGroup(slot_group.group_index,
-                          tuple(order[s] for s in slot_group.task_ids))
-        seen.extend(group.task_ids)
-        res = explore_group(
-            group, tasks, hier.levels[0], cfg.learner, spec, seed,
-            cfg.eval_policy, buffer=buffer, anchors=anchors,
-            seen_task_ids=tuple(seen),
-        )
+    for group, res, norms, acc in zip(groups, node.results, node.norms, node.accs):
+        res = replace(res, group=group)
         group_results.append(res)
-        buffer = res.best_state.buffer
-        anchors = res.best_state.anchors
-        last_local = res.best_state.params
-
-        # group 0 only copies the local model; its pool is needed only
-        # when it is also the last group, for the catch-up passes
-        if group.group_index > 0 or len(slot_groups) == 1:
-            pool = consolidation_pool(buffer, [tasks[i].train for i in sorted(group.task_ids)],
-                                      cfg.sample_cap, seed)
-            grad_fn, curv_fn = _estimators(cfg, pool, spec)
-        if group.group_index == 0:
-            hier = initialize_from_local(hier, last_local)
-            norms = None
-        else:
-            hier, norms = multi_level_consolidate(hier, last_local, grad_fn, curv_fn,
-                                                  eta=cfg.eta, clip=cfg.clip)
-            update_norms.append(norms)
-        row = eval_row()
-        matrix[pos : pos + group.size] = row
+        matrix[pos : pos + group.size] = acc[order]
         pos += group.size
         log.append({
             "event": "group", "group_index": group.group_index,
             "task_ids": [int(i) for i in group.task_ids],
             "scores": [[p.label(), float(s)] for p, s in res.per_perm_scores],
             "selected": res.best_perm.label(),
-            "update_norms": norms,
+            "update_norms": None if norms is None else list(norms),
         })
-
-    hier, catch_norms = catch_up(hier, last_local, grad_fn, curv_fn,
-                                 cfg.n_catch, eta=cfg.eta, clip=cfg.clip)
-    update_norms.extend(catch_norms)
-    for i, norms in enumerate(catch_norms):
-        log.append({"event": "catch_up", "iteration": i, "update_norms": norms})
-    matrix[t_count - 1] = eval_row()
+    for i, norms in enumerate(node.catch_norms):
+        log.append({"event": "catch_up", "iteration": i, "update_norms": list(norms)})
+    matrix[t_count - 1] = node.final_acc[order]
+    update_norms = [list(n) for n in node.norms + node.catch_norms if n is not None]
 
     audit = selection_audit(group_results, n_draws=cfg.audit_draws,
                             seed=derive_seed(seed, AUDIT_STREAM))
     log.append({"event": "audit", **audit})
-    return RunResult(hier, AccuracyMatrix(matrix), group_results,
+    return RunResult(node.hier, AccuracyMatrix(matrix), group_results,
                      update_norms, audit, log)
 
 

@@ -367,6 +367,33 @@ def test_cli_rejects_bad_learner_value_when_building_the_config(tmp_path, capsys
             build_experiment_config({key: value})
 
 
+@pytest.mark.parametrize("settings, names", [
+    # lambda_factor**399 overflows a float on its own
+    (("run.lambda_factor=10", "run.levels=400"),
+     ("run.lambda=", "run.lambda_factor=", "run.levels=")),
+    # the level-1 lambda 1e300 * 1e10 is infinite
+    (("run.lambda=1e300", "run.lambda_factor=1e10", "run.levels=3"),
+     ("run.lambda=", "run.lambda_factor=", "run.levels=")),
+    # the level-2 lambda 1e-300 * 1e-300**2 underflows to zero
+    (("run.lambda=1e-300", "run.lambda_factor=1e-300", "run.levels=3"),
+     ("run.lambda=", "run.lambda_factor=", "run.levels=")),
+    (("run.perms=0",), ("run.perms",)),
+    (("run.perms=-2",), ("run.perms",)),
+])
+def test_bad_value_combinations_fail_at_build_time_naming_their_keys(
+        tmp_path, capsys, settings, names):
+    out_csv = tmp_path / "x.csv"
+    sets = [a for s in settings for a in ("--set", s)]
+    rc = main(["run", "--set", "run.seeds=0", *sets, "--set", f"run.out={out_csv}"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+    assert all(name in err for name in names), err
+    assert not out_csv.exists()
+    with pytest.raises(ValueError) as info:
+        build_experiment_config(dict(s.split("=", 1) for s in settings))
+    assert all(name in str(info.value) for name in names)
+
+
 @pytest.mark.parametrize("setting", [
     "run.hidden=0", "dataset.samples_per_class=0", "dataset.classes_per_task=0",
 ])

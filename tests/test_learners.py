@@ -96,6 +96,30 @@ def test_array_buffer_matches_list_reference(capacity, sizes, seed, sample_size)
         assert len(buf) == 0
 
 
+@pytest.mark.parametrize("capacity, m", [(1, 40), (3, 60), (5, 200)])
+def test_slot_hit_twice_in_one_call_keeps_the_later_item(capacity, m):
+    # one call past the fill phase whose eviction draws land on a slot more
+    # than once; rows are numbered so the kept row can be read back
+    buf, ref = ReplayBuffer(capacity), _ListReplayBuffer(capacity)
+    first = np.zeros((capacity, 1))
+    rng_buf, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    buf.insert_many(first, np.zeros(capacity, dtype=np.intp), 0, rng_buf)
+    ref.insert_many(first, np.zeros(capacity, dtype=np.intp), 0, rng_ref)
+    draws = np.random.default_rng(11).integers(0, capacity + 1 + np.arange(m))
+    hit = draws[draws < capacity]
+    assert np.bincount(hit).max() >= 2  # the case under test happens
+    rows = np.arange(1, m + 1, dtype=np.float64)[:, None]
+    buf.insert_many(rows, np.arange(1, m + 1), 1, rng_buf)
+    ref.insert_many(rows, np.arange(1, m + 1), 1, rng_ref)
+    for slot in range(capacity):
+        last = np.flatnonzero(draws == slot)
+        assert buf.inputs[slot, 0] == (last[-1] + 1 if last.size else 0.0)
+    assert np.array_equal(buf.inputs, np.stack(ref.inputs))
+    assert np.array_equal(buf.targets, np.stack(ref.targets))
+    assert np.array_equal(buf.task_ids, np.array(ref.task_ids))
+    assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_buffer_validation():
     with pytest.raises(ValueError):
         ReplayBuffer(0)

@@ -6,6 +6,7 @@ rebind. A renamed function or a dropped import would otherwise only show
 up when someone runs the benchmark with tracing on.
 """
 
+import math
 import sys
 import types
 from pathlib import Path
@@ -100,7 +101,13 @@ run.audit_draws=20
 """
 
 
+# 4 tasks in groups of 2 over all 24 orders: most cells resume a prefix
+# that an earlier cell stored, and some hier cells train nothing at all
+_TINY_SHARED = _TINY_ER.replace("run.perms=2\n", "run.perms=all\n")
+
+
 @pytest.mark.parametrize("config, like", [(_TINY_ER, "sweep-er-k2"),
+                                          (_TINY_SHARED, "sweep-er-k2"),
                                           (_TINY_EWC, "explore-ewc-k4"),
                                           (_TINY_WIDE, "consolidate-wide-k1")])
 def test_traced_tiny_run_reaches_every_traced_name(monkeypatch, config, like):
@@ -117,7 +124,9 @@ def test_traced_tiny_run_reaches_every_traced_name(monkeypatch, config, like):
     cfg = build_experiment_config(parse_config_text(config))
     with tracer.Tracer(workloads.TRACED) as tr:
         records, _ = run_experiment(cfg, csv_path="")
-    assert len(records) == len(cfg.methods) * int(cfg.perms)
+    orders = math.factorial(cfg.dataset.task_count) if cfg.perms == "all" else int(cfg.perms)
+    assert len(records) == len(cfg.methods) * orders
+    assert len(tr.cells()) == len(records)  # a cell served from the memo still opens its span
     summary = tr.layer_summary()
     silent = [name for name in workloads.TRACED
               if name not in expect_zero and summary["calls"][name] == 0]
@@ -128,3 +137,24 @@ def test_traced_tiny_run_reaches_every_traced_name(monkeypatch, config, like):
     assert not silent, f"bindings with no calls: {silent}"
     assert summary["counts"]["pipeline.orderings_scored"] > 0
     assert summary["counts"]["model.per_sample_grads.bytes_computed"] > 0
+
+
+def test_consolidate_wide_plan_stores_no_state(monkeypatch):
+    # its two arrival orders share no prefix, so the prefix memo must keep
+    # nothing there: a kept wide state would only add to its peak_rss_mb
+    from hiercl.config import build_experiment_config, parse_config_text
+    from hiercl.experiment import prefix_chain
+    from hiercl.memo import PrefixMemo
+    from hiercl.tasks import sample_full_permutations
+
+    workload = _load(monkeypatch, "workloads").WORKLOADS["consolidate-wide-k1"]
+    for seed in range(3):
+        cfg = build_experiment_config(parse_config_text(workload.config_text(seed)))
+        perms = sample_full_permutations(cfg.dataset.task_count, int(cfg.perms),
+                                         cfg.perm_sample_seed)
+        for method in cfg.methods:
+            chains = [prefix_chain(method, perm, cfg) for perm in perms]
+            memo = PrefixMemo(chains)
+            for chain in chains:
+                assert memo.resume(chain) == (0, None)
+                assert not any(memo.store(key, object()) for key in chain)
