@@ -164,7 +164,12 @@ def regularized_solve(curv: CurvatureEstimate, lam: float, rhs: np.ndarray) -> n
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim != 1 or rhs.size != curv.dim:
         raise ValueError("rhs length does not match the estimate dimension")
-    if not np.isfinite(lam) or not np.isfinite(rhs).all():
+    # any nonfinite entry makes the sum nonfinite, so a finite sum clears rhs
+    # in one pass without a p-sized mask; the mask is built only when the sum
+    # is not finite, which a finite rhs reaches only by overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = rhs.sum()
+    if not (np.isfinite(lam) and (np.isfinite(total) or np.isfinite(rhs).all())):
         raise ValueError("nonfinite inputs to regularized_solve")
     if curv.variant == "diagonal":
         if lam <= 0:

@@ -89,15 +89,23 @@ class CsvSink:
 
 
 def read_records(path: str) -> list[MetricsRecord]:
+    """Parse a CSV in the fixed schema. A missing or wrong header, a row
+    with the wrong number of fields or a field that does not parse raises
+    ValueError naming the path and line."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
+            raise ValueError(f"{path}: line 1: unexpected CSV header {header}")
         for row in reader:
-            out.append(MetricsRecord(row[0], int(row[1]), row[2],
-                                     float(row[3]), float(row[4]), float(row[5])))
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                out.append(MetricsRecord(row[0], int(row[1]), row[2],
+                                         float(row[3]), float(row[4]), float(row[5])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
 
 

@@ -340,6 +340,12 @@ def selection_audit(group_results, n_draws: int = 1000, seed: int = 0) -> dict:
     argmax no amount of summation rounding can flip an inequality that
     holds in exact arithmetic (e.g. all-equal scores give gap 0, not an
     ulp-sized negative).
+
+    The random draws form one (groups, draws) array of those terms. A draw
+    with no negative term has a nonnegative exact sum, which fsum rounds to
+    a nonnegative float, so it cannot be a violation; only the draws with a
+    negative term, which occur only when some group's recorded winner is
+    not its argmax, are summed with fsum.
     """
     score_lists = []
     best_scores = []
@@ -358,13 +364,11 @@ def selection_audit(group_results, n_draws: int = 1000, seed: int = 0) -> dict:
         if best < max(scores):
             violations += 1  # this group kept a non-argmax ordering
     rng = np.random.default_rng(seed)
-    picks = [rng.integers(0, len(scores), size=n_draws) for scores in score_lists]
-    for d in range(n_draws):
-        gap = math.fsum(
-            best - scores[int(p[d])]
-            for best, scores, p in zip(best_scores, score_lists, picks)
-        )
-        if gap < 0:
+    terms = np.empty((len(score_lists), n_draws))
+    for row, best, scores in zip(terms, best_scores, score_lists):
+        np.subtract(best, np.take(scores, rng.integers(0, len(scores), size=n_draws)), out=row)
+    for d in np.flatnonzero((terms < 0).any(axis=0)).tolist():
+        if math.fsum(terms[:, d].tolist()) < 0:
             violations += 1
     if violations:
         raise SelectionAuditError(

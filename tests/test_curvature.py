@@ -260,6 +260,28 @@ def test_diag_solve_elementwise():
         regularized_solve(est, 1.0, np.ones(4))
 
 
+_SOLVE_CASES = {
+    "diagonal": CurvatureEstimate("diagonal", diag=np.array([0.0, 1.0, 3.0])),
+    "lowrank": CurvatureEstimate("lowrank", factors=(np.eye(3)[:, :1], np.array([2.0]))),
+    "dense": CurvatureEstimate("dense", matrix=np.diag([1.0, 2.0, 3.0])),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_SOLVE_CASES))
+@pytest.mark.parametrize("lam, bad", [(1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
+                                      (np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5)])
+def test_regularized_solve_rejects_nonfinite_inputs(variant, lam, bad):
+    rhs = np.array([1.0, -2.0, bad])
+    with pytest.raises(ValueError, match="^nonfinite inputs to regularized_solve$"):
+        regularized_solve(_SOLVE_CASES[variant], lam, rhs)
+
+
+@pytest.mark.parametrize("variant", sorted(_SOLVE_CASES))
+def test_regularized_solve_accepts_a_finite_rhs_whose_sum_overflows(variant):
+    x = regularized_solve(_SOLVE_CASES[variant], 1.0, np.array([1e308, 1e308, 0.5]))
+    assert np.isfinite(x).all()
+
+
 def test_woodbury_matches_dense_solve():
     rng = np.random.default_rng(11)
     p, r = 30, 4

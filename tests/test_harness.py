@@ -10,7 +10,7 @@ from hiercl.config import (_KEYMAP, DatasetConfig, ExperimentConfig,
                            build_experiment_config, parse_config_text)
 from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run_experiment
 from hiercl.learners import LearnerConfig
-from hiercl.metrics import read_records
+from hiercl.metrics import CSV_HEADER, read_records
 from hiercl.model import init_params
 from hiercl.pipeline import PipelineConfig
 from hiercl.tasks import Permutation
@@ -301,6 +301,22 @@ def test_cli_run_and_report(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "sgd+hier" in captured.out and "perm_std" in captured.out
+
+
+_HEADER = ",".join(CSV_HEADER) + "\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    (_HEADER + "er,0,0-1-2\n", 2),
+    (_HEADER + "er,0,0-1-2,0.5,0.1,0.2\ner,x,0-1-2,0.5,0.1,0.2\n", 3),
+], ids=["empty", "short_row", "bad_seed"])
+def test_cli_report_on_a_bad_csv_is_a_clean_error(tmp_path, capsys, text, line):
+    path = tmp_path / "res.csv"
+    path.write_text(text)
+    rc = main(["report", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"error: {path}: line {line}: ")
 
 
 def test_cli_run_flag_overrides(tmp_path, capsys):

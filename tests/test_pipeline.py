@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from pipeline_reference import selection_audit as per_draw_selection_audit
 
 from hiercl import curvature, pipeline
 from hiercl.learners import LearnerConfig
@@ -130,6 +133,15 @@ def test_run_pipeline_shapes_counts_and_audit():
     assert events.count("group") == 2
     assert events.count("catch_up") == cfg.n_catch
     assert events[-1] == "audit"
+
+
+def test_run_pipeline_with_no_audit_draws():
+    tasks = _tasks()
+    order = Permutation((1, 0, 3, 2))
+    res = run_pipeline(tasks, order, _cfg(audit_draws=0), SPEC)
+    want = run_pipeline(tasks, order, _cfg(), SPEC).audit
+    assert res.audit == {**want, "draws": 0}
+    assert res.log[-1] == {"event": "audit", **res.audit}
 
 
 def test_matrix_rows_replicate_within_group_and_final_row_is_post_catchup():
@@ -281,6 +293,71 @@ def test_selection_audit_flags_non_argmax_winner():
     missing = _fake_results((1, 2), [((0, 1), 0.9), ((1, 0), 0.4)])
     with pytest.raises(SelectionAuditError):
         selection_audit(missing, n_draws=10, seed=0)
+
+
+_GROUP_SIZES = {1: 1, 2: 2, 6: 3, 24: 4}  # orderings -> tasks per group
+
+
+@st.composite
+def _score_tables(draw):
+    """1-4 groups of 1, 2, 6 or 24 scored orderings. Scores sit at most two
+    ulps from a few shared values, so ties and one-ulp gaps are common; the
+    recorded winner is the argmax, any ordering, or (rarely) one missing
+    from the table, and a score may be nonfinite."""
+    bases = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.3, 0.7, 1.0]) | st.floats(-2.0, 2.0),
+                          min_size=1, max_size=3))
+    results = []
+    for g in range(draw(st.integers(1, 4))):
+        group = TaskGroup(g, tuple(range(_GROUP_SIZES[draw(st.sampled_from(sorted(_GROUP_SIZES)))])))
+        perms = enumerate_intra_group_perms(group)
+        scores = []
+        for _ in perms:
+            s = draw(st.sampled_from(bases))
+            for _ in range(abs(shift := draw(st.sampled_from([0, 0, 0, 1, -1, 2, -2])))):
+                s = float(np.nextafter(s, math.copysign(math.inf, shift)))
+            scores.append(s)
+        if draw(st.integers(0, 19)) == 0:
+            scores[draw(st.integers(0, len(scores) - 1))] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+        winner = draw(st.sampled_from(["argmax"] * 4 + ["any"] * 4 + ["missing"]))
+        if winner == "missing":
+            best = Permutation(tuple(range(group.size + 1)))
+        elif winner == "argmax" and all(map(math.isfinite, scores)):
+            best = perms[int(np.argmax(scores))]
+        else:
+            best = perms[draw(st.integers(0, len(perms) - 1))]
+        results.append(GroupExplorationResult(group, best, list(zip(perms, scores)), None))
+    return results
+
+
+def _cancelling_table():
+    """Three groups whose draw (0.3, 1e-3 + 1 ulp, 0.7) has terms 0.4, -2e-19
+    and -0.4: summed left to right they give 0, exactly they are negative,
+    so only an exact sum counts that draw as a violation."""
+    results = []
+    for g, scores in enumerate([[0.7, 0.3], [1e-3, float(np.nextafter(1e-3, 1))], [0.3, 0.7]]):
+        group = TaskGroup(g, (0, 1))
+        perms = enumerate_intra_group_perms(group)
+        results.append(GroupExplorationResult(group, perms[0], list(zip(perms, scores)), None))
+    return results
+
+
+def _audit_outcome(audit, results, n_draws, seed):
+    try:
+        return repr(audit(results, n_draws=n_draws, seed=seed))
+    except SelectionAuditError as err:
+        return f"SelectionAuditError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@example(results=_cancelling_table(), n_draws=1000, seed=0)
+@given(results=_score_tables(), n_draws=st.sampled_from([0, 1, 1000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_selection_audit_matches_the_per_draw_reference(results, n_draws, seed):
+    # repr tells 0.0 from -0.0 and prints the shortest round-trip form,
+    # so equal reprs mean bitwise-equal dicts
+    assert (_audit_outcome(selection_audit, results, n_draws, seed)
+            == _audit_outcome(per_draw_selection_audit, results, n_draws, seed))
 
 
 def test_diverged_scores_are_rejected_not_selected():
