@@ -13,7 +13,7 @@ from .curvature import (CurvatureEstimate, estimate_diag_curvature, estimate_gra
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         regularized_solve)
 from .federated import FedConfig, fed_compare_run, fedavg_aggregate, fedprox_train_local
-from .learners import LearnerConfig, LearnerState, ReplayBuffer, train_seq
+from .learners import LearnerConfig, LearnerState, ReplayBuffer, settle, train_seq
 from .metrics import (AccuracyMatrix, MetricsRecord, avg_forgetting, mean_accuracy,
                       read_records, std_across_permutations, summarize)
 from .model import Batch, ModelSpec, accuracy_eval, init_params, loss_and_grad
@@ -21,6 +21,6 @@ from .pipeline import (GroupExplorationResult, PipelineConfig, RunResult,
                        explore_group, run_pipeline, selection_audit)
 from .tasks import (Permutation, TaskDataset, TaskGroup, enumerate_intra_group_perms,
                     gen_permuted_features, gen_sine_tasks, gen_split_gaussians,
-                    partition_into_groups, sample_full_permutations)
+                    partition_into_groups, sample_full_permutations, task_accuracies)
 
 __version__ = "0.1.0"

@@ -120,6 +120,11 @@ def multi_level_consolidate(
     freshly updated level i-1. grad_fn/curv_fn evaluate the cumulative-loss
     estimates at each level's own current weights.
 
+    A level whose weights have the bits of the level before it (every
+    level does right after initialize_from_local) reuses that level's
+    estimates, which nothing writes into. Bits, not values, because -0.0
+    and 0.0 compare equal.
+
     Returns the new state and the applied update norm per level.
     """
     w_local = np.asarray(w_local, dtype=np.float64)
@@ -128,9 +133,13 @@ def multi_level_consolidate(
     target = w_local
     new_levels = []
     norms = []
+    below = grad = curv = None
     for w_prev, lam in zip(state.levels, state.lambdas):
-        w_new = taylor_consolidate(w_prev, target, grad_fn(w_prev), curv_fn(w_prev),
-                                   lam, eta=eta, clip=clip)
+        if below is None or not np.array_equal(w_prev.view(np.uint64), below.view(np.uint64)):
+            grad = curv = None  # the level below's estimates go before these are made
+            grad, curv = grad_fn(w_prev), curv_fn(w_prev)
+        below = w_prev
+        w_new = taylor_consolidate(w_prev, target, grad, curv, lam, eta=eta, clip=clip)
         norms.append(float(np.linalg.norm(w_new - w_prev)))
         new_levels.append(w_new)
         target = w_new

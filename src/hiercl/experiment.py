@@ -18,15 +18,15 @@ import numpy as np
 
 from .config import DatasetConfig, ExperimentConfig
 from .federated import FedConfig, fed_compare_run
-from .learners import LearnerConfig, LearnerState, train_seq
+from .learners import LearnerConfig, LearnerState, settle, train_seq
 from .memo import PrefixMemo, arrival_prefixes, membership_prefixes
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
                       mean_accuracy, summarize)
-from .model import ModelSpec, accuracy_eval, init_params
+from .model import ModelSpec, init_params
 from .pipeline import (INIT_STREAM, SEQ_STREAM, arrival_groups, derive_seed,
                        run_pipeline)
-from .tasks import (Permutation, TaskDataset, gen_permuted_features,
-                    gen_sine_tasks, gen_split_gaussians, sample_full_permutations)
+from .tasks import (Permutation, TaskDataset, gen_permuted_features, gen_sine_tasks,
+                    gen_split_gaussians, sample_full_permutations, task_accuracies)
 
 
 def make_tasks(dcfg: DatasetConfig, seed: int) -> list[TaskDataset]:
@@ -62,7 +62,10 @@ def run_baseline_seq(
 ) -> AccuracyMatrix:
     """Plain continual learner over the arrival order, no grouping and no
     consolidation; one accuracy row per finished task. Resumes from the
-    longest arrival prefix stored in `memo` and offers it each later one."""
+    longest arrival prefix stored in `memo` and offers it each later one.
+    Every state but the last is settled (its EWC Fisher estimated) before
+    it is stored, so a resume trains on from a settled state and the
+    order's final Fisher is never estimated."""
     order = list(full_perm)
     keys = arrival_prefixes(order)
     memo = PrefixMemo() if memo is None else memo
@@ -75,7 +78,9 @@ def run_baseline_seq(
         state = train_seq([Permutation((order[i],))], tasks, state.params, lcfg, spec,
                           [derive_seed(seed, SEQ_STREAM, i)], buffers=[buffer],
                           anchors=state.anchors)[0]
-        accs += (np.array([accuracy_eval(state.params, t.test, spec) for t in tasks]),)
+        accs += (task_accuracies(state.params, tasks, spec),)
+        if i < len(order) - 1:
+            state = settle(state, spec)
         shared = memo.store(keys[i], (state, accs))
     return AccuracyMatrix(np.stack(accs)[:, order])
 

@@ -16,9 +16,9 @@ import numpy as np
 from .learners import LearnerConfig, train_on_task
 from .memo import PrefixMemo, arrival_prefixes
 from .metrics import AccuracyMatrix
-from .model import ModelSpec, accuracy_eval, init_params
+from .model import ModelSpec, init_params
 from .pipeline import FED_STREAM, derive_seed
-from .tasks import Permutation, TaskDataset
+from .tasks import Permutation, TaskDataset, task_accuracies
 
 FED_KINDS = ("fedavg", "fedprox")
 AGG_MODES = ("running", "pairwise")
@@ -100,6 +100,6 @@ def fed_compare_run(
             global_w = fedavg_aggregate(locals_)
         else:
             global_w = fedavg_aggregate([global_w, local])
-        accs += (np.array([accuracy_eval(global_w, t.test, spec) for t in tasks]),)
+        accs += (task_accuracies(global_w, tasks, spec),)
         memo.store(keys[i], (global_w, locals_, accs))
     return global_w, AccuracyMatrix(np.stack(accs)[:, order])

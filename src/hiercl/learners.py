@@ -127,13 +127,15 @@ class LearnerConfig:
 class LearnerState:
     params: np.ndarray
     buffer: ReplayBuffer | None = None
-    # one (weights, fisher diagonal) anchor per completed task, ewc only
+    # one (weights, fisher diagonal) anchor per settled task, ewc only
     anchors: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    # ewc only: the last task trained, whose Fisher `settle` has yet to add
+    pending: TaskDataset | None = None
 
 
 class TrainingDiverged(ValueError):
     """A minibatch loss, the params a task ends with, or the EWC Fisher
-    estimated from them went nonfinite. `index` is the stack row (the
+    later estimated from them went nonfinite. `index` is the stack row (the
     ordering) that the message names."""
 
     def __init__(self, message: str, index: int):
@@ -267,6 +269,26 @@ def _check_rows(stack, tasks, what: str):
                                f"training; training diverged", i)
 
 
+def _fishers(params, tasks, spec: ModelSpec) -> np.ndarray:
+    """The EWC Fisher diagonal of each row of the (P, p) stack on its
+    row's task; TrainingDiverged names the first nonfinite one."""
+    fishers = np.stack([estimate_diag_curvature(w, t.train, spec).diag
+                        for w, t in zip(params, tasks)])
+    _check_rows(fishers, tasks, "EWC Fisher is")
+    return fishers
+
+
+def settle(state: LearnerState, spec: ModelSpec) -> LearnerState:
+    """`state` with its pending task's EWC anchor added, which estimates
+    that Fisher; `state` itself when nothing is pending. A caller settles a
+    state once, before training on from it or storing it, and never writes
+    either state. A nonfinite Fisher raises TrainingDiverged (index 0)."""
+    if state.pending is None:
+        return state
+    fisher = _fishers(state.params[None], [state.pending], spec)[0]
+    return LearnerState(state.params, state.buffer, state.anchors + [(state.params, fisher)])
+
+
 def train_seq(
     perms: list[Permutation],
     tasks: list[TaskDataset],
@@ -278,19 +300,22 @@ def train_seq(
     anchors=None,
 ) -> list[LearnerState]:
     """Train P equal-length orderings in lockstep from the same `init` and
-    incoming `anchors`; returns one state per ordering.
+    incoming (settled) `anchors`; returns one state per ordering.
 
     Ordering i draws from an rng seeded with seeds[i] and keeps its own
     buffer (buffers[i] when given) and anchor list, so its state is bitwise
-    the one a lone call gives; EWC anchors take one Fisher estimate per
-    ordering and task.
+    the one a lone call gives. Under EWC, task j's Fishers are estimated
+    just before task j+1 trains, since its penalty reads them; the last
+    task's Fisher is left pending in each returned state, for `settle` by
+    whichever caller continues from that state.
 
     Deterministic given identical inputs and seeds. The passed buffers are
     mutated in place (reservoir offers for every visited sample); all other
     inputs stay untouched. A nonfinite loss raises TrainingDiverged at the
     first stacked step where one occurs; its `index` is the first ordering
-    in the list that diverged there. Nonfinite params or EWC Fisher at the
-    end of a task raise it too, naming the first such ordering.
+    in the list that diverged there. Nonfinite params at the end of a task,
+    or a nonfinite Fisher estimated here, raise it too, naming the first
+    such ordering.
     """
     buffers = list(buffers) if buffers is not None else [None] * len(perms)
     if not perms or not len(perms[0]):
@@ -302,21 +327,17 @@ def train_seq(
     rngs = [np.random.default_rng(s) for s in seeds]
     if cfg.kind == "er":
         buffers = [ReplayBuffer(cfg.buffer_capacity) if b is None else b for b in buffers]
+    ewc = cfg.kind == "ewc"
     shared = list(anchors or [])
-    own = []  # one (P, p) weight stack and Fisher stack per finished task
+    own = []  # one (P, p) weight stack and Fisher stack per settled task
     params = np.repeat(np.asarray(init, dtype=np.float64)[None], len(perms), axis=0)
     for pos in range(len(perms[0])):
+        if ewc and pos:  # train_on_task never writes its input
+            own.append((params, _fishers(params, step_tasks, spec)))
         step_tasks = [tasks[p.order[pos]] for p in perms]
-        params = train_on_task(
-            params, step_tasks, cfg, spec, rngs,
-            buffer=buffers,
-            anchors=shared + own if cfg.kind == "ewc" else None,
-        )
-        if cfg.kind == "ewc":
-            fishers = np.stack([estimate_diag_curvature(w, t.train, spec).diag
-                                for w, t in zip(params, step_tasks)])
-            _check_rows(fishers, step_tasks, "EWC Fisher is")
-            own.append((params, fishers))  # train_on_task never writes its input
+        params = train_on_task(params, step_tasks, cfg, spec, rngs, buffer=buffers,
+                               anchors=shared + own if ewc else None)
     return [LearnerState(params[i].copy(), buffers[i],
-                         shared + [(w[i].copy(), f[i].copy()) for w, f in own])
+                         shared + [(w[i].copy(), f[i].copy()) for w, f in own],
+                         step_tasks[i] if ewc else None)
             for i in range(len(perms))]

@@ -28,12 +28,13 @@ from .consolidation import (HierarchyState, catch_up, init_hierarchy,
 from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         parse_curvature_spec)
-from .learners import LearnerConfig, LearnerState, ReplayBuffer, TrainingDiverged, train_seq
+from .learners import (LearnerConfig, LearnerState, ReplayBuffer, TrainingDiverged,
+                       settle, train_seq)
 from .memo import PrefixMemo, membership_prefixes
 from .metrics import AccuracyMatrix
 from .model import Batch, ModelSpec, accuracy_eval, init_params
-from .tasks import (Permutation, TaskDataset, TaskGroup,
-                    enumerate_intra_group_perms, partition_into_groups)
+from .tasks import (Permutation, TaskDataset, TaskGroup, enumerate_intra_group_perms,
+                    partition_into_groups, task_accuracies)
 
 EVAL_POLICIES = ("group_val", "seen_test")
 
@@ -153,8 +154,9 @@ def explore_group(
     own rng stream, buffer clone and anchors, so its result does not depend
     on the others. A nonfinite loss stops training at the first stacked
     step where one occurs, and the error names the lexicographically first
-    ordering whose loss is nonfinite there; nonfinite params or EWC Fisher
-    at the end of a task stop it the same way."""
+    ordering whose loss is nonfinite there; nonfinite params at the end of
+    a task, or a nonfinite EWC Fisher, stop it the same way. Only the
+    winner goes on, so only its last task's Fisher is estimated."""
     perms = enumerate_intra_group_perms(group)
     eval_batch = _eval_batch(tasks, group, eval_policy,
                              seen_task_ids or group.task_ids)
@@ -170,11 +172,15 @@ def explore_group(
         if not math.isfinite(score):
             raise ValueError(f"{where} {perm.label()} scored {score}; training diverged")
     best = int(np.argmax(scores))  # the first maximum
+    try:
+        best_state = settle(states[best], spec)
+    except TrainingDiverged as err:
+        raise ValueError(f"{where} {perms[best].label()}: {err}") from err
     return GroupExplorationResult(
         group=group,
         best_perm=perms[best],
         per_perm_scores=[(perm, float(score)) for perm, score in zip(perms, scores)],
-        best_state=states[best],
+        best_state=best_state,
     )
 
 
@@ -252,17 +258,15 @@ def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
         hier, norms = multi_level_consolidate(node.hier, local, grad_fn, curv_fn,
                                               eta=cfg.eta, clip=cfg.clip)
 
-    def accuracy(h):
-        return np.array([accuracy_eval(h.top, t.test, spec) for t in tasks])
-
+    acc = task_accuracies(hier.top, tasks, spec)
     node = _Prefix(hier, buffer, res.best_state.anchors, node.results + (res,),
-                   node.norms + (norms,), node.accs + (accuracy(hier),))
+                   node.norms + (norms,), node.accs + (acc,))
     if not last:
         return node
     hier, catch_norms = catch_up(hier, local, grad_fn, curv_fn,
                                  cfg.n_catch, eta=cfg.eta, clip=cfg.clip)
     return replace(node, hier=hier, catch_norms=tuple(catch_norms),
-                   final_acc=accuracy(hier))
+                   final_acc=task_accuracies(hier.top, tasks, spec))
 
 
 def run_pipeline(

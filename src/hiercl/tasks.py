@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Batch
+from .model import Batch, ModelSpec, accuracy_eval
 
 # k! trainings per group; enumeration is refused beyond this size
 MAX_GROUP_SIZE = 6
@@ -181,6 +181,22 @@ def gen_sine_tasks(
         )
         tasks.append(TaskDataset(t, train, val, test))
     return tasks
+
+
+def task_accuracies(params: np.ndarray, tasks: list[TaskDataset], spec: ModelSpec) -> np.ndarray:
+    """accuracy_eval of one parameter vector on each task's test set, in
+    list order. The test sets of one shape are scored as one (T, n, d)
+    stack in a single call; np.matmul runs one product per slice, so each
+    entry has the bits of a call on that test set alone."""
+    by_shape: dict = {}
+    for i, t in enumerate(tasks):
+        by_shape.setdefault((t.test.inputs.shape, t.test.targets.shape), []).append(i)
+    out = np.empty(len(tasks))
+    for idx in by_shape.values():
+        stack = Batch(np.stack([tasks[i].test.inputs for i in idx]),
+                      np.stack([tasks[i].test.targets for i in idx]))
+        out[idx] = accuracy_eval(params, stack, spec)
+    return out
 
 
 def partition_into_groups(num_tasks: int, k: int) -> list[TaskGroup]:

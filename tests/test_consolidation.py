@@ -16,7 +16,9 @@ from hiercl.consolidation import (
     surrogate_value,
     taylor_consolidate,
 )
-from hiercl.curvature import VARIANTS, CurvatureEstimate
+from hiercl.curvature import (VARIANTS, CurvatureEstimate, estimate_diag_curvature,
+                              estimate_gradient)
+from hiercl.model import Batch, ModelSpec, init_params
 from consolidation_reference import descent_reference_min, materialize, two_step_recursive_check
 
 
@@ -215,6 +217,52 @@ def test_levels_update_in_order_each_chasing_the_one_below():
         assert np.array_equal(new.levels[i], want)
         target = want
     assert len(norms) == 3
+
+
+def test_levels_with_the_bits_of_the_level_below_share_its_estimates():
+    # group 1 at L=3: initialize_from_local left every level a copy of the
+    # local model, so one (g, H) serves all three
+    spec = ModelSpec((3, 5, 2))
+    rng = np.random.default_rng(11)
+    pool = Batch(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30))
+    calls = []
+
+    def grad_fn(w):
+        return estimate_gradient(w, pool, spec)
+
+    def curv_fn(w):
+        calls.append(w)
+        return estimate_diag_curvature(w, pool, spec)
+
+    def per_level(state, w_local):
+        """Every level evaluates its own estimates."""
+        levels, target = [], w_local
+        for w, lam in zip(state.levels, state.lambdas):
+            target = taylor_consolidate(w, target, grad_fn(w), curv_fn(w), lam, eta=0.9, clip=0.5)
+            levels.append(target)
+        return levels
+
+    lambdas = lambda_schedule(0.3, 3, 0.5)
+    state = initialize_from_local(init_hierarchy(init_params(spec, 0), lambdas),
+                                  init_params(spec, 1))
+    w_local = init_params(spec, 2)
+    new, _ = multi_level_consolidate(state, w_local, grad_fn, curv_fn, eta=0.9, clip=0.5)
+    assert len(calls) == 1
+    want = per_level(state, w_local)
+    assert all(np.array_equal(a, b) for a, b in zip(new.levels, want))
+    # distinct levels each get their own estimates
+    calls.clear()
+    newer, _ = multi_level_consolidate(new, w_local, grad_fn, curv_fn, eta=0.9, clip=0.5)
+    assert len(calls) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(newer.levels, per_level(new, w_local)))
+    # equal values are not enough: -0.0 and 0.0 have different bits
+    w = init_params(spec, 3)  # biases are 0.0
+    signed = w.copy()
+    signed[spec.param_count - 1] = -0.0
+    calls.clear()
+    multi_level_consolidate(HierarchyState([w, w.copy(), signed], lambdas), w_local,
+                            grad_fn, curv_fn)
+    assert len(calls) == 2
 
 
 def test_catch_up_zero_iterations_is_identity():

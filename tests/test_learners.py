@@ -12,6 +12,7 @@ from hiercl.learners import (
     LearnerConfig,
     ReplayBuffer,
     TrainingDiverged,
+    settle,
     train_on_task,
     train_seq,
 )
@@ -333,8 +334,14 @@ def test_train_seq_ewc_accumulates_anchors():
     tasks = _tasks()
     cfg = LearnerConfig(kind="ewc", epochs_per_task=2, ewc_strength=5.0)
     state = train_seq([Permutation((0, 1))], tasks, init_params(SPEC, 0), cfg, SPEC, [0])[0]
-    assert len(state.anchors) == 2
-    for w_star, fisher in state.anchors:
+    # task 1's Fisher waits for the caller that continues from the state
+    assert len(state.anchors) == 1 and state.pending is tasks[1]
+    settled = settle(state, SPEC)
+    assert settled.pending is None and len(settled.anchors) == 2
+    assert settle(settled, SPEC) is settled
+    assert len(state.anchors) == 1 and state.pending is tasks[1]  # never written
+    assert settled.anchors[1][0] is state.params
+    for w_star, fisher in settled.anchors:
         assert w_star.shape == fisher.shape == (SPEC.param_count,)
         assert np.all(fisher >= 0.0)
 
@@ -403,10 +410,11 @@ def _same(got, want):
 def _assert_same_divergence(err, serial_run, serial_task_end):
     """A stack stops at the first step where any row's loss goes
     nonfinite; a lone run of the row it names fails there with the same
-    message. A row whose losses stay finite but whose params, or the EWC
-    Fisher taken from them, end a task nonfinite is stopped by the check
-    after that task. The verbatim reference has no such check, so a lone
-    run of that row must end the named task with those nonfinite values:
+    message. A row whose losses stay finite but whose params end a task
+    nonfinite is stopped by the check after that task; a nonfinite EWC
+    Fisher taken from them, by the check before the next task trains.
+    The verbatim reference has no such check, so a lone run of that row
+    must end the named task with those nonfinite values:
     `serial_task_end(row, task_id)` gives its (params, Fisher or None)."""
     message = str(err)
     if "minibatch loss" in message:
@@ -515,6 +523,18 @@ def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind
             want = serial_ordering(i)
         assert _same(got.params, want.params)
         _assert_same_buffer(got.buffer, want.buffer)
+        # the last task's Fisher is estimated only when the state is settled
+        last = tasks[perms[i].order[-1]]
+        assert got.pending is (last if kind == "ewc" else None)
+        try:
+            with np.errstate(all="ignore"):
+                got = settle(got, spec)
+        except TrainingDiverged as err:
+            assert str(err) == (f"task {last.task_id}: EWC Fisher is not finite "
+                                f"after training; training diverged")
+            assert np.isfinite(got.params).all()
+            assert not np.isfinite(want.anchors[-1][1]).all()
+            want.anchors.pop()
         assert len(got.anchors) == len(want.anchors)
         for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
             assert _same(w_got, w_want) and _same(f_got, f_want)
@@ -567,13 +587,46 @@ def test_train_on_task_rejects_params_that_end_the_task_nonfinite():
     assert str(info.value) == "task 1: params are not finite after training; training diverged"
 
 
+def _nonfinite_fisher_problem():
+    """Ordering 4 of this problem keeps finite losses, but its weights end
+    its one task near 3e168, so its mean squared per-sample gradients
+    overflow."""
+    return _lockstep_problem("ewc", "relu", "regression", [20], 5, 205)
+
+
 def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
-    # ordering 4 keeps finite losses, but its weights end the task near
-    # 3e168, so its mean squared per-sample gradients overflow
-    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _lockstep_problem(
-        "ewc", "relu", "regression", [20], 5, 205)
+    # a 1-task ordering's Fisher is estimated when its state is settled
+    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _nonfinite_fisher_problem()
+    with np.errstate(all="ignore"):
+        states = train_seq(perms, tasks, init, cfg, spec, seeds,
+                           buffers=[_clone(b) for b in buffers], anchors=anchors)
+    failed = []
+    for i, state in enumerate(states):
+        try:
+            with np.errstate(all="ignore"):
+                settle(state, spec)
+        except TrainingDiverged as err:
+            failed.append((i, err.index, str(err)))
+    assert failed == [(4, 0, "task 0: EWC Fisher is not finite after training; "
+                             "training diverged")]
+
+
+def test_train_seq_rejects_a_nonfinite_fisher_before_the_next_task(monkeypatch):
+    # ordering 4 again, now followed by a second task: task 0's Fisher is
+    # estimated inside train_seq, before task 1 trains, and is nonfinite
+    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _nonfinite_fisher_problem()
+    first = tasks[0]
+    tasks = [first, TaskDataset(1, first.train, first.val, first.test)]
+    trained = []
+
+    def counting(params, task, *args, **kwargs):
+        trained.append([t.task_id for t in task])
+        return train_on_task(params, task, *args, **kwargs)
+
+    monkeypatch.setattr("hiercl.learners.train_on_task", counting)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-        train_seq(perms, tasks, init, cfg, spec, seeds,
-                  buffers=[_clone(b) for b in buffers], anchors=anchors)
-    assert info.value.index == 4
+        train_seq([Permutation((0, 1))], tasks, init, cfg, spec, [seeds[4]],
+                  buffers=[_clone(buffers[4])], anchors=anchors)
+    assert info.value.index == 0
     assert str(info.value) == "task 0: EWC Fisher is not finite after training; training diverged"
+    assert trained == [[0]]

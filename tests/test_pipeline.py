@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from learners_reference import train_seq as serial_train_seq
 from pipeline_reference import selection_audit as per_draw_selection_audit
 
-from hiercl import curvature, pipeline
-from hiercl.learners import LearnerConfig
+from hiercl import curvature, learners, pipeline
+from hiercl.learners import LearnerConfig, ReplayBuffer
 from hiercl.model import Batch, ModelSpec, init_params, predict
 from hiercl.pipeline import (
     GroupExplorationResult,
@@ -397,6 +398,57 @@ def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(3, (1, 0)), gen_sine_tasks(2, 0, samples_per_task=8),
                       init_params(spec, 0), cfg, spec, base_seed=0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_explore_group_estimates_each_fisher_a_later_task_or_the_winner_reads(monkeypatch, k):
+    # each ordering's first k-1 Fishers feed its next task's penalty; of
+    # the k! last-task Fishers only the winner's is estimated
+    calls = []
+
+    def counting(params, pool, spec):
+        calls.append(params.shape)
+        return curvature.estimate_diag_curvature(params, pool, spec)
+
+    monkeypatch.setattr(learners, "estimate_diag_curvature", counting)
+    tasks = _tasks()
+    init = init_params(SPEC, 0)
+    rng = np.random.default_rng(k)
+    anchors = [(init + rng.normal(size=init.size), rng.random(init.size))]
+    cfg = LearnerConfig(kind="ewc", epochs_per_task=1, ewc_strength=2.0, buffer_capacity=5)
+    group = TaskGroup(1, tuple(range(4 - k, 4)))
+    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=7,
+                        buffer=ReplayBuffer(5), anchors=anchors)
+    assert len(calls) == (k - 1) * math.factorial(k) + 1
+    want = serial_train_seq(res.best_perm, tasks, init, cfg, SPEC,
+                            derive_seed(7, 1, *res.best_perm.order),
+                            shared_buffer=ReplayBuffer(5), anchors=anchors)
+    got = res.best_state
+    assert got.pending is None
+    assert got.params.dtype == want.params.dtype and np.array_equal(got.params, want.params)
+    assert len(got.anchors) == len(want.anchors) == k + 1
+    for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
+        assert np.array_equal(w_got, w_want) and np.array_equal(f_got, f_want)
+    assert got.buffer.seen_count == want.buffer.seen_count
+    assert np.array_equal(got.buffer.inputs, want.buffer.inputs)
+    assert np.array_equal(got.buffer.task_ids, want.buffer.task_ids)
+
+
+def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
+    # task 1's inputs are 1e100: its loss (about 1e200) and the params stay
+    # finite, the step at lr=1e-300 barely moves them, and its squared
+    # per-sample gradients (about 4e400) overflow. The group's one ordering
+    # wins, so its last Fisher is estimated, after scoring.
+    spec = ModelSpec((1, 1, 1), activation="relu", task_kind="regression")
+    small = Batch(np.ones((4, 1)), np.zeros(4))
+    huge = Batch(np.full((4, 1), 1e100), np.zeros(4))
+    tasks = [TaskDataset(0, small, small, small), TaskDataset(1, huge, huge, huge)]
+    cfg = LearnerConfig(kind="ewc", learning_rate=1e-300, epochs_per_task=1, batch_size=4)
+    want = (r"^group 2: ordering 1: task 1: EWC Fisher is not finite after training; "
+            r"training diverged$")
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
+        explore_group(TaskGroup(2, (1,)), tasks, np.array([1.0, 0.0, 1.0, 0.0]), cfg, spec,
+                      base_seed=0)
 
 
 def test_write_run_log(tmp_path):

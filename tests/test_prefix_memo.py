@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from hiercl import curvature, learners
 from hiercl.config import build_experiment_config
 from hiercl.experiment import (make_model_spec, make_tasks, prefix_chain,
                                run_baseline_seq, run_experiment)
@@ -39,6 +40,8 @@ CASES = {
     "sgd-k1-all-pairwise-seen": {"learner.kind": "sgd", "run.group_size": "1",
                                  "run.perms": "all", "run.fed_aggregate": "pairwise",
                                  "run.eval_policy": "seen_test", "run.seeds": "3"},
+    "ewc-k2-all": {"learner.kind": "ewc", "run.group_size": "2", "run.perms": "all",
+                   "run.seeds": "1"},
     "ewc-k3-sampled": {"learner.kind": "ewc", "dataset.num_classes": "12",
                        "run.group_size": "3", "run.perms": "9", "run.perm_sample_seed": "4",
                        "run.seeds": "2", "run.eval_policy": "seen_test"},
@@ -156,6 +159,42 @@ def test_memo_cells_match_fresh_cells_in_any_order(case, method):
         _cell(cfg, method, perm, seed, memo)
     for perm, want in zip(ran, fresh):
         _assert_same_cell(method, _cell(cfg, method, perm, seed, memo), want)
+
+
+def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
+    # every non-final arrival prefix's Fisher is estimated once, when its
+    # node is settled, and never on a resume; a stored node is never
+    # written, so its anchor list keeps its length
+    fishers = []
+
+    def counting(params, pool, spec):
+        fishers.append(params.shape)
+        return curvature.estimate_diag_curvature(params, pool, spec)
+
+    monkeypatch.setattr(learners, "estimate_diag_curvature", counting)
+    cfg = _cfg("ewc-k2-all")
+    seed = cfg.seeds[0]
+    perms = _perms(cfg)
+    chains = [prefix_chain("seq", perm, cfg) for perm in perms]
+    memo = PrefixMemo(chains)
+    stored = []
+    store = memo.store
+
+    def recording(key, node):
+        kept = store(key, node)
+        if kept:
+            stored.append((key, node[0], len(node[0].anchors)))
+        return kept
+
+    memo.store = recording
+    for perm in perms:
+        _cell(cfg, "seq", perm, seed, memo)
+    t_count = cfg.dataset.task_count
+    prefixes = {p.order[:i] for p in perms for i in range(1, t_count)}
+    assert len(fishers) == len(prefixes) == 4 + 12 + 24
+    assert stored
+    for key, state, n_anchors in stored:
+        assert state.pending is None and len(state.anchors) == n_anchors == len(key)
 
 
 def _holds_nothing(memo, chains):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tasks_reference import load_tasks
 
+from hiercl import tasks as tasks_module
+from hiercl.model import Batch, ModelSpec, accuracy_eval, init_params
 from hiercl.tasks import (
     Permutation,
     TaskGroup,
@@ -19,6 +21,7 @@ from hiercl.tasks import (
     gen_split_gaussians,
     partition_into_groups,
     sample_full_permutations,
+    task_accuracies,
 )
 
 
@@ -27,6 +30,31 @@ def test_permutation_rejects_repeats():
         Permutation((0, 1, 1))
     assert Permutation((2, 0, 1)).label() == "2-0-1"
     assert list(Permutation((2, 0, 1))) == [2, 0, 1]
+
+
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_task_accuracies_score_each_test_shape_once_with_the_lone_bits(monkeypatch, kind):
+    if kind == "classification":
+        spec = ModelSpec((4, 7, 6), activation="relu")
+        tasks = gen_split_gaussians(6, 2, 4, 10, 1.0, seed=3, test_per_class=9)
+    else:
+        spec = ModelSpec((1, 9, 1), task_kind="regression")
+        tasks = gen_sine_tasks(3, 3)
+    # one test set cut short, so two shapes are scored
+    t = tasks[1]
+    tasks[1] = type(t)(t.task_id, t.train, t.val, Batch(t.test.inputs[:-3], t.test.targets[:-3]))
+    calls = []
+
+    def counting(params, batch, spec):
+        calls.append(batch.inputs.shape)
+        return accuracy_eval(params, batch, spec)
+
+    monkeypatch.setattr(tasks_module, "accuracy_eval", counting)
+    w = init_params(spec, 5)
+    got = task_accuracies(w, tasks, spec)
+    want = np.array([accuracy_eval(w, t.test, spec) for t in tasks])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert sorted(c[0] for c in calls) == [1, 2]
 
 
 def test_split_gaussians_shapes_and_classes():
