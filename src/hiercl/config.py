@@ -71,6 +71,11 @@ class ExperimentConfig:
             raise ValueError(f"run.perms must be 'all' or a positive integer, got {self.perms!r}")
         if not self.methods:
             raise ValueError("methods must name at least one method")
+        for key, values in (("run.seeds", self.seeds), ("run.methods", self.methods)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{key} lists {repeated[0]!r} more than once; "
+                                 f"each entry would run its cells again")
         known = {"seq", "hier", "fedavg", "fedprox"}
         bad = set(self.methods) - known
         if bad:

@@ -5,8 +5,11 @@ method on the same tasks from the same initial weights and records mean
 accuracy, average forgetting and wall time. Rows land in the CSV in
 (seed, permutation, method) order, so reruns are bitwise-identical apart
 from the timing column. Cells whose arrival orders share a prefix share
-its training through a PrefixMemo, so a cell's wall time covers only the
-part it computed.
+its training. Seq and fed cells share it through an ArrivalPlan: the first
+seq or fed cell of each data seed trains that method's whole arrival trie
+breadth-first, so its wall_time_seconds carries the trie and the later
+cells' only a look-up. Hier cells share it through a PrefixMemo, so a hier
+cell's wall time covers only the part it computed.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 
 from .config import DatasetConfig, ExperimentConfig
 from .federated import FedConfig, fed_compare_run
-from .learners import LearnerConfig, LearnerState, settle, train_seq
-from .memo import PrefixMemo, arrival_prefixes, membership_prefixes
+from .learners import LearnerConfig, LearnerState, TrainingDiverged, settle, train_seq
+from .memo import ArrivalPlan, PrefixMemo, membership_prefixes
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
                       mean_accuracy, summarize)
 from .model import ModelSpec, init_params
@@ -58,31 +61,45 @@ def run_baseline_seq(
     spec: ModelSpec,
     seed: int,
     init: np.ndarray,
-    memo: PrefixMemo | None = None,
+    plan: ArrivalPlan | None = None,
 ) -> AccuracyMatrix:
     """Plain continual learner over the arrival order, no grouping and no
-    consolidation; one accuracy row per finished task. Resumes from the
-    longest arrival prefix stored in `memo` and offers it each later one.
-    Every state but the last is settled (its EWC Fisher estimated) before
-    it is stored, so a resume trains on from a settled state and the
-    order's final Fisher is never estimated."""
-    order = list(full_perm)
-    keys = arrival_prefixes(order)
-    memo = PrefixMemo() if memo is None else memo
-    depth, node = memo.resume(keys)
+    consolidation; one accuracy row per finished task.
+
+    The first cell of `plan` trains the arrival trie of every planned order
+    (see memo.train_trie): each depth's prefixes step as (P, p) stacks
+    through train_seq, every row from its parent's params, a clone of its
+    parent's buffer and its parent's anchors, with the seed
+    derive_seed(seed, SEQ_STREAM, depth). Every node but the leaves is
+    settled (its EWC Fisher estimated) once, before its children train, so
+    an order's final Fisher is never estimated."""
+    last = len(full_perm) - 1
+
+    def train_stack(depth, prefixes, parents):
+        states = train_seq(
+            [Permutation(p[-1:]) for p in prefixes], tasks,
+            np.stack([state.params for state, _ in parents]), lcfg, spec,
+            [derive_seed(seed, SEQ_STREAM, depth)] * len(prefixes),
+            buffers=[None if state.buffer is None else state.buffer.clone()
+                     for state, _ in parents],
+            # the j-th anchor of every row, stacked into one (P, p) pair
+            anchors=[tuple(map(np.stack, zip(*column)))
+                     for column in zip(*(state.anchors for state, _ in parents))])
+        nodes = []
+        for row, (state, (_, accs)) in enumerate(zip(states, parents)):
+            accs += (task_accuracies(state.params, tasks, spec),)
+            if depth < last:
+                try:
+                    state = settle(state, spec)
+                except TrainingDiverged as err:
+                    raise TrainingDiverged(str(err), row) from err
+            nodes.append((state, accs))
+        return nodes
+
     # train_seq gives er its buffer at the first task
-    state, accs = (LearnerState(init), ()) if node is None else node
-    shared = node is not None  # train_seq writes its buffers; a memo's buffer is copied
-    for i in range(depth, len(order)):
-        buffer = state.buffer.clone() if shared and state.buffer is not None else state.buffer
-        state = train_seq([Permutation((order[i],))], tasks, state.params, lcfg, spec,
-                          [derive_seed(seed, SEQ_STREAM, i)], buffers=[buffer],
-                          anchors=state.anchors)[0]
-        accs += (task_accuracies(state.params, tasks, spec),)
-        if i < len(order) - 1:
-            state = settle(state, spec)
-        shared = memo.store(keys[i], (state, accs))
-    return AccuracyMatrix(np.stack(accs)[:, order])
+    return (ArrivalPlan() if plan is None else plan).take(
+        full_perm.order, (LearnerState(init), ()), train_stack,
+        lambda order, leaf: AccuracyMatrix(np.stack(leaf[1])[:, list(order)]))
 
 
 def _method_tag(method: str, cfg: ExperimentConfig) -> str:
@@ -93,38 +110,38 @@ def _method_tag(method: str, cfg: ExperimentConfig) -> str:
     return method
 
 
-def _run_method(method, tasks, perm, cfg, spec, seed, init, memo) -> AccuracyMatrix:
+def _run_method(method, tasks, perm, cfg, spec, seed, init, plan) -> AccuracyMatrix:
     learner = cfg.pipeline.learner
     if method == "seq":
-        return run_baseline_seq(tasks, perm, learner, spec, seed, init, memo)
+        return run_baseline_seq(tasks, perm, learner, spec, seed, init, plan)
     if method == "hier":
-        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, memo=memo).matrix
+        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, memo=plan).matrix
     fed = FedConfig(kind=method,
                     prox_mu=cfg.prox_mu if method == "fedprox" else 0.0,
                     aggregate=cfg.fed_aggregate)
-    return fed_compare_run(tasks, perm, fed, learner, spec, seed, init, memo)[1]
+    return fed_compare_run(tasks, perm, fed, learner, spec, seed, init, plan)[1]
 
 
-def prefix_chain(method: str, perm: Permutation, cfg: ExperimentConfig) -> list:
-    """The PrefixMemo keys of one cell, as its runner computes them."""
-    if method == "hier":
-        return membership_prefixes(arrival_groups(perm.order, cfg.pipeline.group_size))
-    return arrival_prefixes(perm.order)
+def hier_chain(perm: Permutation, cfg: ExperimentConfig) -> list:
+    """The PrefixMemo keys of one hier cell, as run_pipeline computes them."""
+    return membership_prefixes(arrival_groups(perm.order, cfg.pipeline.group_size))
 
 
 def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
     """Full sweep. Returns (records, summary); writes CSV when a path is
     given (cfg.out by default, pass csv_path="" to skip).
 
-    Each (data seed, method) has its own PrefixMemo over the planned
-    arrival orders, so a prefix that several cells share is computed once
-    and each cell's wall time is the work it did itself."""
+    Each (data seed, method) trains every distinct prefix of the planned
+    arrival orders once. Seq and fed methods each have an ArrivalPlan, so
+    their first cell of a seed trains the whole arrival trie and carries it
+    in its wall time, and later cells only take their results. Hier has a
+    PrefixMemo, so each hier cell's wall time is the work it did itself."""
     if csv_path is None:
         csv_path = cfg.out
     t_count = cfg.dataset.task_count
     budget = math.factorial(t_count) if cfg.perms == "all" else int(cfg.perms)
     perms = sample_full_permutations(t_count, budget, cfg.perm_sample_seed)
-    chains = {m: [prefix_chain(m, perm, cfg) for perm in perms] for m in cfg.methods}
+    chains = [hier_chain(perm, cfg) for perm in perms] if "hier" in cfg.methods else []
 
     spec = make_model_spec(cfg)
     records: list[MetricsRecord] = []
@@ -133,12 +150,13 @@ def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
         for seed in cfg.seeds:
             tasks = make_tasks(cfg.dataset, seed)
             init = init_params(spec, derive_seed(seed, INIT_STREAM))
-            memos = {m: PrefixMemo(chains[m]) for m in cfg.methods}
+            plans = {m: PrefixMemo(chains) if m == "hier" else
+                     ArrivalPlan(perm.order for perm in perms) for m in cfg.methods}
             for perm in perms:
                 for method in cfg.methods:
                     start = time.perf_counter()
                     matrix = _run_method(method, tasks, perm, cfg, spec, seed, init,
-                                         memos[method])
+                                         plans[method])
                     wall = time.perf_counter() - start
                     rec = MetricsRecord(
                         _method_tag(method, cfg), seed, perm.label(),

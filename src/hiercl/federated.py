@@ -4,7 +4,10 @@ Each arriving task plays the role of a client: a local model trains from
 the current global weights (FedProx adds a proximal pull back toward
 them), then the global model is refreshed by parameter averaging. The
 default keeps a running average over all locals seen so far; a pairwise
-mode averages just (previous global, new local).
+mode averages just (previous global, new local). A sweep's first fed
+cell of each data seed and method trains the arrival trie of every
+planned order (see memo.ArrivalPlan), so its wall time carries the whole
+trie; fedavg and fedprox never share one.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import LearnerConfig, train_on_task
-from .memo import PrefixMemo, arrival_prefixes
+from .memo import ArrivalPlan
 from .metrics import AccuracyMatrix
 from .model import ModelSpec, init_params
 from .pipeline import FED_STREAM, derive_seed
@@ -74,32 +77,40 @@ def fed_compare_run(
     spec: ModelSpec,
     base_seed: int,
     init: np.ndarray | None = None,
-    memo: PrefixMemo | None = None,
+    plan: ArrivalPlan | None = None,
 ) -> tuple[np.ndarray, AccuracyMatrix]:
     """Sequential federated consolidation over the arrival order; returns
-    the final global weights and the per-stage accuracy matrix. Resumes
-    from the longest arrival prefix stored in `memo` and offers it each
-    later one."""
+    the final global weights and the per-stage accuracy matrix.
+
+    The first cell of `plan` trains the arrival trie of every planned order
+    (see memo.train_trie): each depth's clients train as one (P, p) stack
+    through train_on_task, every row from its parent's global weights,
+    which are also its proximal anchor, with the seed
+    derive_seed(base_seed, FED_STREAM, depth); each row is then averaged
+    into its own new global weights."""
     order = list(full_perm)
     if sorted(order) != list(range(len(tasks))):
         raise ValueError("full permutation must cover every task exactly once")
-    keys = arrival_prefixes(order)
-    memo = PrefixMemo() if memo is None else memo
-    depth, node = memo.resume(keys)
-    if node is None:
-        global_w = np.array(init if init is not None else init_params(spec, base_seed),
-                            dtype=np.float64)
-        node = (global_w, (), ())
-    global_w, locals_, accs = node  # tuples, so a stored node is never written
     mu = fed_cfg.prox_mu if fed_cfg.kind == "fedprox" else 0.0
-    for i in range(depth, len(order)):
-        local = fedprox_train_local(tasks[order[i]], global_w, learner_cfg, mu, spec,
-                                    derive_seed(base_seed, FED_STREAM, i))
-        if fed_cfg.aggregate == "running":
-            locals_ += (local,)
-            global_w = fedavg_aggregate(locals_)
-        else:
-            global_w = fedavg_aggregate([global_w, local])
-        accs += (task_accuracies(global_w, tasks, spec),)
-        memo.store(keys[i], (global_w, locals_, accs))
-    return global_w, AccuracyMatrix(np.stack(accs)[:, order])
+
+    def train_stack(depth, prefixes, parents):
+        anchor = np.stack([global_w for global_w, _, _ in parents])
+        rngs = [np.random.default_rng(derive_seed(base_seed, FED_STREAM, depth))
+                for _ in prefixes]
+        locals_ = train_on_task(anchor, [tasks[p[-1]] for p in prefixes], learner_cfg, spec,
+                                rngs, prox=(anchor, mu))
+        nodes = []
+        for (global_w, seen, accs), local in zip(parents, locals_):
+            if fed_cfg.aggregate == "running":
+                seen += (local,)
+                global_w = fedavg_aggregate(seen)
+            else:
+                global_w = fedavg_aggregate([global_w, local])
+            nodes.append((global_w, seen, accs + (task_accuracies(global_w, tasks, spec),)))
+        return nodes
+
+    root = np.array(init if init is not None else init_params(spec, base_seed),
+                    dtype=np.float64)
+    return (ArrivalPlan() if plan is None else plan).take(
+        order, (root, (), ()), train_stack,
+        lambda order, leaf: (leaf[0], AccuracyMatrix(np.stack(leaf[2])[:, list(order)])))

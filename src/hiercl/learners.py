@@ -299,12 +299,16 @@ def train_seq(
     buffers=None,
     anchors=None,
 ) -> list[LearnerState]:
-    """Train P equal-length orderings in lockstep from the same `init` and
-    incoming (settled) `anchors`; returns one state per ordering.
+    """Train P equal-length orderings in lockstep from `init` and incoming
+    (settled) `anchors`; returns one state per ordering.
 
-    Ordering i draws from an rng seeded with seeds[i] and keeps its own
-    buffer (buffers[i] when given) and anchor list, so its state is bitwise
-    the one a lone call gives. Under EWC, task j's Fishers are estimated
+    `init` is one (p,) vector that every ordering starts from, or a (P, p)
+    stack with one start per ordering; each (weights, Fisher) pair in
+    `anchors` holds (p,) arrays shared by every ordering or (P, p) stacks,
+    whose row i is ordering i's anchor. Ordering i draws from an rng seeded
+    with seeds[i] and keeps its own buffer (buffers[i] when given) and
+    anchor list, so its state is bitwise the one a lone call on its own
+    start and anchors gives. Under EWC, task j's Fishers are estimated
     just before task j+1 trains, since its penalty reads them; the last
     task's Fisher is left pending in each returned state, for `settle` by
     whichever caller continues from that state.
@@ -330,7 +334,11 @@ def train_seq(
     ewc = cfg.kind == "ewc"
     shared = list(anchors or [])
     own = []  # one (P, p) weight stack and Fisher stack per settled task
-    params = np.repeat(np.asarray(init, dtype=np.float64)[None], len(perms), axis=0)
+    init = np.asarray(init, dtype=np.float64)
+    params = init if init.ndim == 2 else np.repeat(init[None], len(perms), axis=0)
+    if len(params) != len(perms):
+        raise ValueError(f"a stacked init needs one row per ordering, got {len(params)} "
+                         f"rows for {len(perms)} orderings")
     for pos in range(len(perms[0])):
         if ewc and pos:  # train_on_task never writes its input
             own.append((params, _fishers(params, step_tasks, spec)))
@@ -338,6 +346,11 @@ def train_seq(
         params = train_on_task(params, step_tasks, cfg, spec, rngs, buffer=buffers,
                                anchors=shared + own if ewc else None)
     return [LearnerState(params[i].copy(), buffers[i],
-                         shared + [(w[i].copy(), f[i].copy()) for w, f in own],
+                         [(_row(w, i), _row(f, i)) for w, f in shared + own],
                          step_tasks[i] if ewc else None)
             for i in range(len(perms))]
+
+
+def _row(array, i):
+    """Row i of a (P, p) stack as its own array; a shared (p,) array as is."""
+    return array[i].copy() if array.ndim == 2 else array

@@ -2,21 +2,77 @@
 
 Seq and fed cells are seeded by arrival position, and a hier cell by its
 sequence of group memberships, so two cells whose arrival orders share a
-prefix pass through bitwise-identical states up to its end. A cell names
-its prefixes by a chain of keys, one per task (seq, fed) or per group
-(hier), each key encoding the whole prefix it ends; the runner resumes from
-the deepest stored key of its chain and computes only the rest.
+prefix pass through bitwise-identical states up to its end.
+
+Seq and fed cells share them through an ArrivalPlan: the first cell of a
+plan trains the arrival trie of every planned order breadth-first
+(`train_trie`), and each cell then takes its own result. That first cell's
+wall time therefore carries the whole trie. Hier cells share them through
+a PrefixMemo: a cell names its prefixes by a chain of keys, one per group,
+each key encoding the whole prefix it ends; the runner resumes from the
+deepest stored key of its chain and computes only the rest.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+from .learners import TrainingDiverged
 
-def arrival_prefixes(order) -> list[tuple[int, ...]]:
-    """Seq and fed keys: the arrival order up to and including each task."""
-    order = tuple(int(t) for t in order)
-    return [order[: i + 1] for i in range(len(order))]
+# rows per stacked training call of a trie depth: the 4! orderings that
+# a group of 4 already trains as one stack
+STACK_ROWS = 24
+
+
+def train_trie(orders, root, train_stack) -> dict:
+    """{order: leaf node} for equal-length orders of task ids, trained
+    breadth-first from the `root` node. Depth d's distinct prefixes go to
+    `train_stack(d, prefixes, parents)` in first-appearance order, at most
+    STACK_ROWS at a time, which returns one child node per prefix; a
+    depth's parents are dropped once its children are trained. A
+    TrainingDiverged becomes a ValueError naming the prefix it reports."""
+    level = {(): root}
+    for depth in range(len(orders[0])):
+        prefixes = list(dict.fromkeys(order[: depth + 1] for order in orders))
+        children = {}
+        for start in range(0, len(prefixes), STACK_ROWS):
+            chunk = prefixes[start : start + STACK_ROWS]
+            try:
+                nodes = train_stack(depth, chunk, [level[p[:-1]] for p in chunk])
+            except TrainingDiverged as err:
+                label = "-".join(map(str, chunk[err.index]))
+                raise ValueError(f"arrival prefix {label}: {err}") from err
+            children.update(zip(chunk, nodes))
+        level = children
+    return level
+
+
+class ArrivalPlan:
+    """The planned arrival orders of one data seed and one seq or fed
+    method, and the results their cells have yet to take.
+
+    The first cell whose order is planned trains the trie of every planned
+    order, and each cell then takes, and the plan drops, its own result.
+    An order outside the plan, or asked again after its result was taken,
+    is trained alone; so is every order of an empty plan. All cells of one
+    plan must pass the same tasks, config, initial weights and seed.
+    """
+
+    def __init__(self, orders=()):
+        self._todo = dict.fromkeys(tuple(int(t) for t in order) for order in orders)
+        self._results: dict = {}
+
+    def take(self, order, root, train_stack, result):
+        """What the cell of `order` returns: `result(order, leaf node)`,
+        the trie trained by `train_trie(orders, root, train_stack)`."""
+        order = tuple(int(t) for t in order)
+        if order in self._todo:
+            leaves = train_trie(list(self._todo), root, train_stack)
+            self._results = {o: result(o, leaf) for o, leaf in leaves.items()}
+            self._todo = {}
+        if order in self._results:
+            return self._results.pop(order)
+        return result(order, train_trie([order], root, train_stack)[order])
 
 
 def membership_prefixes(groups) -> list[tuple[tuple[int, ...], ...]]:

@@ -410,6 +410,23 @@ def test_bad_value_combinations_fail_at_build_time_naming_their_keys(
     assert all(name in str(info.value) for name in names)
 
 
+@pytest.mark.parametrize("setting, shown", [("run.methods=seq,hier,seq", "'seq'"),
+                                             ("run.seeds=3,1,3", "3")],
+                         ids=["run.methods", "run.seeds"])
+def test_a_repeated_list_entry_fails_at_build_time_naming_key_and_entry(
+        tmp_path, capsys, setting, shown):
+    # a repeated entry would run, and write, every one of its cells twice
+    key, _, value = setting.partition("=")
+    with pytest.raises(ValueError) as info:
+        build_experiment_config({key: value})
+    assert str(info.value).startswith(f"{key} lists {shown} more than once")
+    out_csv = tmp_path / "x.csv"
+    rc = main(["run", "--set", "run.perms=1", "--set", setting, "--set", f"run.out={out_csv}"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and key in err and "Traceback" not in err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("setting", [
     "run.hidden=0", "dataset.samples_per_class=0", "dataset.classes_per_task=0",
 ])

@@ -1,5 +1,6 @@
 """Tests for the replay buffer and the sequential learners."""
 
+import learners_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from learners_reference import train_on_task as serial_train_on_task
 from learners_reference import train_seq as serial_train_seq
 
+from hiercl import learners
 from hiercl.learners import (
     LEARNER_KINDS,
     LearnerConfig,
@@ -538,6 +540,83 @@ def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind
         assert len(got.anchors) == len(want.anchors)
         for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
             assert _same(w_got, w_want) and _same(f_got, f_want)
+
+
+def _run_keeping_rngs(module, run):
+    """run() while `module.train_on_task` records its rng argument: the
+    result and the Generator(s) of the last training call."""
+    seen = []
+    original = module.train_on_task
+
+    def recording(params, task, cfg, spec, rng, *args, **kwargs):
+        seen.append(rng)
+        return original(params, task, cfg, spec, rng, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "train_on_task", recording)
+        return run(), seen[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_LOCKSTEP_CASES)
+def test_train_seq_from_stacked_starts_and_row_anchors_matches_lone_runs(
+        kind, activation, task_kind, sizes, rows, seed):
+    # each ordering starts from its own params and carries its own anchor
+    # list (the shared pairs, then pairs of its own), as the seq trie's
+    # rows do; the lockstep call takes the lists stacked into (P, p) pairs
+    spec, tasks, cfg, seeds, perms, buffers, shared, init, rng = _lockstep_problem(
+        kind, activation, task_kind, sizes, rows, seed)
+    p = spec.param_count
+    starts = init + 0.1 * rng.normal(size=(rows, p))
+    m = int(rng.integers(0, 3))
+    own = [[(starts[i] + 0.1 * rng.normal(size=p), rng.random(p)) for _ in range(m)]
+           for i in range(rows)]
+    row_anchors = [shared + pairs for pairs in own]
+    # the j-th pair of every ordering stacked into one (P, p) pair
+    anchors = shared + [tuple(map(np.stack, zip(*column))) for column in zip(*own)]
+
+    def serial_ordering(i, order=None):
+        perm = perms[i] if order is None else Permutation(order)
+        return _run_keeping_rngs(learners_reference, lambda: serial_train_seq(
+            perm, tasks, starts[i], cfg, spec, seeds[i],
+            shared_buffer=_clone(buffers[i]), anchors=row_anchors[i]))
+
+    try:
+        with np.errstate(all="ignore"):
+            states, rngs = _run_keeping_rngs(learners, lambda: train_seq(
+                perms, tasks, starts, cfg, spec, seeds,
+                buffers=[_clone(b) for b in buffers], anchors=anchors))
+    except TrainingDiverged as err:
+        def serial_task_end(i, task_id):
+            order = perms[i].order
+            state = serial_ordering(i, order[: order.index(task_id) + 1])[0]
+            return state.params, state.anchors[-1][1] if kind == "ewc" else None
+
+        _assert_same_divergence(err, lambda i: serial_ordering(i), serial_task_end)
+        return
+    assert len(states) == len(rngs) == rows
+    for i, got in enumerate(states):
+        with np.errstate(all="ignore"):
+            want, ref_rng = serial_ordering(i)
+        assert _same(got.params, want.params)
+        _assert_same_buffer(got.buffer, want.buffer)
+        assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
+        try:
+            with np.errstate(all="ignore"):
+                got = settle(got, spec)
+        except TrainingDiverged:
+            assert not np.isfinite(want.anchors[-1][1]).all()
+            want.anchors.pop()
+        assert len(got.anchors) == len(want.anchors)
+        for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
+            assert w_got.shape == w_want.shape and _same(w_got, w_want) and _same(f_got, f_want)
+
+
+def test_train_seq_needs_one_stacked_start_per_ordering():
+    perms = [Permutation((0,)), Permutation((1,))]
+    starts = np.stack([init_params(SPEC, 0)] * 3)
+    with pytest.raises(ValueError, match="one row per ordering, got 3 rows for 2"):
+        train_seq(perms, _tasks(), starts, LearnerConfig(), SPEC, [0, 1])
 
 
 def test_lockstep_orderings_must_share_settings_and_length():

@@ -101,8 +101,9 @@ run.audit_draws=20
 """
 
 
-# 4 tasks in groups of 2 over all 24 orders: most cells resume a prefix
-# that an earlier cell stored, and some hier cells train nothing at all
+# 4 tasks in groups of 2 over all 24 orders: the first seq and fed cells
+# train every order's trie, the others only take their results, and some
+# hier cells train nothing at all
 _TINY_SHARED = _TINY_ER.replace("run.perms=2\n", "run.perms=all\n")
 
 
@@ -126,7 +127,7 @@ def test_traced_tiny_run_reaches_every_traced_name(monkeypatch, config, like):
         records, _ = run_experiment(cfg, csv_path="")
     orders = math.factorial(cfg.dataset.task_count) if cfg.perms == "all" else int(cfg.perms)
     assert len(records) == len(cfg.methods) * orders
-    assert len(tr.cells()) == len(records)  # a cell served from the memo still opens its span
+    assert len(tr.cells()) == len(records)  # a cell served from a plan still opens its span
     summary = tr.layer_summary()
     silent = [name for name in workloads.TRACED
               if name not in expect_zero and summary["calls"][name] == 0]
@@ -143,7 +144,7 @@ def test_consolidate_wide_plan_stores_no_state(monkeypatch):
     # its two arrival orders share no prefix, so the prefix memo must keep
     # nothing there: a kept wide state would only add to its peak_rss_mb
     from hiercl.config import build_experiment_config, parse_config_text
-    from hiercl.experiment import prefix_chain
+    from hiercl.experiment import hier_chain
     from hiercl.memo import PrefixMemo
     from hiercl.tasks import sample_full_permutations
 
@@ -152,9 +153,9 @@ def test_consolidate_wide_plan_stores_no_state(monkeypatch):
         cfg = build_experiment_config(parse_config_text(workload.config_text(seed)))
         perms = sample_full_permutations(cfg.dataset.task_count, int(cfg.perms),
                                          cfg.perm_sample_seed)
-        for method in cfg.methods:
-            chains = [prefix_chain(method, perm, cfg) for perm in perms]
-            memo = PrefixMemo(chains)
-            for chain in chains:
-                assert memo.resume(chain) == (0, None)
-                assert not any(memo.store(key, object()) for key in chain)
+        assert cfg.methods == ("hier",)
+        chains = [hier_chain(perm, cfg) for perm in perms]
+        memo = PrefixMemo(chains)
+        for chain in chains:
+            assert memo.resume(chain) == (0, None)
+            assert not any(memo.store(key, object()) for key in chain)

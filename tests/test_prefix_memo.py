@@ -1,23 +1,29 @@
-"""Cells served from a PrefixMemo equal cells computed from scratch.
+"""Cells served from a sweep's shared plan equal cells computed alone.
 
-The reference calls each runner with no memo, so every cell trains its
-whole arrival order. The sweep's CSV rows must match it bitwise, and a
-hier cell's RunResult must match it field by field. Running the planned
-cells in reverse, and running a cell again after later cells, shows that
-no stored state is written after it is stored.
+Seq and fed cells take their results from an ArrivalPlan, which trains the
+arrival trie of all planned orders breadth-first; they must match the
+per-cell runners of `experiment_reference` bitwise, fed final weights
+included. Hier cells resume from a PrefixMemo and must match run_pipeline
+called without one, field by field; the sweep's CSV rows must match both.
+Running the planned cells in reverse, asking a cell twice and asking an
+order outside the plan show that no shared state is written after it is
+made.
 """
 
 import math
+from dataclasses import replace
 
+import experiment_reference
 import numpy as np
 import pytest
+from experiment_reference import arrival_prefixes
 
-from hiercl import curvature, learners
+from hiercl import curvature, federated, learners
 from hiercl.config import build_experiment_config
-from hiercl.experiment import (make_model_spec, make_tasks, prefix_chain,
-                               run_baseline_seq, run_experiment)
+from hiercl.experiment import (hier_chain, make_model_spec, make_tasks, run_baseline_seq,
+                               run_experiment)
 from hiercl.federated import FedConfig, fed_compare_run
-from hiercl.memo import PrefixMemo, arrival_prefixes, membership_prefixes
+from hiercl.memo import STACK_ROWS, ArrivalPlan, PrefixMemo, membership_prefixes
 from hiercl.metrics import avg_forgetting, mean_accuracy
 from hiercl.model import init_params
 from hiercl.pipeline import INIT_STREAM, arrival_groups, derive_seed, run_pipeline
@@ -61,19 +67,53 @@ def _perms(cfg):
     return sample_full_permutations(t_count, budget, cfg.perm_sample_seed)
 
 
-def _cell(cfg, method, perm, seed, memo=None):
+def _setup(cfg, seed):
+    spec = make_model_spec(cfg)
+    return spec, make_tasks(cfg.dataset, seed), init_params(spec, derive_seed(seed, INIT_STREAM))
+
+
+def _fed(cfg, method):
+    return FedConfig(method, cfg.prox_mu if method == "fedprox" else 0.0, cfg.fed_aggregate)
+
+
+def _cell(cfg, method, perm, seed, plan=None):
     """The runner's full output for one cell: a matrix, a RunResult or
     (global weights, matrix)."""
-    spec = make_model_spec(cfg)
-    tasks = make_tasks(cfg.dataset, seed)
-    init = init_params(spec, derive_seed(seed, INIT_STREAM))
+    spec, tasks, init = _setup(cfg, seed)
     learner = cfg.pipeline.learner
     if method == "seq":
-        return run_baseline_seq(tasks, perm, learner, spec, seed, init, memo)
+        return run_baseline_seq(tasks, perm, learner, spec, seed, init, plan)
     if method == "hier":
-        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, memo=memo)
-    fed = FedConfig(method, cfg.prox_mu if method == "fedprox" else 0.0, cfg.fed_aggregate)
-    return fed_compare_run(tasks, perm, fed, learner, spec, seed, init, memo)
+        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, memo=plan)
+    return fed_compare_run(tasks, perm, _fed(cfg, method), learner, spec, seed, init, plan)
+
+
+def _reference(cfg, method, perm, seed):
+    """The cell computed alone: by the per-cell reference for seq and fed,
+    by run_pipeline without a memo for hier."""
+    spec, tasks, init = _setup(cfg, seed)
+    learner = cfg.pipeline.learner
+    if method == "seq":
+        return experiment_reference.run_baseline_seq(tasks, perm, learner, spec, seed, init)
+    if method == "hier":
+        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed)
+    return experiment_reference.fed_compare_run(tasks, perm, _fed(cfg, method), learner,
+                                                spec, seed, init)
+
+
+def _plan(cfg, method, perms):
+    """What run_experiment hands one method's cells of a data seed, and
+    the hier key chains (empty for seq and fed)."""
+    if method == "hier":
+        chains = [hier_chain(perm, cfg) for perm in perms]
+        return PrefixMemo(chains), chains
+    return ArrivalPlan(perm.order for perm in perms), []
+
+
+def _holds_nothing(plan, chains):
+    if isinstance(plan, ArrivalPlan):
+        return not plan._todo and not plan._results
+    return all(plan.resume(chain) == (0, None) for chain in chains)
 
 
 def _matrix(method, out):
@@ -126,7 +166,7 @@ def test_sweep_rows_equal_cells_run_without_a_memo(case):
     for seed in cfg.seeds:
         for perm in _perms(cfg):
             for method in cfg.methods:
-                matrix = _matrix(method, _cell(cfg, method, perm, seed))
+                matrix = _matrix(method, _reference(cfg, method, perm, seed))
                 want.append((seed, perm.label(), repr(mean_accuracy(matrix)),
                              repr(avg_forgetting(matrix))))
     assert [(r.seed, r.permutation, repr(r.mean_accuracy), repr(r.avg_forgetting))
@@ -139,66 +179,105 @@ def test_memo_cells_match_fresh_cells_in_any_order(case, method):
     cfg = _cfg(case)
     seed = cfg.seeds[0]
     perms = _perms(cfg)
-    fresh = [_cell(cfg, method, perm, seed) for perm in perms]
-    chains = [prefix_chain(method, perm, cfg) for perm in perms]
+    fresh = [_reference(cfg, method, perm, seed) for perm in perms]
 
-    memo = PrefixMemo(chains)
+    plan, chains = _plan(cfg, method, perms)
     for perm, want in zip(perms, fresh):
-        _assert_same_cell(method, _cell(cfg, method, perm, seed, memo), want)
-    assert _holds_nothing(memo, chains)  # each state went after its last planned use
+        _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
+    assert _holds_nothing(plan, chains)  # each state went after its last planned use
 
-    # reverse order: resumes happen from states the plan did not expect
-    memo = PrefixMemo(chains)
+    # reverse order: the plan is filled, or resumed from, by its last cell
+    plan, _ = _plan(cfg, method, perms)
     for perm, want in zip(perms[::-1], fresh[::-1]):
-        _assert_same_cell(method, _cell(cfg, method, perm, seed, memo), want)
+        _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
 
-    # cells run again after later cells have resumed from the states they stored
-    memo = PrefixMemo(chains)
+    # cells asked again after later cells have used the plan
+    plan, _ = _plan(cfg, method, perms)
     ran = perms[: len(perms) // 2 + 1]
     for perm in ran:
-        _cell(cfg, method, perm, seed, memo)
+        _cell(cfg, method, perm, seed, plan)
     for perm, want in zip(ran, fresh):
-        _assert_same_cell(method, _cell(cfg, method, perm, seed, memo), want)
+        _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
+
+    # an order outside the plan, asked first and again after the plan is used
+    plan, chains = _plan(cfg, method, perms[1:])
+    _assert_same_cell(method, _cell(cfg, method, perms[0], seed, plan), fresh[0])
+    for perm, want in zip(perms[1:], fresh[1:]):
+        _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
+    _assert_same_cell(method, _cell(cfg, method, perms[0], seed, plan), fresh[0])
+    assert _holds_nothing(plan, chains)
 
 
 def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
     # every non-final arrival prefix's Fisher is estimated once, when its
-    # node is settled, and never on a resume; a stored node is never
-    # written, so its anchor list keeps its length
-    fishers = []
+    # node is settled, before its children train; each depth's stack reads
+    # one (P, p) anchor pair per settled ancestor
+    fishers, stacks = [], []
 
     def counting(params, pool, spec):
         fishers.append(params.shape)
         return curvature.estimate_diag_curvature(params, pool, spec)
 
+    def recording(perms, tasks, init, cfg, spec, seeds, buffers=None, anchors=None):
+        stacks.append((len(perms), init.shape, [(w.shape, f.shape) for w, f in anchors]))
+        return train_seq(perms, tasks, init, cfg, spec, seeds, buffers, anchors)
+
+    train_seq = learners.train_seq
     monkeypatch.setattr(learners, "estimate_diag_curvature", counting)
+    monkeypatch.setattr("hiercl.experiment.train_seq", recording)
     cfg = _cfg("ewc-k2-all")
     seed = cfg.seeds[0]
     perms = _perms(cfg)
-    chains = [prefix_chain("seq", perm, cfg) for perm in perms]
-    memo = PrefixMemo(chains)
-    stored = []
-    store = memo.store
-
-    def recording(key, node):
-        kept = store(key, node)
-        if kept:
-            stored.append((key, node[0], len(node[0].anchors)))
-        return kept
-
-    memo.store = recording
+    plan, _ = _plan(cfg, "seq", perms)
     for perm in perms:
-        _cell(cfg, "seq", perm, seed, memo)
+        _cell(cfg, "seq", perm, seed, plan)
     t_count = cfg.dataset.task_count
     prefixes = {p.order[:i] for p in perms for i in range(1, t_count)}
     assert len(fishers) == len(prefixes) == 4 + 12 + 24
-    assert stored
-    for key, state, n_anchors in stored:
-        assert state.pending is None and len(state.anchors) == n_anchors == len(key)
+    p = make_model_spec(cfg).param_count
+    assert stacks == [(rows, (rows, p), [((rows, p), (rows, p))] * depth)
+                      for depth, rows in enumerate((4, 12, 24, 24))]
 
 
-def _holds_nothing(memo, chains):
-    return all(memo.resume(chain) == (0, None) for chain in chains)
+@pytest.mark.parametrize("method", ["seq", "fedavg", "fedprox"])
+def test_an_all_orders_plan_trains_each_depth_in_capped_stacks(monkeypatch, method):
+    # 5 tasks: depths of 5, 20, 60, 120 and 120 prefixes, in stacks of at
+    # most 24 rows, are 1 + 1 + 3 + 5 + 5 = 15 training calls; a cell that
+    # trained its own order would add P=1 calls
+    rows = []
+
+    def counting(params, *args, **kwargs):
+        rows.append(len(params))
+        return train_on_task(params, *args, **kwargs)
+
+    train_on_task = learners.train_on_task
+    monkeypatch.setattr(learners, "train_on_task", counting)
+    monkeypatch.setattr(federated, "train_on_task", counting)
+    cfg = build_experiment_config({**_TINY, "dataset.num_classes": "10", "learner.kind": "er",
+                                   "run.perms": "all", "run.seeds": "0",
+                                   "run.methods": method})
+    records, _ = run_experiment(cfg, csv_path="")
+    assert len(records) == 120
+    assert STACK_ROWS == 24
+    assert rows == [5, 20, 24, 24, 12] + [24] * 10
+
+
+def test_a_diverged_stack_names_its_arrival_prefix(monkeypatch):
+    # the third settled node of depth 0 gets a nonfinite Fisher
+    calls = []
+
+    def poisoned(params, pool, spec):
+        est = curvature.estimate_diag_curvature(params, pool, spec)
+        calls.append(1)
+        return replace(est, diag=est.diag * np.nan) if len(calls) == 3 else est
+
+    monkeypatch.setattr(learners, "estimate_diag_curvature", poisoned)
+    cfg = _cfg("ewc-k2-all")
+    perms = _perms(cfg)
+    plan, _ = _plan(cfg, "seq", perms)
+    with pytest.raises(ValueError, match=r"^arrival prefix 2: task 2: EWC Fisher is not "
+                                         r"finite after training; training diverged$"):
+        _cell(cfg, "seq", perms[0], cfg.seeds[0], plan)
 
 
 def test_prefix_keys():
@@ -223,19 +302,30 @@ def test_memo_keeps_a_state_only_for_later_resumes():
     assert _holds_nothing(memo, chains)
 
 
-def test_a_plan_without_shared_prefixes_stores_nothing():
+def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch):
     cfg = _cfg("er-k2-sampled-pairwise")
     perms = [Permutation(p) for p in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1))]
+    # seq and fed: one stack of the 3 orders per depth, and after the last
+    # cell nothing is left
+    rows = []
+
+    def counting(params, *args, **kwargs):
+        rows.append(len(params))
+        return train_on_task(params, *args, **kwargs)
+
+    train_on_task = learners.train_on_task
+    monkeypatch.setattr(learners, "train_on_task", counting)
+    monkeypatch.setattr(federated, "train_on_task", counting)
     for method in ("seq", "fedavg"):
-        chains = [prefix_chain(method, perm, cfg) for perm in perms]
-        memo = PrefixMemo(chains)
+        rows.clear()
+        plan, chains = _plan(cfg, method, perms)
         for perm in perms:
-            _cell(cfg, method, perm, cfg.seeds[0], memo)
-            assert _holds_nothing(memo, chains)
+            _cell(cfg, method, perm, cfg.seeds[0], plan)
+        assert rows == [3] * 4
+        assert _holds_nothing(plan, chains)
     # the first two orders both have the groups {0, 1} then {2, 3}
-    chains = [prefix_chain("hier", perm, cfg) for perm in perms]
-    memo = PrefixMemo(chains)
-    _cell(cfg, "hier", perms[0], cfg.seeds[0], memo)
-    depth, node = memo.resume(chains[1])
+    plan, chains = _plan(cfg, "hier", perms)
+    _cell(cfg, "hier", perms[0], cfg.seeds[0], plan)
+    depth, node = plan.resume(chains[1])
     assert depth == 2 and node is not None
-    assert _holds_nothing(memo, chains)
+    assert _holds_nothing(plan, chains)
