@@ -12,7 +12,7 @@ from .consolidation import (HierarchyState, catch_up, init_hierarchy,
 from .curvature import (CurvatureEstimate, estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         regularized_solve)
-from .federated import FedConfig, fed_compare_run, fedavg_aggregate, fedprox_train_local
+from .federated import FedConfig, fed_compare_run, fedavg_aggregate
 from .learners import LearnerConfig, LearnerState, ReplayBuffer, settle, train_seq
 from .metrics import (AccuracyMatrix, MetricsRecord, avg_forgetting, mean_accuracy,
                       read_records, std_across_permutations, summarize)

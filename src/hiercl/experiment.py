@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DatasetConfig, ExperimentConfig
 from .federated import FedConfig, fed_compare_run
-from .learners import LearnerConfig, LearnerState, TrainingDiverged, settle, train_seq
+from .learners import LearnerConfig, LearnerState, settle, stack_anchors, train_seq
 from .memo import ArrivalPlan, PrefixMemo, membership_prefixes
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
                       mean_accuracy, summarize)
@@ -82,18 +82,11 @@ def run_baseline_seq(
             [derive_seed(seed, SEQ_STREAM, depth)] * len(prefixes),
             buffers=[None if state.buffer is None else state.buffer.clone()
                      for state, _ in parents],
-            # the j-th anchor of every row, stacked into one (P, p) pair
-            anchors=[tuple(map(np.stack, zip(*column)))
-                     for column in zip(*(state.anchors for state, _ in parents))])
+            anchors=stack_anchors([state.anchors for state, _ in parents]))
         nodes = []
         for row, (state, (_, accs)) in enumerate(zip(states, parents)):
             accs += (task_accuracies(state.params, tasks, spec),)
-            if depth < last:
-                try:
-                    state = settle(state, spec)
-                except TrainingDiverged as err:
-                    raise TrainingDiverged(str(err), row) from err
-            nodes.append((state, accs))
+            nodes.append((settle(state, spec, row) if depth < last else state, accs))
         return nodes
 
     # train_seq gives er its buffer at the first task

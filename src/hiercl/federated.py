@@ -51,24 +51,6 @@ def fedavg_aggregate(models) -> np.ndarray:
     return np.stack([np.asarray(m, dtype=np.float64) for m in models]).mean(axis=0)
 
 
-def fedprox_train_local(
-    task: TaskDataset,
-    anchor: np.ndarray,
-    cfg: LearnerConfig,
-    prox_mu: float,
-    spec: ModelSpec,
-    seed: int,
-) -> np.ndarray:
-    """Train one client task from (and proximally tied to) the anchor.
-
-    prox_mu = 0 follows the exact unmodified optimizer path, so it is
-    bitwise-identical to plain training with the same seed.
-    """
-    anchor = np.asarray(anchor, dtype=np.float64)
-    return train_on_task(anchor[None], [task], cfg, spec, [np.random.default_rng(seed)],
-                         prox=(anchor, prox_mu))[0]
-
-
 def fed_compare_run(
     tasks: list[TaskDataset],
     full_perm: Permutation,

@@ -208,7 +208,9 @@ def train_on_task(
     first row whose loss it is; so do nonfinite params at the end of the
     task, naming the first row that holds them.
     """
-    params = np.array(params, dtype=np.float64)
+    # row-major whatever the caller's layout, so the stacked products give
+    # the bits of rows trained alone
+    params = np.array(params, dtype=np.float64, order="C")
     if params.ndim != 2:
         raise ValueError(f"params must be a (P, p) stack, got shape {params.shape}")
     rows = len(params)
@@ -278,14 +280,19 @@ def _fishers(params, tasks, spec: ModelSpec) -> np.ndarray:
     return fishers
 
 
-def settle(state: LearnerState, spec: ModelSpec) -> LearnerState:
+def settle(state: LearnerState, spec: ModelSpec, row: int = 0) -> LearnerState:
     """`state` with its pending task's EWC anchor added, which estimates
     that Fisher; `state` itself when nothing is pending. A caller settles a
     state once, before training on from it or storing it, and never writes
-    either state. A nonfinite Fisher raises TrainingDiverged (index 0)."""
+    either state. A nonfinite Fisher raises TrainingDiverged with index
+    `row`, the state's row in the caller's stack."""
     if state.pending is None:
         return state
-    fisher = _fishers(state.params[None], [state.pending], spec)[0]
+    try:
+        fisher = _fishers(state.params[None], [state.pending], spec)[0]
+    except TrainingDiverged as err:
+        err.index = row
+        raise
     return LearnerState(state.params, state.buffer, state.anchors + [(state.params, fisher)])
 
 
@@ -349,6 +356,17 @@ def train_seq(
                          [(_row(w, i), _row(f, i)) for w, f in shared + own],
                          step_tasks[i] if ewc else None)
             for i in range(len(perms))]
+
+
+def stack_anchors(anchor_lists) -> list:
+    """The rows' anchor lists as train_seq's `anchors`: the j-th pair of
+    every list becomes one pair, whose arrays are passed as they are when
+    every row holds the same (p,) object and stacked into (P, p) otherwise."""
+    if len({len(anchors) for anchors in anchor_lists}) > 1:
+        raise ValueError("every row needs the same number of anchors")
+    return [tuple(arrays[0] if all(a is arrays[0] for a in arrays) else np.stack(arrays)
+                  for arrays in zip(*column))
+            for column in zip(*anchor_lists)]
 
 
 def _row(array, i):

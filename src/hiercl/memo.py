@@ -7,10 +7,11 @@ prefix pass through bitwise-identical states up to its end.
 Seq and fed cells share them through an ArrivalPlan: the first cell of a
 plan trains the arrival trie of every planned order breadth-first
 (`train_trie`), and each cell then takes its own result. That first cell's
-wall time therefore carries the whole trie. Hier cells share them through
-a PrefixMemo: a cell names its prefixes by a chain of keys, one per group,
-each key encoding the whole prefix it ends; the runner resumes from the
-deepest stored key of its chain and computes only the rest.
+wall time therefore carries the whole trie. (Hier exploration trains the
+orderings inside one group as such a trie too.) Hier cells share them
+through a PrefixMemo: a cell names its prefixes by a chain of keys, one
+per group, each key encoding the whole prefix it ends; the runner resumes
+from the deepest stored key of its chain and computes only the rest.
 """
 
 from __future__ import annotations
@@ -19,18 +20,19 @@ from collections import Counter
 
 from .learners import TrainingDiverged
 
-# rows per stacked training call of a trie depth: the 4! orderings that
-# a group of 4 already trains as one stack
+# rows per stacked training call of a trie depth: the 4! leaves of an
+# explored group of 4
 STACK_ROWS = 24
 
 
-def train_trie(orders, root, train_stack) -> dict:
+def train_trie(orders, root, train_stack, label: str = "arrival prefix") -> dict:
     """{order: leaf node} for equal-length orders of task ids, trained
     breadth-first from the `root` node. Depth d's distinct prefixes go to
     `train_stack(d, prefixes, parents)` in first-appearance order, at most
     STACK_ROWS at a time, which returns one child node per prefix; a
     depth's parents are dropped once its children are trained. A
-    TrainingDiverged becomes a ValueError naming the prefix it reports."""
+    TrainingDiverged becomes a ValueError that names the prefix it reports
+    after `label` ("arrival prefix 2-0: task 0: ...")."""
     level = {(): root}
     for depth in range(len(orders[0])):
         prefixes = list(dict.fromkeys(order[: depth + 1] for order in orders))
@@ -40,8 +42,8 @@ def train_trie(orders, root, train_stack) -> dict:
             try:
                 nodes = train_stack(depth, chunk, [level[p[:-1]] for p in chunk])
             except TrainingDiverged as err:
-                label = "-".join(map(str, chunk[err.index]))
-                raise ValueError(f"arrival prefix {label}: {err}") from err
+                prefix = "-".join(map(str, chunk[err.index]))
+                raise ValueError(f"{label} {prefix}: {err}") from err
             children.update(zip(chunk, nodes))
         level = children
     return level

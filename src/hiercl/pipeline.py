@@ -1,17 +1,18 @@
 """End-to-end grouped continual learning.
 
 Arrival order is cut into groups of k tasks. Within a group every ordering
-is trained from the same weight and buffer snapshot, all k! of them in
-lockstep as one parameter stack; the best-scoring ordering wins and its
-local model is consolidated into the slow hierarchy.
+is trained from the same weight and buffer snapshot, the k! of them as a
+prefix trie whose depths train as parameter stacks; the best-scoring
+ordering wins and its local model is consolidated into the slow hierarchy.
 After the last group a short catch-up phase re-applies the consolidation
 toward the final local model.
 
 Anything that feeds float arithmetic is assembled in task-id order, and
-per-ordering training seeds depend only on (base seed, group index, task
-ids), so two arrival sequences with the same group membership produce
-bitwise-identical hierarchies. A sweep uses that: run_pipeline resumes from
-the deepest run of group memberships that a PrefixMemo holds.
+the training seed of each ordering prefix depends only on (base seed,
+group index, task ids), so two arrival sequences with the same group
+membership produce bitwise-identical hierarchies. A sweep uses that:
+run_pipeline resumes from the deepest run of group memberships that a
+PrefixMemo holds.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         parse_curvature_spec)
 from .learners import (LearnerConfig, LearnerState, ReplayBuffer, TrainingDiverged,
-                       settle, train_seq)
-from .memo import PrefixMemo, membership_prefixes
+                       settle, stack_anchors, train_seq)
+from .memo import PrefixMemo, membership_prefixes, train_trie
 from .metrics import AccuracyMatrix
 from .model import Batch, ModelSpec, accuracy_eval, init_params
 from .tasks import (Permutation, TaskDataset, TaskGroup, enumerate_intra_group_perms,
@@ -42,7 +43,7 @@ EVAL_POLICIES = ("group_val", "seen_test")
 DEFAULT_SAMPLE_CAP = 512
 
 # seed-stream tags
-INIT_STREAM, SEQ_STREAM, FED_STREAM, AUDIT_STREAM = 0, 1, 2, 3
+INIT_STREAM, SEQ_STREAM, FED_STREAM, AUDIT_STREAM, HIER_STREAM = 0, 1, 2, 3, 4
 
 
 def derive_seed(*parts) -> int:
@@ -50,9 +51,12 @@ def derive_seed(*parts) -> int:
 
     The streams of a run with data seed s: (s, INIT_STREAM) initial weights;
     (s, SEQ_STREAM, i) and (s, FED_STREAM, i) the seq and fed learners at
-    arrival position i; (s, AUDIT_STREAM) the selection audit; (s, g,
-    *ordering) an ordering's learner in hier group g, whose tag g runs over
-    the named tags' integers; s itself the consolidation-pool draws.
+    arrival position i; (s, AUDIT_STREAM) the selection audit;
+    (s, HIER_STREAM, g, j, *prefix) the last task of a length-j ordering
+    prefix in hier group g; s itself the consolidation-pool draws.
+    SeedSequence pads its entropy with zeros, so parts that differ only by
+    trailing zeros collide; every stream has its own tag, and the hier
+    stream names the prefix length before the prefix, so no two of them do.
     """
     ss = np.random.SeedSequence(tuple(int(p) for p in parts))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -148,25 +152,41 @@ def explore_group(
     """Train every ordering of the group from identical snapshots and pick
     the best score; ties go to the lexicographically smallest ordering.
 
-    The k! orderings step in lockstep through one train_seq call and are
-    scored by one accuracy_eval call on the finished stack. Each ordering
-    keeps the seed derive_seed(base_seed, group index, *ordering) and its
-    own rng stream, buffer clone and anchors, so its result does not depend
-    on the others. A nonfinite loss stops training at the first stacked
-    step where one occurs, and the error names the lexicographically first
-    ordering whose loss is nonfinite there; nonfinite params at the end of
-    a task, or a nonfinite EWC Fisher, stop it the same way. Only the
-    winner goes on, so only its last task's Fisher is estimated."""
+    The k! orderings are trained as a prefix trie (memo.train_trie): depth
+    d takes the distinct length-(d+1) prefixes, lexicographically, as
+    stacked train_seq calls. Each prefix is trained once, on its last task,
+    from its parent's settled state (params, a clone of the buffer, the
+    anchors), with its own rng seeded by
+    derive_seed(base_seed, HIER_STREAM, group index, d + 1, *prefix), so
+    its result depends only on the prefix. Every prefix but the full
+    orderings is settled (its EWC Fisher estimated) before its children
+    train; the k! orderings are scored by one accuracy_eval call, and only
+    the winner is settled. A nonfinite loss, nonfinite params at the end of
+    a task, or a nonfinite EWC Fisher stop training at once, and the error
+    names the first prefix of its stack where that happened (the ordering,
+    for the winner's Fisher)."""
     perms = enumerate_intra_group_perms(group)
     eval_batch = _eval_batch(tasks, group, eval_policy,
                              seen_task_ids or group.task_ids)
-    seeds = [derive_seed(base_seed, group.group_index, *perm.order) for perm in perms]
     where = f"group {group.group_index}: ordering"
-    try:
-        states = train_seq(perms, tasks, init, cfg, spec, seeds, anchors=anchors,
-                           buffers=None if buffer is None else [buffer.clone() for _ in perms])
-    except TrainingDiverged as err:
-        raise ValueError(f"{where} {perms[err.index].label()}: {err}") from err
+    last = group.size - 1
+
+    def train_stack(depth, prefixes, parents):
+        states = train_seq(
+            [Permutation(p[-1:]) for p in prefixes], tasks,
+            np.stack([state.params for state in parents]), cfg, spec,
+            [derive_seed(base_seed, HIER_STREAM, group.group_index, depth + 1, *p)
+             for p in prefixes],
+            buffers=[None if state.buffer is None else state.buffer.clone()
+                     for state in parents],
+            anchors=stack_anchors([state.anchors for state in parents]))
+        if depth == last:
+            return states
+        return [settle(state, spec, row) for row, state in enumerate(states)]
+
+    leaves = train_trie([perm.order for perm in perms], LearnerState(init, buffer, anchors or []),
+                        train_stack, f"{where} prefix")
+    states = [leaves[perm.order] for perm in perms]
     scores = accuracy_eval(np.stack([state.params for state in states]), eval_batch, spec)
     for perm, score in zip(perms, scores):
         if not math.isfinite(score):

@@ -18,7 +18,9 @@ import numpy as np
 
 from .model import Batch, ModelSpec, accuracy_eval
 
-# k! trainings per group; enumeration is refused beyond this size
+# a group of k has k! orderings, trained as a prefix trie of
+# sum_j k!/(k-j)! task trainings; enumeration warns beyond WARN_GROUP_SIZE
+# and is refused beyond MAX_GROUP_SIZE
 MAX_GROUP_SIZE = 6
 WARN_GROUP_SIZE = 4
 
@@ -225,11 +227,13 @@ def enumerate_intra_group_perms(group: TaskGroup) -> list[Permutation]:
     if group.size > MAX_GROUP_SIZE:
         raise ValueError(
             f"group of size {group.size} would need {math.factorial(group.size)} "
-            f"trainings; the cap is {MAX_GROUP_SIZE}"
+            f"orderings; the cap is {MAX_GROUP_SIZE}"
         )
     if group.size > WARN_GROUP_SIZE:
         warnings.warn(
-            f"group size {group.size} costs {math.factorial(group.size)} trainings",
+            f"group size {group.size} costs "
+            f"{sum(math.perm(group.size, j) for j in range(1, group.size + 1))} "
+            f"task trainings, one per ordering prefix",
             stacklevel=2,
         )
     return [Permutation(p) for p in itertools.permutations(sorted(group.task_ids))]

@@ -3,8 +3,9 @@
 `run_baseline_seq` and `fed_compare_run` are the earlier per-cell
 runners, kept verbatim: each cell resumes from the deepest arrival prefix
 a PrefixMemo holds, then trains the rest of its order one task at a time
-through the library's one-row calls (train_seq from a (p,) init,
-fedprox_train_local) and offers the memo each prefix it ends. Called
+through one-row calls (the library's train_seq from a (p,) init, and
+fedprox_train_local from federated_reference.py) and offers the memo each
+prefix it ends. Called
 without a memo, a cell trains its whole order alone. The library's trie,
 which trains each depth of all planned orders as (P, p) stacks, must match
 them bit for bit, cell by cell.
@@ -13,8 +14,9 @@ them bit for bit, cell by cell.
 from __future__ import annotations
 
 import numpy as np
+from federated_reference import fedprox_train_local
 
-from hiercl.federated import FedConfig, fedavg_aggregate, fedprox_train_local
+from hiercl.federated import FedConfig, fedavg_aggregate
 from hiercl.learners import LearnerConfig, LearnerState, settle, train_seq
 from hiercl.memo import PrefixMemo
 from hiercl.metrics import AccuracyMatrix

@@ -1,4 +1,10 @@
-"""Per-draw reference for the selection audit.
+"""Serial references for group exploration and the selection audit.
+
+`explore_orderings` trains each ordering of a group alone, task by task,
+through the serial learner of `learners_reference.py`, with the seed of
+each ordering prefix and nothing shared between orderings. The library
+trains the orderings as a prefix trie of stacked calls, and must give the
+same scores and the same winning state bit for bit.
 
 `selection_audit` is the earlier audit, kept verbatim: it sums every
 random draw's per-group terms with its own `math.fsum` call. The library's
@@ -10,8 +16,34 @@ table.
 import math
 
 import numpy as np
+from learners_reference import train_seq
+from model_reference import ref_accuracy_eval
 
-from hiercl.pipeline import SelectionAuditError
+from hiercl.learners import LearnerState
+from hiercl.pipeline import HIER_STREAM, SelectionAuditError, derive_seed
+from hiercl.tasks import Permutation, enumerate_intra_group_perms
+
+
+def explore_orderings(group, tasks, init, cfg, spec, base_seed, eval_batch,
+                      buffer=None, anchors=None):
+    """(scores, winner index, winner state) over the group's orderings in
+    enumeration order. Each ordering starts from `init`, its own clone of
+    `buffer` and `anchors`; the task at position j of ordering o trains
+    with derive_seed(base_seed, HIER_STREAM, group index, j + 1, *o[:j + 1])
+    and, under EWC, is settled right after. Ties go to the first ordering."""
+    scores, states = [], []
+    for perm in enumerate_intra_group_perms(group):
+        state = LearnerState(np.array(init, dtype=np.float64),
+                             None if buffer is None else buffer.clone(), list(anchors or []))
+        for j, t in enumerate(perm.order):
+            seed = derive_seed(base_seed, HIER_STREAM, group.group_index, j + 1,
+                               *perm.order[: j + 1])
+            state = train_seq(Permutation((t,)), tasks, state.params, cfg, spec, seed,
+                              shared_buffer=state.buffer, anchors=state.anchors)
+        scores.append(ref_accuracy_eval(state.params, eval_batch, spec))
+        states.append(state)
+    best = int(np.argmax(scores))
+    return scores, best, states[best]
 
 
 def selection_audit(group_results, n_draws: int = 1000, seed: int = 0) -> dict:

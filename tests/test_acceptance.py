@@ -18,12 +18,12 @@ from hiercl.consolidation import taylor_consolidate
 from hiercl.curvature import CurvatureEstimate, regularized_solve
 from hiercl.experiment import make_tasks, run_experiment
 from hiercl.learners import LearnerConfig, ReplayBuffer, train_on_task
-from hiercl.federated import fedprox_train_local
 from hiercl.metrics import CSV_HEADER
 from hiercl.model import Batch, ModelSpec, init_params, loss_and_grad
 from hiercl.pipeline import PipelineConfig, derive_seed, run_pipeline
 from hiercl.tasks import Permutation, gen_sine_tasks
 from consolidation_reference import descent_reference_min, two_step_recursive_check
+from federated_reference import fedprox_train_local
 from model_reference import fd_gradient
 
 BENCH_DATASET = DatasetConfig(num_classes=10, classes_per_task=2, dim=8,

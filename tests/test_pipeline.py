@@ -1,18 +1,24 @@
 """Tests for group exploration, the grouped pipeline, and the selection audit."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from learners_reference import train_seq as serial_train_seq
+from pipeline_reference import explore_orderings
 from pipeline_reference import selection_audit as per_draw_selection_audit
 
 from hiercl import curvature, learners, pipeline
 from hiercl.learners import LearnerConfig, ReplayBuffer
 from hiercl.model import Batch, ModelSpec, init_params, predict
 from hiercl.pipeline import (
+    AUDIT_STREAM,
+    FED_STREAM,
+    HIER_STREAM,
+    INIT_STREAM,
+    SEQ_STREAM,
     GroupExplorationResult,
     PipelineConfig,
     SelectionAuditError,
@@ -49,6 +55,20 @@ def test_derive_seed_is_stable_and_spread():
     seen = {derive_seed(0, g, a, b) for g in range(4) for a in range(4) for b in range(4)}
     assert len(seen) == 64
     assert derive_seed(0, 1) != derive_seed(1, 0)
+
+
+def test_hier_seeds_never_equal_another_streams_seeds():
+    # SeedSequence pads entropy with zeros, so (s, 0) and (s, 0, 0) collide;
+    # hier prefixes carry their own tag and their length before the ids
+    seeds, tasks = range(3), range(4)
+    others = ({derive_seed(s, tag) for s in seeds for tag in (INIT_STREAM, AUDIT_STREAM)}
+              | {derive_seed(s, tag, i) for s in seeds for tag in (SEQ_STREAM, FED_STREAM)
+                 for i in range(6)})
+    hier = {derive_seed(s, HIER_STREAM, g, j, *prefix) for s in seeds for g in range(4)
+            for j in range(1, 4) for prefix in itertools.permutations(tasks, j)}
+    assert len(others) == 3 * 2 + 3 * 2 * 6
+    assert len(hier) == 3 * 4 * (4 + 12 + 24)
+    assert not hier & others
 
 
 def test_pipeline_config_validation():
@@ -366,7 +386,8 @@ def test_diverged_scores_are_rejected_not_selected():
     # scores NaN, which used to "select" 0-1-2 and pass the audit
     group = TaskGroup(0, (0, 1, 2))
     spec = ModelSpec((1, 16, 1), task_kind="regression")
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="group 0: ordering 0-1-2"):
+    want = r"^group 0: ordering prefix 0-1: task 1: epoch 1, step 1: minibatch loss is inf"
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(group, gen_sine_tasks(3, 0), init_params(spec, 0),
                       LearnerConfig(learning_rate=1e8), spec, base_seed=0)
     # the score table that run recorded, and tables with one bad score
@@ -379,31 +400,98 @@ def test_diverged_scores_are_rejected_not_selected():
 
 @pytest.mark.filterwarnings("ignore:group size 5 costs")
 def test_divergence_fails_fast_naming_group_ordering_task_and_step():
-    # sine regression at lr=1e8 overflows while training the first ordering;
-    # the run stops there instead of finishing it and scoring NaN
+    # sine regression at lr=1e8 overflows while training the first
+    # two-task prefix; the run stops there instead of finishing the
+    # orderings and scoring NaN
     spec = ModelSpec((1, 16, 1), task_kind="regression")
     cfg = _cfg(learner=LearnerConfig(learning_rate=1e8), group_size=5)
-    want = r"^group 0: ordering 0-1-2-3-4: task 1: epoch 1, step 1: minibatch loss is inf"
+    want = r"^group 0: ordering prefix 0-1: task 1: epoch 1, step 1: minibatch loss is inf"
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         run_pipeline(gen_sine_tasks(5, 0), Permutation(tuple(range(5))), cfg, spec)
 
 
 def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
     # one step per task at lr=1e308: on task 1 that step overflows, so
-    # ordering 1-0 ends its first task with inf params while every loss
-    # it computed was finite; ordering 0-1 is still finite there
+    # prefix 1 ends its task with inf params while every loss it computed
+    # was finite; prefix 0 is still finite there
     spec = ModelSpec((1, 4, 1), task_kind="regression")
     cfg = LearnerConfig(learning_rate=1e308, epochs_per_task=1, batch_size=8, weight_decay=0.0)
-    want = r"^group 3: ordering 1-0: task 1: params are not finite after training"
+    want = r"^group 3: ordering prefix 1: task 1: params are not finite after training"
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(3, (1, 0)), gen_sine_tasks(2, 0, samples_per_task=8),
                       init_params(spec, 0), cfg, spec, base_seed=0)
 
 
+def _assert_same_state(got, want):
+    assert got.pending is None
+    assert got.params.dtype == want.params.dtype and np.array_equal(got.params, want.params)
+    assert len(got.anchors) == len(want.anchors)
+    for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
+        assert np.array_equal(w_got, w_want) and np.array_equal(f_got, f_want)
+    if want.buffer is None:
+        assert got.buffer is None
+        return
+    assert got.buffer.seen_count == want.buffer.seen_count
+    assert np.array_equal(got.buffer.inputs, want.buffer.inputs)
+    assert np.array_equal(got.buffer.targets, want.buffer.targets)
+    assert np.array_equal(got.buffer.task_ids, want.buffer.task_ids)
+
+
+def _explore_case(kind, k, seed=0):
+    """A group of k tasks (group index 2, ids not in arrival order) with an
+    incoming buffer and anchor, as a later group of a run sees them."""
+    tasks = _tasks(seed=seed)
+    init = init_params(SPEC, seed)
+    rng = np.random.default_rng(seed + k)
+    anchors = [(init + rng.normal(size=init.size), rng.random(init.size))]
+    earlier = _tasks(seed=seed + 1)[0].train
+    buffer = ReplayBuffer(6)
+    buffer.insert_many(earlier.inputs, earlier.targets, 0, rng)
+    cfg = LearnerConfig(kind=kind, epochs_per_task=1, batch_size=8, ewc_strength=2.0,
+                        buffer_capacity=6)
+    group = TaskGroup(2, tuple(reversed(range(k))))
+    return group, tasks, init, cfg, buffer, anchors
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["sgd", "er", "ewc"])
+def test_explore_group_matches_serial_orderings_with_prefix_seeds(kind, k):
+    group, tasks, init, cfg, buffer, anchors = _explore_case(kind, k)
+    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=11,
+                        buffer=buffer, anchors=anchors)
+    eval_batch = Batch(np.concatenate([tasks[i].val.inputs for i in range(k)]),
+                       np.concatenate([tasks[i].val.targets for i in range(k)]))
+    scores, best, want = explore_orderings(group, tasks, init, cfg, SPEC, 11, eval_batch,
+                                           buffer=buffer, anchors=anchors)
+    assert [p.order for p, _ in res.per_perm_scores] == [
+        p.order for p in enumerate_intra_group_perms(group)]
+    assert [s for _, s in res.per_perm_scores] == scores
+    assert res.best_perm.order == res.per_perm_scores[best][0].order
+    _assert_same_state(res.best_state, want)
+    assert len(buffer) == 6 and buffer.seen_count == 20  # the caller's buffer is untouched
+
+
+def test_explore_group_trains_each_depth_of_its_prefix_trie_as_one_stack(monkeypatch):
+    # a group of 4 trains its 4 + 12 + 24 + 24 = 64 prefixes in one
+    # train_on_task call per depth, not 24 orderings of 4 tasks each
+    rows = []
+    real = learners.train_on_task
+
+    def counting(params, *args, **kw):
+        rows.append(len(params))
+        return real(params, *args, **kw)
+
+    monkeypatch.setattr(learners, "train_on_task", counting)
+    group, tasks, init, cfg, buffer, anchors = _explore_case("er", 4)
+    explore_group(group, tasks, init, cfg, SPEC, base_seed=0, buffer=buffer, anchors=anchors)
+    assert rows == [4, 12, 24, 24]
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_explore_group_estimates_each_fisher_a_later_task_or_the_winner_reads(monkeypatch, k):
-    # each ordering's first k-1 Fishers feed its next task's penalty; of
-    # the k! last-task Fishers only the winner's is estimated
+    # every prefix shorter than the group is settled once, since its
+    # children's penalty reads it; of the k! orderings' last-task Fishers
+    # only the winner's is estimated
     calls = []
 
     def counting(params, pool, spec):
@@ -419,19 +507,13 @@ def test_explore_group_estimates_each_fisher_a_later_task_or_the_winner_reads(mo
     group = TaskGroup(1, tuple(range(4 - k, 4)))
     res = explore_group(group, tasks, init, cfg, SPEC, base_seed=7,
                         buffer=ReplayBuffer(5), anchors=anchors)
-    assert len(calls) == (k - 1) * math.factorial(k) + 1
-    want = serial_train_seq(res.best_perm, tasks, init, cfg, SPEC,
-                            derive_seed(7, 1, *res.best_perm.order),
-                            shared_buffer=ReplayBuffer(5), anchors=anchors)
-    got = res.best_state
-    assert got.pending is None
-    assert got.params.dtype == want.params.dtype and np.array_equal(got.params, want.params)
-    assert len(got.anchors) == len(want.anchors) == k + 1
-    for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
-        assert np.array_equal(w_got, w_want) and np.array_equal(f_got, f_want)
-    assert got.buffer.seen_count == want.buffer.seen_count
-    assert np.array_equal(got.buffer.inputs, want.buffer.inputs)
-    assert np.array_equal(got.buffer.task_ids, want.buffer.task_ids)
+    assert len(calls) == sum(math.perm(k, j) for j in range(1, k)) + 1
+    eval_batch = Batch(np.concatenate([tasks[i].val.inputs for i in group.task_ids]),
+                       np.concatenate([tasks[i].val.targets for i in group.task_ids]))
+    _, _, want = explore_orderings(group, tasks, init, cfg, SPEC, 7, eval_batch,
+                                   buffer=ReplayBuffer(5), anchors=anchors)
+    assert len(res.best_state.anchors) == k + 1
+    _assert_same_state(res.best_state, want)
 
 
 def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
@@ -448,6 +530,13 @@ def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
             r"training diverged$")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(2, (1,)), tasks, np.array([1.0, 0.0, 1.0, 0.0]), cfg, spec,
+                      base_seed=0)
+    # in a group of both tasks, prefix 1 (row 1 of the first stack) is
+    # settled before its child 1-0 trains, and the error names that prefix
+    want = (r"^group 2: ordering prefix 1: task 1: EWC Fisher is not finite after training; "
+            r"training diverged$")
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
+        explore_group(TaskGroup(2, (1, 0)), tasks, np.array([1.0, 0.0, 1.0, 0.0]), cfg, spec,
                       base_seed=0)
 
 

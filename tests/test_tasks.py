@@ -136,8 +136,12 @@ def test_enumerate_perms_lexicographic_over_sorted_ids():
 def test_enumerate_perms_guards():
     with pytest.raises(ValueError):
         enumerate_intra_group_perms(TaskGroup(0, tuple(range(7))))
-    with pytest.warns(UserWarning):
+    # the count is the group's prefix trie: sum_j k!/(k-j)!
+    with pytest.warns(UserWarning, match=r"^group size 5 costs 325 task trainings, one per "
+                                         r"ordering prefix$"):
         enumerate_intra_group_perms(TaskGroup(0, tuple(range(5))))
+    with pytest.warns(UserWarning, match=r"^group size 6 costs 1956 task trainings"):
+        enumerate_intra_group_perms(TaskGroup(0, tuple(range(6))))
 
 
 def test_sample_full_permutations_exhaustive():
