@@ -15,6 +15,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .federated import FedConfig
@@ -41,8 +42,18 @@ class DatasetConfig:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if self.classes_per_task < 1 or self.task_count < 1:  # task_count divides by the first
-            raise ValueError("the dataset needs classes_per_task >= 1 and at least one task")
+        for name in ("num_tasks", "num_classes", "classes_per_task", "dim", "samples_per_class",
+                     "val_per_class", "test_per_class", "samples_per_task"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"dataset.{name} must be at least 1, got {value}")
+        for name in ("spread", "noise_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"dataset.{name} must be nonnegative and finite, got {value}")
+        if self.task_count < 1:
+            raise ValueError(f"dataset.num_classes={self.num_classes} is fewer than "
+                             f"dataset.classes_per_task={self.classes_per_task}: no task")
 
     @property
     def task_count(self) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DatasetConfig, ExperimentConfig
 from .federated import FedConfig, fed_compare_run
-from .learners import LearnerConfig, LearnerState, settle, stack_anchors, train_seq
+from .learners import LearnerConfig, LearnerState, settle, train_seq
 from .memo import ArrivalPlan, PrefixMemo, membership_prefixes
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
                       mean_accuracy, summarize)
@@ -68,21 +68,15 @@ def run_baseline_seq(
 
     The first cell of `plan` trains the arrival trie of every planned order
     (see memo.train_trie): each depth's prefixes step as (P, p) stacks
-    through train_seq, every row from its parent's params, a clone of its
-    parent's buffer and its parent's anchors, with the seed
-    derive_seed(seed, SEQ_STREAM, depth). Every node but the leaves is
-    settled (its EWC Fisher estimated) once, before its children train, so
-    an order's final Fisher is never estimated."""
+    through train_seq, every row on its last task from its parent's settled
+    state, with the seed derive_seed(seed, SEQ_STREAM, depth). Every node
+    but the leaves is settled (its EWC Fisher estimated) once, before its
+    children train, so an order's final Fisher is never estimated."""
     last = len(full_perm) - 1
 
     def train_stack(depth, prefixes, parents):
-        states = train_seq(
-            [Permutation(p[-1:]) for p in prefixes], tasks,
-            np.stack([state.params for state, _ in parents]), lcfg, spec,
-            [derive_seed(seed, SEQ_STREAM, depth)] * len(prefixes),
-            buffers=[None if state.buffer is None else state.buffer.clone()
-                     for state, _ in parents],
-            anchors=stack_anchors([state.anchors for state, _ in parents]))
+        states = train_seq([state for state, _ in parents], [tasks[p[-1]] for p in prefixes],
+                           lcfg, spec, [derive_seed(seed, SEQ_STREAM, depth)] * len(prefixes))
         nodes = []
         for row, (state, (_, accs)) in enumerate(zip(states, parents)):
             accs += (task_accuracies(state.params, tasks, spec),)

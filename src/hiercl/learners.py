@@ -1,9 +1,9 @@
 """Local sequential learners: plain SGD, experience replay, and EWC.
 
-A learner trains a (P, p) stack of flat parameter vectors through P
-equal-length task orderings in lockstep (P = 1 for a lone ordering): each
-step runs one loss and gradient over the whole stack, while every ordering
-keeps its own seed, random stream, replay buffer and EWC anchors.
+A learner trains a (P, p) stack of flat parameter vectors in lockstep,
+one task per row (P = 1 for a lone state): each step runs one loss and
+gradient over the whole stack, while every row keeps its own seed, random
+stream, replay buffer and EWC anchors.
 The replay buffer uses single-draw reservoir sampling so that after N
 offers every past item survives with probability capacity/N.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .curvature import estimate_diag_curvature
 from .model import Batch, ModelSpec, loss_and_grad
-from .tasks import Permutation, TaskDataset
+from .tasks import TaskDataset
 
 LEARNER_KINDS = ("sgd", "er", "ewc")
 
@@ -119,8 +119,9 @@ class LearnerConfig:
             raise ValueError("epochs_per_task must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.kind == "er" and self.buffer_capacity < 1:
-            raise ValueError("er needs a positive buffer capacity")
+        if self.buffer_capacity < 1:  # hier's consolidation pool holds a buffer for every kind
+            raise ValueError(f"learner.buffer_capacity must be at least 1, "
+                             f"got {self.buffer_capacity}")
 
 
 @dataclass
@@ -257,27 +258,12 @@ def train_on_task(
                 for i in active:
                     if buffer[i] is not None:
                         buffer[i].insert_many(*fresh[i], task[i].task_id, rng[i])
-    _check_rows(params, task, "params are")
-    return params
-
-
-def _check_rows(stack, tasks, what: str):
-    """Raise TrainingDiverged naming the first row of the (P, p) stack that
-    holds a nonfinite value."""
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(params).all(axis=1))
     if bad.size:
         i = int(bad[0])
-        raise TrainingDiverged(f"task {tasks[i].task_id}: {what} not finite after "
+        raise TrainingDiverged(f"task {task[i].task_id}: params are not finite after "
                                f"training; training diverged", i)
-
-
-def _fishers(params, tasks, spec: ModelSpec) -> np.ndarray:
-    """The EWC Fisher diagonal of each row of the (P, p) stack on its
-    row's task; TrainingDiverged names the first nonfinite one."""
-    fishers = np.stack([estimate_diag_curvature(w, t.train, spec).diag
-                        for w, t in zip(params, tasks)])
-    _check_rows(fishers, tasks, "EWC Fisher is")
-    return fishers
+    return params
 
 
 def settle(state: LearnerState, spec: ModelSpec, row: int = 0) -> LearnerState:
@@ -288,87 +274,55 @@ def settle(state: LearnerState, spec: ModelSpec, row: int = 0) -> LearnerState:
     `row`, the state's row in the caller's stack."""
     if state.pending is None:
         return state
-    try:
-        fisher = _fishers(state.params[None], [state.pending], spec)[0]
-    except TrainingDiverged as err:
-        err.index = row
-        raise
+    fisher = estimate_diag_curvature(state.params, state.pending.train, spec).diag
+    if not np.isfinite(fisher).all():
+        raise TrainingDiverged(f"task {state.pending.task_id}: EWC Fisher is not finite "
+                               f"after training; training diverged", row)
     return LearnerState(state.params, state.buffer, state.anchors + [(state.params, fisher)])
 
 
 def train_seq(
-    perms: list[Permutation],
+    parents: list[LearnerState],
     tasks: list[TaskDataset],
-    init: np.ndarray,
     cfg: LearnerConfig,
     spec: ModelSpec,
     seeds: list[int],
-    buffers=None,
-    anchors=None,
 ) -> list[LearnerState]:
-    """Train P equal-length orderings in lockstep from `init` and incoming
-    (settled) `anchors`; returns one state per ordering.
+    """Train row i on tasks[i] from the settled state parents[i], every row
+    in one (P, p) train_on_task call; returns one child state per row.
 
-    `init` is one (p,) vector that every ordering starts from, or a (P, p)
-    stack with one start per ordering; each (weights, Fisher) pair in
-    `anchors` holds (p,) arrays shared by every ordering or (P, p) stacks,
-    whose row i is ordering i's anchor. Ordering i draws from an rng seeded
-    with seeds[i] and keeps its own buffer (buffers[i] when given) and
-    anchor list, so its state is bitwise the one a lone call on its own
-    start and anchors gives. Under EWC, task j's Fishers are estimated
-    just before task j+1 trains, since its penalty reads them; the last
-    task's Fisher is left pending in each returned state, for `settle` by
-    whichever caller continues from that state.
+    Row i draws from an rng seeded with seeds[i] and offers its samples to
+    a clone of its parent's buffer (a new buffer under er when the parent
+    has none). Under EWC its penalty reads its parent's anchors: the j-th
+    pair of every row becomes one pair, whose arrays are passed as they are
+    when every row holds the same object and stacked into (P, p) otherwise.
+    Each child keeps its parent's anchor list as it is and leaves its
+    task's Fisher pending, for `settle` by whichever caller continues from
+    it. So child i is bitwise the state a lone call on parents[i] gives.
 
-    Deterministic given identical inputs and seeds. The passed buffers are
-    mutated in place (reservoir offers for every visited sample); all other
-    inputs stay untouched. A nonfinite loss raises TrainingDiverged at the
-    first stacked step where one occurs; its `index` is the first ordering
-    in the list that diverged there. Nonfinite params at the end of a task,
-    or a nonfinite Fisher estimated here, raise it too, naming the first
-    such ordering.
+    Deterministic given identical inputs and seeds; no parent is written.
+    A nonfinite loss raises TrainingDiverged at the first stacked step
+    where one occurs; its `index` is the first row that diverged there.
+    Nonfinite params at the end of the task raise it too, naming the first
+    such row.
     """
-    buffers = list(buffers) if buffers is not None else [None] * len(perms)
-    if not perms or not len(perms[0]):
+    if not parents:
         raise ValueError("no tasks to train on")
-    if len(seeds) != len(perms) or len(buffers) != len(perms):
-        raise ValueError("lockstep training needs one seed and one buffer slot per ordering")
-    if any(len(p) != len(perms[0]) for p in perms):
-        raise ValueError("orderings trained in lockstep must have equal length")
-    rngs = [np.random.default_rng(s) for s in seeds]
-    if cfg.kind == "er":
-        buffers = [ReplayBuffer(cfg.buffer_capacity) if b is None else b for b in buffers]
-    ewc = cfg.kind == "ewc"
-    shared = list(anchors or [])
-    own = []  # one (P, p) weight stack and Fisher stack per settled task
-    init = np.asarray(init, dtype=np.float64)
-    params = init if init.ndim == 2 else np.repeat(init[None], len(perms), axis=0)
-    if len(params) != len(perms):
-        raise ValueError(f"a stacked init needs one row per ordering, got {len(params)} "
-                         f"rows for {len(perms)} orderings")
-    for pos in range(len(perms[0])):
-        if ewc and pos:  # train_on_task never writes its input
-            own.append((params, _fishers(params, step_tasks, spec)))
-        step_tasks = [tasks[p.order[pos]] for p in perms]
-        params = train_on_task(params, step_tasks, cfg, spec, rngs, buffer=buffers,
-                               anchors=shared + own if ewc else None)
-    return [LearnerState(params[i].copy(), buffers[i],
-                         [(_row(w, i), _row(f, i)) for w, f in shared + own],
-                         step_tasks[i] if ewc else None)
-            for i in range(len(perms))]
-
-
-def stack_anchors(anchor_lists) -> list:
-    """The rows' anchor lists as train_seq's `anchors`: the j-th pair of
-    every list becomes one pair, whose arrays are passed as they are when
-    every row holds the same (p,) object and stacked into (P, p) otherwise."""
-    if len({len(anchors) for anchors in anchor_lists}) > 1:
+    if len(tasks) != len(parents) or len(seeds) != len(parents):
+        raise ValueError("train_seq needs one task and one seed per parent")
+    if any(parent.pending is not None for parent in parents):
+        raise ValueError("train_seq trains on from settled parents only")
+    if len({len(parent.anchors) for parent in parents}) > 1:
         raise ValueError("every row needs the same number of anchors")
-    return [tuple(arrays[0] if all(a is arrays[0] for a in arrays) else np.stack(arrays)
-                  for arrays in zip(*column))
-            for column in zip(*anchor_lists)]
-
-
-def _row(array, i):
-    """Row i of a (P, p) stack as its own array; a shared (p,) array as is."""
-    return array[i].copy() if array.ndim == 2 else array
+    buffers = [parent.buffer.clone() if parent.buffer is not None else
+               ReplayBuffer(cfg.buffer_capacity) if cfg.kind == "er" else None
+               for parent in parents]
+    ewc = cfg.kind == "ewc"
+    anchors = [tuple(arrays[0] if all(a is arrays[0] for a in arrays) else np.stack(arrays)
+                     for arrays in zip(*column))
+               for column in zip(*(parent.anchors for parent in parents))]
+    params = train_on_task(np.stack([parent.params for parent in parents]), tasks, cfg, spec,
+                           [np.random.default_rng(s) for s in seeds], buffer=buffers,
+                           anchors=anchors if ewc else None)
+    return [LearnerState(params[i].copy(), buffers[i], parent.anchors, tasks[i] if ewc else None)
+            for i, parent in enumerate(parents)]

@@ -30,7 +30,7 @@ from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         parse_curvature_spec)
 from .learners import (LearnerConfig, LearnerState, ReplayBuffer, TrainingDiverged,
-                       settle, stack_anchors, train_seq)
+                       settle, train_seq)
 from .memo import PrefixMemo, membership_prefixes, train_trie
 from .metrics import AccuracyMatrix
 from .model import Batch, ModelSpec, accuracy_eval, init_params
@@ -154,9 +154,10 @@ def explore_group(
 
     The k! orderings are trained as a prefix trie (memo.train_trie): depth
     d takes the distinct length-(d+1) prefixes, lexicographically, as
-    stacked train_seq calls. Each prefix is trained once, on its last task,
-    from its parent's settled state (params, a clone of the buffer, the
-    anchors), with its own rng seeded by
+    stacked train_seq calls, one row per prefix. Each prefix is trained
+    once, on its last task, from its parent's settled state (train_seq
+    clones the buffer, and the child shares the anchor list), with its own
+    rng seeded by
     derive_seed(base_seed, HIER_STREAM, group index, d + 1, *prefix), so
     its result depends only on the prefix. Every prefix but the full
     orderings is settled (its EWC Fisher estimated) before its children
@@ -172,14 +173,9 @@ def explore_group(
     last = group.size - 1
 
     def train_stack(depth, prefixes, parents):
-        states = train_seq(
-            [Permutation(p[-1:]) for p in prefixes], tasks,
-            np.stack([state.params for state in parents]), cfg, spec,
-            [derive_seed(base_seed, HIER_STREAM, group.group_index, depth + 1, *p)
-             for p in prefixes],
-            buffers=[None if state.buffer is None else state.buffer.clone()
-                     for state in parents],
-            anchors=stack_anchors([state.anchors for state in parents]))
+        states = train_seq(parents, [tasks[p[-1]] for p in prefixes], cfg, spec,
+                           [derive_seed(base_seed, HIER_STREAM, group.group_index, depth + 1, *p)
+                            for p in prefixes])
         if depth == last:
             return states
         return [settle(state, spec, row) for row, state in enumerate(states)]

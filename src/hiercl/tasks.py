@@ -97,12 +97,13 @@ def gen_split_gaussians(
     """Split protocol on Gaussian clusters: one unit-covariance cluster per
     class, class means at radius `spread`, consecutive classes grouped into
     tasks. The final task absorbs any remainder classes."""
-    if num_classes < 1 or classes_per_task < 1 or dim < 1 or samples_per_class < 1:
+    val_per_class = max(4, samples_per_class // 4) if val_per_class is None else val_per_class
+    test_per_class = samples_per_class if test_per_class is None else test_per_class
+    if min(num_classes, classes_per_task, dim, samples_per_class, val_per_class,
+           test_per_class) < 1:
         raise ValueError("class/task/dim/sample counts must be positive")
-    if spread < 0:
-        raise ValueError("spread must be nonnegative")
-    val_per_class = val_per_class or max(4, samples_per_class // 4)
-    test_per_class = test_per_class or samples_per_class
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ValueError(f"spread must be nonnegative and finite, got {spread}")
 
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(num_classes, dim))
@@ -165,6 +166,8 @@ def gen_sine_tasks(
     """
     if num_tasks < 1 or samples_per_task < 1:
         raise ValueError("need positive task and sample counts")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be nonnegative and finite, got {noise_std}")
     rng = np.random.default_rng(seed)
     tasks = []
     for t in range(num_tasks):

@@ -1,23 +1,23 @@
 """Per-cell reference for the seq and fed arrival tries.
 
 `run_baseline_seq` and `fed_compare_run` are the earlier per-cell
-runners, kept verbatim: each cell resumes from the deepest arrival prefix
-a PrefixMemo holds, then trains the rest of its order one task at a time
-through one-row calls (the library's train_seq from a (p,) init, and
-fedprox_train_local from federated_reference.py) and offers the memo each
-prefix it ends. Called
-without a memo, a cell trains its whole order alone. The library's trie,
-which trains each depth of all planned orders as (P, p) stacks, must match
-them bit for bit, cell by cell.
+runners: each cell resumes from the deepest arrival prefix a PrefixMemo
+holds, then trains the rest of its order one task at a time through the
+serial learners (train_seq from learners_reference.py, one rng per task,
+and fedprox_train_local from federated_reference.py) and offers the memo
+each prefix it ends. Called without a memo, a cell trains its whole order
+alone. The library's trie, which trains each depth of all planned orders
+as (P, p) stacks, must match them bit for bit, cell by cell.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from federated_reference import fedprox_train_local
+from learners_reference import train_seq
 
 from hiercl.federated import FedConfig, fedavg_aggregate
-from hiercl.learners import LearnerConfig, LearnerState, settle, train_seq
+from hiercl.learners import LearnerConfig, LearnerState
 from hiercl.memo import PrefixMemo
 from hiercl.metrics import AccuracyMatrix
 from hiercl.model import ModelSpec, init_params
@@ -43,9 +43,8 @@ def run_baseline_seq(
     """Plain continual learner over the arrival order, no grouping and no
     consolidation; one accuracy row per finished task. Resumes from the
     longest arrival prefix stored in `memo` and offers it each later one.
-    Every state but the last is settled (its EWC Fisher estimated) before
-    it is stored, so a resume trains on from a settled state and the
-    order's final Fisher is never estimated."""
+    The serial learner estimates each task's EWC Fisher as soon as the
+    task ends, so every stored state holds its anchors."""
     order = list(full_perm)
     keys = arrival_prefixes(order)
     memo = PrefixMemo() if memo is None else memo
@@ -55,12 +54,10 @@ def run_baseline_seq(
     shared = node is not None  # train_seq writes its buffers; a memo's buffer is copied
     for i in range(depth, len(order)):
         buffer = state.buffer.clone() if shared and state.buffer is not None else state.buffer
-        state = train_seq([Permutation((order[i],))], tasks, state.params, lcfg, spec,
-                          [derive_seed(seed, SEQ_STREAM, i)], buffers=[buffer],
-                          anchors=state.anchors)[0]
+        state = train_seq(Permutation((order[i],)), tasks, state.params, lcfg, spec,
+                          derive_seed(seed, SEQ_STREAM, i), shared_buffer=buffer,
+                          anchors=state.anchors)
         accs += (task_accuracies(state.params, tasks, spec),)
-        if i < len(order) - 1:
-            state = settle(state, spec)
         shared = memo.store(keys[i], (state, accs))
     return AccuracyMatrix(np.stack(accs)[:, order])
 

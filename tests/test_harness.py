@@ -429,6 +429,7 @@ def test_a_repeated_list_entry_fails_at_build_time_naming_key_and_entry(
 
 @pytest.mark.parametrize("setting", [
     "run.hidden=0", "dataset.samples_per_class=0", "dataset.classes_per_task=0",
+    "learner.buffer_capacity=0",
 ])
 def test_failed_run_leaves_an_existing_out_file_untouched(tmp_path, capsys, setting):
     out_csv = tmp_path / "x.csv"
@@ -437,6 +438,21 @@ def test_failed_run_leaves_an_existing_out_file_untouched(tmp_path, capsys, sett
                "--set", f"run.out={out_csv}"])
     assert rc == 2 and "error:" in capsys.readouterr().err
     assert out_csv.read_bytes() == b"method,seed\nkept,0\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field in ("num_tasks", "num_classes", "classes_per_task", "dim",
+                                   "samples_per_class", "val_per_class", "test_per_class",
+                                   "samples_per_task") for value in (0, -1)),
+    *((field, value) for field in ("spread", "noise_std")
+      for value in (-1.0, float("nan"), float("inf"))),
+])
+def test_bad_dataset_values_fail_at_build_time_naming_their_key(field, value):
+    # a count of 0 used to fall back to a default (val_per_class, test_per_class)
+    # or fail deep in numpy, a nan spread only once a loss went nan, and a
+    # negative sine noise_std ran as 0
+    with pytest.raises(ValueError, match=f"^dataset.{field} must be "):
+        build_experiment_config({f"dataset.{field}": str(value)})
 
 
 def test_cli_config_and_set_routes_write_identical_rows(tmp_path, capsys):

@@ -12,10 +12,10 @@ from hiercl import learners
 from hiercl.learners import (
     LEARNER_KINDS,
     LearnerConfig,
+    LearnerState,
     ReplayBuffer,
     TrainingDiverged,
     settle,
-    stack_anchors,
     train_on_task,
     train_seq,
 )
@@ -218,8 +218,9 @@ def test_learner_config_validation():
         LearnerConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         LearnerConfig(epochs_per_task=0)
-    with pytest.raises(ValueError):
-        LearnerConfig(kind="er", buffer_capacity=0)
+    for kind in LEARNER_KINDS:  # hier's consolidation pool needs a buffer under every kind
+        with pytest.raises(ValueError, match="learner.buffer_capacity must be at least 1"):
+            LearnerConfig(kind=kind, buffer_capacity=0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -289,16 +290,40 @@ def test_grad_clip_bounds_first_step():
     assert np.linalg.norm(out - w0) <= 0.01 + 1e-12
 
 
+def _train_depths(parents, orders, tasks, cfg, spec, seeds):
+    """Row i's ordering trained from parents[i] one train_seq call per
+    depth, its depth-j task under seed seeds[i] + j, every row settled
+    between depths; returns the last children, unsettled."""
+    states = parents
+    for depth in range(len(orders[0])):
+        if depth:
+            states = [settle(state, spec, row) for row, state in enumerate(states)]
+        states = train_seq(states, [tasks[order[depth]] for order in orders], cfg, spec,
+                           [seed + depth for seed in seeds])
+    return states
+
+
+def _serial_depths(order, tasks, start, cfg, spec, seed, buffer=None, anchors=None):
+    """One ordering through the serial learner, one call per task with the
+    seeds of _train_depths; each call estimates its task's Fisher. Writes
+    `buffer`."""
+    state = LearnerState(np.array(start, dtype=np.float64), buffer, list(anchors or []))
+    for depth, t in enumerate(order):
+        state = serial_train_seq(Permutation((t,)), tasks, state.params, cfg, spec, seed + depth,
+                                 shared_buffer=state.buffer, anchors=state.anchors)
+    return state
+
+
 def test_train_seq_deterministic_and_pure():
     tasks = _tasks()
     init = init_params(SPEC, 0)
     init_copy = init.copy()
     cfg = LearnerConfig(kind="er", epochs_per_task=2)
-    a = train_seq([Permutation((0, 1))], tasks, init, cfg, SPEC, [11])[0]
-    b = train_seq([Permutation((0, 1))], tasks, init, cfg, SPEC, [11])[0]
+    a = _train_depths([LearnerState(init)], [(0, 1)], tasks, cfg, SPEC, [11])[0]
+    b = _train_depths([LearnerState(init)], [(0, 1)], tasks, cfg, SPEC, [11])[0]
     assert np.array_equal(a.params, b.params)
     assert np.array_equal(init, init_copy)
-    c = train_seq([Permutation((0, 1))], tasks, init, cfg, SPEC, [12])[0]
+    c = _train_depths([LearnerState(init)], [(0, 1)], tasks, cfg, SPEC, [12])[0]
     assert not np.array_equal(a.params, c.params)
 
 
@@ -306,7 +331,7 @@ def test_train_seq_reduces_loss_on_easy_task():
     tasks = _tasks()
     init = init_params(SPEC, 3)
     cfg = LearnerConfig(kind="sgd", epochs_per_task=5)
-    state = train_seq([Permutation((0,))], tasks, init, cfg, SPEC, [0])[0]
+    state = train_seq([LearnerState(init)], tasks[:1], cfg, SPEC, [0])[0]
     before, _ = loss_and_grad(init, tasks[0].train, SPEC)
     after, _ = loss_and_grad(state.params, tasks[0].train, SPEC)
     assert after < before
@@ -315,7 +340,8 @@ def test_train_seq_reduces_loss_on_easy_task():
 def test_train_seq_er_populates_buffer():
     tasks = _tasks()
     cfg = LearnerConfig(kind="er", buffer_capacity=10, epochs_per_task=1)
-    state = train_seq([Permutation((0, 1))], tasks, init_params(SPEC, 0), cfg, SPEC, [0])[0]
+    state = _train_depths([LearnerState(init_params(SPEC, 0))], [(0, 1)], tasks, cfg, SPEC,
+                          [0])[0]
     assert state.buffer is not None
     assert len(state.buffer) == 10
     # every sample was offered exactly once
@@ -324,19 +350,26 @@ def test_train_seq_er_populates_buffer():
 
 
 def test_train_seq_respects_shared_buffer():
+    # the child offers its task to a clone of the parent's buffer, so a
+    # buffer that several children share keeps its items
     tasks = _tasks()
     cfg = LearnerConfig(kind="er", buffer_capacity=6, epochs_per_task=1)
     shared = ReplayBuffer(6)
-    state = train_seq([Permutation((0,))], tasks, init_params(SPEC, 0), cfg, SPEC, [0],
-                      buffers=[shared])[0]
-    assert state.buffer is shared
-    assert shared.seen_count == tasks[0].train.n
+    _insert(shared, tasks[1].train.inputs[0], tasks[1].train.targets[0], 1,
+            np.random.default_rng(0))
+    parent = LearnerState(init_params(SPEC, 0), shared)
+    children = train_seq([parent, parent], tasks[:2], cfg, SPEC, [0, 1])
+    assert shared.seen_count == 1 and list(shared.task_ids) == [1]
+    for child, task in zip(children, tasks):
+        assert child.buffer is not shared
+        assert child.buffer.seen_count == 1 + task.train.n
 
 
 def test_train_seq_ewc_accumulates_anchors():
     tasks = _tasks()
     cfg = LearnerConfig(kind="ewc", epochs_per_task=2, ewc_strength=5.0)
-    state = train_seq([Permutation((0, 1))], tasks, init_params(SPEC, 0), cfg, SPEC, [0])[0]
+    state = _train_depths([LearnerState(init_params(SPEC, 0))], [(0, 1)], tasks, cfg, SPEC,
+                          [0])[0]
     # task 1's Fisher waits for the caller that continues from the state
     assert len(state.anchors) == 1 and state.pending is tasks[1]
     settled = settle(state, SPEC)
@@ -355,7 +388,7 @@ def test_ewc_strength_pulls_toward_anchor():
     dists = []
     for strength in (0.0, 200.0):
         cfg = LearnerConfig(kind="ewc", epochs_per_task=3, ewc_strength=strength)
-        state = train_seq([Permutation((0, 1))], tasks, init, cfg, SPEC, [0])[0]
+        state = _train_depths([LearnerState(init)], [(0, 1)], tasks, cfg, SPEC, [0])[0]
         anchor_w = state.anchors[0][0]
         dists.append(float(np.linalg.norm(state.params - anchor_w)))
     assert dists[1] < dists[0]
@@ -495,54 +528,6 @@ def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind,
         _assert_same_buffer(lock_buffers[i], ref_buffer)
 
 
-@settings(max_examples=80, deadline=None)
-@given(**_LOCKSTEP_CASES)
-def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind, sizes, rows, seed):
-    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _lockstep_problem(
-        kind, activation, task_kind, sizes, rows, seed)
-
-    def serial_ordering(i):
-        return serial_train_seq(perms[i], tasks, init, cfg, spec, seeds[i],
-                                shared_buffer=_clone(buffers[i]), anchors=anchors)
-
-    try:
-        with np.errstate(all="ignore"):
-            states = train_seq(perms, tasks, init, cfg, spec, seeds,
-                               buffers=[_clone(b) for b in buffers], anchors=anchors)
-    except TrainingDiverged as err:
-        def serial_task_end(i, task_id):
-            """Ordering i trained alone up to and including that task."""
-            order = perms[i].order
-            state = serial_train_seq(Permutation(order[: order.index(task_id) + 1]), tasks,
-                                     init, cfg, spec, seeds[i],
-                                     shared_buffer=_clone(buffers[i]), anchors=anchors)
-            return state.params, state.anchors[-1][1] if kind == "ewc" else None
-
-        _assert_same_divergence(err, serial_ordering, serial_task_end)
-        return
-    assert len(states) == rows
-    for i, got in enumerate(states):
-        with np.errstate(all="ignore"):
-            want = serial_ordering(i)
-        assert _same(got.params, want.params)
-        _assert_same_buffer(got.buffer, want.buffer)
-        # the last task's Fisher is estimated only when the state is settled
-        last = tasks[perms[i].order[-1]]
-        assert got.pending is (last if kind == "ewc" else None)
-        try:
-            with np.errstate(all="ignore"):
-                got = settle(got, spec)
-        except TrainingDiverged as err:
-            assert str(err) == (f"task {last.task_id}: EWC Fisher is not finite "
-                                f"after training; training diverged")
-            assert np.isfinite(got.params).all()
-            assert not np.isfinite(want.anchors[-1][1]).all()
-            want.anchors.pop()
-        assert len(got.anchors) == len(want.anchors)
-        for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
-            assert _same(w_got, w_want) and _same(f_got, f_want)
-
-
 def _run_keeping_rngs(module, run):
     """run() while `module.train_on_task` records its rng argument: the
     result and the Generator(s) of the last training call."""
@@ -558,54 +543,45 @@ def _run_keeping_rngs(module, run):
         return run(), seen[-1]
 
 
-@settings(max_examples=80, deadline=None)
-@given(**_LOCKSTEP_CASES)
-def test_train_seq_from_stacked_starts_and_row_anchors_matches_lone_runs(
-        kind, activation, task_kind, sizes, rows, seed):
-    # each ordering starts from its own params and carries its own anchor
-    # list (the shared pairs, then pairs of its own), as the seq trie's
-    # rows do; the lockstep call takes the lists stacked into (P, p) pairs
-    spec, tasks, cfg, seeds, perms, buffers, shared, init, rng = _lockstep_problem(
-        kind, activation, task_kind, sizes, rows, seed)
-    p = spec.param_count
-    starts = init + 0.1 * rng.normal(size=(rows, p))
-    m = int(rng.integers(0, 3))
-    own = [[(starts[i] + 0.1 * rng.normal(size=p), rng.random(p)) for _ in range(m)]
-           for i in range(rows)]
-    row_anchors = [shared + pairs for pairs in own]
-    # the j-th pair of every ordering stacked into one (P, p) pair
-    anchors = shared + [tuple(map(np.stack, zip(*column))) for column in zip(*own)]
-
+def _assert_depths_match_serial(parents, orders, tasks, cfg, spec, seeds):
+    """The rows' orderings trained one depth call at a time equal each
+    ordering trained alone through the serial learner: params, buffer, the
+    last Generator's state and, once settled, the anchors; or both stop at
+    the same row and task with the same message."""
     def serial_ordering(i, order=None):
-        perm = perms[i] if order is None else Permutation(order)
-        return _run_keeping_rngs(learners_reference, lambda: serial_train_seq(
-            perm, tasks, starts[i], cfg, spec, seeds[i],
-            shared_buffer=_clone(buffers[i]), anchors=row_anchors[i]))
+        return _run_keeping_rngs(learners_reference, lambda: _serial_depths(
+            orders[i] if order is None else order, tasks, parents[i].params, cfg, spec,
+            seeds[i], _clone(parents[i].buffer), parents[i].anchors))
 
     try:
         with np.errstate(all="ignore"):
-            states, rngs = _run_keeping_rngs(learners, lambda: train_seq(
-                perms, tasks, starts, cfg, spec, seeds,
-                buffers=[_clone(b) for b in buffers], anchors=anchors))
+            states, rngs = _run_keeping_rngs(learners, lambda: _train_depths(
+                parents, orders, tasks, cfg, spec, seeds))
     except TrainingDiverged as err:
         def serial_task_end(i, task_id):
-            order = perms[i].order
-            state = serial_ordering(i, order[: order.index(task_id) + 1])[0]
-            return state.params, state.anchors[-1][1] if kind == "ewc" else None
+            """Ordering i trained alone up to and including that task."""
+            state = serial_ordering(i, orders[i][: orders[i].index(task_id) + 1])[0]
+            return state.params, state.anchors[-1][1] if cfg.kind == "ewc" else None
 
         _assert_same_divergence(err, lambda i: serial_ordering(i), serial_task_end)
         return
-    assert len(states) == len(rngs) == rows
+    assert len(states) == len(rngs) == len(parents)
     for i, got in enumerate(states):
         with np.errstate(all="ignore"):
             want, ref_rng = serial_ordering(i)
         assert _same(got.params, want.params)
         _assert_same_buffer(got.buffer, want.buffer)
         assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
+        # the last task's Fisher is estimated only when the state is settled
+        last = tasks[orders[i][-1]]
+        assert got.pending is (last if cfg.kind == "ewc" else None)
         try:
             with np.errstate(all="ignore"):
                 got = settle(got, spec)
-        except TrainingDiverged:
+        except TrainingDiverged as err:
+            assert str(err) == (f"task {last.task_id}: EWC Fisher is not finite "
+                                f"after training; training diverged")
+            assert np.isfinite(got.params).all()
             assert not np.isfinite(want.anchors[-1][1]).all()
             want.anchors.pop()
         assert len(got.anchors) == len(want.anchors)
@@ -613,22 +589,85 @@ def test_train_seq_from_stacked_starts_and_row_anchors_matches_lone_runs(
             assert w_got.shape == w_want.shape and _same(w_got, w_want) and _same(f_got, f_want)
 
 
-def test_train_seq_needs_one_stacked_start_per_ordering():
-    perms = [Permutation((0,)), Permutation((1,))]
-    starts = np.stack([init_params(SPEC, 0)] * 3)
-    with pytest.raises(ValueError, match="one row per ordering, got 3 rows for 2"):
-        train_seq(perms, _tasks(), starts, LearnerConfig(), SPEC, [0, 1])
+@settings(max_examples=80, deadline=None)
+@given(**_LOCKSTEP_CASES)
+def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind, sizes, rows, seed):
+    # every ordering from one start and one incoming anchor list, whose
+    # arrays every row shares, each with its own incoming buffer
+    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _lockstep_problem(
+        kind, activation, task_kind, sizes, rows, seed)
+    parents = [LearnerState(init, buffer, anchors) for buffer in buffers]
+    _assert_depths_match_serial(parents, [perm.order for perm in perms], tasks, cfg, spec, seeds)
 
 
-def test_lockstep_orderings_must_share_settings_and_length():
+@settings(max_examples=80, deadline=None)
+@given(**_LOCKSTEP_CASES)
+def test_train_seq_from_stacked_starts_and_row_anchors_matches_lone_runs(
+        kind, activation, task_kind, sizes, rows, seed):
+    # each ordering starts from its own params and carries its own anchor
+    # list (the shared pairs, then pairs of its own), as the tries' rows do
+    spec, tasks, cfg, seeds, perms, buffers, shared, init, rng = _lockstep_problem(
+        kind, activation, task_kind, sizes, rows, seed)
+    p = spec.param_count
+    starts = init + 0.1 * rng.normal(size=(rows, p))
+    m = int(rng.integers(0, 3))
+    own = [[(starts[i] + 0.1 * rng.normal(size=p), rng.random(p)) for _ in range(m)]
+           for i in range(rows)]
+    parents = [LearnerState(starts[i], buffers[i], shared + own[i]) for i in range(rows)]
+    _assert_depths_match_serial(parents, [perm.order for perm in perms], tasks, cfg, spec, seeds)
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_train_seq_never_writes_a_parent(kind):
     tasks = _tasks()
-    init = init_params(SPEC, 0)
-    cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
-    perms = [Permutation((0, 1)), Permutation((1, 0))]
-    with pytest.raises(ValueError, match="equal length"):
-        train_seq([Permutation((0, 1)), Permutation((1,))], tasks, init, cfg, SPEC, [0, 1])
-    with pytest.raises(ValueError, match="one seed"):
-        train_seq(perms, tasks, init, cfg, SPEC, [0])
+    cfg = LearnerConfig(kind=kind, epochs_per_task=1, buffer_capacity=6)
+    buffer = ReplayBuffer(6)
+    buffer.insert_many(tasks[1].train.inputs[:4], tasks[1].train.targets[:4], 1,
+                       np.random.default_rng(0))
+    pair = (init_params(SPEC, 1), np.full(SPEC.param_count, 0.5))
+    anchors = [pair]
+    parent = LearnerState(init_params(SPEC, 0), buffer, anchors)
+    arrays = (parent.params, *pair, buffer.inputs, buffer.targets, buffer.task_ids)
+    copies = [a.copy() for a in arrays]
+    for child in train_seq([parent, parent], tasks[:2], cfg, SPEC, [0, 1]):
+        settle(child, SPEC)
+    for got, want in zip((parent.params, *pair, buffer.inputs, buffer.targets,
+                          buffer.task_ids), copies):
+        assert np.array_equal(got, want)
+    assert parent.buffer is buffer and buffer.seen_count == 4
+    assert parent.anchors is anchors and anchors == [pair] and parent.pending is None
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_each_child_holds_its_parents_anchor_arrays(kind):
+    # no per-row copies: a child's anchor list is its parent's, pair by pair
+    tasks = _tasks()
+    p = SPEC.param_count
+    shared = (init_params(SPEC, 1), np.full(p, 0.5))
+    parents = [LearnerState(init_params(SPEC, 0), None,
+                            [shared, (init_params(SPEC, 2 + i), np.full(p, i + 0.5))])
+               for i in range(2)]
+    children = train_seq(parents, tasks[:2], LearnerConfig(kind=kind, epochs_per_task=1),
+                         SPEC, [0, 1])
+    for child, parent in zip(children, parents):
+        assert len(child.anchors) == 2
+        for (w, f), (w_parent, f_parent) in zip(child.anchors, parent.anchors):
+            assert w is w_parent and f is f_parent
+
+
+def test_train_seq_needs_one_task_and_one_seed_per_settled_parent():
+    tasks, cfg = _tasks(), LearnerConfig(kind="ewc", epochs_per_task=1)
+    parents = [LearnerState(init_params(SPEC, 0))] * 2
+    with pytest.raises(ValueError, match="one task and one seed per parent"):
+        train_seq(parents, tasks[:1], cfg, SPEC, [0, 1])
+    with pytest.raises(ValueError, match="one task and one seed per parent"):
+        train_seq(parents, tasks[:2], cfg, SPEC, [0])
+    with pytest.raises(ValueError, match="no tasks"):
+        train_seq([], [], cfg, SPEC, [])
+    # a pending Fisher would be lost: the child's penalty never reads it
+    unsettled = train_seq(parents[:1], tasks[:1], cfg, SPEC, [0])[0]
+    with pytest.raises(ValueError, match="settled parents"):
+        train_seq([unsettled], tasks[1:2], cfg, SPEC, [0])
 
 
 @pytest.mark.parametrize("kind", LEARNER_KINDS)
@@ -650,18 +689,35 @@ def test_train_on_task_gives_the_same_bits_for_any_stack_layout(kind):
     assert got.flags.c_contiguous and _same(got, want)
 
 
-def test_stack_anchors_passes_shared_arrays_and_stacks_the_rest():
-    w, f = np.arange(3.0), np.ones(3)
-    own = [(np.full(3, float(i)), np.full(3, i + 0.5)) for i in range(2)]
+def test_train_seq_passes_shared_anchor_arrays_and_stacks_the_rest(monkeypatch):
+    # the j-th pair of every row becomes one pair of the training call: an
+    # array every row holds by identity passes as it is, the rest stack
+    seen = []
+
+    def recording(params, task, cfg, spec, rng, buffer=None, anchors=None, prox=None):
+        seen.append(anchors)
+        return train_on_task(params, task, cfg, spec, rng, buffer, anchors, prox)
+
+    monkeypatch.setattr(learners, "train_on_task", recording)
+    tasks, init, p = _tasks(), init_params(SPEC, 0), SPEC.param_count
+    w, f = np.arange(float(p)), np.ones(p)
+    own = [(np.full(p, float(i)), np.full(p, i + 0.5)) for i in range(2)]
     twin = (w.copy(), f.copy())  # equal values, but another row's own arrays
-    pairs = stack_anchors([[(w, f), own[0], twin], [(w, f), own[1], (w, f)]])
+    parents = [LearnerState(init, None, [(w, f), own[0], twin]),
+               LearnerState(init, None, [(w, f), own[1], (w, f)])]
+    ewc = LearnerConfig(kind="ewc", epochs_per_task=1)
+    train_seq(parents, tasks[:2], ewc, SPEC, [0, 1])
+    pairs = seen.pop()
     assert pairs[0][0] is w and pairs[0][1] is f
-    assert np.array_equal(pairs[1][0], [[0.0] * 3, [1.0] * 3])
-    assert np.array_equal(pairs[1][1], [[0.5] * 3, [1.5] * 3])
-    assert pairs[2][0].shape == pairs[2][1].shape == (2, 3)
-    assert stack_anchors([[], []]) == []
+    assert np.array_equal(pairs[1][0], [[0.0] * p, [1.0] * p])
+    assert np.array_equal(pairs[1][1], [[0.5] * p, [1.5] * p])
+    assert pairs[2][0].shape == pairs[2][1].shape == (2, p)
+    train_seq([LearnerState(init), LearnerState(init)], tasks[:2], ewc, SPEC, [0, 1])
+    assert seen.pop() == []
+    train_seq(parents, tasks[:2], LearnerConfig(epochs_per_task=1), SPEC, [0, 1])
+    assert seen.pop() is None  # sgd trains without a penalty
     with pytest.raises(ValueError, match="same number of anchors"):
-        stack_anchors([[(w, f)], []])
+        train_seq([parents[0], LearnerState(init, None, [(w, f)])], tasks[:2], ewc, SPEC, [0, 1])
 
 
 def test_train_on_task_rejects_a_lone_vector():
@@ -710,9 +766,9 @@ def _nonfinite_fisher_problem():
 def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
     # a 1-task ordering's Fisher is estimated when its state is settled
     spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _nonfinite_fisher_problem()
+    parents = [LearnerState(init, buffer, anchors) for buffer in buffers]
     with np.errstate(all="ignore"):
-        states = train_seq(perms, tasks, init, cfg, spec, seeds,
-                           buffers=[_clone(b) for b in buffers], anchors=anchors)
+        states = train_seq(parents, [tasks[perm.order[0]] for perm in perms], cfg, spec, seeds)
     failed = []
     for i, state in enumerate(states):
         try:
@@ -725,8 +781,9 @@ def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
 
 
 def test_train_seq_rejects_a_nonfinite_fisher_before_the_next_task(monkeypatch):
-    # ordering 4 again, now followed by a second task: task 0's Fisher is
-    # estimated inside train_seq, before task 1 trains, and is nonfinite
+    # orderings 3 and 4 again, each now followed by a second task: task 0's
+    # Fishers are estimated when the rows are settled between depths, and
+    # row 1's (ordering 4's) is nonfinite, so task 1 never trains
     spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _nonfinite_fisher_problem()
     first = tasks[0]
     tasks = [first, TaskDataset(1, first.train, first.val, first.test)]
@@ -737,9 +794,9 @@ def test_train_seq_rejects_a_nonfinite_fisher_before_the_next_task(monkeypatch):
         return train_on_task(params, task, *args, **kwargs)
 
     monkeypatch.setattr("hiercl.learners.train_on_task", counting)
+    parents = [LearnerState(init, buffers[i], anchors) for i in (3, 4)]
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-        train_seq([Permutation((0, 1))], tasks, init, cfg, spec, [seeds[4]],
-                  buffers=[_clone(buffers[4])], anchors=anchors)
-    assert info.value.index == 0
+        _train_depths(parents, [(0, 1)] * 2, tasks, cfg, spec, [seeds[3], seeds[4]])
+    assert info.value.index == 1
     assert str(info.value) == "task 0: EWC Fisher is not finite after training; training diverged"
-    assert trained == [[0]]
+    assert trained == [[0, 0]]

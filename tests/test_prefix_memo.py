@@ -210,21 +210,28 @@ def test_memo_cells_match_fresh_cells_in_any_order(case, method):
 
 def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
     # every non-final arrival prefix's Fisher is estimated once, when its
-    # node is settled, before its children train; each depth's stack reads
-    # one (P, p) anchor pair per settled ancestor
-    fishers, stacks = [], []
+    # node is settled, before its children train; each depth's stack gets
+    # one settled parent, task and seed per row, and its training call
+    # reads one (P, p) anchor pair per settled ancestor
+    fishers, stacks, steps = [], [], []
 
     def counting(params, pool, spec):
         fishers.append(params.shape)
         return curvature.estimate_diag_curvature(params, pool, spec)
 
-    def recording(perms, tasks, init, cfg, spec, seeds, buffers=None, anchors=None):
-        stacks.append((len(perms), init.shape, [(w.shape, f.shape) for w, f in anchors]))
-        return train_seq(perms, tasks, init, cfg, spec, seeds, buffers, anchors)
+    def recording(parents, tasks, cfg, spec, seeds):
+        stacks.append((len(parents), len(tasks), len(seeds),
+                       {(len(parent.anchors), parent.pending) for parent in parents}))
+        return train_seq(parents, tasks, cfg, spec, seeds)
 
-    train_seq = learners.train_seq
+    def stepping(params, task, cfg, spec, rng, buffer=None, anchors=None, prox=None):
+        steps.append((params.shape, [(w.shape, f.shape) for w, f in anchors]))
+        return train_on_task(params, task, cfg, spec, rng, buffer, anchors, prox)
+
+    train_seq, train_on_task = learners.train_seq, learners.train_on_task
     monkeypatch.setattr(learners, "estimate_diag_curvature", counting)
     monkeypatch.setattr("hiercl.experiment.train_seq", recording)
+    monkeypatch.setattr(learners, "train_on_task", stepping)
     cfg = _cfg("ewc-k2-all")
     seed = cfg.seeds[0]
     perms = _perms(cfg)
@@ -235,8 +242,9 @@ def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
     prefixes = {p.order[:i] for p in perms for i in range(1, t_count)}
     assert len(fishers) == len(prefixes) == 4 + 12 + 24
     p = make_model_spec(cfg).param_count
-    assert stacks == [(rows, (rows, p), [((rows, p), (rows, p))] * depth)
-                      for depth, rows in enumerate((4, 12, 24, 24))]
+    depths = list(enumerate((4, 12, 24, 24)))
+    assert stacks == [(rows, rows, rows, {(depth, None)}) for depth, rows in depths]
+    assert steps == [((rows, p), [((rows, p), (rows, p))] * depth) for depth, rows in depths]
 
 
 @pytest.mark.parametrize("method", ["seq", "fedavg", "fedprox"])

@@ -109,6 +109,20 @@ def test_sine_tasks_bounded_targets():
         assert np.max(np.abs(task.train.targets)) <= 2.0 + 1e-12
 
 
+def test_generators_substitute_defaults_only_for_none():
+    base = dict(num_classes=4, classes_per_task=2, dim=3, samples_per_class=8, spread=2.0,
+                seed=0)
+    task = gen_split_gaussians(**base)[0]
+    assert task.val.n == 2 * 4 and task.test.n == 2 * 8  # max(4, 8 // 4) and 8 per class
+    for bad in (dict(val_per_class=0), dict(test_per_class=0), dict(test_per_class=-1)):
+        with pytest.raises(ValueError, match="counts must be positive"):
+            gen_split_gaussians(**base, **bad)
+    with pytest.raises(ValueError, match="spread must be nonnegative and finite"):
+        gen_split_gaussians(**{**base, "spread": float("nan")})
+    with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+        gen_sine_tasks(2, 0, noise_std=-1.0)
+
+
 def test_partition_sizes():
     groups = partition_into_groups(10, 3)
     assert [g.task_ids for g in groups] == [(0, 1, 2), (3, 4, 5), (6, 7, 8, 9)]
