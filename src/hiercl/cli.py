@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: `run` (permutation sweep from a config file), `gen` (dump a
-synthetic dataset as text), `report` (summarize a results CSV). `run` and
+synthetic dataset as text), `report` (summarize a results CSV and compare
+each `X+hier` method with its base `X`). `run` and
 `gen` read `--config FILE` and then apply each repeatable `--set
 KEY=VALUE` on top, so `--set` wins; the keys are the config-file keys,
 e.g. `--set run.perms=1 --set run.seeds=3`.
@@ -14,7 +15,7 @@ import sys
 
 from .config import build_experiment_config, parse_config_text
 from .experiment import make_tasks, run_experiment
-from .metrics import format_summary, read_records, summarize
+from .metrics import format_summary, headline_lines, read_records, summarize
 from .tasks import dump_tasks
 
 
@@ -75,7 +76,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    print(format_summary(summarize(read_records(args.csv))))
+    summary = summarize(read_records(args.csv))
+    print("\n".join([format_summary(summary), *headline_lines(summary)]))
     return 0
 
 

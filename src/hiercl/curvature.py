@@ -20,6 +20,16 @@ VARIANTS = ("diagonal", "lowrank", "dense")
 
 _ORTHO_TOL = 1e-8
 
+# bytes of per-sample gradients the diagonal estimate holds at once
+DIAG_BLOCK_BYTES = 4 << 20
+# rows per tile of a diagonal estimate's row blocks; every block is whole
+# tiles, so none is short. BLAS picks its matmul kernels by row count: with
+# OpenBLAS on AVX-512, blocks of 8, 11 or 19 rows gave gradient rows that
+# differ in the last bits from the whole-pool call's, while blocks of whole
+# 16-row tiles matched it at every pool size tried (1 to 512 rows, the
+# consolidate-wide-k1 net included)
+ROW_TILE = 16
+
 
 @dataclass
 class CurvatureEstimate:
@@ -89,13 +99,34 @@ def estimate_gradient(params, pool: Batch, spec: ModelSpec) -> np.ndarray:
     return loss_and_grad(params, pool, spec)[1]
 
 
+def _row_blocks(n: int, p: int) -> list[int]:
+    """Edges of balanced row blocks of an n-sample pool: each block is as
+    many whole ROW_TILE-row tiles as fit in DIAG_BLOCK_BYTES, at least one,
+    and the last block also takes the n % ROW_TILE spare rows."""
+    tiles = max(1, n // ROW_TILE)
+    blocks = -(-tiles // max(1, DIAG_BLOCK_BYTES // (ROW_TILE * 8 * p)))
+    return [ROW_TILE * (tiles * i // blocks) for i in range(blocks)] + [n]
+
+
 def estimate_diag_curvature(params, pool: Batch, spec: ModelSpec) -> CurvatureEstimate:
     """Diagonal of the empirical Fisher: mean squared per-sample gradients.
-    The (n, p) gradient array is squared in place, so the call holds one
-    array of that size."""
-    g = per_sample_grads(params, pool, spec)
-    np.multiply(g, g, out=g)
-    return CurvatureEstimate("diagonal", diag=np.mean(g, axis=0))
+
+    The per-sample gradients are built one row block at a time (see
+    _row_blocks), squared in place and summed into a running (p,) total,
+    so the call holds one block, not the (n, p) array. np.add.reduce over
+    axis 0 adds rows one after another and np.mean divides that sum by n;
+    adding the running total into a block's first row before reducing it
+    keeps the same association, so the result is bitwise the whole-pool
+    mean whenever the blocks' gradients are bitwise the whole-pool rows."""
+    edges = _row_blocks(pool.n, spec.param_count)
+    total = np.zeros(spec.param_count)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        g = per_sample_grads(params, Batch(pool.inputs[lo:hi], pool.targets[lo:hi]), spec)
+        np.multiply(g, g, out=g)
+        g[0] += total
+        total = np.add.reduce(g, axis=0)
+        del g  # so the next block is not built while this one is held
+    return CurvatureEstimate("diagonal", diag=total / pool.n)
 
 
 def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> CurvatureEstimate:

@@ -14,6 +14,7 @@ cell's wall time covers only the part it computed.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 
@@ -132,8 +133,8 @@ def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
 
     spec = make_model_spec(cfg)
     records: list[MetricsRecord] = []
-    sink = None  # opened at the first record, so a run that fails before it writes nothing
-    try:
+    # the sink replaces csv_path only once the last record is written
+    with CsvSink(csv_path) if csv_path else contextlib.nullcontext() as sink:
         for seed in cfg.seeds:
             tasks = make_tasks(cfg.dataset, seed)
             init = init_params(spec, derive_seed(seed, INIT_STREAM))
@@ -150,10 +151,6 @@ def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
                         mean_accuracy(matrix), avg_forgetting(matrix), wall,
                     )
                     records.append(rec)
-                    if csv_path:
-                        sink = sink or CsvSink(csv_path)
+                    if sink:
                         sink.write(rec)
-    finally:
-        if sink:
-            sink.close()
     return records, summarize(records)

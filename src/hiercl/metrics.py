@@ -7,6 +7,7 @@ training stage i; every task is evaluated at every stage, seen or not.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +70,28 @@ def std_across_permutations(records) -> float:
 
 class CsvSink:
     """Single-writer CSV stream in the fixed schema; rows flushed as written
-    so deterministic ordering is the caller's only job."""
+    so deterministic ordering is the caller's only job.
+
+    Rows go to a temporary file beside `path`, which close() moves onto
+    `path`; discard() deletes it instead, so an existing file at `path` is
+    replaced only by a finished one. As a context manager it closes on a
+    clean exit and discards on an exception."""
 
     def __init__(self, path: str):
-        self._fh = open(path, "w", newline="")
+        self._path = path
+        self._tmp = f"{path}.{os.getpid()}.tmp"
+        self._fh = open(self._tmp, "w", newline="")
         self._writer = csv.writer(self._fh)
         self._writer.writerow(CSV_HEADER)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
 
     def write(self, rec: MetricsRecord):
         self._writer.writerow([
@@ -86,6 +103,11 @@ class CsvSink:
 
     def close(self):
         self._fh.close()
+        os.replace(self._tmp, self._path)
+
+    def discard(self):
+        self._fh.close()
+        os.remove(self._tmp)
 
 
 def read_records(path: str) -> list[MetricsRecord]:
@@ -126,6 +148,33 @@ def summarize(records) -> dict:
             "perm_std_per_seed": {s: v for s, v in zip(seeds, stds)},
         }
     return summary
+
+
+def headline_lines(summary: dict) -> list[str]:
+    """The paper's headline comparison, one line per "X+hier" method whose
+    base X is in the summary: relative change in mean accuracy and in
+    permutation std, the seeds whose std is lower, and forgetting."""
+    lines = []
+    for m, row in summary.items():
+        name = m.removesuffix("+hier")
+        if name == m or name not in summary:
+            continue
+        base = summary[name]
+        stds, base_stds = row["perm_std_per_seed"], base["perm_std_per_seed"]
+        seeds = stds.keys() & base_stds.keys()
+        lower = sum(stds[s] < base_stds[s] for s in seeds)
+        lines.append(
+            f"{m} vs {name}: "
+            f"mean accuracy {_relative(row['mean_accuracy'], base['mean_accuracy'])}, "
+            f"perm std {_relative(row['perm_std'], base['perm_std'])} "
+            f"(lower in {lower}/{len(seeds)} seeds), "
+            f"forgetting {base['avg_forgetting']:.4f} -> {row['avg_forgetting']:.4f}"
+        )
+    return lines
+
+
+def _relative(value: float, base: float) -> str:
+    return f"{value / base - 1.0:+.1%}" if base else "n/a"
 
 
 def format_summary(summary: dict) -> str:

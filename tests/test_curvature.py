@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiercl import curvature
 from hiercl.curvature import (
     VARIANTS,
     CurvatureEstimate,
@@ -101,8 +102,42 @@ def test_diag_is_mean_squared_per_sample_grads():
     assert np.all(est.diag >= 0.0)
 
 
-def test_diag_curvature_holds_one_per_sample_gradient_array():
-    # the consolidate-wide-k1 shape: p = 26,122 at n = 240, about 50 MB
+@pytest.mark.parametrize("n", [240, 512])
+def test_blocked_diag_is_bitwise_the_whole_pool_mean_on_the_wide_net(n):
+    # the consolidate-wide-k1 net; 240 is its pool, 512 DEFAULT_SAMPLE_CAP
+    spec = ModelSpec((64, 128, 128, 10))
+    rng = np.random.default_rng(n)
+    w = init_params(spec, 7)
+    batch = _batch(rng, n=n, spec=spec)
+    assert n * spec.param_count * 8 > curvature.DIAG_BLOCK_BYTES
+    rows = per_sample_grads(w, batch, spec)
+    assert np.array_equal(estimate_diag_curvature(w, batch, spec).diag,
+                          np.mean(rows * rows, axis=0))
+
+
+def test_diag_curvature_sums_tile_aligned_row_blocks_in_order(monkeypatch):
+    # a one-byte budget forces one ROW_TILE per block
+    monkeypatch.setattr(curvature, "DIAG_BLOCK_BYTES", 1)
+    seen = []
+
+    def recording(params, batch, spec):
+        seen.append(batch.inputs)
+        return per_sample_grads(params, batch, spec)
+
+    monkeypatch.setattr(curvature, "per_sample_grads", recording)
+    rng = np.random.default_rng(11)
+    w = init_params(SPEC, 11)
+    batch = _batch(rng, n=3 * curvature.ROW_TILE + 2)
+    est = estimate_diag_curvature(w, batch, SPEC)
+    # balanced blocks of whole tiles; the 2 spare rows join the last one
+    assert [len(x) for x in seen] == [curvature.ROW_TILE] * 2 + [curvature.ROW_TILE + 2]
+    assert np.array_equal(np.concatenate(seen), batch.inputs)
+    rows = per_sample_grads(w, batch, SPEC)
+    np.testing.assert_allclose(est.diag, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
+
+
+def test_diag_curvature_holds_one_row_block_of_per_sample_gradients():
+    # the consolidate-wide-k1 shape: p = 26,122 at n = 240, about 50 MB whole
     spec = ModelSpec((64, 128, 128, 10))
     rng = np.random.default_rng(7)
     w = init_params(spec, 7)
@@ -113,7 +148,8 @@ def test_diag_curvature_holds_one_per_sample_gradient_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * batch.n * spec.param_count * 8
+    # two blocks held at once would read about 1.6x the budget
+    assert peak <= 1.25 * curvature.DIAG_BLOCK_BYTES
 
 
 def test_sample_cap_thins_pool_deterministically():

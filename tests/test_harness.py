@@ -296,6 +296,7 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert rc == 0
     assert "wrote 4 records" in captured.out
     assert out_csv.exists() and len(read_records(str(out_csv))) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "res.csv"]
 
     rc = main(["report", str(out_csv)])
     captured = capsys.readouterr()
@@ -304,6 +305,30 @@ def test_cli_run_and_report(tmp_path, capsys):
 
 
 _HEADER = ",".join(CSV_HEADER) + "\n"
+
+
+def test_cli_report_prints_each_hier_method_against_its_base(tmp_path, capsys):
+    # er stds are 0.125 in both seeds; er+hier's are 0.0625 and 0.125, so
+    # its std is lower in seed 0 only. Means are 0.5 and 0.46875.
+    rows = [("er", 0, 0.5), ("er", 0, 0.75), ("er", 1, 0.25), ("er", 1, 0.5),
+            ("er+hier", 0, 0.5), ("er+hier", 0, 0.625),
+            ("er+hier", 1, 0.25), ("er+hier", 1, 0.5),
+            ("ewc+hier", 0, 0.5), ("sgd", 0, 0.5)]
+    path = tmp_path / "res.csv"
+    path.write_text(_HEADER + "".join(
+        f"{m},{seed},0-1,{acc},{0.0625 if m.endswith('+hier') else 0.25},0.1\n"
+        for m, seed, acc in rows))
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == ("er+hier vs er: mean accuracy -6.2%, perm std -25.0% "
+                       "(lower in 1/2 seeds), forgetting 0.2500 -> 0.0625")
+    assert not any(" vs " in line for line in out[:-1])  # no base ewc; sgd has no hier
+    # one order per seed: the base std is 0, so its relative change is undefined
+    path.write_text(_HEADER + "er,0,0-1,0.5,0.25,0.1\ner+hier,0,0-1,0.5,0.25,0.1\n")
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "er+hier vs er: mean accuracy +0.0%, perm std n/a (lower in 0/1 seeds), "
+        "forgetting 0.2500 -> 0.2500")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -438,6 +463,19 @@ def test_failed_run_leaves_an_existing_out_file_untouched(tmp_path, capsys, sett
                "--set", f"run.out={out_csv}"])
     assert rc == 2 and "error:" in capsys.readouterr().err
     assert out_csv.read_bytes() == b"method,seed\nkept,0\n"
+
+
+def test_a_run_that_diverges_after_its_first_record_leaves_the_out_file_untouched(
+        tmp_path, capsys):
+    # the fedavg rows are written before the seq trie diverges
+    out_csv = tmp_path / "x.csv"
+    out_csv.write_bytes(b"method,seed\nkept,0\n")
+    rc = main(["run", "--set", "run.perms=2", "--set", "run.seeds=0",
+               "--set", "run.methods=fedavg,seq", "--set", "learner.learning_rate=6e10",
+               "--set", f"run.out={out_csv}"])
+    assert rc == 2 and "training diverged" in capsys.readouterr().err
+    assert out_csv.read_bytes() == b"method,seed\nkept,0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 @pytest.mark.parametrize("field, value", [
