@@ -78,6 +78,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be one or more nonnegative ints, got {self.seeds}")
+        if self.perm_sample_seed < 0:
+            raise ValueError(f"run.perm_sample_seed must be nonnegative: {self.perm_sample_seed}")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"run.hidden widths must be positive, got {self.hidden}")
         if self.perms != "all" and (isinstance(self.perms, str) or self.perms < 1):
             raise ValueError(f"run.perms must be 'all' or a positive integer, got {self.perms!r}")
         if not self.methods:

@@ -86,11 +86,10 @@ def parse_curvature_spec(text: str) -> tuple[str, int | None]:
     if text == "dense":
         return "dense", None
     if text.startswith("lowrank"):
-        _, _, r = text.partition(":")
-        rank = int(r) if r else 10
-        if rank < 1:
-            raise ValueError("lowrank rank must be positive")
-        return "lowrank", rank
+        r = text.partition(":")[2].strip() or "10"
+        if not r.isdigit() or int(r) < 1:
+            raise ValueError(f"curvature spec {text!r}: lowrank rank must be a positive integer")
+        return "lowrank", int(r)
     raise ValueError(f"unknown curvature spec {text!r}")
 
 

@@ -20,7 +20,7 @@ from .learners import LearnerConfig, train_on_task
 from .memo import ArrivalPlan
 from .metrics import AccuracyMatrix
 from .model import ModelSpec, init_params
-from .pipeline import FED_STREAM, derive_seed
+from .pipeline import FED_STREAM, INIT_STREAM, derive_seed
 from .tasks import Permutation, TaskDataset, task_accuracies
 
 FED_KINDS = ("fedavg", "fedprox")
@@ -80,7 +80,7 @@ def fed_compare_run(
         rngs = [np.random.default_rng(derive_seed(base_seed, FED_STREAM, depth))
                 for _ in prefixes]
         locals_ = train_on_task(anchor, [tasks[p[-1]] for p in prefixes], learner_cfg, spec,
-                                rngs, prox=(anchor, mu))
+                                rngs, pull=(mu, mu * anchor) if mu != 0.0 else None)
         nodes = []
         for (global_w, seen, accs), local in zip(parents, locals_):
             if fed_cfg.aggregate == "running":
@@ -91,8 +91,8 @@ def fed_compare_run(
             nodes.append((global_w, seen, accs + (task_accuracies(global_w, tasks, spec),)))
         return nodes
 
-    root = np.array(init if init is not None else init_params(spec, base_seed),
-                    dtype=np.float64)
+    root = np.array(init_params(spec, derive_seed(base_seed, INIT_STREAM)) if init is None
+                    else init, dtype=np.float64)
     return (ArrivalPlan() if plan is None else plan).take(
         order, (root, (), ()), train_stack,
         lambda order, leaf: (leaf[0], AccuracyMatrix(np.stack(leaf[2])[:, list(order)])))

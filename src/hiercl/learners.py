@@ -3,7 +3,8 @@
 A learner trains a (P, p) stack of flat parameter vectors in lockstep,
 one task per row (P = 1 for a lone state): each step runs one loss and
 gradient over the whole stack, while every row keeps its own seed, random
-stream, replay buffer and EWC anchors.
+stream, replay buffer and online-EWC sums SigmaF, SigmaF*w* (Schwarz et al.
+2018, gamma = 1), which make its penalty one pull a*w - b, as FedProx's is.
 The replay buffer uses single-draw reservoir sampling so that after N
 offers every past item survives with probability capacity/N.
 """
@@ -11,7 +12,7 @@ offers every past item survives with probability capacity/N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,8 +129,8 @@ class LearnerConfig:
 class LearnerState:
     params: np.ndarray
     buffer: ReplayBuffer | None = None
-    # one (weights, fisher diagonal) anchor per settled task, ewc only
-    anchors: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    # ewc only: (SigmaF, SigmaF*w*) over the settled tasks, None before any
+    ewc: tuple[np.ndarray, np.ndarray] | None = None
     # ewc only: the last task trained, whose Fisher `settle` has yet to add
     pending: TaskDataset | None = None
 
@@ -142,15 +143,6 @@ class TrainingDiverged(ValueError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
-
-
-def _ewc_penalty_grad(params, anchors, strength):
-    """Anchor arrays are (p,), shared by every row of a (P, p) params
-    stack, or (P, p); they are summed in list order."""
-    g = np.zeros_like(params)
-    for w_star, fisher in anchors:
-        g += fisher * (params - w_star)
-    return strength * g
 
 
 def _sgd_step(params, grad, velocity, cfg: LearnerConfig):
@@ -186,8 +178,7 @@ def train_on_task(
     spec: ModelSpec,
     rng,
     buffer=None,
-    anchors=None,
-    prox: tuple[np.ndarray, float] | None = None,
+    pull=None,
 ) -> np.ndarray:
     """Epochs of momentum SGD on one task. Returns a fresh (P, p) stack.
 
@@ -199,12 +190,12 @@ def train_on_task(
     out. Every row draws from its own rng in the order a lone run does: a
     permutation at each epoch start, then per step the replay sample and
     the buffer offer.
-    Arrays in `anchors` and `prox` are (p,), shared by all rows, or (P, p).
 
     When a buffer is given, every training sample is offered to it exactly
     once (during the first epoch); replay minibatches are mixed in only for
-    kind="er". `prox` = (anchor, mu) adds (mu/2)||w - anchor||^2; mu == 0
-    takes the exact unmodified code path. A nonfinite minibatch loss raises
+    kind="er". `pull` = (a, b) adds a*w - b to every gradient, a and b each
+    a scalar, a (p,) array shared by all rows or a (P, p) stack; None takes
+    the exact unmodified code path. A nonfinite minibatch loss raises
     TrainingDiverged at the first stacked step where one occurs, naming the
     first row whose loss it is; so do nonfinite params at the end of the
     task, naming the first row that holds them.
@@ -243,12 +234,8 @@ def train_on_task(
                 i = next(i for i, v in enumerate(losses) if not math.isfinite(v))
                 raise TrainingDiverged(f"task {task[i].task_id}: epoch {epoch}, step {step}: "
                                        f"minibatch loss is {losses[i]}; training diverged", i)
-            if anchors:
-                grad = grad + _ewc_penalty_grad(params, anchors, cfg.ewc_strength)
-            if prox is not None:
-                anchor, mu = prox
-                if mu != 0.0:
-                    grad = grad + mu * (params - anchor)
+            if pull is not None:
+                grad += pull[0] * params - pull[1]
             stepped, moved = _sgd_step(params, grad, velocity, cfg)
             if len(active) == rows:
                 params, velocity = stepped, moved
@@ -267,18 +254,19 @@ def train_on_task(
 
 
 def settle(state: LearnerState, spec: ModelSpec, row: int = 0) -> LearnerState:
-    """`state` with its pending task's EWC anchor added, which estimates
-    that Fisher; `state` itself when nothing is pending. A caller settles a
-    state once, before training on from it or storing it, and never writes
-    either state. A nonfinite Fisher raises TrainingDiverged with index
-    `row`, the state's row in the caller's stack."""
+    """`state` with its pending task's Fisher F estimated and added into new
+    EWC sums (SigmaF + F, SigmaF*w* + F*w); `state` itself when nothing is
+    pending. A caller settles a state once, before training on from it or
+    storing it, and never writes either state. A nonfinite Fisher raises
+    TrainingDiverged with index `row`, the state's row in the caller's stack."""
     if state.pending is None:
         return state
     fisher = estimate_diag_curvature(state.params, state.pending.train, spec).diag
     if not np.isfinite(fisher).all():
         raise TrainingDiverged(f"task {state.pending.task_id}: EWC Fisher is not finite "
                                f"after training; training diverged", row)
-    return LearnerState(state.params, state.buffer, state.anchors + [(state.params, fisher)])
+    sum_f, sum_fw = state.ewc or (0.0, 0.0)
+    return replace(state, ewc=(sum_f + fisher, sum_fw + fisher * state.params), pending=None)
 
 
 def train_seq(
@@ -293,10 +281,9 @@ def train_seq(
 
     Row i draws from an rng seeded with seeds[i] and offers its samples to
     a clone of its parent's buffer (a new buffer under er when the parent
-    has none). Under EWC its penalty reads its parent's anchors: the j-th
-    pair of every row becomes one pair, whose arrays are passed as they are
-    when every row holds the same object and stacked into (P, p) otherwise.
-    Each child keeps its parent's anchor list as it is and leaves its
+    has none). Under EWC the call's one pull is lambda times the rows' sums
+    (SigmaF, SigmaF*w*): (p,) when every row holds one sums object, else
+    their (P, p) stack. Each child keeps its parent's sums and leaves its
     task's Fisher pending, for `settle` by whichever caller continues from
     it. So child i is bitwise the state a lone call on parents[i] gives.
 
@@ -312,17 +299,18 @@ def train_seq(
         raise ValueError("train_seq needs one task and one seed per parent")
     if any(parent.pending is not None for parent in parents):
         raise ValueError("train_seq trains on from settled parents only")
-    if len({len(parent.anchors) for parent in parents}) > 1:
-        raise ValueError("every row needs the same number of anchors")
+    if len({parent.ewc is None for parent in parents}) > 1:
+        raise ValueError("every parent needs EWC sums, or none does")
     buffers = [parent.buffer.clone() if parent.buffer is not None else
                ReplayBuffer(cfg.buffer_capacity) if cfg.kind == "er" else None
                for parent in parents]
     ewc = cfg.kind == "ewc"
-    anchors = [tuple(arrays[0] if all(a is arrays[0] for a in arrays) else np.stack(arrays)
-                     for arrays in zip(*column))
-               for column in zip(*(parent.anchors for parent in parents))]
+    pull = None
+    if ewc and parents[0].ewc is not None:
+        one = all(parent.ewc is parents[0].ewc for parent in parents)
+        pull = tuple(cfg.ewc_strength * (sums[0] if one else np.stack(sums))
+                     for sums in zip(*(parent.ewc for parent in parents)))
     params = train_on_task(np.stack([parent.params for parent in parents]), tasks, cfg, spec,
-                           [np.random.default_rng(s) for s in seeds], buffer=buffers,
-                           anchors=anchors if ewc else None)
-    return [LearnerState(params[i].copy(), buffers[i], parent.anchors, tasks[i] if ewc else None)
+                           [np.random.default_rng(s) for s in seeds], buffer=buffers, pull=pull)
+    return [LearnerState(params[i].copy(), buffers[i], parent.ewc, tasks[i] if ewc else None)
             for i, parent in enumerate(parents)]

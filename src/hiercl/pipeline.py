@@ -81,9 +81,9 @@ class PipelineConfig:
         if self.group_size < 1:
             raise ValueError("group_size must be at least 1")
         if self.levels < 1:
-            raise ValueError("need at least one hierarchy level")
+            raise ValueError(f"run.levels must be at least 1, got {self.levels}")
         if self.n_catch < 0:
-            raise ValueError("n_catch must be nonnegative")
+            raise ValueError(f"run.catchup must be nonnegative, got {self.n_catch}")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         if self.eval_policy not in EVAL_POLICIES:
@@ -146,7 +146,7 @@ def explore_group(
     base_seed: int,
     eval_policy: str = "group_val",
     buffer: ReplayBuffer | None = None,
-    anchors=None,
+    ewc=None,
     seen_task_ids=None,
 ) -> GroupExplorationResult:
     """Train every ordering of the group from identical snapshots and pick
@@ -156,9 +156,8 @@ def explore_group(
     d takes the distinct length-(d+1) prefixes, lexicographically, as
     stacked train_seq calls, one row per prefix. Each prefix is trained
     once, on its last task, from its parent's settled state (train_seq
-    clones the buffer, and the child shares the anchor list), with its own
-    rng seeded by
-    derive_seed(base_seed, HIER_STREAM, group index, d + 1, *prefix), so
+    clones the buffer, and the child shares the EWC sums), with its own rng
+    seeded by derive_seed(base_seed, HIER_STREAM, group index, d + 1, *prefix), so
     its result depends only on the prefix. Every prefix but the full
     orderings is settled (its EWC Fisher estimated) before its children
     train; the k! orderings are scored by one accuracy_eval call, and only
@@ -180,7 +179,7 @@ def explore_group(
             return states
         return [settle(state, spec, row) for row, state in enumerate(states)]
 
-    leaves = train_trie([perm.order for perm in perms], LearnerState(init, buffer, anchors or []),
+    leaves = train_trie([perm.order for perm in perms], LearnerState(init, buffer, ewc),
                         train_stack, f"{where} prefix")
     states = [leaves[perm.order] for perm in perms]
     scores = accuracy_eval(np.stack([state.params for state in states]), eval_batch, spec)
@@ -245,7 +244,7 @@ class _Prefix:
 
     hier: HierarchyState
     buffer: ReplayBuffer
-    anchors: list
+    ewc: tuple | None        # the winner's EWC sums (SigmaF, SigmaF*w*)
     results: tuple = ()      # GroupExplorationResult per group
     norms: tuple = ()        # update norms per group, None for group 0
     accs: tuple = ()         # hier.top accuracy per task id after each group
@@ -259,7 +258,7 @@ def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
     last group, run the catch-up passes."""
     res = explore_group(
         group, tasks, node.hier.levels[0], cfg.learner, spec, seed,
-        cfg.eval_policy, buffer=node.buffer, anchors=node.anchors, seen_task_ids=seen,
+        cfg.eval_policy, buffer=node.buffer, ewc=node.ewc, seen_task_ids=seen,
     )
     buffer, local = res.best_state.buffer, res.best_state.params
     # group 0 only copies the local model; its pool is needed only when it
@@ -275,7 +274,7 @@ def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
                                               eta=cfg.eta, clip=cfg.clip)
 
     acc = task_accuracies(hier.top, tasks, spec)
-    node = _Prefix(hier, buffer, res.best_state.anchors, node.results + (res,),
+    node = _Prefix(hier, buffer, res.best_state.ewc, node.results + (res,),
                    node.norms + (norms,), node.accs + (acc,))
     if not last:
         return node
@@ -311,10 +310,10 @@ def run_pipeline(
     depth, node = memo.resume(keys)
     if node is None:
         if init is None:
-            init = init_params(spec, seed)
+            init = init_params(spec, derive_seed(seed, INIT_STREAM))
         lambdas = lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor)
         node = _Prefix(init_hierarchy(init, lambdas),
-                       ReplayBuffer(cfg.learner.buffer_capacity), [])
+                       ReplayBuffer(cfg.learner.buffer_capacity), None)
     for g in range(depth, len(groups)):
         seen = tuple(t for group in groups[: g + 1] for t in group.task_ids)
         node = _absorb_group(node, groups[g], seen, g == len(groups) - 1,

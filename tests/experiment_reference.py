@@ -21,7 +21,7 @@ from hiercl.learners import LearnerConfig, LearnerState
 from hiercl.memo import PrefixMemo
 from hiercl.metrics import AccuracyMatrix
 from hiercl.model import ModelSpec, init_params
-from hiercl.pipeline import FED_STREAM, SEQ_STREAM, derive_seed
+from hiercl.pipeline import FED_STREAM, INIT_STREAM, SEQ_STREAM, derive_seed
 from hiercl.tasks import Permutation, TaskDataset, task_accuracies
 
 
@@ -44,7 +44,7 @@ def run_baseline_seq(
     consolidation; one accuracy row per finished task. Resumes from the
     longest arrival prefix stored in `memo` and offers it each later one.
     The serial learner estimates each task's EWC Fisher as soon as the
-    task ends, so every stored state holds its anchors."""
+    task ends, so every stored state holds its EWC sums."""
     order = list(full_perm)
     keys = arrival_prefixes(order)
     memo = PrefixMemo() if memo is None else memo
@@ -56,7 +56,7 @@ def run_baseline_seq(
         buffer = state.buffer.clone() if shared and state.buffer is not None else state.buffer
         state = train_seq(Permutation((order[i],)), tasks, state.params, lcfg, spec,
                           derive_seed(seed, SEQ_STREAM, i), shared_buffer=buffer,
-                          anchors=state.anchors)
+                          ewc=state.ewc)
         accs += (task_accuracies(state.params, tasks, spec),)
         shared = memo.store(keys[i], (state, accs))
     return AccuracyMatrix(np.stack(accs)[:, order])
@@ -83,8 +83,9 @@ def fed_compare_run(
     memo = PrefixMemo() if memo is None else memo
     depth, node = memo.resume(keys)
     if node is None:
-        global_w = np.array(init if init is not None else init_params(spec, base_seed),
-                            dtype=np.float64)
+        if init is None:
+            init = init_params(spec, derive_seed(base_seed, INIT_STREAM))
+        global_w = np.array(init, dtype=np.float64)
         node = (global_w, (), ())
     global_w, locals_, accs = node  # tuples, so a stored node is never written
     mu = fed_cfg.prox_mu if fed_cfg.kind == "fedprox" else 0.0

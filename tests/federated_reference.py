@@ -4,7 +4,8 @@ The library's fed trie trains every client of a depth as one (P, p) stack
 through `learners.train_on_task`; `fedprox_train_local` is the one-row
 call, which the federated tests and acceptance criterion 13 use to check
 that mu = 0 follows the plain optimizer path and to replay the protocol by
-hand.
+hand. Its proximal gradient mu*(w - anchor) is the pull (mu, mu*anchor),
+formed only when mu != 0.
 """
 
 import numpy as np
@@ -29,4 +30,4 @@ def fedprox_train_local(
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     return train_on_task(anchor[None], [task], cfg, spec, [np.random.default_rng(seed)],
-                         prox=(anchor, prox_mu))[0]
+                         pull=(prox_mu, prox_mu * anchor) if prox_mu != 0.0 else None)[0]

@@ -2,11 +2,17 @@
 
 `train_on_task` and `train_seq` (with their helpers) are the earlier
 one-ordering learner: one parameter vector, one loss and gradient call per
-minibatch, one ordering per call. They are kept verbatim but for one edit:
-`train_seq` takes its seed as an argument instead of reading `cfg.seed`.
-Its loss and gradient come from `model_reference.ref_loss_and_grad`, so it
-shares no stacked code with the library. The library's lockstep engine
-must match a loop of these calls bit for bit, row by row.
+minibatch, one ordering per call. They are kept verbatim but for two edits:
+`train_seq` takes its seed as an argument instead of reading `cfg.seed`;
+and the quadratic penalty is one pull, as in the library. `train_on_task`
+takes `pull` = (a, b) and adds a*w - b to the gradient where it took an
+EWC anchor list and FedProx's (anchor, mu), and `train_seq` keeps the EWC
+state as the sums (SigmaF, SigmaF*w*), passing (lambda*SigmaF,
+lambda*SigmaF*w*). Its loss and gradient come from
+`model_reference.ref_loss_and_grad`, so it shares no stacked code with the
+library. The library's lockstep engine must match a loop of these calls bit
+for bit, row by row. `ewc_penalty_grad` is the earlier list-form penalty,
+which the summed pull must match within a rounding bound.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from hiercl.model import Batch, ModelSpec
 from hiercl.tasks import Permutation, TaskDataset
 
 
-def _ewc_penalty_grad(params, anchors, strength):
+def ewc_penalty_grad(params, anchors, strength):
     g = np.zeros_like(params)
     for w_star, fisher in anchors:
         g += fisher * (params - w_star)
@@ -51,15 +57,14 @@ def train_on_task(
     spec: ModelSpec,
     rng: np.random.Generator,
     buffer: ReplayBuffer | None = None,
-    anchors=None,
-    prox: tuple[np.ndarray, float] | None = None,
+    pull=None,
 ) -> np.ndarray:
     """Epochs of momentum SGD on one task. Returns fresh params.
 
     When a buffer is given, every training sample is offered to it exactly
     once (during the first epoch); replay minibatches are mixed in only for
-    kind="er". `prox` = (anchor, mu) adds (mu/2)||w - anchor||^2; mu == 0
-    takes the exact unmodified code path.
+    kind="er". `pull` = (a, b) adds a*w - b to the gradient; None takes
+    the exact unmodified code path.
     """
     params = np.array(params, dtype=np.float64)
     velocity = np.zeros_like(params)
@@ -77,12 +82,8 @@ def train_on_task(
             if not math.isfinite(loss):
                 raise ValueError(f"task {task.task_id}: epoch {epoch}, step {step}: "
                                  f"minibatch loss is {loss}; training diverged")
-            if anchors:
-                grad = grad + _ewc_penalty_grad(params, anchors, cfg.ewc_strength)
-            if prox is not None:
-                anchor, mu = prox
-                if mu != 0.0:
-                    grad = grad + mu * (params - anchor)
+            if pull is not None:
+                grad += pull[0] * params - pull[1]
             params, velocity = _sgd_step(params, grad, velocity, cfg)
             if buffer is not None and epoch == 0:
                 buffer.insert_many(xb, yb, task.task_id, rng)
@@ -97,7 +98,7 @@ def train_seq(
     spec: ModelSpec,
     seed: int,
     shared_buffer: ReplayBuffer | None = None,
-    anchors=None,
+    ewc=None,
 ) -> LearnerState:
     """Train through the tasks selected by `perm`, in that order.
 
@@ -111,15 +112,17 @@ def train_seq(
     buffer = shared_buffer
     if buffer is None and cfg.kind == "er":
         buffer = ReplayBuffer(cfg.buffer_capacity)
-    state = LearnerState(np.array(init, dtype=np.float64), buffer, list(anchors or []))
+    state = LearnerState(np.array(init, dtype=np.float64), buffer, ewc)
     for t in perm:
         task = tasks[t]
         state.params = train_on_task(
             state.params, task, cfg, spec, rng,
             buffer=state.buffer,
-            anchors=state.anchors if cfg.kind == "ewc" else None,
+            pull=None if cfg.kind != "ewc" or state.ewc is None else
+            (cfg.ewc_strength * state.ewc[0], cfg.ewc_strength * state.ewc[1]),
         )
         if cfg.kind == "ewc":
             fisher = estimate_diag_curvature(state.params, task.train, spec).diag
-            state.anchors.append((state.params.copy(), fisher))
+            sum_f, sum_fw = state.ewc or (0.0, 0.0)
+            state.ewc = (sum_f + fisher, sum_fw + fisher * state.params)
     return state

@@ -25,21 +25,22 @@ from hiercl.tasks import Permutation, enumerate_intra_group_perms
 
 
 def explore_orderings(group, tasks, init, cfg, spec, base_seed, eval_batch,
-                      buffer=None, anchors=None):
+                      buffer=None, ewc=None):
     """(scores, winner index, winner state) over the group's orderings in
     enumeration order. Each ordering starts from `init`, its own clone of
-    `buffer` and `anchors`; the task at position j of ordering o trains
-    with derive_seed(base_seed, HIER_STREAM, group index, j + 1, *o[:j + 1])
-    and, under EWC, is settled right after. Ties go to the first ordering."""
+    `buffer` and the EWC sums `ewc`; the task at position j of ordering o
+    trains with derive_seed(base_seed, HIER_STREAM, group index, j + 1,
+    *o[:j + 1]) and, under EWC, is settled right after. Ties go to the
+    first ordering."""
     scores, states = [], []
     for perm in enumerate_intra_group_perms(group):
         state = LearnerState(np.array(init, dtype=np.float64),
-                             None if buffer is None else buffer.clone(), list(anchors or []))
+                             None if buffer is None else buffer.clone(), ewc)
         for j, t in enumerate(perm.order):
             seed = derive_seed(base_seed, HIER_STREAM, group.group_index, j + 1,
                                *perm.order[: j + 1])
             state = train_seq(Permutation((t,)), tasks, state.params, cfg, spec, seed,
-                              shared_buffer=state.buffer, anchors=state.anchors)
+                              shared_buffer=state.buffer, ewc=state.ewc)
         scores.append(ref_accuracy_eval(state.params, eval_batch, spec))
         states.append(state)
     best = int(np.argmax(scores))

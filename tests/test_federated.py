@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from federated_reference import fedprox_train_local
 
+from hiercl import federated
 from hiercl.federated import FedConfig, fed_compare_run, fedavg_aggregate
 from hiercl.learners import LearnerConfig, train_on_task
 from hiercl.model import ModelSpec, init_params
-from hiercl.pipeline import derive_seed
+from hiercl.pipeline import INIT_STREAM, derive_seed
 from hiercl.tasks import Permutation, gen_split_gaussians
 
 SPEC = ModelSpec((4, 6, 6))
@@ -74,6 +75,45 @@ def test_prox_pull_is_monotone_in_mu():
         dists.append(float(np.linalg.norm(out - anchor)))
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
     assert dists[-1] < dists[0]
+
+
+def test_fedprox_pull_matches_the_proximal_gradient_within_rounding(monkeypatch):
+    # each depth's clients train with the pull (mu, mu*anchor), the anchor
+    # being their parents' global weights, and at mu = 0 with none; the
+    # pulled gradient mu*w - mu*anchor is mu*(w - anchor) up to two ulps of
+    # mu*(|w| + |anchor|), also where w is close to the anchor
+    seen = []
+
+    def recording(params, task, cfg, spec, rng, buffer=None, pull=None):
+        seen.append((np.array(params), pull))
+        return train_on_task(params, task, cfg, spec, rng, buffer, pull)
+
+    monkeypatch.setattr(federated, "train_on_task", recording)
+    tasks, cfg = _tasks(), LearnerConfig(kind="sgd", epochs_per_task=1)
+    init, perm = init_params(SPEC, 5), Permutation((0, 1, 2))
+    fed_compare_run(tasks, perm, FedConfig("fedprox", 0.0), cfg, SPEC, 5, init=init)
+    assert [pull for _, pull in seen] == [None] * 3
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(0)
+    for mu in (1e-3, 0.1, 0.7, 30.0):
+        seen.clear()
+        fed_compare_run(tasks, perm, FedConfig("fedprox", mu), cfg, SPEC, 5, init=init)
+        assert len(seen) == 3
+        for anchor, (a, b) in seen:
+            assert a == mu and np.array_equal(b, mu * anchor)
+            for w in (anchor + rng.normal(size=anchor.shape) * 10.0 ** rng.uniform(-3, 3),
+                      anchor * (1 + 1e-9 * rng.normal(size=anchor.shape))):
+                err = np.abs((a * w - b) - mu * (w - anchor))
+                assert np.all(err <= 2 * eps * mu * (np.abs(w) + np.abs(anchor)))
+
+
+def test_fed_compare_run_without_init_starts_from_the_init_stream():
+    tasks, cfg = _tasks(), LearnerConfig(kind="sgd", epochs_per_task=1)
+    init, perm = init_params(SPEC, derive_seed(5, INIT_STREAM)), Permutation((1, 0, 2))
+    for fed in (FedConfig("fedavg"), FedConfig("fedprox", 0.3)):
+        g_got, m_got = fed_compare_run(tasks, perm, fed, cfg, SPEC, 5)
+        g_want, m_want = fed_compare_run(tasks, perm, fed, cfg, SPEC, 5, init=init)
+        assert np.array_equal(g_got, g_want) and np.array_equal(m_got.values, m_want.values)
 
 
 def test_fed_compare_run_single_task_global_equals_local():

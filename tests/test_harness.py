@@ -392,6 +392,11 @@ _BAD_VALUES = [
     ("run.clip=-1", "clip"),  # would reverse every consolidation step
     ("run.methods=", "methods"),
     ("run.seeds=-1", "seeds"),
+    ("run.levels=0", "levels"),
+    ("run.catchup=-1", "catchup"),
+    ("run.curvature=lowrank:abc", "curvature"),
+    ("run.hidden=0", "hidden"),
+    ("run.perm_sample_seed=-1", "perm_sample_seed"),
 ]
 
 

@@ -1,14 +1,17 @@
 """Tests for the replay buffer and the sequential learners."""
 
+from types import SimpleNamespace
+
 import learners_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from learners_reference import ewc_penalty_grad
 from learners_reference import train_on_task as serial_train_on_task
 from learners_reference import train_seq as serial_train_seq
 
-from hiercl import learners
+from hiercl import curvature, learners
 from hiercl.learners import (
     LEARNER_KINDS,
     LearnerConfig,
@@ -303,15 +306,29 @@ def _train_depths(parents, orders, tasks, cfg, spec, seeds):
     return states
 
 
-def _serial_depths(order, tasks, start, cfg, spec, seed, buffer=None, anchors=None):
+def _serial_depths(order, tasks, start, cfg, spec, seed, buffer=None, ewc=None):
     """One ordering through the serial learner, one call per task with the
     seeds of _train_depths; each call estimates its task's Fisher. Writes
     `buffer`."""
-    state = LearnerState(np.array(start, dtype=np.float64), buffer, list(anchors or []))
+    state = LearnerState(np.array(start, dtype=np.float64), buffer, ewc)
     for depth, t in enumerate(order):
         state = serial_train_seq(Permutation((t,)), tasks, state.params, cfg, spec, seed + depth,
-                                 shared_buffer=state.buffer, anchors=state.anchors)
+                                 shared_buffer=state.buffer, ewc=state.ewc)
     return state
+
+
+def _sums(anchors, ewc=None):
+    """The EWC sums (SigmaF, SigmaF*w*) `ewc` with a list of (w*, F) anchors
+    added in list order, as `settle` adds them; `ewc` for no anchors."""
+    for w_star, fisher in anchors:
+        sum_f, sum_fw = ewc or (0.0, 0.0)
+        ewc = (sum_f + fisher, sum_fw + fisher * w_star)
+    return ewc
+
+
+def _same_sums(got, want):
+    return (got is None) == (want is None) and (
+        got is None or all(map(_same, got, want)))
 
 
 def test_train_seq_deterministic_and_pure():
@@ -370,16 +387,21 @@ def test_train_seq_ewc_accumulates_anchors():
     cfg = LearnerConfig(kind="ewc", epochs_per_task=2, ewc_strength=5.0)
     state = _train_depths([LearnerState(init_params(SPEC, 0))], [(0, 1)], tasks, cfg, SPEC,
                           [0])[0]
-    # task 1's Fisher waits for the caller that continues from the state
-    assert len(state.anchors) == 1 and state.pending is tasks[1]
+    # task 1's Fisher waits for the caller that continues from the state;
+    # task 0's alone is in its sums
+    assert state.pending is tasks[1]
+    before = tuple(a.copy() for a in state.ewc)
     settled = settle(state, SPEC)
-    assert settled.pending is None and len(settled.anchors) == 2
     assert settle(settled, SPEC) is settled
-    assert len(state.anchors) == 1 and state.pending is tasks[1]  # never written
-    assert settled.anchors[1][0] is state.params
-    for w_star, fisher in settled.anchors:
-        assert w_star.shape == fisher.shape == (SPEC.param_count,)
-        assert np.all(fisher >= 0.0)
+    assert settled.pending is None and settled.params is state.params
+    assert state.pending is tasks[1] and all(map(np.array_equal, state.ewc, before))
+    fisher = curvature.estimate_diag_curvature(state.params, tasks[1].train, SPEC).diag
+    assert np.all(fisher >= 0.0) and np.all(before[0] >= 0.0)
+    # new arrays hold SigmaF + F and SigmaF*w* + F*w
+    assert not any(np.shares_memory(a, b) for a in settled.ewc for b in state.ewc)
+    assert np.array_equal(settled.ewc[0], before[0] + fisher)
+    assert np.array_equal(settled.ewc[1], before[1] + fisher * state.params)
+    assert all(a.shape == (SPEC.param_count,) for a in settled.ewc)
 
 
 def test_ewc_strength_pulls_toward_anchor():
@@ -389,7 +411,7 @@ def test_ewc_strength_pulls_toward_anchor():
     for strength in (0.0, 200.0):
         cfg = LearnerConfig(kind="ewc", epochs_per_task=3, ewc_strength=strength)
         state = _train_depths([LearnerState(init)], [(0, 1)], tasks, cfg, SPEC, [0])[0]
-        anchor_w = state.anchors[0][0]
+        anchor_w = _train_depths([LearnerState(init)], [(0,)], tasks, cfg, SPEC, [0])[0].params
         dists.append(float(np.linalg.norm(state.params - anchor_w)))
     assert dists[1] < dists[0]
 
@@ -427,9 +449,9 @@ def _lockstep_problem(kind, activation, task_kind, sizes, rows, seed):
                 buf.insert_many(rng.normal(size=(m, 3)), targets(m), 9, rng)
         buffers.append(buf)
     p = spec.param_count
-    anchors = [(rng.normal(size=p), rng.random(p)) for _ in range(int(rng.integers(0, 3)))]
+    ewc = _sums([(rng.normal(size=p), rng.random(p)) for _ in range(int(rng.integers(0, 3)))])
     init = init_params(spec, 0) + 0.3 * rng.normal(size=p)
-    return spec, tasks, cfg, seeds, perms, buffers, anchors, init, rng
+    return spec, tasks, cfg, seeds, perms, buffers, ewc, init, rng
 
 
 def _clone(buf):
@@ -451,7 +473,8 @@ def _assert_same_divergence(err, serial_run, serial_task_end):
     Fisher taken from them, by the check before the next task trains.
     The verbatim reference has no such check, so a lone run of that row
     must end the named task with those nonfinite values:
-    `serial_task_end(row, task_id)` gives its (params, Fisher or None)."""
+    `serial_task_end(row, task_id)` gives its (params, EWC SigmaF or None),
+    and a nonfinite Fisher leaves SigmaF nonfinite."""
     message = str(err)
     if "minibatch loss" in message:
         with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
@@ -490,28 +513,31 @@ _LOCKSTEP_CASES = dict(
 @settings(max_examples=80, deadline=None)
 @given(**_LOCKSTEP_CASES)
 def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind, sizes, rows, seed):
-    spec, tasks, cfg, seeds, _, buffers, shared, init, rng = _lockstep_problem(
+    spec, tasks, cfg, seeds, _, buffers, _, init, rng = _lockstep_problem(
         kind, activation, task_kind, sizes, rows, seed)
-    stack = init + 0.1 * rng.normal(size=(rows, spec.param_count))
+    p = spec.param_count
+    stack = init + 0.1 * rng.normal(size=(rows, p))
     row_tasks = [tasks[int(t)] for t in rng.integers(0, len(tasks), size=rows)]
-    own = [(stack + 0.1, rng.random(stack.shape))]  # one (P, p) anchor stack
-    anchors = shared + own if kind == "ewc" else None
-    prox = (rng.normal(size=spec.param_count), [0.0, 0.3][int(rng.integers(2))])
+    mu = rng.random()
+    # no pull; FedProx's scalar mu and shared anchor; one pair of shared
+    # (p,) arrays; a (P, p) pair, a row of it per ordering
+    pull = [None, (mu, mu * rng.normal(size=p)), (rng.random(p), rng.normal(size=p)),
+            (rng.random(stack.shape), rng.normal(size=stack.shape))][int(rng.integers(4))]
     rngs = [np.random.default_rng(s) for s in seeds]
     lock_buffers = [_clone(b) for b in buffers]
 
     def serial_row(i):
         """Row i trained alone: its params, Generator and buffer."""
         ref_rng, ref_buffer = np.random.default_rng(seeds[i]), _clone(buffers[i])
-        row_anchors = shared + [(w[i], f[i]) for w, f in own] if kind == "ewc" else None
+        row_pull = None if pull is None else tuple(x[i] if np.ndim(x) == 2 else x for x in pull)
         want = serial_train_on_task(stack[i], row_tasks[i], cfg, spec, ref_rng,
-                                    buffer=ref_buffer, anchors=row_anchors, prox=prox)
+                                    buffer=ref_buffer, pull=row_pull)
         return want, ref_rng, ref_buffer
 
     try:
         with np.errstate(all="ignore"):
             out = train_on_task(stack, row_tasks, cfg, spec, rngs, buffer=lock_buffers,
-                                anchors=anchors, prox=prox)
+                                pull=pull)
     except TrainingDiverged as err:
         def serial_task_end(i, task_id):
             assert task_id == row_tasks[i].task_id
@@ -546,12 +572,12 @@ def _run_keeping_rngs(module, run):
 def _assert_depths_match_serial(parents, orders, tasks, cfg, spec, seeds):
     """The rows' orderings trained one depth call at a time equal each
     ordering trained alone through the serial learner: params, buffer, the
-    last Generator's state and, once settled, the anchors; or both stop at
+    last Generator's state and, once settled, the EWC sums; or both stop at
     the same row and task with the same message."""
     def serial_ordering(i, order=None):
         return _run_keeping_rngs(learners_reference, lambda: _serial_depths(
             orders[i] if order is None else order, tasks, parents[i].params, cfg, spec,
-            seeds[i], _clone(parents[i].buffer), parents[i].anchors))
+            seeds[i], _clone(parents[i].buffer), parents[i].ewc))
 
     try:
         with np.errstate(all="ignore"):
@@ -561,7 +587,7 @@ def _assert_depths_match_serial(parents, orders, tasks, cfg, spec, seeds):
         def serial_task_end(i, task_id):
             """Ordering i trained alone up to and including that task."""
             state = serial_ordering(i, orders[i][: orders[i].index(task_id) + 1])[0]
-            return state.params, state.anchors[-1][1] if cfg.kind == "ewc" else None
+            return state.params, state.ewc[0] if cfg.kind == "ewc" else None
 
         _assert_same_divergence(err, lambda i: serial_ordering(i), serial_task_end)
         return
@@ -582,21 +608,21 @@ def _assert_depths_match_serial(parents, orders, tasks, cfg, spec, seeds):
             assert str(err) == (f"task {last.task_id}: EWC Fisher is not finite "
                                 f"after training; training diverged")
             assert np.isfinite(got.params).all()
-            assert not np.isfinite(want.anchors[-1][1]).all()
-            want.anchors.pop()
-        assert len(got.anchors) == len(want.anchors)
-        for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
-            assert w_got.shape == w_want.shape and _same(w_got, w_want) and _same(f_got, f_want)
+            assert not np.isfinite(want.ewc[0]).all()
+            # the sums the serial run held before it added that Fisher
+            with np.errstate(all="ignore"):
+                want = serial_ordering(i, orders[i][:-1])[0]
+        assert _same_sums(got.ewc, want.ewc)
 
 
 @settings(max_examples=80, deadline=None)
 @given(**_LOCKSTEP_CASES)
 def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind, sizes, rows, seed):
-    # every ordering from one start and one incoming anchor list, whose
-    # arrays every row shares, each with its own incoming buffer
-    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _lockstep_problem(
+    # every ordering from one start and one incoming sums pair, which every
+    # row shares, each with its own incoming buffer
+    spec, tasks, cfg, seeds, perms, buffers, ewc, init, _ = _lockstep_problem(
         kind, activation, task_kind, sizes, rows, seed)
-    parents = [LearnerState(init, buffer, anchors) for buffer in buffers]
+    parents = [LearnerState(init, buffer, ewc) for buffer in buffers]
     _assert_depths_match_serial(parents, [perm.order for perm in perms], tasks, cfg, spec, seeds)
 
 
@@ -604,16 +630,16 @@ def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind
 @given(**_LOCKSTEP_CASES)
 def test_train_seq_from_stacked_starts_and_row_anchors_matches_lone_runs(
         kind, activation, task_kind, sizes, rows, seed):
-    # each ordering starts from its own params and carries its own anchor
-    # list (the shared pairs, then pairs of its own), as the tries' rows do
+    # each ordering starts from its own params and carries its own sums
+    # (the shared sums plus anchors of its own), as the tries' rows do
     spec, tasks, cfg, seeds, perms, buffers, shared, init, rng = _lockstep_problem(
         kind, activation, task_kind, sizes, rows, seed)
     p = spec.param_count
     starts = init + 0.1 * rng.normal(size=(rows, p))
     m = int(rng.integers(0, 3))
-    own = [[(starts[i] + 0.1 * rng.normal(size=p), rng.random(p)) for _ in range(m)]
-           for i in range(rows)]
-    parents = [LearnerState(starts[i], buffers[i], shared + own[i]) for i in range(rows)]
+    own = [_sums([(starts[i] + 0.1 * rng.normal(size=p), rng.random(p)) for _ in range(m)],
+                 shared) for i in range(rows)]
+    parents = [LearnerState(starts[i], buffers[i], own[i]) for i in range(rows)]
     _assert_depths_match_serial(parents, [perm.order for perm in perms], tasks, cfg, spec, seeds)
 
 
@@ -624,35 +650,30 @@ def test_train_seq_never_writes_a_parent(kind):
     buffer = ReplayBuffer(6)
     buffer.insert_many(tasks[1].train.inputs[:4], tasks[1].train.targets[:4], 1,
                        np.random.default_rng(0))
-    pair = (init_params(SPEC, 1), np.full(SPEC.param_count, 0.5))
-    anchors = [pair]
-    parent = LearnerState(init_params(SPEC, 0), buffer, anchors)
-    arrays = (parent.params, *pair, buffer.inputs, buffer.targets, buffer.task_ids)
+    sums = (np.full(SPEC.param_count, 0.5), 0.5 * init_params(SPEC, 1))
+    parent = LearnerState(init_params(SPEC, 0), buffer, sums)
+    arrays = (parent.params, *sums, buffer.inputs, buffer.targets, buffer.task_ids)
     copies = [a.copy() for a in arrays]
     for child in train_seq([parent, parent], tasks[:2], cfg, SPEC, [0, 1]):
         settle(child, SPEC)
-    for got, want in zip((parent.params, *pair, buffer.inputs, buffer.targets,
-                          buffer.task_ids), copies):
+    for got, want in zip(arrays, copies):
         assert np.array_equal(got, want)
     assert parent.buffer is buffer and buffer.seen_count == 4
-    assert parent.anchors is anchors and anchors == [pair] and parent.pending is None
+    assert parent.ewc is sums and parent.pending is None
 
 
 @pytest.mark.parametrize("kind", LEARNER_KINDS)
 def test_each_child_holds_its_parents_anchor_arrays(kind):
-    # no per-row copies: a child's anchor list is its parent's, pair by pair
+    # no per-row copies: a child holds its parent's sums object
     tasks = _tasks()
     p = SPEC.param_count
-    shared = (init_params(SPEC, 1), np.full(p, 0.5))
     parents = [LearnerState(init_params(SPEC, 0), None,
-                            [shared, (init_params(SPEC, 2 + i), np.full(p, i + 0.5))])
+                            (np.full(p, i + 0.5), (i + 0.5) * init_params(SPEC, 1 + i)))
                for i in range(2)]
     children = train_seq(parents, tasks[:2], LearnerConfig(kind=kind, epochs_per_task=1),
                          SPEC, [0, 1])
     for child, parent in zip(children, parents):
-        assert len(child.anchors) == 2
-        for (w, f), (w_parent, f_parent) in zip(child.anchors, parent.anchors):
-            assert w is w_parent and f is f_parent
+        assert child.ewc is parent.ewc
 
 
 def test_train_seq_needs_one_task_and_one_seed_per_settled_parent():
@@ -678,46 +699,141 @@ def test_train_on_task_gives_the_same_bits_for_any_stack_layout(kind):
     tasks = _tasks()
     cfg = LearnerConfig(kind=kind, epochs_per_task=1, batch_size=1, buffer_capacity=6)
     stack = np.stack([init_params(SPEC, s) for s in range(3)])
-    anchors = [(stack[0], np.full(stack.shape[1], 0.5))] if kind == "ewc" else None
+    pull = (np.full(stack.shape[1], 0.5), 0.5 * stack[0]) if kind == "ewc" else None
 
     def run(params):
         return train_on_task(params, [tasks[0], tasks[1], tasks[0]], cfg, SPEC,
                              [np.random.default_rng(s) for s in range(3)],
-                             buffer=[ReplayBuffer(6) for _ in range(3)], anchors=anchors)
+                             buffer=[ReplayBuffer(6) for _ in range(3)], pull=pull)
 
     want, got = run(stack), run(np.asfortranarray(stack))
     assert got.flags.c_contiguous and _same(got, want)
 
 
 def test_train_seq_passes_shared_anchor_arrays_and_stacks_the_rest(monkeypatch):
-    # the j-th pair of every row becomes one pair of the training call: an
-    # array every row holds by identity passes as it is, the rest stack
+    # the call's one pull (lambda*SigmaF, lambda*SigmaF*w*) is built from
+    # (p,) sums when every row holds one sums object, and from their (P, p)
+    # stack otherwise, equal values or not
     seen = []
 
-    def recording(params, task, cfg, spec, rng, buffer=None, anchors=None, prox=None):
-        seen.append(anchors)
-        return train_on_task(params, task, cfg, spec, rng, buffer, anchors, prox)
+    def recording(params, task, cfg, spec, rng, buffer=None, pull=None):
+        seen.append(pull)
+        return train_on_task(params, task, cfg, spec, rng, buffer, pull)
 
     monkeypatch.setattr(learners, "train_on_task", recording)
     tasks, init, p = _tasks(), init_params(SPEC, 0), SPEC.param_count
-    w, f = np.arange(float(p)), np.ones(p)
-    own = [(np.full(p, float(i)), np.full(p, i + 0.5)) for i in range(2)]
-    twin = (w.copy(), f.copy())  # equal values, but another row's own arrays
-    parents = [LearnerState(init, None, [(w, f), own[0], twin]),
-               LearnerState(init, None, [(w, f), own[1], (w, f)])]
-    ewc = LearnerConfig(kind="ewc", epochs_per_task=1)
-    train_seq(parents, tasks[:2], ewc, SPEC, [0, 1])
-    pairs = seen.pop()
-    assert pairs[0][0] is w and pairs[0][1] is f
-    assert np.array_equal(pairs[1][0], [[0.0] * p, [1.0] * p])
-    assert np.array_equal(pairs[1][1], [[0.5] * p, [1.5] * p])
-    assert pairs[2][0].shape == pairs[2][1].shape == (2, p)
+    sums = (np.full(p, 0.5), np.arange(float(p)))
+    twin = (sums[0].copy(), sums[1].copy())  # equal values, but another row's own arrays
+    ewc = LearnerConfig(kind="ewc", epochs_per_task=1, ewc_strength=3.0)
+    train_seq([LearnerState(init, None, sums), LearnerState(init + 1.0, None, sums)],
+              tasks[:2], ewc, SPEC, [0, 1])
+    a, b = seen.pop()
+    assert _same(a, 3.0 * sums[0]) and _same(b, 3.0 * sums[1])
+    train_seq([LearnerState(init, None, sums), LearnerState(init, None, twin)],
+              tasks[:2], ewc, SPEC, [0, 1])
+    a, b = seen.pop()
+    assert a.shape == b.shape == (2, p)
+    assert _same(a, 3.0 * np.stack([sums[0]] * 2)) and _same(b, 3.0 * np.stack([sums[1]] * 2))
     train_seq([LearnerState(init), LearnerState(init)], tasks[:2], ewc, SPEC, [0, 1])
-    assert seen.pop() == []
-    train_seq(parents, tasks[:2], LearnerConfig(epochs_per_task=1), SPEC, [0, 1])
+    assert seen.pop() is None  # no task settled yet
+    train_seq([LearnerState(init, None, sums)] * 2, tasks[:2], LearnerConfig(epochs_per_task=1),
+              SPEC, [0, 1])
     assert seen.pop() is None  # sgd trains without a penalty
-    with pytest.raises(ValueError, match="same number of anchors"):
-        train_seq([parents[0], LearnerState(init, None, [(w, f)])], tasks[:2], ewc, SPEC, [0, 1])
+    with pytest.raises(ValueError, match="EWC sums, or none does"):
+        train_seq([LearnerState(init, None, sums), LearnerState(init)], tasks[:2], ewc, SPEC,
+                  [0, 1])
+
+
+def _one_zero_gradient_step(params, pull, monkeypatch):
+    """params after one train_on_task step whose loss gradient is zero, at
+    learning rate 1 without momentum or weight decay: the step is the pull."""
+    monkeypatch.setattr(learners, "loss_and_grad",
+                        lambda w, batch, spec: (np.zeros(len(w)), np.zeros_like(w)))
+    task = _tasks()[0]
+    cfg = LearnerConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0, epochs_per_task=1,
+                        batch_size=task.train.n)
+    return train_on_task(params, [task] * len(params), cfg, SPEC,
+                         [np.random.default_rng(i) for i in range(len(params))], pull=pull)
+
+
+@pytest.mark.parametrize("shape", ["scalar", "shared", "stacked"])
+def test_train_on_task_adds_the_pull_to_the_gradient_as_a_w_minus_b(monkeypatch, shape):
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(3, SPEC.param_count))
+    size = {"scalar": (), "shared": w.shape[1:], "stacked": w.shape}[shape]
+    a, b = rng.random(size), rng.normal(size=size)
+    got = _one_zero_gradient_step(w, (a, b), monkeypatch)
+    assert _same(got, w - (a * w - b))
+    assert _same(_one_zero_gradient_step(w, None, monkeypatch), w)
+
+
+def _settled_chain(anchors, monkeypatch):
+    """A state settled once per (w*, F) anchor, in list order, through
+    `settle`, with `learners.estimate_diag_curvature` giving each F."""
+    fishers = iter([fisher for _, fisher in anchors])
+    monkeypatch.setattr(learners, "estimate_diag_curvature",
+                        lambda params, pool, spec: SimpleNamespace(diag=next(fishers)))
+    state, task = LearnerState(anchors[0][0]), _tasks()[0]
+    for w_star, _ in anchors:
+        state = settle(LearnerState(w_star, None, state.ewc, task), SPEC)
+    return state
+
+
+def _ewc_pull(parents, strength, monkeypatch):
+    """The pull train_seq passes to train_on_task under EWC (nothing trains)."""
+    seen = []
+
+    def recording(params, task, cfg, spec, rng, buffer=None, pull=None):
+        seen.append(pull)
+        return np.array(params)
+
+    monkeypatch.setattr(learners, "train_on_task", recording)
+    cfg = LearnerConfig(kind="ewc", ewc_strength=strength)
+    train_seq(parents, [_tasks()[0]] * len(parents), cfg, SPEC, list(range(len(parents))))
+    return seen.pop()
+
+
+@pytest.mark.parametrize("rows", ["shared", "stacked"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_summed_ewc_pull_matches_the_anchor_list_within_rounding(monkeypatch, k, rows):
+    # online EWC sums give lambda*SigmaF*w - lambda*SigmaF*w* where the
+    # anchor list gave lambda * sum_j F_j*(w - w*_j): equal up to rounding
+    # of order k ulps of the summed magnitudes, also where w is close to
+    # every w*_j and the difference cancels
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(k)
+    p, P = SPEC.param_count, 3
+    for case in range(12):
+        near = case % 2 == 1
+        strength = 10.0 ** rng.uniform(-2, 2)
+        w = rng.normal(size=(P, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+
+        def anchors(center):
+            out = []
+            for _ in range(k):
+                w_star = (center * (1 + 1e-9 * rng.normal(size=p)) if near
+                          else rng.normal(size=p) * 10.0 ** rng.uniform(-2, 2, size=p))
+                fisher = rng.random(p) * 10.0 ** rng.uniform(-4, 2, size=p)
+                fisher[rng.random(p) < 0.1] = 0.0
+                out.append((w_star, fisher))
+            return out
+
+        if rows == "shared":
+            if near:
+                w = w[0] * (1 + 1e-9 * rng.normal(size=(P, p)))
+            row_anchors = [anchors(w[0])] * P
+            parents = [_settled_chain(row_anchors[0], monkeypatch)] * P
+        else:
+            row_anchors = [anchors(w[i]) for i in range(P)]
+            parents = [_settled_chain(a, monkeypatch) for a in row_anchors]
+        a, b = _ewc_pull(parents, strength, monkeypatch)
+        monkeypatch.undo()
+        assert a.shape == b.shape == ((p,) if rows == "shared" else (P, p))
+        got = a * w - b
+        for i in range(P):
+            want = ewc_penalty_grad(w[i], row_anchors[i], strength)
+            scale = sum(f * (np.abs(w[i]) + np.abs(w_star)) for w_star, f in row_anchors[i])
+            assert np.all(np.abs(got[i] - want) <= 4 * k * eps * strength * scale), (case, i)
 
 
 def test_train_on_task_rejects_a_lone_vector():
@@ -765,8 +881,8 @@ def _nonfinite_fisher_problem():
 
 def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
     # a 1-task ordering's Fisher is estimated when its state is settled
-    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _nonfinite_fisher_problem()
-    parents = [LearnerState(init, buffer, anchors) for buffer in buffers]
+    spec, tasks, cfg, seeds, perms, buffers, ewc, init, _ = _nonfinite_fisher_problem()
+    parents = [LearnerState(init, buffer, ewc) for buffer in buffers]
     with np.errstate(all="ignore"):
         states = train_seq(parents, [tasks[perm.order[0]] for perm in perms], cfg, spec, seeds)
     failed = []
@@ -784,7 +900,7 @@ def test_train_seq_rejects_a_nonfinite_fisher_before_the_next_task(monkeypatch):
     # orderings 3 and 4 again, each now followed by a second task: task 0's
     # Fishers are estimated when the rows are settled between depths, and
     # row 1's (ordering 4's) is nonfinite, so task 1 never trains
-    spec, tasks, cfg, seeds, perms, buffers, anchors, init, _ = _nonfinite_fisher_problem()
+    spec, tasks, cfg, seeds, perms, buffers, ewc, init, _ = _nonfinite_fisher_problem()
     first = tasks[0]
     tasks = [first, TaskDataset(1, first.train, first.val, first.test)]
     trained = []
@@ -794,7 +910,7 @@ def test_train_seq_rejects_a_nonfinite_fisher_before_the_next_task(monkeypatch):
         return train_on_task(params, task, *args, **kwargs)
 
     monkeypatch.setattr("hiercl.learners.train_on_task", counting)
-    parents = [LearnerState(init, buffers[i], anchors) for i in (3, 4)]
+    parents = [LearnerState(init, buffers[i], ewc) for i in (3, 4)]
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
         _train_depths(parents, [(0, 1)] * 2, tasks, cfg, spec, [seeds[3], seeds[4]])
     assert info.value.index == 1

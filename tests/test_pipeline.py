@@ -201,6 +201,18 @@ def test_pipeline_deterministic_across_calls():
     assert np.array_equal(r1.matrix.values, r2.matrix.values)
 
 
+def test_run_pipeline_without_init_starts_from_the_init_stream():
+    # the default weights come from (seed, INIT_STREAM), as a sweep's do,
+    # not from the bare seed that the consolidation pool draws from
+    tasks, cfg, order = _tasks(), _cfg(sample_cap=30), Permutation((2, 0, 1, 3))
+    got = run_pipeline(tasks, order, cfg, SPEC, seed=3)
+    want = run_pipeline(tasks, order, cfg, SPEC, init_params(SPEC, derive_seed(3, INIT_STREAM)),
+                        seed=3)
+    assert all(map(np.array_equal, got.hierarchy.levels, want.hierarchy.levels))
+    assert np.array_equal(got.matrix.values, want.matrix.values)
+    assert got.update_norms == want.update_norms and got.log == want.log
+
+
 def test_single_group_copies_best_local_before_catchup():
     tasks = _tasks(num_classes=4)  # 2 tasks, one group of 2
     cfg = _cfg(n_catch=0)
@@ -425,9 +437,9 @@ def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
 def _assert_same_state(got, want):
     assert got.pending is None
     assert got.params.dtype == want.params.dtype and np.array_equal(got.params, want.params)
-    assert len(got.anchors) == len(want.anchors)
-    for (w_got, f_got), (w_want, f_want) in zip(got.anchors, want.anchors):
-        assert np.array_equal(w_got, w_want) and np.array_equal(f_got, f_want)
+    assert (got.ewc is None) == (want.ewc is None)
+    if want.ewc is not None:
+        assert all(map(np.array_equal, got.ewc, want.ewc))
     if want.buffer is None:
         assert got.buffer is None
         return
@@ -439,30 +451,36 @@ def _assert_same_state(got, want):
 
 def _explore_case(kind, k, seed=0):
     """A group of k tasks (group index 2, ids not in arrival order) with an
-    incoming buffer and anchor, as a later group of a run sees them."""
+    incoming buffer and EWC sums of one anchor, as a later group of a run
+    sees them."""
     tasks = _tasks(seed=seed)
     init = init_params(SPEC, seed)
     rng = np.random.default_rng(seed + k)
-    anchors = [(init + rng.normal(size=init.size), rng.random(init.size))]
+    ewc = _one_anchor_sums(init, rng)
     earlier = _tasks(seed=seed + 1)[0].train
     buffer = ReplayBuffer(6)
     buffer.insert_many(earlier.inputs, earlier.targets, 0, rng)
     cfg = LearnerConfig(kind=kind, epochs_per_task=1, batch_size=8, ewc_strength=2.0,
                         buffer_capacity=6)
     group = TaskGroup(2, tuple(reversed(range(k))))
-    return group, tasks, init, cfg, buffer, anchors
+    return group, tasks, init, cfg, buffer, ewc
+
+
+def _one_anchor_sums(init, rng):
+    """(SigmaF, SigmaF*w*) of one random anchor (w*, F) near `init`."""
+    w_star, fisher = init + rng.normal(size=init.size), rng.random(init.size)
+    return fisher, fisher * w_star
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["sgd", "er", "ewc"])
 def test_explore_group_matches_serial_orderings_with_prefix_seeds(kind, k):
-    group, tasks, init, cfg, buffer, anchors = _explore_case(kind, k)
-    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=11,
-                        buffer=buffer, anchors=anchors)
+    group, tasks, init, cfg, buffer, ewc = _explore_case(kind, k)
+    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc)
     eval_batch = Batch(np.concatenate([tasks[i].val.inputs for i in range(k)]),
                        np.concatenate([tasks[i].val.targets for i in range(k)]))
     scores, best, want = explore_orderings(group, tasks, init, cfg, SPEC, 11, eval_batch,
-                                           buffer=buffer, anchors=anchors)
+                                           buffer=buffer, ewc=ewc)
     assert [p.order for p, _ in res.per_perm_scores] == [
         p.order for p in enumerate_intra_group_perms(group)]
     assert [s for _, s in res.per_perm_scores] == scores
@@ -482,8 +500,8 @@ def test_explore_group_trains_each_depth_of_its_prefix_trie_as_one_stack(monkeyp
         return real(params, *args, **kw)
 
     monkeypatch.setattr(learners, "train_on_task", counting)
-    group, tasks, init, cfg, buffer, anchors = _explore_case("er", 4)
-    explore_group(group, tasks, init, cfg, SPEC, base_seed=0, buffer=buffer, anchors=anchors)
+    group, tasks, init, cfg, buffer, ewc = _explore_case("er", 4)
+    explore_group(group, tasks, init, cfg, SPEC, base_seed=0, buffer=buffer, ewc=ewc)
     assert rows == [4, 12, 24, 24]
 
 
@@ -501,18 +519,18 @@ def test_explore_group_estimates_each_fisher_a_later_task_or_the_winner_reads(mo
     monkeypatch.setattr(learners, "estimate_diag_curvature", counting)
     tasks = _tasks()
     init = init_params(SPEC, 0)
-    rng = np.random.default_rng(k)
-    anchors = [(init + rng.normal(size=init.size), rng.random(init.size))]
+    ewc = _one_anchor_sums(init, np.random.default_rng(k))
     cfg = LearnerConfig(kind="ewc", epochs_per_task=1, ewc_strength=2.0, buffer_capacity=5)
     group = TaskGroup(1, tuple(range(4 - k, 4)))
     res = explore_group(group, tasks, init, cfg, SPEC, base_seed=7,
-                        buffer=ReplayBuffer(5), anchors=anchors)
+                        buffer=ReplayBuffer(5), ewc=ewc)
     assert len(calls) == sum(math.perm(k, j) for j in range(1, k)) + 1
     eval_batch = Batch(np.concatenate([tasks[i].val.inputs for i in group.task_ids]),
                        np.concatenate([tasks[i].val.targets for i in group.task_ids]))
     _, _, want = explore_orderings(group, tasks, init, cfg, SPEC, 7, eval_batch,
-                                   buffer=ReplayBuffer(5), anchors=anchors)
-    assert len(res.best_state.anchors) == k + 1
+                                   buffer=ReplayBuffer(5), ewc=ewc)
+    # the winner's sums are new arrays holding all k of its Fishers
+    assert not any(np.shares_memory(a, b) for a in res.best_state.ewc for b in ewc)
     _assert_same_state(res.best_state, want)
 
 

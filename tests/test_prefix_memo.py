@@ -130,9 +130,10 @@ def _same_buffer(a, b):
             and a.targets.dtype == b.targets.dtype and np.array_equal(a.task_ids, b.task_ids))
 
 
-def _same_anchors(a, b):
-    return len(a) == len(b) and all(
-        np.array_equal(wa, wb) and np.array_equal(fa, fb) for (wa, fa), (wb, fb) in zip(a, b))
+def _same_sums(a, b):
+    if a is None or b is None:
+        return a is b
+    return all(map(np.array_equal, a, b))
 
 
 def _assert_same_cell(method, got, want):
@@ -155,7 +156,7 @@ def _assert_same_cell(method, got, want):
         assert a.per_perm_scores == b.per_perm_scores
         assert np.array_equal(a.best_state.params, b.best_state.params)
         assert _same_buffer(a.best_state.buffer, b.best_state.buffer)
-        assert _same_anchors(a.best_state.anchors, b.best_state.anchors)
+        assert _same_sums(a.best_state.ewc, b.best_state.ewc)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -212,7 +213,8 @@ def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
     # every non-final arrival prefix's Fisher is estimated once, when its
     # node is settled, before its children train; each depth's stack gets
     # one settled parent, task and seed per row, and its training call
-    # reads one (P, p) anchor pair per settled ancestor
+    # reads one (P, p) pull pair, built from the rows' EWC sums, whatever
+    # the depth (none at depth 0, where no task is settled yet)
     fishers, stacks, steps = [], [], []
 
     def counting(params, pool, spec):
@@ -221,12 +223,12 @@ def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
 
     def recording(parents, tasks, cfg, spec, seeds):
         stacks.append((len(parents), len(tasks), len(seeds),
-                       {(len(parent.anchors), parent.pending) for parent in parents}))
+                       {(parent.ewc is not None, parent.pending) for parent in parents}))
         return train_seq(parents, tasks, cfg, spec, seeds)
 
-    def stepping(params, task, cfg, spec, rng, buffer=None, anchors=None, prox=None):
-        steps.append((params.shape, [(w.shape, f.shape) for w, f in anchors]))
-        return train_on_task(params, task, cfg, spec, rng, buffer, anchors, prox)
+    def stepping(params, task, cfg, spec, rng, buffer=None, pull=None):
+        steps.append((params.shape, None if pull is None else (pull[0].shape, pull[1].shape)))
+        return train_on_task(params, task, cfg, spec, rng, buffer, pull)
 
     train_seq, train_on_task = learners.train_seq, learners.train_on_task
     monkeypatch.setattr(learners, "estimate_diag_curvature", counting)
@@ -243,8 +245,9 @@ def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
     assert len(fishers) == len(prefixes) == 4 + 12 + 24
     p = make_model_spec(cfg).param_count
     depths = list(enumerate((4, 12, 24, 24)))
-    assert stacks == [(rows, rows, rows, {(depth, None)}) for depth, rows in depths]
-    assert steps == [((rows, p), [((rows, p), (rows, p))] * depth) for depth, rows in depths]
+    assert stacks == [(rows, rows, rows, {(depth > 0, None)}) for depth, rows in depths]
+    assert steps == [((rows, p), ((rows, p), (rows, p)) if depth else None)
+                     for depth, rows in depths]
 
 
 @pytest.mark.parametrize("method", ["seq", "fedavg", "fedprox"])
