@@ -25,12 +25,11 @@ from .curvature import CurvatureEstimate, quad_form, regularized_solve
 @dataclass
 class HierarchyState:
     """levels[0] is the fastest consolidated model; levels[-1] the slowest,
-    which serves as the final predictor. group_counter counts absorbed
-    groups (0 = nothing absorbed yet)."""
+    which serves as the final predictor. Each level is a copy of the array
+    given for it."""
 
     levels: list[np.ndarray]
     lambdas: tuple[float, ...]
-    group_counter: int = 0
 
     def __post_init__(self):
         if not self.levels:
@@ -69,7 +68,9 @@ def lambda_schedule(base: float, num_levels: int, factor: float = 1.0) -> tuple[
 
 
 def init_hierarchy(init: np.ndarray, lambdas) -> HierarchyState:
-    return HierarchyState([np.array(init) for _ in lambdas], tuple(lambdas), 0)
+    """Every level a copy of `init`: the start of a run, and the first
+    group's rule, which copies the local model into every level."""
+    return HierarchyState([init for _ in lambdas], lambdas)
 
 
 def taylor_consolidate(
@@ -102,28 +103,21 @@ def surrogate_value(
     return float(grad @ dw) + 0.5 * quad_form(curv, dw) + 0.5 * lam * float(diff @ diff)
 
 
-def initialize_from_local(state: HierarchyState, w_local: np.ndarray) -> HierarchyState:
-    """First-group rule: every level copies the local model."""
-    return HierarchyState([np.array(w_local) for _ in state.levels], state.lambdas,
-                          state.group_counter + 1)
-
-
 def multi_level_consolidate(
     state: HierarchyState,
     w_local: np.ndarray,
-    grad_fn,
-    curv_fn,
+    estimate,
     eta: float = 0.9,
     clip: float | None = 1.0,
 ) -> tuple[HierarchyState, list[float]]:
     """Update levels in order: level 0 chases w_local, level i chases the
-    freshly updated level i-1. grad_fn/curv_fn evaluate the cumulative-loss
-    estimates at each level's own current weights.
+    freshly updated level i-1. estimate(w) returns the cumulative-loss
+    gradient and curvature (g, H) at a level's own current weights.
 
     A level whose weights have the bits of the level before it (every
-    level does right after initialize_from_local) reuses that level's
-    estimates, which nothing writes into. Bits, not values, because -0.0
-    and 0.0 compare equal.
+    level does right after init_hierarchy) reuses that level's (g, H),
+    which nothing writes into. Bits, not values, because -0.0 and 0.0
+    compare equal.
 
     Returns the new state and the applied update norm per level.
     """
@@ -137,32 +131,31 @@ def multi_level_consolidate(
     for w_prev, lam in zip(state.levels, state.lambdas):
         if below is None or not np.array_equal(w_prev.view(np.uint64), below.view(np.uint64)):
             grad = curv = None  # the level below's estimates go before these are made
-            grad, curv = grad_fn(w_prev), curv_fn(w_prev)
+            grad, curv = estimate(w_prev)
         below = w_prev
         w_new = taylor_consolidate(w_prev, target, grad, curv, lam, eta=eta, clip=clip)
         norms.append(float(np.linalg.norm(w_new - w_prev)))
         new_levels.append(w_new)
         target = w_new
-    return HierarchyState(new_levels, state.lambdas, state.group_counter + 1), norms
+    return HierarchyState(new_levels, state.lambdas), norms
 
 
 def catch_up(
     state: HierarchyState,
     w_target: np.ndarray,
-    grad_fn,
-    curv_fn,
+    estimate,
     n_catch: int,
     eta: float = 0.9,
     clip: float | None = 1.0,
 ) -> tuple[HierarchyState, list[list[float]]]:
-    """n_catch extra consolidation passes toward a fixed target, with the
-    estimates recomputed at the moving weights each pass."""
+    """n_catch extra consolidation passes toward a fixed target; each pass
+    calls estimate(w) -> (g, H) at the moving weights, as
+    multi_level_consolidate does."""
     if n_catch < 0:
         raise ValueError("n_catch must be nonnegative")
     norms_per_iter = []
     for _ in range(n_catch):
-        state, norms = multi_level_consolidate(state, w_target, grad_fn, curv_fn,
-                                               eta=eta, clip=clip)
+        state, norms = multi_level_consolidate(state, w_target, estimate, eta=eta, clip=clip)
         norms_per_iter.append(norms)
     return state, norms_per_iter
 

@@ -29,8 +29,9 @@ from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
 from .model import ModelSpec, init_params
 from .pipeline import (INIT_STREAM, SEQ_STREAM, arrival_groups, derive_seed,
                        run_pipeline)
-from .tasks import (Permutation, TaskDataset, gen_permuted_features, gen_sine_tasks,
-                    gen_split_gaussians, sample_full_permutations, task_accuracies)
+from .tasks import (Permutation, TaskDataset, arrival_order, gen_permuted_features,
+                    gen_sine_tasks, gen_split_gaussians, sample_full_permutations,
+                    task_accuracies)
 
 
 def make_tasks(dcfg: DatasetConfig, seed: int) -> list[TaskDataset]:
@@ -73,7 +74,8 @@ def run_baseline_seq(
     state, with the seed derive_seed(seed, SEQ_STREAM, depth). Every node
     but the leaves is settled (its EWC Fisher estimated) once, before its
     children train, so an order's final Fisher is never estimated."""
-    last = len(full_perm) - 1
+    order = arrival_order(full_perm, len(tasks))
+    last = len(order) - 1
 
     def train_stack(depth, prefixes, parents):
         states = train_seq([state for state, _ in parents], [tasks[p[-1]] for p in prefixes],
@@ -86,7 +88,7 @@ def run_baseline_seq(
 
     # train_seq gives er its buffer at the first task
     return (ArrivalPlan() if plan is None else plan).take(
-        full_perm.order, (LearnerState(init), ()), train_stack,
+        order, (LearnerState(init), ()), train_stack,
         lambda order, leaf: AccuracyMatrix(np.stack(leaf[1])[:, list(order)]))
 
 

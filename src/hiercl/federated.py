@@ -21,7 +21,7 @@ from .memo import ArrivalPlan
 from .metrics import AccuracyMatrix
 from .model import ModelSpec, init_params
 from .pipeline import FED_STREAM, INIT_STREAM, derive_seed
-from .tasks import Permutation, TaskDataset, task_accuracies
+from .tasks import Permutation, TaskDataset, arrival_order, task_accuracies
 
 FED_KINDS = ("fedavg", "fedprox")
 AGG_MODES = ("running", "pairwise")
@@ -70,9 +70,7 @@ def fed_compare_run(
     which are also its proximal anchor, with the seed
     derive_seed(base_seed, FED_STREAM, depth); each row is then averaged
     into its own new global weights."""
-    order = list(full_perm)
-    if sorted(order) != list(range(len(tasks))):
-        raise ValueError("full permutation must cover every task exactly once")
+    order = arrival_order(full_perm, len(tasks))
     mu = fed_cfg.prox_mu if fed_cfg.kind == "fedprox" else 0.0
 
     def train_stack(depth, prefixes, parents):

@@ -26,10 +26,9 @@ LEARNER_KINDS = ("sgd", "er", "ewc")
 class ReplayBuffer:
     """Bounded sample memory with reservoir eviction.
 
-    `inputs`, `targets` and `task_ids` are arrays holding exactly the
-    stored items, in slot order. The first `capacity` offers always land;
-    offer N > capacity lands with probability capacity/N, evicting a
-    uniformly random slot.
+    `inputs` and `targets` are arrays holding exactly the stored items, in
+    slot order. The first `capacity` offers always land; offer N > capacity
+    lands with probability capacity/N, evicting a uniformly random slot.
     """
 
     def __init__(self, capacity: int):
@@ -37,15 +36,14 @@ class ReplayBuffer:
             raise ValueError("buffer capacity must be at least 1")
         self.capacity = int(capacity)
         self.inputs, self.targets = np.empty((0, 0)), np.empty(0)
-        self.task_ids = np.empty(0, dtype=np.int64)
         self.seen_count = 0
 
     def __len__(self):
-        return self.task_ids.size
+        return len(self.targets)
 
-    def insert_many(self, inputs, targets, task_id: int, rng: np.random.Generator):
-        """Offer a batch of same-task items, in row order; the eviction
-        draws for the items past the fill phase are vectorized."""
+    def insert_many(self, inputs, targets, rng: np.random.Generator):
+        """Offer a batch of items, in row order; the eviction draws for the
+        items past the fill phase are vectorized."""
         inputs = np.asarray(inputs, dtype=np.float64)
         targets = np.asarray(targets)
         n = inputs.shape[0]
@@ -55,7 +53,6 @@ class ReplayBuffer:
                 self.inputs, self.targets = inputs[:0], targets[:0]
             self.inputs = np.concatenate([self.inputs, inputs[:k]])
             self.targets = np.concatenate([self.targets, targets[:k]])
-            self.task_ids = np.concatenate([self.task_ids, np.full(k, int(task_id))])
             self.seen_count += k
         m = n - k
         if m == 0:
@@ -66,16 +63,15 @@ class ReplayBuffer:
         for j in np.nonzero(draws < self.capacity)[0].tolist():
             slot, row = int(draws[j]), k + j
             self.inputs[slot], self.targets[slot] = inputs[row], targets[row]
-            self.task_ids[slot] = task_id
         self.seen_count += m
 
     def sample(self, size: int, rng: np.random.Generator):
-        """Uniform draw of `size` stored items -> (inputs, targets, task_ids).
+        """Uniform draw of `size` stored items -> (inputs, targets).
         Samples without replacement when the buffer is large enough."""
         if not len(self):
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.choice(len(self), size=size, replace=len(self) < size)
-        return self.inputs[idx], self.targets[idx], self.task_ids[idx]
+        return self.inputs[idx], self.targets[idx]
 
     def as_batch(self) -> Batch:
         """All stored items in slot order."""
@@ -86,7 +82,6 @@ class ReplayBuffer:
     def clone(self) -> "ReplayBuffer":
         out = ReplayBuffer(self.capacity)
         out.inputs, out.targets = self.inputs.copy(), self.targets.copy()
-        out.task_ids = self.task_ids.copy()
         out.seen_count = self.seen_count
         return out
 
@@ -218,7 +213,7 @@ def train_on_task(
                 xb, yb = fresh[i] = data.inputs[idx], data.targets[idx]
                 if cfg.kind == "er" and buffer[i] is not None and len(buffer[i]) > 0:
                     # half current task, half replayed
-                    rx, ry, _ = buffer[i].sample(len(idx), rng[i])
+                    rx, ry = buffer[i].sample(len(idx), rng[i])
                     xb, yb = np.concatenate([xb, rx]), np.concatenate([yb, ry])
                 by_shape.setdefault((xb.shape, yb.shape), []).append((i, xb, yb))
             groups = list(by_shape.values())
@@ -244,7 +239,7 @@ def train_on_task(
             if epoch == 0:
                 for i in active:
                     if buffer[i] is not None:
-                        buffer[i].insert_many(*fresh[i], task[i].task_id, rng[i])
+                        buffer[i].insert_many(*fresh[i], rng[i])
     bad = np.flatnonzero(~np.isfinite(params).all(axis=1))
     if bad.size:
         i = int(bad[0])

@@ -113,18 +113,17 @@ def _regression_targets(batch: Batch) -> np.ndarray:
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     """Deterministic init: weights uniform in +-1/sqrt(fan_in), biases zero."""
     rng = np.random.default_rng(seed)
-    chunks = []
-    for fan_in, fan_out in zip(spec.layer_widths, spec.layer_widths[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-        chunks.append(np.zeros(fan_out))
-    return np.concatenate(chunks)
+    params = np.zeros(spec.param_count)
+    for w, _ in _split_params(params, spec):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _split_params(params: ParamVector, spec: ModelSpec):
     """View the flat vector, or each row of a (P, p) stack, as per-layer
     (W, b) pairs without copying: W is (..., fan_in, fan_out) and b is
-    (..., 1, fan_out)."""
+    (..., 1, fan_out). The only code that knows the flat layout."""
     params = np.asarray(params, dtype=np.float64)
     if params.ndim not in (1, 2) or params.shape[-1] != spec.param_count:
         raise ValueError(
@@ -171,7 +170,8 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     loss per minibatch of a stack."""
     n = out.shape[-2]
     if spec.task_kind == "classification":
-        y = np.asarray(batch.targets, dtype=np.intp)
+        # one shared label array serves every row of a (P, p) stack
+        y = np.broadcast_to(np.asarray(batch.targets, dtype=np.intp), out.shape[:-1])
         m = out.max(axis=-1, keepdims=True)
         lse = m + np.log(np.exp(out - m).sum(axis=-1, keepdims=True))
         logp = out - lse
@@ -208,19 +208,20 @@ def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
 
     Classification: softmax cross-entropy. Regression: mean squared error
     over all output entries. A (P, p) stack of parameters with a stacked
-    Batch gives P losses and a (P, p) gradient, row i bitwise equal to the
-    call on row i and minibatch i alone.
+    Batch, or with one shared Batch, gives P losses and a (P, p) gradient,
+    row i bitwise equal to the call on row i and its minibatch alone.
     """
     _check_batch(batch, spec)
     layers = _split_params(params, spec)
     acts = _forward(layers, batch.inputs, spec)
     loss, delta = _output_loss_and_delta(acts[-1], batch, spec)
-    lead = delta.shape[:-2]
-    grads = [None] * len(layers)
+    grad = np.empty((*delta.shape[:-2], spec.param_count))
+    views = _split_params(grad, spec)
     for i, a, d in _backprop(acts, delta, spec, layers):
-        gw = (a.swapaxes(-1, -2) @ d).reshape(*lead, -1)
-        grads[i] = np.concatenate([gw, d.sum(axis=-2)], axis=-1)
-    return loss, np.concatenate(grads, axis=-1)
+        w, b = views[i]
+        np.matmul(a.swapaxes(-1, -2), d, out=w)
+        d.sum(axis=-2, keepdims=True, out=b)
+    return loss, grad
 
 
 def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec) -> np.ndarray:
@@ -229,7 +230,7 @@ def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec) -> np.n
     Row i equals loss_and_grad on the single-sample batch i. The result is
     the only (n, p) array built: each layer's bias block is delta and its
     weight block, outer(activation_i, delta_i) per sample, is multiplied
-    straight into an (n, fan_in, fan_out) view of its columns.
+    straight into its (n, fan_in, fan_out) _split_params view.
     """
     _check_batch(batch, spec)
     layers = _split_params(params, spec)
@@ -247,13 +248,11 @@ def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec) -> np.n
         delta = 2.0 * (out - t) / t.shape[1]
 
     g = np.empty((n, spec.param_count))
-    end = spec.param_count
-    for _, a, d in _backprop(acts, delta, spec, layers):
-        fan_in, fan_out = a.shape[1], d.shape[1]
-        g[:, end - fan_out : end] = d
-        end -= fan_out + fan_in * fan_out
-        block = g[:, end : end + fan_in * fan_out].reshape(n, fan_in, fan_out)
-        np.multiply(a[:, :, None], d[:, None, :], out=block)
+    views = _split_params(g, spec)
+    for i, a, d in _backprop(acts, delta, spec, layers):
+        w, b = views[i]
+        b[:, 0] = d
+        np.multiply(a[:, :, None], d[:, None, :], out=w)
     return g
 
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .consolidation import (HierarchyState, catch_up, init_hierarchy,
-                            initialize_from_local, lambda_schedule,
+from .consolidation import (HierarchyState, catch_up, init_hierarchy, lambda_schedule,
                             multi_level_consolidate)
 from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
@@ -34,8 +33,8 @@ from .learners import (LearnerConfig, LearnerState, ReplayBuffer, TrainingDiverg
 from .memo import PrefixMemo, membership_prefixes, train_trie
 from .metrics import AccuracyMatrix
 from .model import Batch, ModelSpec, accuracy_eval, init_params
-from .tasks import (Permutation, TaskDataset, TaskGroup, enumerate_intra_group_perms,
-                    partition_into_groups, task_accuracies)
+from .tasks import (Permutation, TaskDataset, TaskGroup, arrival_order,
+                    enumerate_intra_group_perms, partition_into_groups, task_accuracies)
 
 EVAL_POLICIES = ("group_val", "seen_test")
 
@@ -211,20 +210,20 @@ def consolidation_pool(buffer: ReplayBuffer, group_batches: list[Batch],
     return pool
 
 
-def _estimators(cfg: PipelineConfig, pool: Batch, spec):
+def _estimator(cfg: PipelineConfig, pool: Batch, spec):
+    """estimate(w) -> (g, H) on `pool`: the gradient, then the curvature
+    that cfg.curvature names."""
     variant, rank = parse_curvature_spec(cfg.curvature)
 
-    def grad_fn(w):
-        return estimate_gradient(w, pool, spec)
-
-    def curv_fn(w):
+    def estimate(w):
+        grad = estimate_gradient(w, pool, spec)
         if variant == "diagonal":
-            return estimate_diag_curvature(w, pool, spec)
+            return grad, estimate_diag_curvature(w, pool, spec)
         if variant == "lowrank":
-            return estimate_lowrank_curvature(w, pool, spec, rank)
-        return exact_dense_hessian_oracle(w, pool, spec)
+            return grad, estimate_lowrank_curvature(w, pool, spec, rank)
+        return grad, exact_dense_hessian_oracle(w, pool, spec)
 
-    return grad_fn, curv_fn
+    return estimate
 
 
 def arrival_groups(order, group_size: int) -> list[TaskGroup]:
@@ -266,11 +265,11 @@ def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
     if group.group_index > 0 or last:
         pool = consolidation_pool(buffer, [tasks[i].train for i in sorted(group.task_ids)],
                                   cfg.sample_cap, seed)
-        grad_fn, curv_fn = _estimators(cfg, pool, spec)
+        estimate = _estimator(cfg, pool, spec)
     if group.group_index == 0:
-        hier, norms = initialize_from_local(node.hier, local), None
+        hier, norms = init_hierarchy(local, node.hier.lambdas), None
     else:
-        hier, norms = multi_level_consolidate(node.hier, local, grad_fn, curv_fn,
+        hier, norms = multi_level_consolidate(node.hier, local, estimate,
                                               eta=cfg.eta, clip=cfg.clip)
 
     acc = task_accuracies(hier.top, tasks, spec)
@@ -278,8 +277,7 @@ def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
                    node.norms + (norms,), node.accs + (acc,))
     if not last:
         return node
-    hier, catch_norms = catch_up(hier, local, grad_fn, curv_fn,
-                                 cfg.n_catch, eta=cfg.eta, clip=cfg.clip)
+    hier, catch_norms = catch_up(hier, local, estimate, cfg.n_catch, eta=cfg.eta, clip=cfg.clip)
     return replace(node, hier=hier, catch_norms=tuple(catch_norms),
                    final_acc=task_accuracies(hier.top, tasks, spec))
 
@@ -297,10 +295,8 @@ def run_pipeline(
     and offers it each later one; the matrix rows, each TaskGroup's task ids
     and the log's task ids follow this call's own arrival order, and the
     selection audit runs on every call."""
-    order = list(full_perm)
+    order = arrival_order(full_perm, len(tasks))
     t_count = len(order)
-    if sorted(order) != list(range(len(tasks))):
-        raise ValueError("full permutation must cover every task exactly once")
     if cfg.group_size > t_count:
         raise ValueError("group size exceeds the number of tasks")
 

@@ -69,6 +69,16 @@ class Permutation:
         return "-".join(str(t) for t in self.order)
 
 
+def arrival_order(full_perm, num_tasks: int) -> list[int]:
+    """The task ids of a cell's arrival order, which must name each of the
+    stream's `num_tasks` tasks exactly once."""
+    order = [int(t) for t in full_perm]
+    if sorted(order) != list(range(num_tasks)):
+        raise ValueError(f"full permutation {order} must cover every task of the "
+                         f"{num_tasks}-task stream exactly once")
+    return order
+
+
 def _three_splits(rng, make_split, n_train, n_val, n_test):
     train = make_split(rng, n_train)
     val = make_split(rng, n_val)

@@ -76,7 +76,7 @@ def train_on_task(
             mb = Batch(xb, yb)
             if cfg.kind == "er" and buffer is not None and len(buffer) > 0:
                 # half current task, half replayed
-                rx, ry, _ = buffer.sample(len(idx), rng)
+                rx, ry = buffer.sample(len(idx), rng)
                 mb = Batch(np.concatenate([xb, rx]), np.concatenate([yb, ry]))
             loss, grad = loss_and_grad(params, mb, spec)
             if not math.isfinite(loss):
@@ -86,7 +86,7 @@ def train_on_task(
                 grad += pull[0] * params - pull[1]
             params, velocity = _sgd_step(params, grad, velocity, cfg)
             if buffer is not None and epoch == 0:
-                buffer.insert_many(xb, yb, task.task_id, rng)
+                buffer.insert_many(xb, yb, rng)
     return params
 
 

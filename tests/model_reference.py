@@ -1,5 +1,7 @@
 """Reference kernels for the model tests.
 
+`ref_init_params` is the earlier initializer kept verbatim: one flat
+uniform draw per weight block, joined with zero biases by concatenation.
 `ref_per_sample_grads` and `ref_loss_and_grad` are the earlier model
 kernels kept verbatim: per-layer einsum blocks joined by concatenation,
 and a backward pass that recomputes each hidden derivative from the
@@ -18,6 +20,16 @@ from hiercl.model import Batch, ModelSpec, _check_batch, _coord_steps
 def _regression_targets(batch: Batch) -> np.ndarray:
     t = np.asarray(batch.targets, dtype=np.float64)
     return t[:, None] if t.ndim == 1 else t
+
+
+def ref_init_params(spec: ModelSpec, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for fan_in, fan_out in zip(spec.layer_widths, spec.layer_widths[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
+        chunks.append(np.zeros(fan_out))
+    return np.concatenate(chunks)
 
 
 def _split_params(params, spec: ModelSpec):

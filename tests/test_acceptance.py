@@ -231,7 +231,7 @@ def test_criterion_08_reservoir_inclusion_probability(criterion_log):
     trials = 10_000
     for _ in range(trials):
         buf = ReplayBuffer(50)
-        buf.insert_many(stream, targets, 0, rng)
+        buf.insert_many(stream, targets, rng)
         hits += any(float(v[0]) == 0.0 for v in buf.inputs)
     est = hits / trials
     ok = abs(est - 0.01) <= 0.002

@@ -10,7 +10,6 @@ from hiercl.consolidation import (
     HierarchyState,
     catch_up,
     init_hierarchy,
-    initialize_from_local,
     lambda_schedule,
     multi_level_consolidate,
     surrogate_value,
@@ -161,15 +160,15 @@ def test_larger_lambda_pulls_closer_to_target():
     assert dists[-1] < dists[0]
 
 
-def test_initialize_from_local_copies_every_level():
-    st = init_hierarchy(np.zeros(4), (1.0, 2.0, 3.0))
+def test_init_hierarchy_copies_every_level():
     w = np.arange(4, dtype=np.float64)
-    out = initialize_from_local(st, w)
-    assert out.group_counter == 1
+    out = init_hierarchy(w, (1.0, 2.0, 3.0))
+    assert out.lambdas == (1.0, 2.0, 3.0)
     for level in out.levels:
         assert np.array_equal(level, w)
     out.levels[0][:] = -1.0  # copies, not views
     assert np.array_equal(out.levels[1], w)
+    assert np.array_equal(w, np.arange(4, dtype=np.float64))
 
 
 def test_single_level_equals_plain_step():
@@ -179,12 +178,10 @@ def test_single_level_equals_plain_step():
     w_local = rng.normal(size=p)
     g = rng.normal(size=p)
     curv = _dense_psd(rng, p)
-    st = HierarchyState([w0.copy()], (1.3,), group_counter=1)
-    new, norms = multi_level_consolidate(st, w_local, lambda w: g, lambda w: curv,
-                                         eta=0.9, clip=1.0)
+    st = HierarchyState([w0], (1.3,))
+    new, norms = multi_level_consolidate(st, w_local, lambda w: (g, curv), eta=0.9, clip=1.0)
     direct = taylor_consolidate(w0, w_local, g, curv, 1.3, eta=0.9, clip=1.0)
     assert np.array_equal(new.levels[0], direct)
-    assert new.group_counter == 2
     assert len(norms) == 1
     assert abs(norms[0] - np.linalg.norm(direct - w0)) < 1e-15
 
@@ -193,11 +190,10 @@ def test_cascaded_identity_collapses_all_levels():
     rng = np.random.default_rng(6)
     p = 5
     st = init_hierarchy(rng.normal(size=p), (0.5, 1.0, 2.0))
-    st = HierarchyState([rng.normal(size=p) for _ in range(3)], st.lambdas, 1)
+    st = HierarchyState([rng.normal(size=p) for _ in range(3)], st.lambdas)
     w_local = rng.normal(size=p)
-    zero = lambda w: np.zeros(p)
-    new, _ = multi_level_consolidate(st, w_local, zero, lambda w: _zero_diag(p),
-                                     eta=1.0, clip=None)
+    zero = lambda w: (np.zeros(p), _zero_diag(p))
+    new, _ = multi_level_consolidate(st, w_local, zero, eta=1.0, clip=None)
     for level in new.levels:
         assert np.max(np.abs(level - w_local)) < 1e-12
 
@@ -205,12 +201,11 @@ def test_cascaded_identity_collapses_all_levels():
 def test_levels_update_in_order_each_chasing_the_one_below():
     rng = np.random.default_rng(7)
     p = 6
-    st = HierarchyState([rng.normal(size=p) for _ in range(3)], (1.0, 1.0, 1.0), 1)
+    st = HierarchyState([rng.normal(size=p) for _ in range(3)], (1.0, 1.0, 1.0))
     w_local = rng.normal(size=p)
     g = rng.normal(size=p) * 0.1
     curv = _dense_psd(rng, p)
-    new, norms = multi_level_consolidate(st, w_local, lambda w: g, lambda w: curv,
-                                         eta=0.9, clip=None)
+    new, norms = multi_level_consolidate(st, w_local, lambda w: (g, curv), eta=0.9, clip=None)
     target = w_local
     for i in range(3):
         want = taylor_consolidate(st.levels[i], target, g, curv, 1.0, eta=0.9, clip=None)
@@ -220,39 +215,35 @@ def test_levels_update_in_order_each_chasing_the_one_below():
 
 
 def test_levels_with_the_bits_of_the_level_below_share_its_estimates():
-    # group 1 at L=3: initialize_from_local left every level a copy of the
-    # local model, so one (g, H) serves all three
+    # group 1 at L=3: init_hierarchy made every level a copy of the local
+    # model, so one (g, H) serves all three
     spec = ModelSpec((3, 5, 2))
     rng = np.random.default_rng(11)
     pool = Batch(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30))
     calls = []
 
-    def grad_fn(w):
-        return estimate_gradient(w, pool, spec)
-
-    def curv_fn(w):
+    def estimate(w):
         calls.append(w)
-        return estimate_diag_curvature(w, pool, spec)
+        return estimate_gradient(w, pool, spec), estimate_diag_curvature(w, pool, spec)
 
     def per_level(state, w_local):
         """Every level evaluates its own estimates."""
         levels, target = [], w_local
         for w, lam in zip(state.levels, state.lambdas):
-            target = taylor_consolidate(w, target, grad_fn(w), curv_fn(w), lam, eta=0.9, clip=0.5)
+            target = taylor_consolidate(w, target, *estimate(w), lam, eta=0.9, clip=0.5)
             levels.append(target)
         return levels
 
     lambdas = lambda_schedule(0.3, 3, 0.5)
-    state = initialize_from_local(init_hierarchy(init_params(spec, 0), lambdas),
-                                  init_params(spec, 1))
+    state = init_hierarchy(init_params(spec, 1), lambdas)
     w_local = init_params(spec, 2)
-    new, _ = multi_level_consolidate(state, w_local, grad_fn, curv_fn, eta=0.9, clip=0.5)
+    new, _ = multi_level_consolidate(state, w_local, estimate, eta=0.9, clip=0.5)
     assert len(calls) == 1
     want = per_level(state, w_local)
     assert all(np.array_equal(a, b) for a, b in zip(new.levels, want))
     # distinct levels each get their own estimates
     calls.clear()
-    newer, _ = multi_level_consolidate(new, w_local, grad_fn, curv_fn, eta=0.9, clip=0.5)
+    newer, _ = multi_level_consolidate(new, w_local, estimate, eta=0.9, clip=0.5)
     assert len(calls) == 3
     assert all(np.array_equal(a, b) for a, b in zip(newer.levels, per_level(new, w_local)))
     # equal values are not enough: -0.0 and 0.0 have different bits
@@ -260,31 +251,29 @@ def test_levels_with_the_bits_of_the_level_below_share_its_estimates():
     signed = w.copy()
     signed[spec.param_count - 1] = -0.0
     calls.clear()
-    multi_level_consolidate(HierarchyState([w, w.copy(), signed], lambdas), w_local,
-                            grad_fn, curv_fn)
+    multi_level_consolidate(HierarchyState([w, w, signed], lambdas), w_local, estimate)
     assert len(calls) == 2
 
 
 def test_catch_up_zero_iterations_is_identity():
     rng = np.random.default_rng(8)
     st = init_hierarchy(rng.normal(size=4), (1.0, 1.0))
-    new, norms = catch_up(st, rng.normal(size=4), lambda w: np.zeros(4),
-                          lambda w: _zero_diag(4), n_catch=0)
+    zero = lambda w: (np.zeros(4), _zero_diag(4))
+    new, norms = catch_up(st, rng.normal(size=4), zero, n_catch=0)
     assert norms == []
     for a, b in zip(st.levels, new.levels):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        catch_up(st, st.top, lambda w: np.zeros(4), lambda w: _zero_diag(4), n_catch=-1)
+        catch_up(st, st.top, zero, n_catch=-1)
 
 
 def test_catch_up_identity_curvature_is_idempotent_at_target():
     rng = np.random.default_rng(9)
     p = 5
-    st = HierarchyState([rng.normal(size=p) for _ in range(2)], (1.0, 1.0), 1)
+    st = HierarchyState([rng.normal(size=p) for _ in range(2)], (1.0, 1.0))
     target = rng.normal(size=p)
-    zero = lambda w: np.zeros(p)
-    new, norms = catch_up(st, target, zero, lambda w: _zero_diag(p),
-                          n_catch=3, eta=1.0, clip=None)
+    zero = lambda w: (np.zeros(p), _zero_diag(p))
+    new, norms = catch_up(st, target, zero, n_catch=3, eta=1.0, clip=None)
     # first pass lands every level on the target (within an ulp of the
     # w_prev + dd arithmetic); later passes only mop up rounding residue
     assert len(norms) == 3
@@ -294,7 +283,7 @@ def test_catch_up_identity_curvature_is_idempotent_at_target():
 
 
 def test_catch_up_objective_nonincreasing_on_fixed_quadratic():
-    # a true quadratic loss: grad_fn is its exact gradient, curv its Hessian,
+    # a true quadratic loss: the estimate is its exact gradient and Hessian,
     # so each pass is a damped Newton step on J(w) + (lam/2)||w - target||^2
     rng = np.random.default_rng(10)
     p = 8
@@ -309,10 +298,10 @@ def test_catch_up_objective_nonincreasing_on_fixed_quadratic():
         r = w - target
         return 0.5 * d @ hm @ d + 0.5 * lam * r @ r
 
-    cur = HierarchyState([rng.normal(size=p)], (lam,), 1)
+    cur = HierarchyState([rng.normal(size=p)], (lam,))
     values = [objective(cur.levels[0])]
     for _ in range(6):
-        cur, _ = catch_up(cur, target, lambda w: hm @ (w - w_star), lambda w: h,
+        cur, _ = catch_up(cur, target, lambda w: (hm @ (w - w_star), h),
                           n_catch=1, eta=0.7, clip=None)
         values.append(objective(cur.levels[0]))
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
@@ -346,10 +335,9 @@ def test_two_step_identity_degenerate_case():
 
 
 def save_hierarchy(path: str, state: HierarchyState):
-    """Flat text snapshot: first line the group counter, then one line per
-    level: level index, lambda, the p weight values."""
+    """Flat text snapshot, one line per level: level index, lambda, the p
+    weight values."""
     with open(path, "w") as fh:
-        fh.write(f"{state.group_counter}\n")
         for i, (w, lam) in enumerate(zip(state.levels, state.lambdas)):
             vals = " ".join(repr(float(v)) for v in w)
             fh.write(f"{i} {lam!r} {vals}\n")
@@ -357,7 +345,6 @@ def save_hierarchy(path: str, state: HierarchyState):
 
 def load_hierarchy(path: str) -> HierarchyState:
     with open(path) as fh:
-        counter = int(fh.readline())
         levels, lambdas = [], []
         for line in fh:
             parts = line.split()
@@ -365,16 +352,15 @@ def load_hierarchy(path: str) -> HierarchyState:
                 continue
             lambdas.append(float(parts[1]))
             levels.append(np.array([float(v) for v in parts[2:]]))
-    return HierarchyState(levels, tuple(lambdas), counter)
+    return HierarchyState(levels, tuple(lambdas))
 
 
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
-    st = HierarchyState([rng.normal(size=6) for _ in range(3)], (0.5, 1.0, 2.0), 4)
+    st = HierarchyState([rng.normal(size=6) for _ in range(3)], (0.5, 1.0, 2.0))
     path = str(tmp_path / "hier.txt")
     save_hierarchy(path, st)
     back = load_hierarchy(path)
-    assert back.group_counter == 4
     assert back.lambdas == st.lambdas
     for a, b in zip(st.levels, back.levels):
         assert np.array_equal(a, b)

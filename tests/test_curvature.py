@@ -81,7 +81,7 @@ def test_gradient_pools_buffer_and_group():
     w = init_params(SPEC, 2)
     group = _batch(rng, n=5)
     buf = ReplayBuffer(4)
-    buf.insert_many(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4), 0, rng)
+    buf.insert_many(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4), rng)
     g = estimate_gradient(w, consolidation_pool(buf, [group], DEFAULT_SAMPLE_CAP, 0), SPEC)
     merged = Batch(
         np.concatenate([buf.as_batch().inputs, group.inputs]),

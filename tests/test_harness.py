@@ -9,10 +9,11 @@ from hiercl.cli import _build_parser, _config_from_args, main
 from hiercl.config import (_KEYMAP, DatasetConfig, ExperimentConfig,
                            build_experiment_config, parse_config_text)
 from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run_experiment
+from hiercl.federated import FedConfig, fed_compare_run
 from hiercl.learners import LearnerConfig
 from hiercl.metrics import CSV_HEADER, read_records
 from hiercl.model import init_params
-from hiercl.pipeline import PipelineConfig
+from hiercl.pipeline import PipelineConfig, run_pipeline
 from hiercl.tasks import Permutation
 from tasks_reference import load_tasks
 
@@ -218,6 +219,27 @@ def test_run_baseline_seq_shape_and_determinism():
     assert np.array_equal(m1.values, m2.values)
     # row i evaluates every task in arrival order, trained or not
     assert 0.0 <= m1.values.min() and m1.values.max() <= 1.0
+
+
+_RUNNERS = {
+    "seq": lambda tasks, perm, cfg, spec, init: run_baseline_seq(
+        tasks, perm, cfg.pipeline.learner, spec, 0, init),
+    "fed": lambda tasks, perm, cfg, spec, init: fed_compare_run(
+        tasks, perm, FedConfig("fedavg"), cfg.pipeline.learner, spec, 0, init),
+    "hier": lambda tasks, perm, cfg, spec, init: run_pipeline(
+        tasks, perm, cfg.pipeline, spec, init),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+@pytest.mark.parametrize("order", [(0, 1), (0, 1, 3)], ids=["short", "past_end"])
+def test_every_runner_rejects_an_order_that_is_not_the_whole_stream(runner, order):
+    # a short order, and one with an id past the end of the 3-task stream
+    cfg = _tiny_cfg(dataset=DatasetConfig(kind="permuted", num_tasks=3, num_classes=3,
+                                          dim=4, samples_per_class=8))
+    tasks, spec = make_tasks(cfg.dataset, 0), make_model_spec(cfg)
+    with pytest.raises(ValueError, match="must cover every task of the 3-task stream"):
+        _RUNNERS[runner](tasks, Permutation(order), cfg, spec, init_params(spec, 0))
 
 
 def test_run_experiment_sweep(tmp_path):

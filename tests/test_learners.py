@@ -34,9 +34,9 @@ def _tasks(seed=0):
     )
 
 
-def _insert(buf, x, y, task_id, rng):
+def _insert(buf, x, y, rng):
     """Offer one item: a one-row insert_many (the same reservoir draw)."""
-    buf.insert_many(np.asarray(x)[None], np.asarray(y)[None], task_id, rng)
+    buf.insert_many(np.asarray(x)[None], np.asarray(y)[None], rng)
 
 
 class _ListReplayBuffer:
@@ -45,17 +45,16 @@ class _ListReplayBuffer:
 
     def __init__(self, capacity):
         self.capacity = int(capacity)
-        self.inputs, self.targets, self.task_ids = [], [], []
+        self.inputs, self.targets = [], []
         self.seen_count = 0
 
-    def insert_many(self, inputs, targets, task_id, rng):
+    def insert_many(self, inputs, targets, rng):
         inputs = np.asarray(inputs)
         n = inputs.shape[0]
         i = 0
         while len(self.inputs) < self.capacity and i < n:
             self.inputs.append(np.array(inputs[i], dtype=np.float64))
             self.targets.append(np.array(targets[i]))
-            self.task_ids.append(int(task_id))
             self.seen_count += 1
             i += 1
         if i == n:
@@ -66,14 +65,12 @@ class _ListReplayBuffer:
             idx = int(draws[j])
             self.inputs[idx] = np.array(inputs[i + j], dtype=np.float64)
             self.targets[idx] = np.array(targets[i + j])
-            self.task_ids[idx] = int(task_id)
         self.seen_count += m
 
     def sample(self, size, rng):
         idx = rng.choice(len(self.inputs), size=size, replace=len(self.inputs) < size)
         return (np.stack([self.inputs[i] for i in idx]),
-                np.stack([self.targets[i] for i in idx]),
-                np.array([self.task_ids[i] for i in idx]))
+                np.stack([self.targets[i] for i in idx]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -86,16 +83,15 @@ def test_array_buffer_matches_list_reference(capacity, sizes, seed, sample_size)
     data = np.random.default_rng(seed)
     buf, ref = ReplayBuffer(capacity), _ListReplayBuffer(capacity)
     rng_buf, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    for tid, m in enumerate(sizes):
+    for m in sizes:
         x, y = data.normal(size=(m, 3)), data.integers(0, 5, size=m)
-        buf.insert_many(x, y, tid, rng_buf)
-        ref.insert_many(x, y, tid, rng_ref)
+        buf.insert_many(x, y, rng_buf)
+        ref.insert_many(x, y, rng_ref)
         assert buf.seen_count == ref.seen_count
         assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
     if ref.seen_count:
         assert np.array_equal(buf.inputs, np.stack(ref.inputs))
         assert np.array_equal(buf.targets, np.stack(ref.targets))
-        assert np.array_equal(buf.task_ids, np.array(ref.task_ids))
         for got, want in zip(buf.sample(sample_size, rng_buf), ref.sample(sample_size, rng_ref)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
@@ -110,20 +106,19 @@ def test_slot_hit_twice_in_one_call_keeps_the_later_item(capacity, m):
     buf, ref = ReplayBuffer(capacity), _ListReplayBuffer(capacity)
     first = np.zeros((capacity, 1))
     rng_buf, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-    buf.insert_many(first, np.zeros(capacity, dtype=np.intp), 0, rng_buf)
-    ref.insert_many(first, np.zeros(capacity, dtype=np.intp), 0, rng_ref)
+    buf.insert_many(first, np.zeros(capacity, dtype=np.intp), rng_buf)
+    ref.insert_many(first, np.zeros(capacity, dtype=np.intp), rng_ref)
     draws = np.random.default_rng(11).integers(0, capacity + 1 + np.arange(m))
     hit = draws[draws < capacity]
     assert np.bincount(hit).max() >= 2  # the case under test happens
     rows = np.arange(1, m + 1, dtype=np.float64)[:, None]
-    buf.insert_many(rows, np.arange(1, m + 1), 1, rng_buf)
-    ref.insert_many(rows, np.arange(1, m + 1), 1, rng_ref)
+    buf.insert_many(rows, np.arange(1, m + 1), rng_buf)
+    ref.insert_many(rows, np.arange(1, m + 1), rng_ref)
     for slot in range(capacity):
         last = np.flatnonzero(draws == slot)
         assert buf.inputs[slot, 0] == (last[-1] + 1 if last.size else 0.0)
     assert np.array_equal(buf.inputs, np.stack(ref.inputs))
     assert np.array_equal(buf.targets, np.stack(ref.targets))
-    assert np.array_equal(buf.task_ids, np.array(ref.task_ids))
     assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -141,7 +136,7 @@ def test_buffer_fill_phase_keeps_everything():
     rng = np.random.default_rng(0)
     buf = ReplayBuffer(5)
     for i in range(5):
-        _insert(buf, np.full(2, float(i)), i % 2, i, rng)
+        _insert(buf, np.full(2, float(i)), i % 2, rng)
     assert len(buf) == 5
     assert buf.seen_count == 5
     got = sorted(float(x[0]) for x in buf.inputs)
@@ -156,11 +151,11 @@ def test_buffer_never_exceeds_capacity():
         offered = 0
         while offered < n:
             if rng.random() < 0.5:
-                _insert(buf, rng.normal(size=2), 0, 0, rng)
+                _insert(buf, rng.normal(size=2), 0, rng)
                 offered += 1
             else:
                 m = int(rng.integers(1, 9))
-                buf.insert_many(rng.normal(size=(m, 2)), np.zeros(m, dtype=np.intp), 1, rng)
+                buf.insert_many(rng.normal(size=(m, 2)), np.zeros(m, dtype=np.intp), rng)
                 offered += m
         assert len(buf) <= buf.capacity
         assert buf.seen_count == offered
@@ -173,9 +168,9 @@ def test_capacity_one_coin_flip():
     trials = 5000
     for _ in range(trials):
         buf = ReplayBuffer(1)
-        _insert(buf, np.zeros(1), 0, 0, rng)
-        _insert(buf, np.ones(1), 1, 1, rng)
-        hits += int(buf.task_ids[0] == 1)
+        _insert(buf, np.zeros(1), 0, rng)
+        _insert(buf, np.ones(1), 1, rng)
+        hits += int(buf.inputs[0, 0] == 1.0)
     assert abs(hits / trials - 0.5) < 0.02
 
 
@@ -185,19 +180,22 @@ def test_inclusion_probability_tracks_capacity_over_seen():
     hits = 0
     for _ in range(trials):
         buf = ReplayBuffer(cap)
-        _insert(buf, np.zeros(1), 0, -1, rng)  # the tracked first item
-        buf.insert_many(np.ones((stream - 1, 1)), np.zeros(stream - 1, dtype=np.intp), 0, rng)
-        hits += int(-1 in buf.task_ids)
+        _insert(buf, np.zeros(1), 0, rng)  # the tracked first item
+        buf.insert_many(np.ones((stream - 1, 1)), np.zeros(stream - 1, dtype=np.intp), rng)
+        hits += int((buf.inputs[:, 0] == 0.0).any())
     assert abs(hits / trials - cap / stream) < 0.015
 
 
 def test_sample_provenance_and_shapes():
     rng = np.random.default_rng(4)
     buf = ReplayBuffer(8)
-    buf.insert_many(rng.normal(size=(6, 3)), np.arange(6) % 2, 7, rng)
-    xs, ys, ids = buf.sample(4, rng)
-    assert xs.shape == (4, 3) and ys.shape == (4,) and ids.shape == (4,)
-    assert set(ids) == {7}
+    x, y = rng.normal(size=(6, 3)), np.arange(6) % 2
+    buf.insert_many(x, y, rng)
+    xs, ys = buf.sample(4, rng)
+    assert xs.shape == (4, 3) and ys.shape == (4,)
+    # each drawn item is a stored row with its own target, drawn once
+    rows = [int(np.flatnonzero((x == row).all(axis=1))[0]) for row in xs]
+    assert np.array_equal(ys, y[rows]) and len(set(rows)) == 4
     batch = buf.as_batch()
     assert batch.n == 6
 
@@ -205,11 +203,11 @@ def test_sample_provenance_and_shapes():
 def test_buffer_clone_is_independent():
     rng = np.random.default_rng(5)
     buf = ReplayBuffer(4)
-    buf.insert_many(np.eye(3), np.arange(3), 0, rng)
+    buf.insert_many(np.eye(3), np.arange(3), rng)
     twin = buf.clone()
-    _insert(twin, np.full(3, 9.0), 2, 9, rng)
-    assert buf.seen_count == 3
-    assert 9 not in buf.task_ids
+    _insert(twin, np.full(3, 9.0), 2, rng)
+    assert buf.seen_count == 3 and len(buf) == 3
+    assert not (buf.inputs == 9.0).any()
     twin.inputs[0][:] = -1.0
     assert not np.array_equal(buf.inputs[0], twin.inputs[0])
 
@@ -363,7 +361,8 @@ def test_train_seq_er_populates_buffer():
     assert len(state.buffer) == 10
     # every sample was offered exactly once
     assert state.buffer.seen_count == tasks[0].train.n + tasks[1].train.n
-    assert set(state.buffer.task_ids) <= {0, 1}
+    offered = np.concatenate([tasks[0].train.inputs, tasks[1].train.inputs])
+    assert all((offered == row).all(axis=1).any() for row in state.buffer.inputs)
 
 
 def test_train_seq_respects_shared_buffer():
@@ -372,11 +371,11 @@ def test_train_seq_respects_shared_buffer():
     tasks = _tasks()
     cfg = LearnerConfig(kind="er", buffer_capacity=6, epochs_per_task=1)
     shared = ReplayBuffer(6)
-    _insert(shared, tasks[1].train.inputs[0], tasks[1].train.targets[0], 1,
+    _insert(shared, tasks[1].train.inputs[0], tasks[1].train.targets[0],
             np.random.default_rng(0))
     parent = LearnerState(init_params(SPEC, 0), shared)
     children = train_seq([parent, parent], tasks[:2], cfg, SPEC, [0, 1])
-    assert shared.seen_count == 1 and list(shared.task_ids) == [1]
+    assert shared.seen_count == 1 and np.array_equal(shared.inputs, tasks[1].train.inputs[:1])
     for child, task in zip(children, tasks):
         assert child.buffer is not shared
         assert child.buffer.seen_count == 1 + task.train.n
@@ -446,7 +445,7 @@ def _lockstep_problem(kind, activation, task_kind, sizes, rows, seed):
         if m or rng.random() < 0.5:
             buf = ReplayBuffer(capacity)
             if m:
-                buf.insert_many(rng.normal(size=(m, 3)), targets(m), 9, rng)
+                buf.insert_many(rng.normal(size=(m, 3)), targets(m), rng)
         buffers.append(buf)
     p = spec.param_count
     ewc = _sums([(rng.normal(size=p), rng.random(p)) for _ in range(int(rng.integers(0, 3)))])
@@ -495,8 +494,7 @@ def _assert_same_buffer(got, want):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.seen_count == want.seen_count
-        for a, b in ((got.inputs, want.inputs), (got.targets, want.targets),
-                     (got.task_ids, want.task_ids)):
+        for a, b in ((got.inputs, want.inputs), (got.targets, want.targets)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -648,11 +646,11 @@ def test_train_seq_never_writes_a_parent(kind):
     tasks = _tasks()
     cfg = LearnerConfig(kind=kind, epochs_per_task=1, buffer_capacity=6)
     buffer = ReplayBuffer(6)
-    buffer.insert_many(tasks[1].train.inputs[:4], tasks[1].train.targets[:4], 1,
+    buffer.insert_many(tasks[1].train.inputs[:4], tasks[1].train.targets[:4],
                        np.random.default_rng(0))
     sums = (np.full(SPEC.param_count, 0.5), 0.5 * init_params(SPEC, 1))
     parent = LearnerState(init_params(SPEC, 0), buffer, sums)
-    arrays = (parent.params, *sums, buffer.inputs, buffer.targets, buffer.task_ids)
+    arrays = (parent.params, *sums, buffer.inputs, buffer.targets)
     copies = [a.copy() for a in arrays]
     for child in train_seq([parent, parent], tasks[:2], cfg, SPEC, [0, 1]):
         settle(child, SPEC)

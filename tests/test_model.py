@@ -16,8 +16,8 @@ from hiercl.model import (
     per_sample_grads,
     predict,
 )
-from model_reference import (fd_gradient, ref_accuracy_eval, ref_loss_and_grad,
-                             ref_per_sample_grads)
+from model_reference import (fd_gradient, ref_accuracy_eval, ref_init_params,
+                             ref_loss_and_grad, ref_per_sample_grads)
 
 CLS = ModelSpec((4, 6, 3))
 REG = ModelSpec((3, 5, 2), task_kind="regression")
@@ -60,6 +60,16 @@ def test_init_deterministic_and_bias_zero():
     # biases sit after each weight block and start at zero
     off = 4 * 6
     assert np.all(a[off : off + 6] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_init_params_matches_chunked_reference_bitwise(widths, seed):
+    # each (fan_in, fan_out) draw fills its weight view row-major, as the
+    # flat draw of the chunked form did
+    spec = ModelSpec(tuple(widths))
+    assert np.array_equal(init_params(spec, seed), ref_init_params(spec, seed))
 
 
 def test_batch_validation():
@@ -141,15 +151,19 @@ def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, rows,
                           np.mean(ref * ref, axis=0))
     assert accuracy_eval(w, batch, spec) == ref_accuracy_eval(w, batch, spec)
     # a (P, p) stack: a stacked batch for the loss, the shared batch for the
-    # score; every row gets the bits of its own unstacked call
+    # loss and the score; every row gets the bits of its own unstacked call
     ws = w + 0.3 * rng.normal(size=(rows, spec.param_count))
     stacked = Batch(rng.normal(size=(rows, n, spec.input_dim)), targets(rows, n))
     losses, grads = loss_and_grad(ws, stacked, spec)
+    shared_losses, shared_grads = loss_and_grad(ws, batch, spec)
     scores = accuracy_eval(ws, batch, spec)
-    assert losses.shape == scores.shape == (rows,) and grads.shape == ws.shape
+    assert losses.shape == shared_losses.shape == scores.shape == (rows,)
+    assert grads.shape == shared_grads.shape == ws.shape
     for i in range(rows):
         ref_loss, ref_g = ref_loss_and_grad(ws[i], Batch(stacked.inputs[i], stacked.targets[i]), spec)
         assert losses[i] == ref_loss and np.array_equal(grads[i], ref_g)
+        ref_loss, ref_g = ref_loss_and_grad(ws[i], batch, spec)
+        assert shared_losses[i] == ref_loss and np.array_equal(shared_grads[i], ref_g)
         assert scores[i] == ref_accuracy_eval(ws[i], batch, spec)
 
 
