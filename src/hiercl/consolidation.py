@@ -117,7 +117,8 @@ def multi_level_consolidate(
     A level whose weights have the bits of the level before it (every
     level does right after init_hierarchy) reuses that level's (g, H),
     which nothing writes into. Bits, not values, because -0.0 and 0.0
-    compare equal.
+    compare equal. A ValueError from estimate or the solve is raised
+    again with its level first ("level 1: ...").
 
     Returns the new state and the applied update norm per level.
     """
@@ -128,12 +129,16 @@ def multi_level_consolidate(
     new_levels = []
     norms = []
     below = grad = curv = None
-    for w_prev, lam in zip(state.levels, state.lambdas):
-        if below is None or not np.array_equal(w_prev.view(np.uint64), below.view(np.uint64)):
-            grad = curv = None  # the level below's estimates go before these are made
-            grad, curv = estimate(w_prev)
+    for i, (w_prev, lam) in enumerate(zip(state.levels, state.lambdas)):
+        try:
+            if below is None or not np.array_equal(w_prev.view(np.uint64),
+                                                   below.view(np.uint64)):
+                grad = curv = None  # the level below's estimates go before these are made
+                grad, curv = estimate(w_prev)
+            w_new = taylor_consolidate(w_prev, target, grad, curv, lam, eta=eta, clip=clip)
+        except ValueError as err:
+            raise ValueError(f"level {i}: {err}") from err
         below = w_prev
-        w_new = taylor_consolidate(w_prev, target, grad, curv, lam, eta=eta, clip=clip)
         norms.append(float(np.linalg.norm(w_new - w_prev)))
         new_levels.append(w_new)
         target = w_new
@@ -150,12 +155,16 @@ def catch_up(
 ) -> tuple[HierarchyState, list[list[float]]]:
     """n_catch extra consolidation passes toward a fixed target; each pass
     calls estimate(w) -> (g, H) at the moving weights, as
-    multi_level_consolidate does."""
+    multi_level_consolidate does, and names itself in a ValueError it
+    raises ("catch-up pass 0: level 1: ...")."""
     if n_catch < 0:
         raise ValueError("n_catch must be nonnegative")
     norms_per_iter = []
-    for _ in range(n_catch):
-        state, norms = multi_level_consolidate(state, w_target, estimate, eta=eta, clip=clip)
+    for j in range(n_catch):
+        try:
+            state, norms = multi_level_consolidate(state, w_target, estimate, eta=eta, clip=clip)
+        except ValueError as err:
+            raise ValueError(f"catch-up pass {j}: {err}") from err
         norms_per_iter.append(norms)
     return state, norms_per_iter
 

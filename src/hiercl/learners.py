@@ -2,9 +2,10 @@
 
 A learner trains a (P, p) stack of flat parameter vectors in lockstep,
 one task per row (P = 1 for a lone state): each step runs one loss and
-gradient over the whole stack, while every row keeps its own seed, random
-stream, replay buffer and online-EWC sums SigmaF, SigmaF*w* (Schwarz et al.
-2018, gamma = 1), which make its penalty one pull a*w - b, as FedProx's is.
+gradient over the rows that share a schedule, while every row keeps its
+own seed, random stream, replay buffer and online-EWC sums SigmaF,
+SigmaF*w* (Schwarz et al. 2018, gamma = 1), which make its penalty one
+pull a*w - b, as FedProx's is.
 The replay buffer uses single-draw reservoir sampling so that after N
 offers every past item survives with probability capacity/N.
 """
@@ -158,12 +159,39 @@ def _minibatch_indices(n, batch_size, rng):
     return [order[s : s + batch_size] for s in range(0, n, batch_size)]
 
 
-def _stacked(group) -> Batch:
-    """One Batch stacking the (row, inputs, targets) minibatches of a group;
-    a lone minibatch just gains the leading axis, without a copy."""
-    if len(group) == 1:
-        return Batch(group[0][1][None], group[0][2][None])
-    return Batch(np.stack([x for _, x, _ in group]), np.stack([y for _, _, y in group]))
+def _train_schedule(params, task, cfg: LearnerConfig, spec: ModelSpec, rng, buffer, pull):
+    """train_on_task for rows that share one schedule: each step makes one
+    loss_and_grad call and one SGD update over them all."""
+    velocity = np.zeros_like(params)
+    for epoch in range(cfg.epochs_per_task):
+        plans = [_minibatch_indices(t.train.n, cfg.batch_size, r) for t, r in zip(task, rng)]
+        for step, idx in enumerate(zip(*plans)):
+            fresh = [(t.train.inputs[j], t.train.targets[j]) for t, j in zip(task, idx)]
+            mixed = fresh
+            if cfg.kind == "er" and buffer[0] is not None and len(buffer[0]) > 0:
+                # half current task, half replayed; row 0's buffer is empty when all are
+                mixed = [[np.concatenate(pair) for pair in zip(xy, b.sample(len(xy[1]), r))]
+                         for xy, b, r in zip(fresh, buffer, rng)]
+            # np.array stacks equal-shape minibatches 3-4x faster than np.stack
+            loss, grad = loss_and_grad(params, Batch(*map(np.array, zip(*mixed))), spec)
+            losses = loss.tolist()
+            if not all(map(math.isfinite, losses)):
+                i = next(i for i, v in enumerate(losses) if not math.isfinite(v))
+                raise TrainingDiverged(f"task {task[i].task_id}: epoch {epoch}, step {step}: "
+                                       f"minibatch loss is {losses[i]}; training diverged", i)
+            if pull is not None:
+                grad += pull[0] * params - pull[1]
+            params, velocity = _sgd_step(params, grad, velocity, cfg)
+            if epoch == 0:
+                for xy, b, r in zip(fresh, buffer, rng):
+                    if b is not None:
+                        b.insert_many(*xy, r)
+    bad = np.flatnonzero(~np.isfinite(params).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise TrainingDiverged(f"task {task[i].task_id}: params are not finite after "
+                               f"training; training diverged", i)
+    return params
 
 
 def train_on_task(
@@ -178,11 +206,12 @@ def train_on_task(
     """Epochs of momentum SGD on one task. Returns a fresh (P, p) stack.
 
     `params` is a (P, p) stack of P orderings stepped in lockstep; `task`,
-    `rng` and `buffer` (when given) hold one entry per row. Each stacked
-    step makes one loss_and_grad call per minibatch shape (rows differ when
-    their tasks differ in size, or when only some replay buffers are
-    empty), and rows whose epoch has run out of minibatches sit the step
-    out. Every row draws from its own rng in the order a lone run does: a
+    `rng` and `buffer` (when given) hold one entry per row. A row's
+    schedule is its task's training-set size and, under er only, whether
+    its buffer is absent, empty or filled. Rows are grouped by schedule in
+    first-appearance order, and each group trains on its own: every step
+    makes one loss_and_grad call and one SGD update over the group's rows.
+    Every row draws from its own rng in the order a lone run does: a
     permutation at each epoch start, then per step the replay sample and
     the buffer offer.
 
@@ -191,60 +220,33 @@ def train_on_task(
     kind="er". `pull` = (a, b) adds a*w - b to every gradient, a and b each
     a scalar, a (p,) array shared by all rows or a (P, p) stack; None takes
     the exact unmodified code path. A nonfinite minibatch loss raises
-    TrainingDiverged at the first stacked step where one occurs, naming the
-    first row whose loss it is; so do nonfinite params at the end of the
-    task, naming the first row that holds them.
+    TrainingDiverged at the first step of its group where one occurs; its
+    `index` is the row of `params` that is the group's first with such a
+    loss. So do nonfinite params at the end of the task, naming the
+    group's first row that holds them. When schedules are mixed, the first
+    group in first-appearance order that diverges raises, whatever step
+    the others would diverge at.
     """
     # row-major whatever the caller's layout, so the stacked products give
     # the bits of rows trained alone
     params = np.array(params, dtype=np.float64, order="C")
     if params.ndim != 2:
         raise ValueError(f"params must be a (P, p) stack, got shape {params.shape}")
-    rows = len(params)
-    buffer = [None] * rows if buffer is None else buffer
-    velocity = np.zeros_like(params)
-    for epoch in range(cfg.epochs_per_task):
-        plans = [_minibatch_indices(t.train.n, cfg.batch_size, r) for t, r in zip(task, rng)]
-        for step in range(max(map(len, plans))):
-            active = [i for i in range(rows) if step < len(plans[i])]
-            fresh, by_shape = {}, {}
-            for i in active:
-                data, idx = task[i].train, plans[i][step]
-                xb, yb = fresh[i] = data.inputs[idx], data.targets[idx]
-                if cfg.kind == "er" and buffer[i] is not None and len(buffer[i]) > 0:
-                    # half current task, half replayed
-                    rx, ry = buffer[i].sample(len(idx), rng[i])
-                    xb, yb = np.concatenate([xb, rx]), np.concatenate([yb, ry])
-                by_shape.setdefault((xb.shape, yb.shape), []).append((i, xb, yb))
-            groups = list(by_shape.values())
-            if len(groups[0]) == rows:  # every row on one minibatch shape
-                loss, grad = loss_and_grad(params, _stacked(groups[0]), spec)
-            else:
-                loss, grad = np.zeros(rows), np.zeros_like(params)
-                for group in groups:
-                    sel = [i for i, _, _ in group]
-                    loss[sel], grad[sel] = loss_and_grad(params[sel], _stacked(group), spec)
-            losses = loss.tolist()
-            if not all(map(math.isfinite, losses)):
-                i = next(i for i, v in enumerate(losses) if not math.isfinite(v))
-                raise TrainingDiverged(f"task {task[i].task_id}: epoch {epoch}, step {step}: "
-                                       f"minibatch loss is {losses[i]}; training diverged", i)
-            if pull is not None:
-                grad += pull[0] * params - pull[1]
-            stepped, moved = _sgd_step(params, grad, velocity, cfg)
-            if len(active) == rows:
-                params, velocity = stepped, moved
-            else:
-                params[active], velocity[active] = stepped[active], moved[active]
-            if epoch == 0:
-                for i in active:
-                    if buffer[i] is not None:
-                        buffer[i].insert_many(*fresh[i], rng[i])
-    bad = np.flatnonzero(~np.isfinite(params).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        raise TrainingDiverged(f"task {task[i].task_id}: params are not finite after "
-                               f"training; training diverged", i)
+    buffer = [None] * len(params) if buffer is None else buffer
+    schedules = {}
+    for i, (t, b) in enumerate(zip(task, buffer)):
+        replay = None if cfg.kind != "er" or b is None else len(b) > 0
+        schedules.setdefault((t.train.n, replay), []).append(i)
+    for rows in schedules.values():
+        group_pull = None if pull is None else tuple(x[rows] if np.ndim(x) == 2 else x
+                                                     for x in pull)
+        try:
+            params[rows] = _train_schedule(params[rows], [task[i] for i in rows], cfg, spec,
+                                           [rng[i] for i in rows], [buffer[i] for i in rows],
+                                           group_pull)
+        except TrainingDiverged as err:
+            err.index = rows[err.index]
+            raise
     return params
 
 
@@ -283,10 +285,7 @@ def train_seq(
     it. So child i is bitwise the state a lone call on parents[i] gives.
 
     Deterministic given identical inputs and seeds; no parent is written.
-    A nonfinite loss raises TrainingDiverged at the first stacked step
-    where one occurs; its `index` is the first row that diverged there.
-    Nonfinite params at the end of the task raise it too, naming the first
-    such row.
+    A divergence raises TrainingDiverged as train_on_task does.
     """
     if not parents:
         raise ValueError("no tasks to train on")

@@ -21,7 +21,9 @@ from collections import Counter
 from .learners import TrainingDiverged
 
 # rows per stacked training call of a trie depth: the 4! leaves of an
-# explored group of 4
+# explored group of 4 fit one call. The cap bounds a wide depth's memory:
+# with one stack per depth (no cap), sweep-er-k2's peak RSS read 51-52 MB
+# against 44-44.5 MB at 24, with the same CSV bytes (2-core x86 Linux)
 STACK_ROWS = 24
 
 

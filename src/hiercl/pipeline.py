@@ -269,8 +269,11 @@ def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
     if group.group_index == 0:
         hier, norms = init_hierarchy(local, node.hier.lambdas), None
     else:
-        hier, norms = multi_level_consolidate(node.hier, local, estimate,
-                                              eta=cfg.eta, clip=cfg.clip)
+        try:
+            hier, norms = multi_level_consolidate(node.hier, local, estimate,
+                                                  eta=cfg.eta, clip=cfg.clip)
+        except ValueError as err:
+            raise ValueError(f"group {group.group_index}: {err}") from err
 
     acc = task_accuracies(hier.top, tasks, spec)
     node = _Prefix(hier, buffer, res.best_state.ewc, node.results + (res,),
@@ -297,9 +300,6 @@ def run_pipeline(
     selection audit runs on every call."""
     order = arrival_order(full_perm, len(tasks))
     t_count = len(order)
-    if cfg.group_size > t_count:
-        raise ValueError("group size exceeds the number of tasks")
-
     groups = arrival_groups(order, cfg.group_size)
     keys = membership_prefixes(groups)
     memo = PrefixMemo() if memo is None else memo

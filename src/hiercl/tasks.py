@@ -221,7 +221,8 @@ def partition_into_groups(num_tasks: int, k: int) -> list[TaskGroup]:
         raise ValueError("group size must be at least 1")
     if num_tasks < 1:
         raise ValueError("need at least one task")
-    k = min(k, num_tasks)
+    if k > num_tasks:
+        raise ValueError(f"group size {k} exceeds the number of tasks {num_tasks}")
     m = num_tasks // k
     groups = []
     for j in range(m):

@@ -418,7 +418,7 @@ def test_ewc_strength_pulls_toward_anchor():
 def _lockstep_problem(kind, activation, task_kind, sizes, rows, seed):
     """Tasks of the given train sizes, `rows` random orderings of them with
     one seed each, and per-ordering incoming buffers, some of them empty
-    or absent, so stacked steps split by minibatch shape."""
+    or absent, so a stack mixes schedules."""
     rng = np.random.default_rng(seed)
     classify = task_kind == "classification"
     out_dim = int(rng.integers(2, 4)) if classify else int(rng.integers(1, 3))
@@ -706,6 +706,81 @@ def test_train_on_task_gives_the_same_bits_for_any_stack_layout(kind):
 
     want, got = run(stack), run(np.asfortranarray(stack))
     assert got.flags.c_contiguous and _same(got, want)
+
+
+def _mixed_schedule_stack():
+    """Eight rows over two 24-sample tasks and a 13-sample one (its last
+    minibatch of 8 holds 5), with buffers absent, empty and filled past
+    capacity, interleaved so that each schedule's rows are not adjacent."""
+    tasks = _tasks()
+    head = Batch(tasks[1].train.inputs[:13], tasks[1].train.targets[:13])
+    tasks.append(TaskDataset(2, head, head, head))
+    filled = ReplayBuffer(6)
+    filled.insert_many(tasks[1].train.inputs[:9], tasks[1].train.targets[:9],
+                       np.random.default_rng(9))
+    layout = [(0, None), (2, filled), (1, ReplayBuffer(6)), (0, filled), (2, None),
+              (1, ReplayBuffer(6)), (2, ReplayBuffer(6)), (0, None)]
+    return [tasks[t] for t, _ in layout], [_clone(b) for _, b in layout]
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_mixed_schedules_train_every_row_as_a_lone_run(kind):
+    row_tasks, buffers = _mixed_schedule_stack()
+    rows, p = len(row_tasks), SPEC.param_count
+    cfg = LearnerConfig(kind=kind, epochs_per_task=2, batch_size=8, buffer_capacity=6)
+    rng = np.random.default_rng(5)
+    stack = init_params(SPEC, 0) + 0.1 * rng.normal(size=(rows, p))
+    # a (P, p) pair is cut by row; a scalar and a (p,) array pass whole
+    pull = {"er": None, "ewc": (rng.random((rows, p)), rng.normal(size=(rows, p))),
+            "sgd": (0.3, rng.normal(size=p))}[kind]
+    seeds = range(10, 10 + rows)
+    lock_buffers = [_clone(b) for b in buffers]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    out = train_on_task(stack, row_tasks, cfg, SPEC, rngs, buffer=lock_buffers, pull=pull)
+    for i, seed in enumerate(seeds):
+        ref_rng, ref_buffer = np.random.default_rng(seed), _clone(buffers[i])
+        row_pull = None if pull is None else tuple(x[i] if np.ndim(x) == 2 else x for x in pull)
+        want = serial_train_on_task(stack[i], row_tasks[i], cfg, SPEC, ref_rng,
+                                    buffer=ref_buffer, pull=row_pull)
+        assert _same(out[i], want)
+        assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
+        _assert_same_buffer(lock_buffers[i], ref_buffer)
+
+
+def test_divergence_in_a_later_schedule_names_the_callers_row():
+    # rows 0 and 2 train on a 20-sample task, rows 1 and 3 on a 7-sample
+    # one; row 3 starts with huge weights, so the second schedule's first
+    # loss overflows in its second row
+    spec = ModelSpec((1, 16, 1), task_kind="regression")
+    long, short = gen_sine_tasks(2, 0)
+    head = Batch(short.train.inputs[:7], short.train.targets[:7])
+    short = TaskDataset(1, head, head, head)
+    stack = np.repeat(init_params(spec, 0)[None], 4, axis=0)
+    stack[3] = 1e200
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        train_on_task(stack, [long, short, long, short], LearnerConfig(), spec, rngs)
+    assert info.value.index == 3
+    assert str(info.value).startswith("task 1: epoch 0, step 0: minibatch loss is inf")
+
+
+def test_one_schedule_makes_one_loss_and_grad_call_per_step(monkeypatch):
+    # 24 rows on one task size with empty buffers: replay joins from the
+    # second step on, and every step is still one call over all rows
+    shapes = []
+    real = learners.loss_and_grad
+
+    def counting(params, batch, spec):
+        shapes.append((params.shape[0], batch.inputs.shape[:2]))
+        return real(params, batch, spec)
+
+    monkeypatch.setattr(learners, "loss_and_grad", counting)
+    task = _tasks()[0]  # 24 samples: 3 steps of 8
+    cfg = LearnerConfig(kind="er", epochs_per_task=2, batch_size=8, buffer_capacity=6)
+    stack = np.stack([init_params(SPEC, s) for s in range(24)])
+    train_on_task(stack, [task] * 24, cfg, SPEC, [np.random.default_rng(s) for s in range(24)],
+                  buffer=[ReplayBuffer(6) for _ in range(24)])
+    assert shapes == [(24, (24, 8))] + [(24, (24, 16))] * 5
 
 
 def test_train_seq_passes_shared_anchor_arrays_and_stacks_the_rest(monkeypatch):

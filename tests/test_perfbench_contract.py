@@ -38,6 +38,22 @@ def test_tracer_binds_every_rebound_site(monkeypatch):
     assert not missing, f"tracer found no binding for {missing}"
 
 
+def test_every_workload_config_builds_under_the_current_schema(monkeypatch):
+    # a renamed or deleted config key that a workload still sets would
+    # otherwise only fail at bench time, in every run
+    from hiercl.config import build_experiment_config, parse_config_text
+
+    workloads = _load(monkeypatch, "workloads")
+    for workload in workloads.WORKLOADS.values():
+        for seed in range(3):
+            for warmup in (False, True):
+                text = workload.config_text(seed, warmup=warmup)
+                cfg = build_experiment_config(parse_config_text(text))
+                assert cfg.seeds == (seed,) and cfg.perm_sample_seed == seed
+                if warmup:
+                    assert cfg.perms == workload.warmup_perms
+
+
 _TINY_ER = """\
 dataset.kind=gaussians
 dataset.num_classes=8

@@ -132,7 +132,7 @@ def test_run_pipeline_validates_inputs():
     tasks = _tasks()
     with pytest.raises(ValueError):
         run_pipeline(tasks, Permutation((0, 1, 2)), _cfg(), SPEC)  # missing task 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^group size 9 exceeds the number of tasks 4$"):
         run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(group_size=9), SPEC)
 
 
@@ -253,6 +253,21 @@ def test_dense_curvature_path_runs():
     # nothing ever moves: gradients are zero and every target equals w
     for level in res.hierarchy.levels:
         assert np.max(np.abs(level - w)) < 1e-9
+
+
+@pytest.mark.parametrize("group_size, lam, factor, where", [
+    (1, 1e-3, 1.0, "group 1: level 0"),
+    (1, 5.0, 1e-3, "group 1: level 1"),
+    (2, 1e-3, 1.0, "catch-up pass 0: level 0"),  # one group: it only copies
+])
+def test_consolidation_failure_names_the_group_or_pass_and_the_level(group_size, lam, factor,
+                                                                     where):
+    # the exact Hessian of this classifier is indefinite, so a small enough
+    # lambda leaves the dense system without a solution
+    cfg = _cfg(curvature="dense", group_size=group_size, lam=lam, lambda_factor=factor)
+    want = f"^{where}: lambda .* does not make the dense system positive definite"
+    with pytest.raises(ValueError, match=want):
+        run_pipeline(_tasks(num_classes=4), Permutation((1, 0)), cfg, ModelSpec((4, 3, 8)))
 
 
 def test_dense_hessian_and_gradient_share_the_capped_pool(monkeypatch):

@@ -129,8 +129,9 @@ def test_partition_sizes():
     assert [g.group_index for g in groups] == [0, 1, 2]
     groups = partition_into_groups(6, 2)
     assert [len(g.task_ids) for g in groups] == [2, 2, 2]
-    groups = partition_into_groups(3, 5)  # k larger than the stream
-    assert len(groups) == 1 and groups[0].task_ids == (0, 1, 2)
+    assert partition_into_groups(3, 3) == [TaskGroup(0, (0, 1, 2))]
+    with pytest.raises(ValueError, match="group size 5 exceeds the number of tasks 3"):
+        partition_into_groups(3, 5)
     with pytest.raises(ValueError):
         partition_into_groups(5, 0)
 
