@@ -111,20 +111,23 @@ def estimate_diag_curvature(params, pool: Batch, spec: ModelSpec) -> CurvatureEs
     """Diagonal of the empirical Fisher: mean squared per-sample gradients.
 
     The per-sample gradients are built one row block at a time (see
-    _row_blocks), squared in place and summed into a running (p,) total,
-    so the call holds one block, not the (n, p) array. np.add.reduce over
-    axis 0 adds rows one after another and np.mean divides that sum by n;
-    adding the running total into a block's first row before reducing it
-    keeps the same association, so the result is bitwise the whole-pool
-    mean whenever the blocks' gradients are bitwise the whole-pool rows."""
+    _row_blocks) into one reused block, squared in place and summed into a
+    running (p,) total, so the call holds one block, not the (n, p) array.
+    np.add.reduce over axis 0 adds rows one after another and np.mean
+    divides that sum by n; adding the running total into a block's first
+    row before reducing it keeps the same association, so the result is
+    bitwise the whole-pool mean whenever the blocks' gradients are bitwise
+    the whole-pool rows."""
     edges = _row_blocks(pool.n, spec.param_count)
+    # balanced whole tiles, then the spare rows: the last block is the largest
+    block = np.empty((edges[-1] - edges[-2], spec.param_count))
     total = np.zeros(spec.param_count)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        g = per_sample_grads(params, Batch(pool.inputs[lo:hi], pool.targets[lo:hi]), spec)
+        g = per_sample_grads(params, Batch(pool.inputs[lo:hi], pool.targets[lo:hi]), spec,
+                             out=block[: hi - lo])
         np.multiply(g, g, out=g)
         g[0] += total
-        total = np.add.reduce(g, axis=0)
-        del g  # so the next block is not built while this one is held
+        np.add.reduce(g, axis=0, out=total)
     return CurvatureEstimate("diagonal", diag=total / pool.n)
 
 

@@ -144,14 +144,17 @@ def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
                      ArrivalPlan(perm.order for perm in perms) for m in cfg.methods}
             for perm in perms:
                 for method in cfg.methods:
+                    tag = _method_tag(method, cfg)
                     start = time.perf_counter()
-                    matrix = _run_method(method, tasks, perm, cfg, spec, seed, init,
-                                         plans[method])
+                    try:
+                        matrix = _run_method(method, tasks, perm, cfg, spec, seed, init,
+                                             plans[method])
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"seed {seed}: {tag}: order {perm.label()}: {exc}") from exc
                     wall = time.perf_counter() - start
-                    rec = MetricsRecord(
-                        _method_tag(method, cfg), seed, perm.label(),
-                        mean_accuracy(matrix), avg_forgetting(matrix), wall,
-                    )
+                    rec = MetricsRecord(tag, seed, perm.label(), mean_accuracy(matrix),
+                                        avg_forgetting(matrix), wall)
                     records.append(rec)
                     if sink:
                         sink.write(rec)

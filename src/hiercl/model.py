@@ -224,36 +224,43 @@ def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
     return loss, grad
 
 
-def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec) -> np.ndarray:
+def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of each sample's own loss, stacked into an (n, p) matrix.
 
-    Row i equals loss_and_grad on the single-sample batch i. The result is
-    the only (n, p) array built: each layer's bias block is delta and its
-    weight block, outer(activation_i, delta_i) per sample, is multiplied
-    straight into its (n, fan_in, fan_out) _split_params view.
+    Row i equals loss_and_grad on the single-sample batch i up to rounding
+    (the two form the softmax differently). The result is the only (n, p)
+    array built: each layer's bias block is delta and its weight block,
+    outer(activation_i, delta_i) per sample, is written by np.einsum
+    straight into its (n, fan_in, fan_out) _split_params view. einsum sums
+    into a zeroed block, so each entry is 0 + a*d: the product a*d, except
+    that a -0.0 product is stored as +0.0 (equal under ==). Pass a
+    C-contiguous float64 (n, p) `out` to have it filled, every entry
+    written, and returned instead of a new array.
     """
     _check_batch(batch, spec)
     layers = _split_params(params, spec)
     acts = _forward(layers, batch.inputs, spec)
-    out = acts[-1]
-    n = out.shape[0]
+    logits = acts[-1]
+    n = logits.shape[0]
     if spec.task_kind == "classification":
         y = np.asarray(batch.targets, dtype=np.intp)
-        m = out.max(axis=1, keepdims=True)
-        delta = np.exp(out - m)
+        m = logits.max(axis=1, keepdims=True)
+        delta = np.exp(logits - m)
         delta /= delta.sum(axis=1, keepdims=True)
         delta[np.arange(n), y] -= 1.0
     else:
         t = _regression_targets(batch)
-        delta = 2.0 * (out - t) / t.shape[1]
+        delta = 2.0 * (logits - t) / t.shape[1]
 
-    g = np.empty((n, spec.param_count))
-    views = _split_params(g, spec)
+    if out is None:
+        out = np.empty((n, spec.param_count))
+    views = _split_params(out, spec)
     for i, a, d in _backprop(acts, delta, spec, layers):
         w, b = views[i]
         b[:, 0] = d
-        np.multiply(a[:, :, None], d[:, None, :], out=w)
-    return g
+        np.einsum("ni,nj->nij", a, d, out=w)
+    return out
 
 
 def accuracy_eval(params: ParamVector, batch: Batch, spec: ModelSpec):

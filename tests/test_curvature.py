@@ -118,11 +118,12 @@ def test_blocked_diag_is_bitwise_the_whole_pool_mean_on_the_wide_net(n):
 def test_diag_curvature_sums_tile_aligned_row_blocks_in_order(monkeypatch):
     # a one-byte budget forces one ROW_TILE per block
     monkeypatch.setattr(curvature, "DIAG_BLOCK_BYTES", 1)
-    seen = []
+    seen, blocks = [], []
 
-    def recording(params, batch, spec):
+    def recording(params, batch, spec, out=None):
         seen.append(batch.inputs)
-        return per_sample_grads(params, batch, spec)
+        blocks.append(out)
+        return per_sample_grads(params, batch, spec, out=out)
 
     monkeypatch.setattr(curvature, "per_sample_grads", recording)
     rng = np.random.default_rng(11)
@@ -132,6 +133,8 @@ def test_diag_curvature_sums_tile_aligned_row_blocks_in_order(monkeypatch):
     # balanced blocks of whole tiles; the 2 spare rows join the last one
     assert [len(x) for x in seen] == [curvature.ROW_TILE] * 2 + [curvature.ROW_TILE + 2]
     assert np.array_equal(np.concatenate(seen), batch.inputs)
+    # every block is written into the one buffer of the estimate
+    assert all(np.shares_memory(b, blocks[0]) for b in blocks[1:])
     rows = per_sample_grads(w, batch, SPEC)
     np.testing.assert_allclose(est.diag, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
 

@@ -505,6 +505,19 @@ def test_a_run_that_diverges_after_its_first_record_leaves_the_out_file_untouche
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
+def test_a_failed_cell_names_its_seed_method_and_order(tmp_path):
+    # the dense curvature is indefinite at lambda 1 in the first hier cell
+    cfg = build_experiment_config({
+        "dataset.num_classes": "4", "dataset.classes_per_task": "2", "run.group_size": "1",
+        "run.curvature": "dense", "run.hidden": "3", "run.perms": "3", "run.seeds": "0"})
+    out_csv = tmp_path / "x.csv"
+    out_csv.write_bytes(b"method,seed\nkept,0\n")
+    with pytest.raises(ValueError, match=r"^seed 0: sgd\+hier: order 0-1: group 1: level 0: "
+                                         r"lambda 1\.0 does not make the dense system "):
+        run_experiment(cfg, str(out_csv))
+    assert out_csv.read_bytes() == b"method,seed\nkept,0\n"
+
+
 @pytest.mark.parametrize("field, value", [
     *((field, value) for field in ("num_tasks", "num_classes", "classes_per_task", "dim",
                                    "samples_per_class", "val_per_class", "test_per_class",

@@ -143,7 +143,12 @@ def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, rows,
 
     batch = Batch(rng.normal(size=(n, spec.input_dim)), targets(n))
     ref = ref_per_sample_grads(w, batch, spec)
+    # array_equal counts -0.0 == +0.0: einsum stores a -0.0 product as +0.0
     assert np.array_equal(per_sample_grads(w, batch, spec), ref)
+    # into a given block: every entry is written, none kept from before
+    out = np.full((n, spec.param_count), np.nan)
+    assert per_sample_grads(w, batch, spec, out=out) is out
+    assert np.array_equal(out, ref)
     loss, g = loss_and_grad(w, batch, spec)
     ref_loss, ref_g = ref_loss_and_grad(w, batch, spec)
     assert loss == ref_loss and np.array_equal(g, ref_g)
