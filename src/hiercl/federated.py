@@ -75,8 +75,8 @@ def fed_compare_run(
 
     def train_stack(depth, prefixes, parents):
         anchor = np.stack([global_w for global_w, _, _ in parents])
-        rngs = [np.random.default_rng(derive_seed(base_seed, FED_STREAM, depth))
-                for _ in prefixes]
+        seed = derive_seed(base_seed, FED_STREAM, depth)
+        rngs = [np.random.default_rng(seed) for _ in prefixes]
         locals_ = train_on_task(anchor, [tasks[p[-1]] for p in prefixes], learner_cfg, spec,
                                 rngs, pull=(mu, mu * anchor) if mu != 0.0 else None)
         nodes = []

@@ -42,29 +42,30 @@ class ReplayBuffer:
     def __len__(self):
         return len(self.targets)
 
+    def _draws(self, n: int, rng: np.random.Generator):
+        """(k, draws) for an offer of n items, from len and seen_count only:
+        the first k fill free slots; item k + j evicts slot draws[j] if it is < capacity."""
+        k = min(self.capacity - len(self), n)
+        draws = (rng.integers(0, self.seen_count + k + 1 + np.arange(n - k)) if n > k
+                 else np.arange(0))
+        self.seen_count += n
+        return k, draws
+
     def insert_many(self, inputs, targets, rng: np.random.Generator):
         """Offer a batch of items, in row order; the eviction draws for the
         items past the fill phase are vectorized."""
         inputs = np.asarray(inputs, dtype=np.float64)
         targets = np.asarray(targets)
-        n = inputs.shape[0]
-        k = min(self.capacity - len(self), n)  # fill phase: these always land
+        k, draws = self._draws(inputs.shape[0], rng)
         if k > 0:
             if not len(self):  # the first items fix the row shape and target dtype
                 self.inputs, self.targets = inputs[:0], targets[:0]
             self.inputs = np.concatenate([self.inputs, inputs[:k]])
             self.targets = np.concatenate([self.targets, targets[:k]])
-            self.seen_count += k
-        m = n - k
-        if m == 0:
-            return
-        # item j (0-based among the rest) is candidate number seen_count+j+1
-        draws = rng.integers(0, self.seen_count + 1 + np.arange(m))
         # in offer order, so a slot hit twice keeps the later item
-        for j in np.nonzero(draws < self.capacity)[0].tolist():
+        for j in np.flatnonzero(draws < self.capacity).tolist():
             slot, row = int(draws[j]), k + j
             self.inputs[slot], self.targets[slot] = inputs[row], targets[row]
-        self.seen_count += m
 
     def sample(self, size: int, rng: np.random.Generator):
         """Uniform draw of `size` stored items -> (inputs, targets).
@@ -85,6 +86,28 @@ class ReplayBuffer:
         out.inputs, out.targets = self.inputs.copy(), self.targets.copy()
         out.seen_count = self.seen_count
         return out
+
+
+class ReplayCounts(ReplayBuffer):
+    """A buffer's counts, not its items, for a prefix that never reads its
+    buffer: its offers make the same rng draws and store nothing."""
+
+    def __init__(self, buffer: ReplayBuffer):
+        self.capacity, self.seen_count = buffer.capacity, buffer.seen_count
+
+    def __len__(self):  # a reservoir holds every offer until it is full
+        return min(self.capacity, self.seen_count)
+
+    def insert_many(self, inputs, targets, rng: np.random.Generator):
+        self._draws(len(targets), rng)
+
+    def _no_items(self, *args):
+        raise ValueError("a counts-only buffer holds no items")
+
+    sample = as_batch = _no_items
+
+    def clone(self) -> "ReplayCounts":
+        return ReplayCounts(self)
 
 
 @dataclass
@@ -154,21 +177,28 @@ def _sgd_step(params, grad, velocity, cfg: LearnerConfig):
     return params + velocity, velocity
 
 
-def _minibatch_indices(n, batch_size, rng):
-    order = rng.permutation(n)
-    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
+def epoch_plan(task: TaskDataset, batch_size: int, rng, buffer=None):
+    """An epoch's minibatch indices, cut from one permutation drawn from
+    `rng`; a given `buffer` is offered the whole task in that order right
+    after the draw, as a non-replay learner's epoch 0 does."""
+    order = rng.permutation(task.train.n)
+    if buffer is not None:
+        buffer.insert_many(task.train.inputs[order], task.train.targets[order], rng)
+    return [order[s : s + batch_size] for s in range(0, len(order), batch_size)]
 
 
 def _train_schedule(params, task, cfg: LearnerConfig, spec: ModelSpec, rng, buffer, pull):
     """train_on_task for rows that share one schedule: each step makes one
     loss_and_grad call and one SGD update over them all."""
     velocity = np.zeros_like(params)
+    replay = cfg.kind == "er"
     for epoch in range(cfg.epochs_per_task):
-        plans = [_minibatch_indices(t.train.n, cfg.batch_size, r) for t, r in zip(task, rng)]
+        offer = [None] * len(buffer) if replay or epoch else buffer
+        plans = [epoch_plan(t, cfg.batch_size, r, b) for t, r, b in zip(task, rng, offer)]
         for step, idx in enumerate(zip(*plans)):
             fresh = [(t.train.inputs[j], t.train.targets[j]) for t, j in zip(task, idx)]
             mixed = fresh
-            if cfg.kind == "er" and buffer[0] is not None and len(buffer[0]) > 0:
+            if replay and buffer[0] is not None and len(buffer[0]) > 0:
                 # half current task, half replayed; row 0's buffer is empty when all are
                 mixed = [[np.concatenate(pair) for pair in zip(xy, b.sample(len(xy[1]), r))]
                          for xy, b, r in zip(fresh, buffer, rng)]
@@ -182,7 +212,7 @@ def _train_schedule(params, task, cfg: LearnerConfig, spec: ModelSpec, rng, buff
             if pull is not None:
                 grad += pull[0] * params - pull[1]
             params, velocity = _sgd_step(params, grad, velocity, cfg)
-            if epoch == 0:
+            if replay and epoch == 0:
                 for xy, b, r in zip(fresh, buffer, rng):
                     if b is not None:
                         b.insert_many(*xy, r)
@@ -212,8 +242,9 @@ def train_on_task(
     first-appearance order, and each group trains on its own: every step
     makes one loss_and_grad call and one SGD update over the group's rows.
     Every row draws from its own rng in the order a lone run does: a
-    permutation at each epoch start, then per step the replay sample and
-    the buffer offer.
+    permutation at each epoch start; then under er, per step the replay
+    sample and the offer; otherwise the epoch-0 offer of the whole task
+    right after its permutation.
 
     When a buffer is given, every training sample is offered to it exactly
     once (during the first epoch); replay minibatches are mixed in only for
@@ -278,11 +309,12 @@ def train_seq(
 
     Row i draws from an rng seeded with seeds[i] and offers its samples to
     a clone of its parent's buffer (a new buffer under er when the parent
-    has none). Under EWC the call's one pull is lambda times the rows' sums
-    (SigmaF, SigmaF*w*): (p,) when every row holds one sums object, else
-    their (P, p) stack. Each child keeps its parent's sums and leaves its
-    task's Fisher pending, for `settle` by whichever caller continues from
-    it. So child i is bitwise the state a lone call on parents[i] gives.
+    has none; a ReplayCounts parent gives a ReplayCounts). Under EWC the
+    call's one pull is lambda times the rows' sums (SigmaF, SigmaF*w*):
+    (p,) when every row holds one sums object, else their (P, p) stack.
+    Each child keeps its parent's sums and leaves its task's Fisher
+    pending, for `settle` by whichever caller continues from it. So child
+    i is bitwise the state a lone call on parents[i] gives.
 
     Deterministic given identical inputs and seeds; no parent is written.
     A divergence raises TrainingDiverged as train_on_task does.

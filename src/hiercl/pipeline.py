@@ -28,8 +28,8 @@ from .consolidation import (HierarchyState, catch_up, init_hierarchy, lambda_sch
 from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, exact_dense_hessian_oracle,
                         parse_curvature_spec)
-from .learners import (LearnerConfig, LearnerState, ReplayBuffer, TrainingDiverged,
-                       settle, train_seq)
+from .learners import (LearnerConfig, LearnerState, ReplayBuffer, ReplayCounts,
+                       TrainingDiverged, epoch_plan, settle, train_seq)
 from .memo import PrefixMemo, membership_prefixes, train_trie
 from .metrics import AccuracyMatrix
 from .model import Batch, ModelSpec, accuracy_eval, init_params
@@ -156,30 +156,35 @@ def explore_group(
     stacked train_seq calls, one row per prefix. Each prefix is trained
     once, on its last task, from its parent's settled state (train_seq
     clones the buffer, and the child shares the EWC sums), with its own rng
-    seeded by derive_seed(base_seed, HIER_STREAM, group index, d + 1, *prefix), so
-    its result depends only on the prefix. Every prefix but the full
-    orderings is settled (its EWC Fisher estimated) before its children
-    train; the k! orderings are scored by one accuracy_eval call, and only
-    the winner is settled. A nonfinite loss, nonfinite params at the end of
-    a task, or a nonfinite EWC Fisher stop training at once, and the error
-    names the first prefix of its stack where that happened (the ordering,
-    for the winner's Fisher)."""
+    seeded by derive_seed(base_seed, HIER_STREAM, group index, d + 1,
+    *prefix), so its result depends only on the prefix. Under sgd and ewc,
+    which read no buffer in training, the trie carries only its counts
+    (ReplayCounts) and the winner's chain alone fills a clone of `buffer`.
+    Every prefix but the full orderings is settled (its EWC Fisher
+    estimated) before its children train; the k! orderings are scored by
+    one accuracy_eval call, and only the winner is settled. A nonfinite
+    loss, nonfinite params at the end of a task, or a nonfinite EWC Fisher
+    stop training at once, and the error names the first prefix of its
+    stack where that happened (the ordering, for the winner's Fisher)."""
     perms = enumerate_intra_group_perms(group)
     eval_batch = _eval_batch(tasks, group, eval_policy,
                              seen_task_ids or group.task_ids)
     where = f"group {group.group_index}: ordering"
     last = group.size - 1
 
+    def prefix_seed(depth, prefix):
+        return derive_seed(base_seed, HIER_STREAM, group.group_index, depth + 1, *prefix)
+
     def train_stack(depth, prefixes, parents):
         states = train_seq(parents, [tasks[p[-1]] for p in prefixes], cfg, spec,
-                           [derive_seed(base_seed, HIER_STREAM, group.group_index, depth + 1, *p)
-                            for p in prefixes])
+                           [prefix_seed(depth, p) for p in prefixes])
         if depth == last:
             return states
         return [settle(state, spec, row) for row, state in enumerate(states)]
 
-    leaves = train_trie([perm.order for perm in perms], LearnerState(init, buffer, ewc),
-                        train_stack, f"{where} prefix")
+    counts_only = buffer is not None and cfg.kind != "er"
+    root = LearnerState(init, ReplayCounts(buffer) if counts_only else buffer, ewc)
+    leaves = train_trie([perm.order for perm in perms], root, train_stack, f"{where} prefix")
     states = [leaves[perm.order] for perm in perms]
     scores = accuracy_eval(np.stack([state.params for state in states]), eval_batch, spec)
     for perm, score in zip(perms, scores):
@@ -190,6 +195,12 @@ def explore_group(
         best_state = settle(states[best], spec)
     except TrainingDiverged as err:
         raise ValueError(f"{where} {perms[best].label()}: {err}") from err
+    if counts_only:  # the winner's chain makes its epoch-0 offers again, into a real buffer
+        order, filled = perms[best].order, buffer.clone()
+        for d, t in enumerate(order):
+            epoch_plan(tasks[t], cfg.batch_size,
+                       np.random.default_rng(prefix_seed(d, order[: d + 1])), filled)
+        best_state = replace(best_state, buffer=filled)
     return GroupExplorationResult(
         group=group,
         best_perm=perms[best],

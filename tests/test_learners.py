@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import learners_reference
 import numpy as np
 import pytest
+from bits import same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from learners_reference import ewc_penalty_grad
@@ -17,6 +18,7 @@ from hiercl.learners import (
     LearnerConfig,
     LearnerState,
     ReplayBuffer,
+    ReplayCounts,
     TrainingDiverged,
     settle,
     train_on_task,
@@ -79,16 +81,22 @@ class _ListReplayBuffer:
        seed=st.integers(0, 2**32 - 1),
        sample_size=st.integers(1, 20))
 def test_array_buffer_matches_list_reference(capacity, sizes, seed, sample_size):
-    # batch sizes around the capacity make some batches straddle the fill boundary
+    # batch sizes around the capacity make some batches straddle the fill
+    # boundary; a counts-only buffer makes the same draws and keeps the
+    # same counts
     data = np.random.default_rng(seed)
     buf, ref = ReplayBuffer(capacity), _ListReplayBuffer(capacity)
-    rng_buf, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = ReplayCounts(ReplayBuffer(capacity))
+    rng_buf, rng_ref, rng_counts = (np.random.default_rng(seed) for _ in range(3))
     for m in sizes:
         x, y = data.normal(size=(m, 3)), data.integers(0, 5, size=m)
         buf.insert_many(x, y, rng_buf)
         ref.insert_many(x, y, rng_ref)
-        assert buf.seen_count == ref.seen_count
-        assert rng_buf.bit_generator.state == rng_ref.bit_generator.state
+        counts.insert_many(x, y, rng_counts)
+        assert buf.seen_count == ref.seen_count == counts.seen_count
+        assert len(counts) == len(buf)
+        assert (rng_buf.bit_generator.state == rng_ref.bit_generator.state
+                == rng_counts.bit_generator.state)
     if ref.seen_count:
         assert np.array_equal(buf.inputs, np.stack(ref.inputs))
         assert np.array_equal(buf.targets, np.stack(ref.targets))
@@ -130,6 +138,14 @@ def test_buffer_validation():
         buf.sample(1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         buf.as_batch()
+    # a counts-only buffer holds no items, however many it counts
+    buf.insert_many(np.eye(3), np.arange(3), np.random.default_rng(0))
+    counts = ReplayCounts(buf).clone()
+    assert type(counts) is ReplayCounts and (len(counts), counts.seen_count) == (3, 3)
+    with pytest.raises(ValueError, match="^a counts-only buffer holds no items$"):
+        counts.sample(1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^a counts-only buffer holds no items$"):
+        counts.as_batch()
 
 
 def test_buffer_fill_phase_keeps_everything():
@@ -326,7 +342,7 @@ def _sums(anchors, ewc=None):
 
 def _same_sums(got, want):
     return (got is None) == (want is None) and (
-        got is None or all(map(_same, got, want)))
+        got is None or all(map(same_bits, got, want)))
 
 
 def test_train_seq_deterministic_and_pure():
@@ -457,13 +473,6 @@ def _clone(buf):
     return buf.clone() if buf is not None else None
 
 
-def _same(got, want):
-    """Bitwise-equal values; a run that overflowed without a nonfinite
-    loss (the loss is checked before each step) holds NaN in the same
-    places on both sides."""
-    return got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
-
-
 def _assert_same_divergence(err, serial_run, serial_task_end):
     """A stack stops at the first step where any row's loss goes
     nonfinite; a lone run of the row it names fails there with the same
@@ -494,8 +503,7 @@ def _assert_same_buffer(got, want):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.seen_count == want.seen_count
-        for a, b in ((got.inputs, want.inputs), (got.targets, want.targets)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert same_bits(got.inputs, want.inputs) and same_bits(got.targets, want.targets)
 
 
 _LOCKSTEP_CASES = dict(
@@ -547,7 +555,7 @@ def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind,
     for i in range(rows):
         with np.errstate(all="ignore"):
             want, ref_rng, ref_buffer = serial_row(i)
-        assert _same(out[i], want)
+        assert same_bits(out[i], want)
         assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
         _assert_same_buffer(lock_buffers[i], ref_buffer)
 
@@ -593,7 +601,7 @@ def _assert_depths_match_serial(parents, orders, tasks, cfg, spec, seeds):
     for i, got in enumerate(states):
         with np.errstate(all="ignore"):
             want, ref_rng = serial_ordering(i)
-        assert _same(got.params, want.params)
+        assert same_bits(got.params, want.params)
         _assert_same_buffer(got.buffer, want.buffer)
         assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
         # the last task's Fisher is estimated only when the state is settled
@@ -705,7 +713,7 @@ def test_train_on_task_gives_the_same_bits_for_any_stack_layout(kind):
                              buffer=[ReplayBuffer(6) for _ in range(3)], pull=pull)
 
     want, got = run(stack), run(np.asfortranarray(stack))
-    assert got.flags.c_contiguous and _same(got, want)
+    assert got.flags.c_contiguous and same_bits(got, want)
 
 
 def _mixed_schedule_stack():
@@ -742,7 +750,7 @@ def test_mixed_schedules_train_every_row_as_a_lone_run(kind):
         row_pull = None if pull is None else tuple(x[i] if np.ndim(x) == 2 else x for x in pull)
         want = serial_train_on_task(stack[i], row_tasks[i], cfg, SPEC, ref_rng,
                                     buffer=ref_buffer, pull=row_pull)
-        assert _same(out[i], want)
+        assert same_bits(out[i], want)
         assert rngs[i].bit_generator.state == ref_rng.bit_generator.state
         _assert_same_buffer(lock_buffers[i], ref_buffer)
 
@@ -801,12 +809,13 @@ def test_train_seq_passes_shared_anchor_arrays_and_stacks_the_rest(monkeypatch):
     train_seq([LearnerState(init, None, sums), LearnerState(init + 1.0, None, sums)],
               tasks[:2], ewc, SPEC, [0, 1])
     a, b = seen.pop()
-    assert _same(a, 3.0 * sums[0]) and _same(b, 3.0 * sums[1])
+    assert same_bits(a, 3.0 * sums[0]) and same_bits(b, 3.0 * sums[1])
     train_seq([LearnerState(init, None, sums), LearnerState(init, None, twin)],
               tasks[:2], ewc, SPEC, [0, 1])
     a, b = seen.pop()
     assert a.shape == b.shape == (2, p)
-    assert _same(a, 3.0 * np.stack([sums[0]] * 2)) and _same(b, 3.0 * np.stack([sums[1]] * 2))
+    assert same_bits(a, 3.0 * np.stack([sums[0]] * 2))
+    assert same_bits(b, 3.0 * np.stack([sums[1]] * 2))
     train_seq([LearnerState(init), LearnerState(init)], tasks[:2], ewc, SPEC, [0, 1])
     assert seen.pop() is None  # no task settled yet
     train_seq([LearnerState(init, None, sums)] * 2, tasks[:2], LearnerConfig(epochs_per_task=1),
@@ -836,8 +845,8 @@ def test_train_on_task_adds_the_pull_to_the_gradient_as_a_w_minus_b(monkeypatch,
     size = {"scalar": (), "shared": w.shape[1:], "stacked": w.shape}[shape]
     a, b = rng.random(size), rng.normal(size=size)
     got = _one_zero_gradient_step(w, (a, b), monkeypatch)
-    assert _same(got, w - (a * w - b))
-    assert _same(_one_zero_gradient_step(w, None, monkeypatch), w)
+    assert same_bits(got, w - (a * w - b))
+    assert same_bits(_one_zero_gradient_step(w, None, monkeypatch), w)
 
 
 def _settled_chain(anchors, monkeypatch):

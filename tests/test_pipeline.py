@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from bits import same_bits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pipeline_reference import explore_orderings
@@ -451,16 +452,17 @@ def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
 
 def _assert_same_state(got, want):
     assert got.pending is None
-    assert got.params.dtype == want.params.dtype and np.array_equal(got.params, want.params)
+    assert same_bits(got.params, want.params)
     assert (got.ewc is None) == (want.ewc is None)
     if want.ewc is not None:
-        assert all(map(np.array_equal, got.ewc, want.ewc))
+        assert all(map(same_bits, got.ewc, want.ewc))
     if want.buffer is None:
         assert got.buffer is None
         return
+    assert type(got.buffer) is ReplayBuffer  # a real buffer, not a counts-only one
     assert got.buffer.seen_count == want.buffer.seen_count
-    assert np.array_equal(got.buffer.inputs, want.buffer.inputs)
-    assert np.array_equal(got.buffer.targets, want.buffer.targets)
+    assert same_bits(got.buffer.inputs, want.buffer.inputs)
+    assert same_bits(got.buffer.targets, want.buffer.targets)
 
 
 def _explore_case(kind, k, seed=0):
@@ -517,6 +519,47 @@ def test_explore_group_trains_each_depth_of_its_prefix_trie_as_one_stack(monkeyp
     group, tasks, init, cfg, buffer, ewc = _explore_case("er", 4)
     explore_group(group, tasks, init, cfg, SPEC, base_seed=0, buffer=buffer, ewc=ewc)
     assert rows == [4, 12, 24, 24]
+
+
+def _count_real_buffer_calls(monkeypatch):
+    """The item counts of the ReplayBuffer.insert_many calls and the
+    buffers cloned, from here on; a counts-only buffer's calls are not
+    ReplayBuffer's."""
+    inserts, cloned = [], []
+    real_insert, real_clone = ReplayBuffer.insert_many, ReplayBuffer.clone
+
+    def insert_many(self, inputs, targets, rng):
+        inserts.append(len(inputs))
+        return real_insert(self, inputs, targets, rng)
+
+    def clone(self):
+        cloned.append(self)
+        return real_clone(self)
+
+    monkeypatch.setattr(ReplayBuffer, "insert_many", insert_many)
+    monkeypatch.setattr(ReplayBuffer, "clone", clone)
+    return inserts, cloned
+
+
+def test_non_replay_exploration_fills_only_the_winners_buffer(monkeypatch):
+    # under ewc the 3 + 6 + 6 prefixes carry buffer counts; after selection
+    # one clone of the caller's buffer is offered each task of the winner's
+    # chain whole, one call per task
+    group, tasks, init, cfg, buffer, ewc = _explore_case("ewc", 3)
+    inserts, cloned = _count_real_buffer_calls(monkeypatch)
+    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc)
+    assert cloned == [buffer]
+    assert inserts == [tasks[t].train.n for t in res.best_perm.order] == [20] * 3
+
+
+def test_replay_exploration_offers_each_step_to_every_prefixs_clone(monkeypatch):
+    # under er each of the 2 + 2 prefixes clones its parent's buffer and
+    # offers each 8-row minibatch of its 20-row task after the step
+    group, tasks, init, cfg, buffer, ewc = _explore_case("er", 2)
+    inserts, cloned = _count_real_buffer_calls(monkeypatch)
+    explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc)
+    assert len(cloned) == 4 and cloned[:2] == [buffer, buffer]
+    assert inserts == [8, 8, 8, 8, 4, 4] * 2  # per depth: each step, then each row
 
 
 @pytest.mark.parametrize("k", [2, 3])
