@@ -2,10 +2,11 @@
 sample Batch, plus the regularized solve (H + lambda*I)x = v under three
 representations.
 
-Diagonal and low-rank variants use the empirical Fisher (mean squared
-per-sample gradients), which is PSD by construction, so any lambda > 0
-makes the system positive definite. The dense variant is a
-finite-difference oracle for small parameter counts only.
+Runs estimate only the empirical Fisher (mean squared per-sample
+gradients): its diagonal or its top eigenpairs. It is PSD by
+construction, so any lambda > 0 makes the system positive definite. A
+dense estimate holds a given symmetric matrix, which may be indefinite;
+its solve checks positive definiteness first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Batch, ModelSpec, fd_hessian_from_grad, loss_and_grad, per_sample_grads
+from .model import Batch, ModelSpec, loss_and_grad, per_sample_grads
 
 VARIANTS = ("diagonal", "lowrank", "dense")
 
@@ -79,18 +80,18 @@ class CurvatureEstimate:
 
 
 def parse_curvature_spec(text: str) -> tuple[str, int | None]:
-    """"diag" | "lowrank:R" | "dense" -> (variant, rank)."""
-    text = text.strip().lower()
-    if text in ("diag", "diagonal"):
+    """A `run.curvature` value -> (variant, rank): "diag" -> ("diagonal",
+    None), "lowrank" -> ("lowrank", 10) and "lowrank:R" -> ("lowrank", R)."""
+    spec = text.strip().lower()
+    if spec in ("diag", "diagonal"):
         return "diagonal", None
-    if text == "dense":
-        return "dense", None
-    if text.startswith("lowrank"):
-        r = text.partition(":")[2].strip() or "10"
-        if not r.isdigit() or int(r) < 1:
-            raise ValueError(f"curvature spec {text!r}: lowrank rank must be a positive integer")
-        return "lowrank", int(r)
-    raise ValueError(f"unknown curvature spec {text!r}")
+    head, colon, rank = (part.strip() for part in spec.partition(":"))
+    if head == "lowrank" and not colon:
+        return "lowrank", 10
+    if head == "lowrank" and rank.isdecimal() and int(rank) >= 1:
+        return "lowrank", int(rank)
+    raise ValueError(f"run.curvature={text!r}: expected diag, lowrank (rank 10) or lowrank:R "
+                     f"with R a positive integer")
 
 
 def estimate_gradient(params, pool: Batch, spec: ModelSpec) -> np.ndarray:
@@ -165,15 +166,6 @@ def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> 
     keep = d > 1e-12
     u, d = u[:, keep], np.maximum(d[keep], 0.0)
     return CurvatureEstimate("lowrank", factors=(u, d))
-
-
-def exact_dense_hessian_oracle(params, pool: Batch, spec: ModelSpec,
-                               h: float = 1e-4) -> CurvatureEstimate:
-    """Finite-difference Hessian of the pool's mean loss, by central
-    differences of the analytic gradient. Small p only; the dimension
-    guard lives in the differencing helper."""
-    hess = fd_hessian_from_grad(lambda w: loss_and_grad(w, pool, spec)[1], params, h)
-    return CurvatureEstimate("dense", matrix=hess)
 
 
 def quad_form(curv: CurvatureEstimate, v: np.ndarray) -> float:

@@ -3,8 +3,7 @@
 All model state lives in a single 1-D float64 array so that second-order
 consolidation can treat the network as a point in R^p. Forward, loss,
 analytic gradients and per-sample gradients are implemented with plain
-numpy; finite-difference helpers serve as independent oracles for tests
-and for the dense curvature path.
+numpy.
 
 `loss_and_grad` and `accuracy_eval` also take a (P, p) stack of parameter
 vectors, with a stacked (P, n, d) Batch or one shared (n, d) Batch, and
@@ -23,9 +22,6 @@ ParamVector = np.ndarray  # flat float64 vector of length p
 
 ACTIVATIONS = ("tanh", "relu")
 TASK_KINDS = ("classification", "regression")
-
-# finite-difference Hessians are dense p x p; keep oracle use small
-MAX_ORACLE_DIM = 200
 
 
 @dataclass(frozen=True)
@@ -278,27 +274,4 @@ def accuracy_eval(params: ParamVector, batch: Batch, spec: ModelSpec):
     r = out - _regression_targets(batch)
     mse = (r ** 2).reshape(*r.shape[:-2], -1).mean(axis=-1)
     return 1.0 / (1.0 + mse)
-
-
-def _coord_steps(w: np.ndarray, h: float) -> np.ndarray:
-    # relative step balances truncation against rounding error
-    return h * (1.0 + np.abs(w))
-
-
-def fd_hessian_from_grad(grad_fn, w: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Symmetrized central differences of a gradient function."""
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
-    w = np.asarray(w, dtype=np.float64)
-    if w.size > MAX_ORACLE_DIM:
-        raise ValueError(
-            f"dense finite-difference Hessian limited to p <= {MAX_ORACLE_DIM}, got {w.size}"
-        )
-    steps = _coord_steps(w, h)
-    cols = np.empty((w.size, w.size))
-    for i in range(w.size):
-        e = np.zeros_like(w)
-        e[i] = steps[i]
-        cols[:, i] = (grad_fn(w + e) - grad_fn(w - e)) / (2.0 * steps[i])
-    return 0.5 * (cols + cols.T)
 

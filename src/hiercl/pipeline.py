@@ -26,8 +26,7 @@ import numpy as np
 from .consolidation import (HierarchyState, catch_up, init_hierarchy, lambda_schedule,
                             multi_level_consolidate)
 from .curvature import (estimate_diag_curvature, estimate_gradient,
-                        estimate_lowrank_curvature, exact_dense_hessian_oracle,
-                        parse_curvature_spec)
+                        estimate_lowrank_curvature, parse_curvature_spec)
 from .learners import (LearnerConfig, LearnerState, ReplayBuffer, ReplayCounts,
                        TrainingDiverged, epoch_plan, settle, train_seq)
 from .memo import PrefixMemo, membership_prefixes, train_trie
@@ -222,17 +221,15 @@ def consolidation_pool(buffer: ReplayBuffer, group_batches: list[Batch],
 
 
 def _estimator(cfg: PipelineConfig, pool: Batch, spec):
-    """estimate(w) -> (g, H) on `pool`: the gradient, then the curvature
-    that cfg.curvature names."""
+    """estimate(w) -> (g, H) on `pool`: the gradient, then the empirical
+    Fisher's diagonal or top eigenpairs, as cfg.curvature names."""
     variant, rank = parse_curvature_spec(cfg.curvature)
 
     def estimate(w):
         grad = estimate_gradient(w, pool, spec)
         if variant == "diagonal":
             return grad, estimate_diag_curvature(w, pool, spec)
-        if variant == "lowrank":
-            return grad, estimate_lowrank_curvature(w, pool, spec, rank)
-        return grad, exact_dense_hessian_oracle(w, pool, spec)
+        return grad, estimate_lowrank_curvature(w, pool, spec, rank)
 
     return estimate
 

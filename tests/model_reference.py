@@ -8,13 +8,22 @@ and a backward pass that recomputes each hidden derivative from the
 pre-activations. They run on one unstacked batch, through their own
 copies of the parameter split and the output loss, so the library's
 stacked kernels are checked against code they do not share. The library
-kernels must match them bit for bit. `fd_gradient` is the
-central-difference gradient oracle.
+kernels must match them bit for bit.
+
+The finite-difference oracles: `fd_gradient` differences a scalar
+function, `fd_hessian_from_grad` a gradient function, and
+`exact_dense_hessian_oracle` is the Hessian of a pool's mean loss, from
+central differences of the analytic gradient. The Hessian is dense p x p,
+so the oracle serves small nets only (p <= MAX_ORACLE_DIM).
 """
 
 import numpy as np
 
-from hiercl.model import Batch, ModelSpec, _check_batch, _coord_steps
+from hiercl.curvature import CurvatureEstimate
+from hiercl.model import Batch, ModelSpec, _check_batch, loss_and_grad
+
+# finite-difference Hessians are dense p x p; keep oracle use small
+MAX_ORACLE_DIM = 200
 
 
 def _regression_targets(batch: Batch) -> np.ndarray:
@@ -66,6 +75,11 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     return loss, 2.0 * r / r.size
 
 
+def _coord_steps(w: np.ndarray, h: float) -> np.ndarray:
+    # relative step balances truncation against rounding error
+    return h * (1.0 + np.abs(w))
+
+
 def fd_gradient(fn, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function."""
     w = np.asarray(w, dtype=np.float64)
@@ -76,6 +90,33 @@ def fd_gradient(fn, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
         e[i] = steps[i]
         g[i] = (fn(w + e) - fn(w - e)) / (2.0 * steps[i])
     return g
+
+
+def fd_hessian_from_grad(grad_fn, w: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Symmetrized central differences of a gradient function."""
+    if h <= 0:
+        raise ValueError("finite-difference step must be positive")
+    w = np.asarray(w, dtype=np.float64)
+    if w.size > MAX_ORACLE_DIM:
+        raise ValueError(
+            f"dense finite-difference Hessian limited to p <= {MAX_ORACLE_DIM}, got {w.size}"
+        )
+    steps = _coord_steps(w, h)
+    cols = np.empty((w.size, w.size))
+    for i in range(w.size):
+        e = np.zeros_like(w)
+        e[i] = steps[i]
+        cols[:, i] = (grad_fn(w + e) - grad_fn(w - e)) / (2.0 * steps[i])
+    return 0.5 * (cols + cols.T)
+
+
+def exact_dense_hessian_oracle(params, pool: Batch, spec: ModelSpec,
+                               h: float = 1e-4) -> CurvatureEstimate:
+    """Finite-difference Hessian of the pool's mean loss, by central
+    differences of the analytic gradient. Small p only; the dimension
+    guard lives in the differencing helper."""
+    hess = fd_hessian_from_grad(lambda w: loss_and_grad(w, pool, spec)[1], params, h)
+    return CurvatureEstimate("dense", matrix=hess)
 
 
 def _ref_forward(params, inputs, spec: ModelSpec):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiercl import pipeline
 from hiercl.cli import _build_parser, _config_from_args, main
 from hiercl.config import (_KEYMAP, DatasetConfig, ExperimentConfig,
                            build_experiment_config, parse_config_text)
@@ -91,7 +92,8 @@ _SECTIONS = {"dataset": DatasetConfig, "learner": LearnerConfig,
 _INTS = st.integers(-2**16, 2**16)
 _NONE = st.sampled_from(("none", "off", "None"))
 _WORDS = ("gaussians", "permuted", "sine", "sgd", "er", "ewc", "diag", "dense", "lowrank:3",
-          "lowrank:0", "group_val", "seen_test", "running", "pairwise", "all", "results.csv")
+          "lowrank:0", "lowrank5", "group_val", "seen_test", "running", "pairwise", "all",
+          "results.csv")
 _METHODS = ("seq", "hier", "fedavg", "fedprox", "central")
 # field annotation -> text a config file could hold for it
 _TEXT_FOR = {
@@ -416,7 +418,9 @@ _BAD_VALUES = [
     ("run.seeds=-1", "seeds"),
     ("run.levels=0", "levels"),
     ("run.catchup=-1", "catchup"),
-    ("run.curvature=lowrank:abc", "curvature"),
+    ("run.curvature=lowrank:abc", "run.curvature"),
+    ("run.curvature=lowrank5", "run.curvature"),  # not rank 5, nor the default 10
+    ("run.curvature=dense", "run.curvature"),  # runs estimate only the empirical Fisher
     ("run.hidden=0", "hidden"),
     ("run.perm_sample_seed=-1", "perm_sample_seed"),
 ]
@@ -505,15 +509,18 @@ def test_a_run_that_diverges_after_its_first_record_leaves_the_out_file_untouche
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
-def test_a_failed_cell_names_its_seed_method_and_order(tmp_path):
-    # the dense curvature is indefinite at lambda 1 in the first hier cell
+def test_a_failed_cell_names_its_seed_method_and_order(tmp_path, monkeypatch):
+    # a nonfinite gradient fails the first consolidation of the first hier cell
+    real = pipeline.estimate_gradient
+    monkeypatch.setattr(pipeline, "estimate_gradient",
+                        lambda params, pool, spec: real(params, pool, spec) * np.nan)
     cfg = build_experiment_config({
         "dataset.num_classes": "4", "dataset.classes_per_task": "2", "run.group_size": "1",
-        "run.curvature": "dense", "run.hidden": "3", "run.perms": "3", "run.seeds": "0"})
+        "run.hidden": "3", "run.perms": "3", "run.seeds": "0"})
     out_csv = tmp_path / "x.csv"
     out_csv.write_bytes(b"method,seed\nkept,0\n")
     with pytest.raises(ValueError, match=r"^seed 0: sgd\+hier: order 0-1: group 1: level 0: "
-                                         r"lambda 1\.0 does not make the dense system "):
+                                         r"nonfinite inputs to regularized_solve"):
         run_experiment(cfg, str(out_csv))
     assert out_csv.read_bytes() == b"method,seed\nkept,0\n"
 

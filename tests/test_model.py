@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiercl.curvature import estimate_diag_curvature, exact_dense_hessian_oracle
+from hiercl.curvature import estimate_diag_curvature
 from hiercl.model import (
     Batch,
     ModelSpec,
     accuracy_eval,
-    fd_hessian_from_grad,
     init_params,
     loss_and_grad,
     per_sample_grads,
     predict,
 )
-from model_reference import (fd_gradient, ref_accuracy_eval, ref_init_params,
-                             ref_loss_and_grad, ref_per_sample_grads)
+from model_reference import (exact_dense_hessian_oracle, fd_gradient, fd_hessian_from_grad,
+                             ref_accuracy_eval, ref_init_params, ref_loss_and_grad,
+                             ref_per_sample_grads)
 
 CLS = ModelSpec((4, 6, 3))
 REG = ModelSpec((3, 5, 2), task_kind="regression")

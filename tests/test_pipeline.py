@@ -241,61 +241,55 @@ def test_lowrank_curvature_path_runs():
     assert res.audit["violations"] == 0
 
 
-def test_dense_curvature_path_runs():
-    # dense needs lambda > -mu_min; at a perfect regression fit the Hessian
-    # is the PSD Gauss-Newton term, so any positive lambda is admissible
-    spec = ModelSpec((3, 4, 2), task_kind="regression")
-    w = init_params(spec, 0)
-    tasks = _constant_score_tasks(spec, w, ids=(0, 1, 2, 3))
-    cfg = _cfg(curvature="dense",
-               learner=LearnerConfig(kind="er", epochs_per_task=1,
-                                     weight_decay=0.0, buffer_capacity=8))
-    res = run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, spec, init=w)
-    # nothing ever moves: gradients are zero and every target equals w
-    for level in res.hierarchy.levels:
-        assert np.max(np.abs(level - w)) < 1e-9
-
-
-@pytest.mark.parametrize("group_size, lam, factor, where", [
-    (1, 1e-3, 1.0, "group 1: level 0"),
-    (1, 5.0, 1e-3, "group 1: level 1"),
-    (2, 1e-3, 1.0, "catch-up pass 0: level 0"),  # one group: it only copies
+@pytest.mark.parametrize("num_classes, group_size, bad_call, where", [
+    pytest.param(4, 1, 0, "group 1: level 0", id="level0"),
+    # at group 1 every level has level 0's bits and reuses its estimate; at
+    # group 2 they differ, and level 1's estimate is the run's third
+    pytest.param(8, 1, 2, "group 2: level 1", id="level1"),
+    pytest.param(4, 2, 0, "catch-up pass 0: level 0", id="catchup"),  # one group: it only copies
 ])
-def test_consolidation_failure_names_the_group_or_pass_and_the_level(group_size, lam, factor,
-                                                                     where):
-    # the exact Hessian of this classifier is indefinite, so a small enough
-    # lambda leaves the dense system without a solution
-    cfg = _cfg(curvature="dense", group_size=group_size, lam=lam, lambda_factor=factor)
-    want = f"^{where}: lambda .* does not make the dense system positive definite"
-    with pytest.raises(ValueError, match=want):
-        run_pipeline(_tasks(num_classes=4), Permutation((1, 0)), cfg, ModelSpec((4, 3, 8)))
+def test_consolidation_failure_names_the_group_or_pass_and_the_level(monkeypatch, num_classes,
+                                                                     group_size, bad_call, where):
+    # a nonfinite gradient at the chosen estimate makes the solve refuse it
+    real, count = pipeline.estimate_gradient, itertools.count()
+
+    def poisoned(params, pool, spec):
+        grad = real(params, pool, spec)
+        return grad * np.nan if next(count) == bad_call else grad
+
+    monkeypatch.setattr(pipeline, "estimate_gradient", poisoned)
+    tasks = _tasks(num_classes=num_classes)
+    with pytest.raises(ValueError, match=f"^{where}: nonfinite inputs to regularized_solve"):
+        run_pipeline(tasks, Permutation(tuple(range(len(tasks)))), _cfg(group_size=group_size),
+                     SPEC)
 
 
-def test_dense_hessian_and_gradient_share_the_capped_pool(monkeypatch):
+def test_gradient_and_curvature_share_the_capped_pool(monkeypatch):
     # buffer (8) plus a group's train data (10) exceed sample_cap=7: g and
     # H must both come from the same thinned pool
     spec = ModelSpec((3, 4, 2), task_kind="regression")
     w = init_params(spec, 0)
     tasks = _constant_score_tasks(spec, w, ids=(0, 1, 2, 3))
-    cfg = _cfg(curvature="dense", sample_cap=7,
+    cfg = _cfg(sample_cap=7,
                learner=LearnerConfig(kind="er", epochs_per_task=1,
                                      weight_decay=0.0, buffer_capacity=8))
-    seen = {"grad": [], "hess": []}
-    real_grad, real_hess = curvature.loss_and_grad, pipeline.exact_dense_hessian_oracle
+    seen = {"grad": [], "curv": []}
+    real_grad, real_curv = pipeline.estimate_gradient, pipeline.estimate_diag_curvature
 
-    def grad(params, batch, spec):
-        seen["grad"].append(batch.n)
-        return real_grad(params, batch, spec)
+    def grad(params, pool, spec):
+        seen["grad"].append(pool)
+        return real_grad(params, pool, spec)
 
-    def hess(params, pool, spec):
-        seen["hess"].append(pool.n)
-        return real_hess(params, pool, spec)
+    def curv(params, pool, spec):
+        seen["curv"].append(pool)
+        return real_curv(params, pool, spec)
 
-    monkeypatch.setattr(curvature, "loss_and_grad", grad)
-    monkeypatch.setattr(pipeline, "exact_dense_hessian_oracle", hess)
+    monkeypatch.setattr(pipeline, "estimate_gradient", grad)
+    monkeypatch.setattr(pipeline, "estimate_diag_curvature", curv)
     run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, spec, init=w)
-    assert seen["grad"] and seen["hess"]
-    assert set(seen["grad"]) == set(seen["hess"]) == {7}
+    assert seen["grad"] and len(seen["grad"]) == len(seen["curv"])
+    assert all(g is h for g, h in zip(seen["grad"], seen["curv"]))
+    assert {pool.n for pool in seen["grad"]} == {7}
 
 
 @pytest.mark.parametrize("num_classes, group_size, pools", [(8, 1, 3), (8, 2, 1), (4, 2, 1)])
