@@ -67,6 +67,10 @@ class ReplayBuffer:
             slot, row = int(draws[j]), k + j
             self.inputs[slot], self.targets[slot] = inputs[row], targets[row]
 
+    def offer(self, batch: Batch, order, rng: np.random.Generator):
+        """insert_many of `batch`'s rows, taken in `order`."""
+        self.insert_many(batch.inputs[order], batch.targets[order], rng)
+
     def sample(self, size: int, rng: np.random.Generator):
         """Uniform draw of `size` stored items -> (inputs, targets).
         Samples without replacement when the buffer is large enough."""
@@ -100,6 +104,9 @@ class ReplayCounts(ReplayBuffer):
 
     def insert_many(self, inputs, targets, rng: np.random.Generator):
         self._draws(len(targets), rng)
+
+    def offer(self, batch: Batch, order, rng: np.random.Generator):  # copies no rows
+        self._draws(len(order), rng)
 
     def _no_items(self, *args):
         raise ValueError("a counts-only buffer holds no items")
@@ -183,7 +190,7 @@ def epoch_plan(task: TaskDataset, batch_size: int, rng, buffer=None):
     after the draw, as a non-replay learner's epoch 0 does."""
     order = rng.permutation(task.train.n)
     if buffer is not None:
-        buffer.insert_many(task.train.inputs[order], task.train.targets[order], rng)
+        buffer.offer(task.train, order, rng)
     return [order[s : s + batch_size] for s in range(0, len(order), batch_size)]
 
 

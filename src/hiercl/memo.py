@@ -11,12 +11,15 @@ wall time therefore carries the whole trie. (Hier exploration trains the
 orderings inside one group as such a trie too.) Hier cells share them
 through a PrefixMemo: a cell names its prefixes by a chain of keys, one
 per group, each key encoding the whole prefix it ends; the runner resumes
-from the deepest stored key of its chain and computes only the rest.
+from the deepest stored key of its chain and computes only the rest. The
+same memo shares the nodes of the explored tries: explorations that start
+from one membership prefix train each ordering prefix once between them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 
 from .learners import TrainingDiverged
 
@@ -89,14 +92,19 @@ def membership_prefixes(groups) -> list[tuple[tuple[int, ...], ...]]:
 class PrefixMemo:
     """Prefix states for the planned cells of one data seed and method.
 
-    `chains` holds every planned cell's key chain, in run order. A cell
-    resumes from the deepest key it shares with any earlier cell, so that
-    key's state is kept only while such resumes remain and is dropped after
-    the last one; a plan whose cells share no prefix keeps nothing. Every
-    cell that uses one memo must pass the same tasks, config, initial
+    `chains` holds every planned cell's key chain, in run order; a key ends
+    with its group's members (membership_prefixes). A cell resumes from the
+    deepest key it shares with any earlier cell, so each distinct key is
+    explored once, from the key before it (its start, () for group 0). That
+    exploration's trie nodes are keyed (start, ordering prefix), and every
+    later exploration through a node as a non-leaf takes it; a start is
+    never a group, so no node key equals a membership key. A state of
+    either kind is kept only while such uses remain and is dropped after
+    the last one; one asked for more often than planned is computed again.
+    Every cell that uses one memo must pass the same tasks, config, initial
     weights and seed. Stored states are never written again: runners copy
-    whatever they go on to change. An empty memo keeps nothing, which is how
-    a runner called without one behaves.
+    whatever they go on to change. An empty memo keeps nothing, which is
+    how a runner called without one behaves.
     """
 
     def __init__(self, chains=()):
@@ -108,22 +116,31 @@ class PrefixMemo:
             if shared:
                 self._uses[shared[-1]] += 1
             seen.update(chain)
+        # a key's exploration trains every ordering of its last group's members
+        passes = Counter((key[:-1], prefix) for key in seen for depth in range(1, len(key[-1]))
+                         for prefix in permutations(key[-1], depth))
+        self._uses.update({node: n - 1 for node, n in passes.items() if n > 1})
+
+    def take(self, key):
+        """The state stored under `key`, counting one use of it; None when
+        none is stored."""
+        if key not in self._states:
+            return None
+        self._uses[key] -= 1
+        return self._states[key] if self._uses[key] else self._states.pop(key)
 
     def resume(self, chain) -> tuple[int, object]:
         """(depth, state) of the deepest stored key of `chain`, counting one
         use of it; (0, None) when none of its keys is stored."""
         for depth in range(len(chain), 0, -1):
-            key = chain[depth - 1]
-            if key in self._states:
-                self._uses[key] -= 1
-                if self._uses[key]:
-                    return depth, self._states[key]
-                return depth, self._states.pop(key)
+            state = self.take(chain[depth - 1])
+            if state is not None:
+                return depth, state
         return 0, None
 
     def store(self, key, state) -> bool:
-        """Keep `state` under `key` if a later planned cell resumes from it;
-        returns whether it was kept."""
+        """Keep `state` under `key` if a later planned use takes it; returns
+        whether it was kept."""
         if self._uses[key] <= 0 or key in self._states:
             return False
         self._states[key] = state

@@ -15,6 +15,7 @@ call on that row alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class ModelSpec:
     def output_dim(self) -> int:
         return self.layer_widths[-1]
 
-    @property
+    @cached_property  # in the instance dict, so eq and hash still see the fields only
     def param_count(self) -> int:
         return sum(a * b + b for a, b in zip(self.layer_widths, self.layer_widths[1:]))
 

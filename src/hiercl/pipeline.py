@@ -12,7 +12,8 @@ the training seed of each ordering prefix depends only on (base seed,
 group index, task ids), so two arrival sequences with the same group
 membership produce bitwise-identical hierarchies. A sweep uses that:
 run_pipeline resumes from the deepest run of group memberships that a
-PrefixMemo holds.
+PrefixMemo holds, and explorations that start from the same memberships
+take the ordering prefixes they share from it.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ def explore_group(
     buffer: ReplayBuffer | None = None,
     ewc=None,
     seen_task_ids=None,
+    memo: PrefixMemo | None = None,
+    start: tuple = (),
 ) -> GroupExplorationResult:
     """Train every ordering of the group from identical snapshots and pick
     the best score; ties go to the lexicographically smallest ordering.
@@ -160,8 +163,11 @@ def explore_group(
     which read no buffer in training, the trie carries only its counts
     (ReplayCounts) and the winner's chain alone fills a clone of `buffer`.
     Every prefix but the full orderings is settled (its EWC Fisher
-    estimated) before its children train; the k! orderings are scored by
-    one accuracy_eval call, and only the winner is settled. A nonfinite
+    estimated) before its children train, and offered to `memo` as the node
+    (start, prefix), `start` being the membership key the group starts
+    from; a depth's prefixes whose nodes the memo holds are taken from it,
+    and only the rest of each stack is trained. The k! orderings are scored
+    by one accuracy_eval call, and only the winner is settled. A nonfinite
     loss, nonfinite params at the end of a task, or a nonfinite EWC Fisher
     stop training at once, and the error names the first prefix of its
     stack where that happened (the ordering, for the winner's Fisher)."""
@@ -174,12 +180,25 @@ def explore_group(
     def prefix_seed(depth, prefix):
         return derive_seed(base_seed, HIER_STREAM, group.group_index, depth + 1, *prefix)
 
+    memo = PrefixMemo() if memo is None else memo
+
     def train_stack(depth, prefixes, parents):
-        states = train_seq(parents, [tasks[p[-1]] for p in prefixes], cfg, spec,
-                           [prefix_seed(depth, p) for p in prefixes])
-        if depth == last:
-            return states
-        return [settle(state, spec, row) for row, state in enumerate(states)]
+        nodes = [memo.take((start, p)) for p in prefixes]  # leaves are never stored
+        rows = [row for row, node in enumerate(nodes) if node is None]
+        if not rows:
+            return nodes
+        try:
+            states = train_seq([parents[r] for r in rows], [tasks[prefixes[r][-1]] for r in rows],
+                               cfg, spec, [prefix_seed(depth, prefixes[r]) for r in rows])
+        except TrainingDiverged as err:
+            err.index = rows[err.index]  # the row of the whole stack
+            raise
+        for row, state in zip(rows, states):
+            if depth < last:
+                state = settle(state, spec, row)
+                memo.store((start, prefixes[row]), state)
+            nodes[row] = state
+        return nodes
 
     counts_only = buffer is not None and cfg.kind != "er"
     root = LearnerState(init, ReplayCounts(buffer) if counts_only else buffer, ewc)
@@ -260,12 +279,15 @@ class _Prefix:
 
 
 def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
-                  tasks, cfg: PipelineConfig, spec, seed: int) -> _Prefix:
-    """Explore one group from `node`, consolidate its winner and, after the
-    last group, run the catch-up passes."""
+                  tasks, cfg: PipelineConfig, spec, seed: int, memo: PrefixMemo,
+                  start: tuple) -> _Prefix:
+    """Explore one group from `node`, the state after the membership key
+    `start`, consolidate its winner and, after the last group, run the
+    catch-up passes."""
     res = explore_group(
         group, tasks, node.hier.levels[0], cfg.learner, spec, seed,
         cfg.eval_policy, buffer=node.buffer, ewc=node.ewc, seen_task_ids=seen,
+        memo=memo, start=start,
     )
     buffer, local = res.best_state.buffer, res.best_state.params
     # group 0 only copies the local model; its pool is needed only when it
@@ -303,7 +325,8 @@ def run_pipeline(
     memo: PrefixMemo | None = None,
 ) -> RunResult:
     """Resumes from the longest run of group memberships stored in `memo`
-    and offers it each later one; the matrix rows, each TaskGroup's task ids
+    and offers it each later one, and each group's explored trie nodes
+    (see explore_group); the matrix rows, each TaskGroup's task ids
     and the log's task ids follow this call's own arrival order, and the
     selection audit runs on every call."""
     order = arrival_order(full_perm, len(tasks))
@@ -321,7 +344,7 @@ def run_pipeline(
     for g in range(depth, len(groups)):
         seen = tuple(t for group in groups[: g + 1] for t in group.task_ids)
         node = _absorb_group(node, groups[g], seen, g == len(groups) - 1,
-                             tasks, cfg, spec, seed)
+                             tasks, cfg, spec, seed, memo, keys[g][:-1])
         memo.store(keys[g], node)
 
     matrix = np.zeros((t_count, t_count))

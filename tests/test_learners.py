@@ -148,6 +148,21 @@ def test_buffer_validation():
         counts.as_batch()
 
 
+def test_an_offer_inserts_rows_in_order_and_a_counts_only_offer_reads_none():
+    # past the fill phase, so the eviction draws decide which rows stay
+    batch = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
+    order = np.random.default_rng(0).permutation(10)
+    buf, ref, counts = ReplayBuffer(4), ReplayBuffer(4), ReplayCounts(ReplayBuffer(4))
+    rng_buf, rng_ref, rng_counts = (np.random.default_rng(1) for _ in range(3))
+    buf.offer(batch, order, rng_buf)
+    ref.insert_many(batch.inputs[order], batch.targets[order], rng_ref)
+    counts.offer(None, order, rng_counts)  # only the order's length is read
+    assert same_bits(buf.inputs, ref.inputs) and same_bits(buf.targets, ref.targets)
+    assert (len(counts), counts.seen_count) == (len(buf), buf.seen_count) == (4, 10)
+    assert (rng_buf.bit_generator.state == rng_ref.bit_generator.state
+            == rng_counts.bit_generator.state)
+
+
 def test_buffer_fill_phase_keeps_everything():
     rng = np.random.default_rng(0)
     buf = ReplayBuffer(5)

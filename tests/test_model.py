@@ -1,5 +1,7 @@
 """Tests for the flat-parameter dense network and its finite-difference oracles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,11 @@ def test_param_count():
     # (4*6 + 6) + (6*3 + 3) = 51
     assert CLS.param_count == 51
     assert init_params(CLS, 0).shape == (51,)
+    # the count is computed once per spec and kept out of eq, hash and repr
+    fresh = ModelSpec((4, 6, 3))
+    assert "param_count" not in vars(fresh) and "param_count" in vars(CLS)
+    assert fresh == CLS and hash(fresh) == hash(CLS) and repr(fresh) == repr(CLS)
+    assert [f.name for f in fields(CLS)] == ["layer_widths", "activation", "task_kind"]
 
 
 def test_init_deterministic_and_bias_zero():

@@ -122,10 +122,16 @@ run.audit_draws=20
 # hier cells train nothing at all
 _TINY_SHARED = _TINY_ER.replace("run.perms=2\n", "run.perms=all\n")
 
+# 6 tasks in groups of 3 over 3 sampled orders: the later explorations of
+# group 0 take some of their ordering prefixes, (5,), (2, 3) and others,
+# from the memo and train only the rest of each stack
+_TINY_EWC_SHARED = _TINY_EWC.replace("run.perms=1\n", "run.perms=3\n")
+
 
 @pytest.mark.parametrize("config, like", [(_TINY_ER, "sweep-er-k2"),
                                           (_TINY_SHARED, "sweep-er-k2"),
                                           (_TINY_EWC, "explore-ewc-k4"),
+                                          (_TINY_EWC_SHARED, "explore-ewc-k4"),
                                           (_TINY_WIDE, "consolidate-wide-k1")])
 def test_traced_tiny_run_reaches_every_traced_name(monkeypatch, config, like):
     # A structural change can break a benchmark run only at bench time: a

@@ -7,18 +7,21 @@ included. Hier cells resume from a PrefixMemo and must match run_pipeline
 called without one, field by field; the sweep's CSV rows must match both.
 Running the planned cells in reverse, asking a cell twice and asking an
 order outside the plan show that no shared state is written after it is
-made.
+made. Hier explorations that start from one membership prefix share their
+ordering prefixes through the same memo: a sweep trains each distinct
+(start, prefix) node once.
 """
 
 import math
 from dataclasses import replace
+from itertools import permutations
 
 import experiment_reference
 import numpy as np
 import pytest
 from experiment_reference import arrival_prefixes
 
-from hiercl import curvature, federated, learners
+from hiercl import curvature, federated, learners, model
 from hiercl.config import build_experiment_config
 from hiercl.experiment import (hier_chain, make_model_spec, make_tasks, run_baseline_seq,
                                run_experiment)
@@ -111,9 +114,11 @@ def _plan(cfg, method, perms):
 
 
 def _holds_nothing(plan, chains):
+    """No result or state is left: for hier, neither a membership state
+    that a chain could resume from nor a within-group trie node."""
     if isinstance(plan, ArrivalPlan):
         return not plan._todo and not plan._results
-    return all(plan.resume(chain) == (0, None) for chain in chains)
+    return all(plan.resume(chain) == (0, None) for chain in chains) and not plan._states
 
 
 def _matrix(method, out):
@@ -300,14 +305,17 @@ def test_prefix_keys():
 
 
 def test_memo_keeps_a_state_only_for_later_resumes():
-    chains = [arrival_prefixes(p) for p in ((0, 1, 2), (0, 1, 3), (0, 2, 1), (4, 0, 1))]
+    # groups of one task: each key is an arrival prefix, and no group has
+    # an ordering prefix short of a full ordering, so no trie node is planned
+    chains = [membership_prefixes(arrival_groups(p, 1))
+              for p in ((0, 1, 2), (0, 1, 3), (0, 2, 1), (4, 0, 1))]
     memo = PrefixMemo(chains)
     # (0, 1) is resumed once by the second chain and (0,) once by the third
     assert memo.resume(chains[0]) == (0, None)
     assert [memo.store(key, key) for key in chains[0]] == [True, True, False]
-    assert memo.resume(chains[1]) == (2, (0, 1))
+    assert memo.resume(chains[1]) == (2, ((0,), (1,)))
     assert [memo.store(key, key) for key in chains[1][2:]] == [False]
-    assert memo.resume(chains[2]) == (1, (0,))
+    assert memo.resume(chains[2]) == (1, ((0,),))
     assert not any(memo.store(key, key) for key in chains[2] + chains[3])
     assert _holds_nothing(memo, chains)
 
@@ -339,3 +347,93 @@ def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch):
     depth, node = plan.resume(chains[1])
     assert depth == 2 and node is not None
     assert _holds_nothing(plan, chains)
+
+
+def test_memo_keeps_a_trie_node_for_each_later_exploration_through_it():
+    # groups of two: the group-0 memberships {0, 1}, {0, 2} and {0, 3} each
+    # pass through the ordering prefix (0,) from the start (), so the first
+    # exploration trains it and two later ones take it; (1,) is explored
+    # once. After {0, 1}, the second group {2, 3} and {3, 2} are one key.
+    chains = [membership_prefixes(arrival_groups(p, 2))
+              for p in ((0, 1, 2, 3), (1, 0, 3, 2), (0, 2, 1, 3), (3, 0, 2, 1))]
+    memo = PrefixMemo(chains)
+    node = ((), (0,))
+    assert all(node not in chain for chain in chains)  # keys of two kinds never collide
+    assert memo.store(node, "state after task 0")
+    assert not memo.store(node, "again") and not memo.store(((), (1,)), "once")
+    assert not memo.store((((0, 1),), (2,)), "explored once after {0, 1}")
+    assert memo.take(node) == "state after task 0"
+    assert memo.take(node) == "state after task 0"
+    assert memo.take(node) is None  # a use past the plan finds nothing
+    assert not memo.store(node, "asked a fourth time")
+    assert _holds_nothing(memo, chains)
+
+
+def _distinct_nodes(cfg, perms):
+    """The (start, ordering prefix) pairs of every planned hier cell: the
+    sorted memberships of the groups before a group, and every prefix of
+    every ordering of that group's tasks, full orderings included."""
+    nodes = set()
+    for perm in perms:
+        order, k = perm.order, cfg.pipeline.group_size
+        groups = [order[i : i + k] for i in range(0, len(order), k)]
+        for g, group in enumerate(groups):
+            start = tuple(tuple(sorted(members)) for members in groups[:g])
+            nodes.update((start, prefix) for depth in range(1, len(group) + 1)
+                         for prefix in permutations(group, depth))
+    return nodes
+
+
+@pytest.mark.parametrize("case", ["ewc-k3-sampled", "er-k2-all-running"])
+def test_a_hier_sweep_trains_each_trie_node_once(monkeypatch, case):
+    # every (start, prefix) node is one train_on_task row, whether its
+    # group's membership is shared by other explorations or not
+    rows = []
+
+    def counting(params, *args, **kwargs):
+        rows.append(len(params))
+        return train_on_task(params, *args, **kwargs)
+
+    train_on_task = learners.train_on_task
+    monkeypatch.setattr(learners, "train_on_task", counting)
+    cfg = build_experiment_config({**_TINY, **CASES[case], "run.methods": "hier"})
+    records, _ = run_experiment(cfg, csv_path="")
+    nodes = _distinct_nodes(cfg, _perms(cfg))
+    assert len(records) == len(_perms(cfg)) * len(cfg.seeds)
+    assert sum(rows) == len(nodes) * len(cfg.seeds)
+    # explorations do share: each would otherwise train all its own prefixes
+    explorations = {(start, tuple(sorted(prefix))) for start, prefix in nodes
+                    if len(prefix) == cfg.pipeline.group_size}
+    k = cfg.pipeline.group_size
+    assert len(nodes) < len(explorations) * sum(math.perm(k, d) for d in range(1, k + 1))
+
+
+@pytest.mark.parametrize("poison", ["fisher", "loss"])
+def test_a_diverged_partly_served_stack_names_its_hier_prefix(monkeypatch, poison):
+    # all orders of 4 tasks in groups of 2: the third cell's group {0, 2}
+    # takes the node (0,) from the memo and trains (2,) alone, so a
+    # divergence in that one-row stack must name the second prefix of the
+    # depth, not the first
+    cfg = _cfg("ewc-k2-all")
+    perms = _perms(cfg)
+    assert [p.order for p in perms[:3]] == [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]
+    plan, _ = _plan(cfg, "hier", perms)
+    for perm in perms[:2]:
+        _cell(cfg, "hier", perm, cfg.seeds[0], plan)
+    if poison == "fisher":
+        def poisoned(params, pool, spec):
+            est = curvature.estimate_diag_curvature(params, pool, spec)
+            return replace(est, diag=est.diag * np.nan)
+
+        monkeypatch.setattr(learners, "estimate_diag_curvature", poisoned)
+        why = "EWC Fisher is not finite after training"
+    else:
+        def poisoned(params, batch, spec):
+            loss, grad = model.loss_and_grad(params, batch, spec)
+            return loss * np.nan, grad
+
+        monkeypatch.setattr(learners, "loss_and_grad", poisoned)
+        why = "epoch 0, step 0: minibatch loss is nan"
+    with pytest.raises(ValueError, match=rf"^group 0: ordering prefix 2: task 2: {why}; "
+                                         r"training diverged$"):
+        _cell(cfg, "hier", perms[2], cfg.seeds[0], plan)
