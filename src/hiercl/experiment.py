@@ -4,12 +4,12 @@ For every (seed, full permutation, method) cell this trains the chosen
 method on the same tasks from the same initial weights and records mean
 accuracy, average forgetting and wall time. Rows land in the CSV in
 (seed, permutation, method) order, so reruns are bitwise-identical apart
-from the timing column. Cells whose arrival orders share a prefix share
-its training. Seq and fed cells share it through an ArrivalPlan: the first
-seq or fed cell of each data seed trains that method's whole arrival trie
-breadth-first, so its wall_time_seconds carries the trie and the later
-cells' only a look-up. Hier cells share it through a PrefixMemo, so a hier
-cell's wall time covers only the part it computed.
+from the timing column. Cells whose key chains (arrival orders for seq
+and fed, group memberships for hier) share a prefix share its training
+through an ArrivalPlan: the first cell of each data seed and method trains
+that method's whole trie breadth-first, so its wall_time_seconds carries
+the trie, and a later cell's covers a look-up and building its matrix (and,
+for hier, its log and its own selection audit).
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 from .config import DatasetConfig, ExperimentConfig
 from .federated import FedConfig, fed_compare_run
 from .learners import LearnerConfig, LearnerState, settle, train_seq
-from .memo import ArrivalPlan, PrefixMemo, membership_prefixes
+from .memo import ArrivalPlan
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
                       mean_accuracy, summarize)
 from .model import ModelSpec, init_params
-from .pipeline import (INIT_STREAM, SEQ_STREAM, arrival_groups, derive_seed,
+from .pipeline import (INIT_STREAM, SEQ_STREAM, arrival_groups, derive_seed, membership_chain,
                        run_pipeline)
 from .tasks import (Permutation, TaskDataset, arrival_order, gen_permuted_features,
                     gen_sine_tasks, gen_split_gaussians, sample_full_permutations,
@@ -73,7 +73,8 @@ def run_baseline_seq(
     through train_seq, every row on its last task from its parent's settled
     state, with the seed derive_seed(seed, SEQ_STREAM, depth). Every node
     but the leaves is settled (its EWC Fisher estimated) once, before its
-    children train, so an order's final Fisher is never estimated."""
+    children train, so an order's final Fisher is never estimated; a leaf
+    keeps only the accuracies the cell's matrix reads."""
     order = arrival_order(full_perm, len(tasks))
     last = len(order) - 1
 
@@ -83,13 +84,13 @@ def run_baseline_seq(
         nodes = []
         for row, (state, (_, accs)) in enumerate(zip(states, parents)):
             accs += (task_accuracies(state.params, tasks, spec),)
-            nodes.append((settle(state, spec, row) if depth < last else state, accs))
+            nodes.append((settle(state, spec, row) if depth < last else None, accs))
         return nodes
 
     # train_seq gives er its buffer at the first task
-    return (ArrivalPlan() if plan is None else plan).take(
-        order, (LearnerState(init), ()), train_stack,
-        lambda order, leaf: AccuracyMatrix(np.stack(leaf[1])[:, list(order)]))
+    _, accs = (ArrivalPlan() if plan is None else plan).take(
+        tuple(order), (LearnerState(init), ()), train_stack)
+    return AccuracyMatrix(np.stack(accs)[:, order])
 
 
 def _method_tag(method: str, cfg: ExperimentConfig) -> str:
@@ -105,33 +106,29 @@ def _run_method(method, tasks, perm, cfg, spec, seed, init, plan) -> AccuracyMat
     if method == "seq":
         return run_baseline_seq(tasks, perm, learner, spec, seed, init, plan)
     if method == "hier":
-        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, memo=plan).matrix
+        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, plan=plan).matrix
     fed = FedConfig(kind=method,
                     prox_mu=cfg.prox_mu if method == "fedprox" else 0.0,
                     aggregate=cfg.fed_aggregate)
     return fed_compare_run(tasks, perm, fed, learner, spec, seed, init, plan)[1]
 
 
-def hier_chain(perm: Permutation, cfg: ExperimentConfig) -> list:
-    """The PrefixMemo keys of one hier cell, as run_pipeline computes them."""
-    return membership_prefixes(arrival_groups(perm.order, cfg.pipeline.group_size))
-
-
 def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
     """Full sweep. Returns (records, summary); writes CSV when a path is
     given (cfg.out by default, pass csv_path="" to skip).
 
-    Each (data seed, method) trains every distinct prefix of the planned
-    arrival orders once. Seq and fed methods each have an ArrivalPlan, so
-    their first cell of a seed trains the whole arrival trie and carries it
-    in its wall time, and later cells only take their results. Hier has a
-    PrefixMemo, so each hier cell's wall time is the work it did itself."""
+    Each (data seed, method) has an ArrivalPlan of its cells' key chains:
+    the arrival orders for seq and fed, the group memberships for hier. Its
+    first cell of a seed trains every distinct prefix once and carries the
+    whole trie in its wall time; later cells take their leaves and build
+    their own results."""
     if csv_path is None:
         csv_path = cfg.out
     t_count = cfg.dataset.task_count
     budget = math.factorial(t_count) if cfg.perms == "all" else int(cfg.perms)
     perms = sample_full_permutations(t_count, budget, cfg.perm_sample_seed)
-    chains = [hier_chain(perm, cfg) for perm in perms] if "hier" in cfg.methods else []
+    chains = {m: [membership_chain(arrival_groups(perm.order, cfg.pipeline.group_size))
+                  if m == "hier" else perm.order for perm in perms] for m in cfg.methods}
 
     spec = make_model_spec(cfg)
     records: list[MetricsRecord] = []
@@ -140,8 +137,7 @@ def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):
         for seed in cfg.seeds:
             tasks = make_tasks(cfg.dataset, seed)
             init = init_params(spec, derive_seed(seed, INIT_STREAM))
-            plans = {m: PrefixMemo(chains) if m == "hier" else
-                     ArrivalPlan(perm.order for perm in perms) for m in cfg.methods}
+            plans = {m: ArrivalPlan(chains[m]) for m in cfg.methods}
             for perm in perms:
                 for method in cfg.methods:
                     tag = _method_tag(method, cfg)

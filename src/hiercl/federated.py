@@ -4,10 +4,12 @@ Each arriving task plays the role of a client: a local model trains from
 the current global weights (FedProx adds a proximal pull back toward
 them), then the global model is refreshed by parameter averaging. The
 default keeps a running average over all locals seen so far; a pairwise
-mode averages just (previous global, new local). A sweep's first fed
-cell of each data seed and method trains the arrival trie of every
-planned order (see memo.ArrivalPlan), so its wall time carries the whole
-trie; fedavg and fedprox never share one.
+mode averages just (previous global, new local). Fed cells share their
+arrival prefixes through the plan that every method uses
+(memo.ArrivalPlan): a sweep's first fed cell of each data seed and method
+trains the arrival trie of every planned order, so its wall time carries
+the whole trie, and each later cell takes its leaf; fedavg and fedprox
+never share one.
 """
 
 from __future__ import annotations
@@ -69,9 +71,11 @@ def fed_compare_run(
     through train_on_task, every row from its parent's global weights,
     which are also its proximal anchor, with the seed
     derive_seed(base_seed, FED_STREAM, depth); each row is then averaged
-    into its own new global weights."""
+    into its own new global weights. A leaf keeps only the global weights
+    and accuracies that the cell's result reads."""
     order = arrival_order(full_perm, len(tasks))
     mu = fed_cfg.prox_mu if fed_cfg.kind == "fedprox" else 0.0
+    last = len(order) - 1
 
     def train_stack(depth, prefixes, parents):
         anchor = np.stack([global_w for global_w, _, _ in parents])
@@ -86,11 +90,12 @@ def fed_compare_run(
                 global_w = fedavg_aggregate(seen)
             else:
                 global_w = fedavg_aggregate([global_w, local])
-            nodes.append((global_w, seen, accs + (task_accuracies(global_w, tasks, spec),)))
+            nodes.append((global_w, seen if depth < last else (),
+                          accs + (task_accuracies(global_w, tasks, spec),)))
         return nodes
 
     root = np.array(init_params(spec, derive_seed(base_seed, INIT_STREAM)) if init is None
                     else init, dtype=np.float64)
-    return (ArrivalPlan() if plan is None else plan).take(
-        order, (root, (), ()), train_stack,
-        lambda order, leaf: (leaf[0], AccuracyMatrix(np.stack(leaf[2])[:, list(order)])))
+    global_w, _, accs = (ArrivalPlan() if plan is None else plan).take(
+        tuple(order), (root, (), ()), train_stack)
+    return global_w, AccuracyMatrix(np.stack(accs)[:, order])

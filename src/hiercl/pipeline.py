@@ -10,10 +10,10 @@ toward the final local model.
 Anything that feeds float arithmetic is assembled in task-id order, and
 the training seed of each ordering prefix depends only on (base seed,
 group index, task ids), so two arrival sequences with the same group
-membership produce bitwise-identical hierarchies. A sweep uses that:
-run_pipeline resumes from the deepest run of group memberships that a
-PrefixMemo holds, and explorations that start from the same memberships
-take the ordering prefixes they share from it.
+membership produce bitwise-identical hierarchies. A sweep uses that: the
+hier cells of an ArrivalPlan train the trie of their membership chains
+once, one group per depth, and the memberships explored from one parent
+state share the ordering prefixes their tasks have in common.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .curvature import (estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, parse_curvature_spec)
 from .learners import (LearnerConfig, LearnerState, ReplayBuffer, ReplayCounts,
                        TrainingDiverged, epoch_plan, settle, train_seq)
-from .memo import PrefixMemo, membership_prefixes, train_trie
+from .memo import ArrivalPlan, train_trie
 from .metrics import AccuracyMatrix
 from .model import Batch, ModelSpec, accuracy_eval, init_params
 from .tasks import (Permutation, TaskDataset, TaskGroup, arrival_order,
@@ -136,6 +136,10 @@ def _eval_batch(tasks, group: TaskGroup, policy: str, seen_task_ids) -> Batch:
     return _concat_batches([tasks[i].test for i in ids])
 
 
+def _group_name(group: TaskGroup) -> str:
+    return f"group {group.group_index} (tasks {', '.join(map(str, sorted(group.task_ids)))})"
+
+
 def explore_group(
     group: TaskGroup,
     tasks: list[TaskDataset],
@@ -147,8 +151,7 @@ def explore_group(
     buffer: ReplayBuffer | None = None,
     ewc=None,
     seen_task_ids=None,
-    memo: PrefixMemo | None = None,
-    start: tuple = (),
+    shared: dict | None = None,
 ) -> GroupExplorationResult:
     """Train every ordering of the group from identical snapshots and pick
     the best score; ties go to the lexicographically smallest ordering.
@@ -163,27 +166,27 @@ def explore_group(
     which read no buffer in training, the trie carries only its counts
     (ReplayCounts) and the winner's chain alone fills a clone of `buffer`.
     Every prefix but the full orderings is settled (its EWC Fisher
-    estimated) before its children train, and offered to `memo` as the node
-    (start, prefix), `start` being the membership key the group starts
-    from; a depth's prefixes whose nodes the memo holds are taken from it,
-    and only the rest of each stack is trained. The k! orderings are scored
-    by one accuracy_eval call, and only the winner is settled. A nonfinite
-    loss, nonfinite params at the end of a task, or a nonfinite EWC Fisher
-    stop training at once, and the error names the first prefix of its
-    stack where that happened (the ordering, for the winner's Fisher)."""
+    estimated) before its children train. `shared` maps ordering prefixes
+    to settled states of explorations from the same snapshot and group
+    index: a prefix found there is taken, not trained, and every prefix
+    settled here is added. The k! orderings are scored by one
+    accuracy_eval call, and only the winner is settled. A nonfinite loss,
+    nonfinite params at the end of a task, or a nonfinite EWC Fisher stop
+    training at once, and the error names the group, its sorted task ids
+    and the first prefix of its stack where that happened (the ordering,
+    for the winner's Fisher)."""
     perms = enumerate_intra_group_perms(group)
     eval_batch = _eval_batch(tasks, group, eval_policy,
                              seen_task_ids or group.task_ids)
-    where = f"group {group.group_index}: ordering"
+    where = f"{_group_name(group)}: ordering"
     last = group.size - 1
+    shared = {} if shared is None else shared
 
     def prefix_seed(depth, prefix):
         return derive_seed(base_seed, HIER_STREAM, group.group_index, depth + 1, *prefix)
 
-    memo = PrefixMemo() if memo is None else memo
-
     def train_stack(depth, prefixes, parents):
-        nodes = [memo.take((start, p)) for p in prefixes]  # leaves are never stored
+        nodes = [shared.get(p) for p in prefixes]  # leaves are never shared
         rows = [row for row, node in enumerate(nodes) if node is None]
         if not rows:
             return nodes
@@ -195,8 +198,7 @@ def explore_group(
             raise
         for row, state in zip(rows, states):
             if depth < last:
-                state = settle(state, spec, row)
-                memo.store((start, prefixes[row]), state)
+                state = shared[prefixes[row]] = settle(state, spec, row)
             nodes[row] = state
         return nodes
 
@@ -260,6 +262,12 @@ def arrival_groups(order, group_size: int) -> list[TaskGroup]:
             for g in partition_into_groups(len(order), group_size)]
 
 
+def membership_chain(groups) -> tuple[tuple[int, ...], ...]:
+    """A hier cell's plan key: the sorted task ids of each group, so orders
+    that differ only inside groups share it."""
+    return tuple(tuple(sorted(g.task_ids)) for g in groups)
+
+
 @dataclass(frozen=True)
 class _Prefix:
     """The pipeline after a prefix of groups, which every arrival order
@@ -278,41 +286,40 @@ class _Prefix:
     final_acc: np.ndarray | None = None  # last group only: accuracy after catch-up
 
 
-def _absorb_group(node: _Prefix, group: TaskGroup, seen: tuple, last: bool,
-                  tasks, cfg: PipelineConfig, spec, seed: int, memo: PrefixMemo,
-                  start: tuple) -> _Prefix:
-    """Explore one group from `node`, the state after the membership key
-    `start`, consolidate its winner and, after the last group, run the
-    catch-up passes."""
+def _absorb_group(node: _Prefix, chain: tuple, last: bool, tasks, cfg: PipelineConfig,
+                  spec, seed: int, shared: dict) -> _Prefix:
+    """Explore the last group of the membership `chain` from `node`, the
+    state after the groups before it, consolidate its winner and, after the
+    last group, run the catch-up passes."""
+    group = TaskGroup(len(chain) - 1, chain[-1])
     res = explore_group(
-        group, tasks, node.hier.levels[0], cfg.learner, spec, seed,
-        cfg.eval_policy, buffer=node.buffer, ewc=node.ewc, seen_task_ids=seen,
-        memo=memo, start=start,
+        group, tasks, node.hier.levels[0], cfg.learner, spec, seed, cfg.eval_policy,
+        buffer=node.buffer, ewc=node.ewc, seen_task_ids=sum(chain, ()), shared=shared,
     )
     buffer, local = res.best_state.buffer, res.best_state.params
     # group 0 only copies the local model; its pool is needed only when it
     # is also the last group, for the catch-up passes
     if group.group_index > 0 or last:
-        pool = consolidation_pool(buffer, [tasks[i].train for i in sorted(group.task_ids)],
+        pool = consolidation_pool(buffer, [tasks[i].train for i in group.task_ids],
                                   cfg.sample_cap, seed)
         estimate = _estimator(cfg, pool, spec)
-    if group.group_index == 0:
-        hier, norms = init_hierarchy(local, node.hier.lambdas), None
-    else:
-        try:
+    try:
+        if group.group_index == 0:
+            hier, norms = init_hierarchy(local, node.hier.lambdas), None
+        else:
             hier, norms = multi_level_consolidate(node.hier, local, estimate,
                                                   eta=cfg.eta, clip=cfg.clip)
-        except ValueError as err:
-            raise ValueError(f"group {group.group_index}: {err}") from err
-
-    acc = task_accuracies(hier.top, tasks, spec)
+        if last:
+            final, catch_norms = catch_up(hier, local, estimate, cfg.n_catch,
+                                          eta=cfg.eta, clip=cfg.clip)
+    except ValueError as err:
+        raise ValueError(f"{_group_name(group)}: {err}") from err
     node = _Prefix(hier, buffer, res.best_state.ewc, node.results + (res,),
-                   node.norms + (norms,), node.accs + (acc,))
+                   node.norms + (norms,), node.accs + (task_accuracies(hier.top, tasks, spec),))
     if not last:
         return node
-    hier, catch_norms = catch_up(hier, local, estimate, cfg.n_catch, eta=cfg.eta, clip=cfg.clip)
-    return replace(node, hier=hier, catch_norms=tuple(catch_norms),
-                   final_acc=task_accuracies(hier.top, tasks, spec))
+    return replace(node, hier=final, catch_norms=tuple(catch_norms),
+                   final_acc=task_accuracies(final.top, tasks, spec))
 
 
 def run_pipeline(
@@ -322,30 +329,39 @@ def run_pipeline(
     spec: ModelSpec,
     init: np.ndarray | None = None,
     seed: int = 0,
-    memo: PrefixMemo | None = None,
+    plan: ArrivalPlan | None = None,
 ) -> RunResult:
-    """Resumes from the longest run of group memberships stored in `memo`
-    and offers it each later one, and each group's explored trie nodes
-    (see explore_group); the matrix rows, each TaskGroup's task ids
-    and the log's task ids follow this call's own arrival order, and the
-    selection audit runs on every call."""
+    """Takes the leaf of this order's membership chain from `plan`: its
+    first planned cell trains the trie of every planned chain, one group
+    per depth, and the memberships explored from one parent share the
+    settled ordering prefixes that a later one of them contains. The
+    matrix rows, each TaskGroup's task ids and the log's task ids follow
+    this call's own arrival order, and the selection audit runs on every
+    call."""
     order = arrival_order(full_perm, len(tasks))
     t_count = len(order)
     groups = arrival_groups(order, cfg.group_size)
-    keys = membership_prefixes(groups)
-    memo = PrefixMemo() if memo is None else memo
-    depth, node = memo.resume(keys)
-    if node is None:
-        if init is None:
-            init = init_params(spec, derive_seed(seed, INIT_STREAM))
-        lambdas = lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor)
-        node = _Prefix(init_hierarchy(init, lambdas),
-                       ReplayBuffer(cfg.learner.buffer_capacity), None)
-    for g in range(depth, len(groups)):
-        seen = tuple(t for group in groups[: g + 1] for t in group.task_ids)
-        node = _absorb_group(node, groups[g], seen, g == len(groups) - 1,
-                             tasks, cfg, spec, seed, memo, keys[g][:-1])
-        memo.store(keys[g], node)
+    if init is None:
+        init = init_params(spec, derive_seed(seed, INIT_STREAM))
+    lambdas = lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor)
+    root = _Prefix(init_hierarchy(init, lambdas), ReplayBuffer(cfg.learner.buffer_capacity), None)
+
+    def train_stack(depth, chains, parents):
+        # per parent chain, the settled ordering prefixes of its memberships
+        # explored so far, kept while a later sibling contains their tasks
+        nodes, shared = [], {}
+        for i, (chain, parent) in enumerate(zip(chains, parents)):
+            start = chain[:-1]
+            siblings = shared.get(start, {})
+            nodes.append(_absorb_group(parent, chain, depth == len(groups) - 1,
+                                       tasks, cfg, spec, seed, siblings))
+            later = [set(c[-1]) for c in chains[i + 1 :] if c[:-1] == start]
+            shared[start] = {prefix: state for prefix, state in siblings.items()
+                             if any(m.issuperset(prefix) for m in later)}
+        return nodes
+
+    node = (ArrivalPlan() if plan is None else plan).take(membership_chain(groups), root,
+                                                          train_stack)
 
     matrix = np.zeros((t_count, t_count))
     group_results: list[GroupExplorationResult] = []

@@ -519,8 +519,8 @@ def test_a_failed_cell_names_its_seed_method_and_order(tmp_path, monkeypatch):
         "run.hidden": "3", "run.perms": "3", "run.seeds": "0"})
     out_csv = tmp_path / "x.csv"
     out_csv.write_bytes(b"method,seed\nkept,0\n")
-    with pytest.raises(ValueError, match=r"^seed 0: sgd\+hier: order 0-1: group 1: level 0: "
-                                         r"nonfinite inputs to regularized_solve"):
+    with pytest.raises(ValueError, match=r"^seed 0: sgd\+hier: order 0-1: group 1 \(tasks 1\): "
+                                         r"level 0: nonfinite inputs to regularized_solve"):
         run_experiment(cfg, str(out_csv))
     assert out_csv.read_bytes() == b"method,seed\nkept,0\n"
 

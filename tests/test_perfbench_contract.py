@@ -117,14 +117,13 @@ run.audit_draws=20
 """
 
 
-# 4 tasks in groups of 2 over all 24 orders: the first seq and fed cells
-# train every order's trie, the others only take their results, and some
-# hier cells train nothing at all
+# 4 tasks in groups of 2 over all 24 orders: the first cell of each method
+# trains every order's trie, and the others only take their leaves
 _TINY_SHARED = _TINY_ER.replace("run.perms=2\n", "run.perms=all\n")
 
 # 6 tasks in groups of 3 over 3 sampled orders: the later explorations of
 # group 0 take some of their ordering prefixes, (5,), (2, 3) and others,
-# from the memo and train only the rest of each stack
+# from the earlier ones and train only the rest of each stack
 _TINY_EWC_SHARED = _TINY_EWC.replace("run.perms=1\n", "run.perms=3\n")
 
 
@@ -160,24 +159,3 @@ def test_traced_tiny_run_reaches_every_traced_name(monkeypatch, config, like):
     assert not silent, f"bindings with no calls: {silent}"
     assert summary["counts"]["pipeline.orderings_scored"] > 0
     assert summary["counts"]["model.per_sample_grads.bytes_computed"] > 0
-
-
-def test_consolidate_wide_plan_stores_no_state(monkeypatch):
-    # its two arrival orders share no prefix, so the prefix memo must keep
-    # nothing there: a kept wide state would only add to its peak_rss_mb
-    from hiercl.config import build_experiment_config, parse_config_text
-    from hiercl.experiment import hier_chain
-    from hiercl.memo import PrefixMemo
-    from hiercl.tasks import sample_full_permutations
-
-    workload = _load(monkeypatch, "workloads").WORKLOADS["consolidate-wide-k1"]
-    for seed in range(3):
-        cfg = build_experiment_config(parse_config_text(workload.config_text(seed)))
-        perms = sample_full_permutations(cfg.dataset.task_count, int(cfg.perms),
-                                         cfg.perm_sample_seed)
-        assert cfg.methods == ("hier",)
-        chains = [hier_chain(perm, cfg) for perm in perms]
-        memo = PrefixMemo(chains)
-        for chain in chains:
-            assert memo.resume(chain) == (0, None)
-            assert not any(memo.store(key, object()) for key in chain)

@@ -242,11 +242,12 @@ def test_lowrank_curvature_path_runs():
 
 
 @pytest.mark.parametrize("num_classes, group_size, bad_call, where", [
-    pytest.param(4, 1, 0, "group 1: level 0", id="level0"),
+    pytest.param(4, 1, 0, r"group 1 \(tasks 1\): level 0", id="level0"),
     # at group 1 every level has level 0's bits and reuses its estimate; at
     # group 2 they differ, and level 1's estimate is the run's third
-    pytest.param(8, 1, 2, "group 2: level 1", id="level1"),
-    pytest.param(4, 2, 0, "catch-up pass 0: level 0", id="catchup"),  # one group: it only copies
+    pytest.param(8, 1, 2, r"group 2 \(tasks 2\): level 1", id="level1"),
+    # one group: it only copies
+    pytest.param(4, 2, 0, r"group 0 \(tasks 0, 1\): catch-up pass 0: level 0", id="catchup"),
 ])
 def test_consolidation_failure_names_the_group_or_pass_and_the_level(monkeypatch, num_classes,
                                                                      group_size, bad_call, where):
@@ -408,7 +409,8 @@ def test_diverged_scores_are_rejected_not_selected():
     # scores NaN, which used to "select" 0-1-2 and pass the audit
     group = TaskGroup(0, (0, 1, 2))
     spec = ModelSpec((1, 16, 1), task_kind="regression")
-    want = r"^group 0: ordering prefix 0-1: task 1: epoch 1, step 1: minibatch loss is inf"
+    want = (r"^group 0 \(tasks 0, 1, 2\): ordering prefix 0-1: task 1: epoch 1, step 1: "
+            r"minibatch loss is inf")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(group, gen_sine_tasks(3, 0), init_params(spec, 0),
                       LearnerConfig(learning_rate=1e8), spec, base_seed=0)
@@ -427,7 +429,8 @@ def test_divergence_fails_fast_naming_group_ordering_task_and_step():
     # orderings and scoring NaN
     spec = ModelSpec((1, 16, 1), task_kind="regression")
     cfg = _cfg(learner=LearnerConfig(learning_rate=1e8), group_size=5)
-    want = r"^group 0: ordering prefix 0-1: task 1: epoch 1, step 1: minibatch loss is inf"
+    want = (r"^group 0 \(tasks 0, 1, 2, 3, 4\): ordering prefix 0-1: task 1: epoch 1, "
+            r"step 1: minibatch loss is inf")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         run_pipeline(gen_sine_tasks(5, 0), Permutation(tuple(range(5))), cfg, spec)
 
@@ -438,7 +441,8 @@ def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
     # was finite; prefix 0 is still finite there
     spec = ModelSpec((1, 4, 1), task_kind="regression")
     cfg = LearnerConfig(learning_rate=1e308, epochs_per_task=1, batch_size=8, weight_decay=0.0)
-    want = r"^group 3: ordering prefix 1: task 1: params are not finite after training"
+    want = (r"^group 3 \(tasks 0, 1\): ordering prefix 1: task 1: params are not finite "
+            r"after training")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(3, (1, 0)), gen_sine_tasks(2, 0, samples_per_task=8),
                       init_params(spec, 0), cfg, spec, base_seed=0)
@@ -595,14 +599,15 @@ def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
     huge = Batch(np.full((4, 1), 1e100), np.zeros(4))
     tasks = [TaskDataset(0, small, small, small), TaskDataset(1, huge, huge, huge)]
     cfg = LearnerConfig(kind="ewc", learning_rate=1e-300, epochs_per_task=1, batch_size=4)
-    want = (r"^group 2: ordering 1: task 1: EWC Fisher is not finite after training; "
+    want = (r"^group 2 \(tasks 1\): ordering 1: task 1: EWC Fisher is not finite after training; "
             r"training diverged$")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(2, (1,)), tasks, np.array([1.0, 0.0, 1.0, 0.0]), cfg, spec,
                       base_seed=0)
     # in a group of both tasks, prefix 1 (row 1 of the first stack) is
     # settled before its child 1-0 trains, and the error names that prefix
-    want = (r"^group 2: ordering prefix 1: task 1: EWC Fisher is not finite after training; "
+    want = (r"^group 2 \(tasks 0, 1\): ordering prefix 1: task 1: EWC Fisher is not finite "
+            r"after training; "
             r"training diverged$")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(2, (1, 0)), tasks, np.array([1.0, 0.0, 1.0, 0.0]), cfg, spec,

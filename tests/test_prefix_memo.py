@@ -1,15 +1,15 @@
 """Cells served from a sweep's shared plan equal cells computed alone.
 
-Seq and fed cells take their results from an ArrivalPlan, which trains the
-arrival trie of all planned orders breadth-first; they must match the
-per-cell runners of `experiment_reference` bitwise, fed final weights
-included. Hier cells resume from a PrefixMemo and must match run_pipeline
-called without one, field by field; the sweep's CSV rows must match both.
-Running the planned cells in reverse, asking a cell twice and asking an
-order outside the plan show that no shared state is written after it is
-made. Hier explorations that start from one membership prefix share their
-ordering prefixes through the same memo: a sweep trains each distinct
-(start, prefix) node once.
+Every cell takes its leaf from an ArrivalPlan, which trains the trie of all
+planned key chains breadth-first: arrival orders for seq and fed, group
+memberships for hier. Seq and fed cells must match the per-cell runners of
+`experiment_reference` bitwise, fed final weights included; hier cells
+must match run_pipeline called without a plan, field by field; the sweep's
+CSV rows must match both. Running the planned cells in reverse, asking a
+cell twice and asking an order outside the plan show that no shared state
+is written after it is made. Hier memberships explored from one parent
+share their ordering prefixes: a sweep trains each distinct (start,
+prefix) node once.
 """
 
 import math
@@ -21,15 +21,15 @@ import numpy as np
 import pytest
 from experiment_reference import arrival_prefixes
 
-from hiercl import curvature, federated, learners, model
+from hiercl import curvature, federated, learners, model, pipeline
 from hiercl.config import build_experiment_config
-from hiercl.experiment import (hier_chain, make_model_spec, make_tasks, run_baseline_seq,
-                               run_experiment)
+from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run_experiment
 from hiercl.federated import FedConfig, fed_compare_run
-from hiercl.memo import STACK_ROWS, ArrivalPlan, PrefixMemo, membership_prefixes
+from hiercl.memo import STACK_ROWS, ArrivalPlan
 from hiercl.metrics import avg_forgetting, mean_accuracy
 from hiercl.model import init_params
-from hiercl.pipeline import INIT_STREAM, arrival_groups, derive_seed, run_pipeline
+from hiercl.pipeline import (INIT_STREAM, arrival_groups, derive_seed, membership_chain,
+                             run_pipeline)
 from hiercl.tasks import Permutation, sample_full_permutations
 
 _TINY = {
@@ -87,13 +87,13 @@ def _cell(cfg, method, perm, seed, plan=None):
     if method == "seq":
         return run_baseline_seq(tasks, perm, learner, spec, seed, init, plan)
     if method == "hier":
-        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, memo=plan)
+        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, plan=plan)
     return fed_compare_run(tasks, perm, _fed(cfg, method), learner, spec, seed, init, plan)
 
 
 def _reference(cfg, method, perm, seed):
     """The cell computed alone: by the per-cell reference for seq and fed,
-    by run_pipeline without a memo for hier."""
+    by run_pipeline without a plan for hier."""
     spec, tasks, init = _setup(cfg, seed)
     learner = cfg.pipeline.learner
     if method == "seq":
@@ -105,20 +105,16 @@ def _reference(cfg, method, perm, seed):
 
 
 def _plan(cfg, method, perms):
-    """What run_experiment hands one method's cells of a data seed, and
-    the hier key chains (empty for seq and fed)."""
+    """What run_experiment hands one method's cells of a data seed."""
     if method == "hier":
-        chains = [hier_chain(perm, cfg) for perm in perms]
-        return PrefixMemo(chains), chains
-    return ArrivalPlan(perm.order for perm in perms), []
+        return ArrivalPlan(membership_chain(arrival_groups(perm.order, cfg.pipeline.group_size))
+                           for perm in perms)
+    return ArrivalPlan(perm.order for perm in perms)
 
 
-def _holds_nothing(plan, chains):
-    """No result or state is left: for hier, neither a membership state
-    that a chain could resume from nor a within-group trie node."""
-    if isinstance(plan, ArrivalPlan):
-        return not plan._todo and not plan._results
-    return all(plan.resume(chain) == (0, None) for chain in chains) and not plan._states
+def _holds_nothing(plan):
+    """No leaf is left, and no planned cell is waiting for one."""
+    return not plan._uses and not plan._leaves
 
 
 def _matrix(method, out):
@@ -186,18 +182,18 @@ def test_memo_cells_match_fresh_cells_in_any_order(case, method):
     perms = _perms(cfg)
     fresh = [_reference(cfg, method, perm, seed) for perm in perms]
 
-    plan, chains = _plan(cfg, method, perms)
+    plan = _plan(cfg, method, perms)
     for perm, want in zip(perms, fresh):
         _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
-    assert _holds_nothing(plan, chains)  # each state went after its last planned use
+    assert _holds_nothing(plan)  # each state went after its last planned use
 
-    # reverse order: the plan is filled, or resumed from, by its last cell
-    plan, _ = _plan(cfg, method, perms)
+    # reverse order: the plan is filled by its last cell
+    plan = _plan(cfg, method, perms)
     for perm, want in zip(perms[::-1], fresh[::-1]):
         _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
 
     # cells asked again after later cells have used the plan
-    plan, _ = _plan(cfg, method, perms)
+    plan = _plan(cfg, method, perms)
     ran = perms[: len(perms) // 2 + 1]
     for perm in ran:
         _cell(cfg, method, perm, seed, plan)
@@ -205,12 +201,12 @@ def test_memo_cells_match_fresh_cells_in_any_order(case, method):
         _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
 
     # an order outside the plan, asked first and again after the plan is used
-    plan, chains = _plan(cfg, method, perms[1:])
+    plan = _plan(cfg, method, perms[1:])
     _assert_same_cell(method, _cell(cfg, method, perms[0], seed, plan), fresh[0])
     for perm, want in zip(perms[1:], fresh[1:]):
         _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
     _assert_same_cell(method, _cell(cfg, method, perms[0], seed, plan), fresh[0])
-    assert _holds_nothing(plan, chains)
+    assert _holds_nothing(plan)
 
 
 def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
@@ -241,7 +237,7 @@ def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
     cfg = _cfg("ewc-k2-all")
     seed = cfg.seeds[0]
     perms = _perms(cfg)
-    plan, _ = _plan(cfg, "seq", perms)
+    plan = _plan(cfg, "seq", perms)
     for perm in perms:
         _cell(cfg, "seq", perm, seed, plan)
     t_count = cfg.dataset.task_count
@@ -289,7 +285,7 @@ def test_a_diverged_stack_names_its_arrival_prefix(monkeypatch):
     monkeypatch.setattr(learners, "estimate_diag_curvature", poisoned)
     cfg = _cfg("ewc-k2-all")
     perms = _perms(cfg)
-    plan, _ = _plan(cfg, "seq", perms)
+    plan = _plan(cfg, "seq", perms)
     with pytest.raises(ValueError, match=r"^arrival prefix 2: task 2: EWC Fisher is not "
                                          r"finite after training; training diverged$"):
         _cell(cfg, "seq", perms[0], cfg.seeds[0], plan)
@@ -299,25 +295,9 @@ def test_prefix_keys():
     assert arrival_prefixes((2, 0, 1)) == [(2,), (2, 0), (2, 0, 1)]
     groups = arrival_groups((3, 1, 0, 4, 2), 2)
     assert [g.task_ids for g in groups] == [(3, 1), (0, 4, 2)]
-    assert membership_prefixes(groups) == [((1, 3),), ((1, 3), (0, 2, 4))]
-    # orders that differ only inside groups share every hier key
-    assert membership_prefixes(arrival_groups((1, 3, 2, 0, 4), 2)) == membership_prefixes(groups)
-
-
-def test_memo_keeps_a_state_only_for_later_resumes():
-    # groups of one task: each key is an arrival prefix, and no group has
-    # an ordering prefix short of a full ordering, so no trie node is planned
-    chains = [membership_prefixes(arrival_groups(p, 1))
-              for p in ((0, 1, 2), (0, 1, 3), (0, 2, 1), (4, 0, 1))]
-    memo = PrefixMemo(chains)
-    # (0, 1) is resumed once by the second chain and (0,) once by the third
-    assert memo.resume(chains[0]) == (0, None)
-    assert [memo.store(key, key) for key in chains[0]] == [True, True, False]
-    assert memo.resume(chains[1]) == (2, ((0,), (1,)))
-    assert [memo.store(key, key) for key in chains[1][2:]] == [False]
-    assert memo.resume(chains[2]) == (1, ((0,),))
-    assert not any(memo.store(key, key) for key in chains[2] + chains[3])
-    assert _holds_nothing(memo, chains)
+    assert membership_chain(groups) == ((1, 3), (0, 2, 4))
+    # orders that differ only inside groups share their hier chain
+    assert membership_chain(arrival_groups((1, 3, 2, 0, 4), 2)) == membership_chain(groups)
 
 
 def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch):
@@ -336,37 +316,38 @@ def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch):
     monkeypatch.setattr(federated, "train_on_task", counting)
     for method in ("seq", "fedavg"):
         rows.clear()
-        plan, chains = _plan(cfg, method, perms)
+        plan = _plan(cfg, method, perms)
         for perm in perms:
             _cell(cfg, method, perm, cfg.seeds[0], plan)
         assert rows == [3] * 4
-        assert _holds_nothing(plan, chains)
-    # the first two orders both have the groups {0, 1} then {2, 3}
-    plan, chains = _plan(cfg, "hier", perms)
-    _cell(cfg, "hier", perms[0], cfg.seeds[0], plan)
-    depth, node = plan.resume(chains[1])
-    assert depth == 2 and node is not None
-    assert _holds_nothing(plan, chains)
+        assert _holds_nothing(plan)
+    # hier: the first two orders both have the groups {0, 1} then {2, 3}.
+    # The first cell explores each distinct membership-chain prefix once,
+    # the second takes the leaf it shares with the first, and each leaf
+    # goes with its last planned take
+    explored = []
 
+    def exploring(group, *args, **kwargs):
+        explored.append(group.task_ids)
+        return explore_group(group, *args, **kwargs)
 
-def test_memo_keeps_a_trie_node_for_each_later_exploration_through_it():
-    # groups of two: the group-0 memberships {0, 1}, {0, 2} and {0, 3} each
-    # pass through the ordering prefix (0,) from the start (), so the first
-    # exploration trains it and two later ones take it; (1,) is explored
-    # once. After {0, 1}, the second group {2, 3} and {3, 2} are one key.
-    chains = [membership_prefixes(arrival_groups(p, 2))
-              for p in ((0, 1, 2, 3), (1, 0, 3, 2), (0, 2, 1, 3), (3, 0, 2, 1))]
-    memo = PrefixMemo(chains)
-    node = ((), (0,))
-    assert all(node not in chain for chain in chains)  # keys of two kinds never collide
-    assert memo.store(node, "state after task 0")
-    assert not memo.store(node, "again") and not memo.store(((), (1,)), "once")
-    assert not memo.store((((0, 1),), (2,)), "explored once after {0, 1}")
-    assert memo.take(node) == "state after task 0"
-    assert memo.take(node) == "state after task 0"
-    assert memo.take(node) is None  # a use past the plan finds nothing
-    assert not memo.store(node, "asked a fourth time")
-    assert _holds_nothing(memo, chains)
+    explore_group = pipeline.explore_group
+    monkeypatch.setattr(pipeline, "explore_group", exploring)
+    plan = _plan(cfg, "hier", perms)
+    chains = {membership_chain(arrival_groups(perm.order, cfg.pipeline.group_size))
+              for perm in perms}
+    prefixes = {chain[: g + 1] for chain in chains for g in range(len(chain))}
+    assert len(prefixes) == 4
+    cells = []
+    for perm in perms:
+        cells.append(_cell(cfg, "hier", perm, cfg.seeds[0], plan))
+        assert len(explored) == len(prefixes)
+    assert _holds_nothing(plan)
+    # a cell asked for after its leaf's last planned take trains alone
+    explored.clear()
+    _assert_same_cell("hier", _cell(cfg, "hier", perms[1], cfg.seeds[0], plan), cells[1])
+    assert explored == [(0, 1), (2, 3)]
+    assert _holds_nothing(plan)
 
 
 def _distinct_nodes(cfg, perms):
@@ -410,30 +391,35 @@ def test_a_hier_sweep_trains_each_trie_node_once(monkeypatch, case):
 
 @pytest.mark.parametrize("poison", ["fisher", "loss"])
 def test_a_diverged_partly_served_stack_names_its_hier_prefix(monkeypatch, poison):
-    # all orders of 4 tasks in groups of 2: the third cell's group {0, 2}
-    # takes the node (0,) from the memo and trains (2,) alone, so a
-    # divergence in that one-row stack must name the second prefix of the
-    # depth, not the first
+    # all orders of 4 tasks in groups of 2: the plan's first cell explores
+    # the group-0 memberships {0, 1} and then {0, 2} from the same start;
+    # {0, 2} takes the node (0,) from the sibling dict and trains (2,)
+    # alone, so a divergence in that one-row stack must name the second
+    # prefix of the depth, and the group's tasks, which the failing cell's
+    # own order does not have as a group
     cfg = _cfg("ewc-k2-all")
     perms = _perms(cfg)
     assert [p.order for p in perms[:3]] == [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]
-    plan, _ = _plan(cfg, "hier", perms)
-    for perm in perms[:2]:
-        _cell(cfg, "hier", perm, cfg.seeds[0], plan)
     if poison == "fisher":
+        # {0, 1} settles (0,), (1,) and its winner; (2,) is the fourth
+        calls = []
+
         def poisoned(params, pool, spec):
             est = curvature.estimate_diag_curvature(params, pool, spec)
-            return replace(est, diag=est.diag * np.nan)
+            calls.append(1)
+            return replace(est, diag=est.diag * np.nan) if len(calls) == 4 else est
 
         monkeypatch.setattr(learners, "estimate_diag_curvature", poisoned)
         why = "EWC Fisher is not finite after training"
     else:
+        # {0, 1} trains stacks of two rows; (2,) is the first stack of one
         def poisoned(params, batch, spec):
             loss, grad = model.loss_and_grad(params, batch, spec)
-            return loss * np.nan, grad
+            return (loss * np.nan if len(params) == 1 else loss), grad
 
         monkeypatch.setattr(learners, "loss_and_grad", poisoned)
         why = "epoch 0, step 0: minibatch loss is nan"
-    with pytest.raises(ValueError, match=rf"^group 0: ordering prefix 2: task 2: {why}; "
-                                         r"training diverged$"):
-        _cell(cfg, "hier", perms[2], cfg.seeds[0], plan)
+    plan = _plan(cfg, "hier", perms)
+    with pytest.raises(ValueError, match=rf"^group 0 \(tasks 0, 2\): ordering prefix 2: task 2: "
+                                         rf"{why}; training diverged$"):
+        _cell(cfg, "hier", perms[0], cfg.seeds[0], plan)
