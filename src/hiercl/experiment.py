@@ -89,7 +89,7 @@ def run_baseline_seq(
 
     # train_seq gives er its buffer at the first task
     _, accs = (ArrivalPlan() if plan is None else plan).take(
-        tuple(order), (LearnerState(init), ()), train_stack)
+        tuple(order), lambda: (LearnerState(init), ()), train_stack)
     return AccuracyMatrix(np.stack(accs)[:, order])
 
 

@@ -94,8 +94,10 @@ def fed_compare_run(
                           accs + (task_accuracies(global_w, tasks, spec),)))
         return nodes
 
-    root = np.array(init_params(spec, derive_seed(base_seed, INIT_STREAM)) if init is None
-                    else init, dtype=np.float64)
+    def make_root():
+        w = init_params(spec, derive_seed(base_seed, INIT_STREAM)) if init is None else init
+        return np.array(w, dtype=np.float64), (), ()
+
     global_w, _, accs = (ArrivalPlan() if plan is None else plan).take(
-        tuple(order), (root, (), ()), train_stack)
+        tuple(order), make_root, train_stack)
     return global_w, AccuracyMatrix(np.stack(accs)[:, order])

@@ -66,13 +66,15 @@ class ArrivalPlan:
         self._uses = Counter(chains)  # planned cells per chain yet to take its leaf
         self._leaves: dict = {}
 
-    def take(self, chain, root, train_stack):
+    def take(self, chain, make_root, train_stack):
         """The leaf of `chain` in the trie trained by
-        `train_trie(chains, root, train_stack)`."""
+        `train_trie(chains, make_root(), train_stack)`. The root is built
+        only when this call trains: by the plan's first cell and by a
+        chain trained alone, not by a look-up."""
         if chain not in self._uses:
-            return train_trie([chain], root, train_stack)[chain]
+            return train_trie([chain], make_root(), train_stack)[chain]
         if not self._leaves:  # the plan's first cell
-            self._leaves = train_trie(list(self._uses), root, train_stack)
+            self._leaves = train_trie(list(self._uses), make_root(), train_stack)
         self._uses[chain] -= 1
         if self._uses[chain]:
             return self._leaves[chain]

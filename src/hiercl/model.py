@@ -3,7 +3,8 @@
 All model state lives in a single 1-D float64 array so that second-order
 consolidation can treat the network as a point in R^p. Forward, loss,
 analytic gradients and per-sample gradients are implemented with plain
-numpy.
+numpy; per-sample gradients take one pass over a batch (`sample_factors`)
+and expand any run of its rows into (rows, p) gradients (`per_sample_grads`).
 
 `loss_and_grad` and `accuracy_eval` also take a (P, p) stack of parameter
 vectors, with a stacked (P, n, d) Batch or one shared (n, d) Batch, and
@@ -221,19 +222,17 @@ def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
     return loss, grad
 
 
-def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of each sample's own loss, stacked into an (n, p) matrix.
+def sample_factors(params: ParamVector, batch: Batch, spec: ModelSpec):
+    """Per-sample gradient factors of an (n, d) batch from one forward and
+    one backward pass: per layer, in layer order, the input activations A
+    (n, fan_in) and the deltas D (n, fan_out) of each sample's own loss,
+    whose outer products are the per-sample gradients.
 
-    Row i equals loss_and_grad on the single-sample batch i up to rounding
-    (the two form the softmax differently). The result is the only (n, p)
-    array built: each layer's bias block is delta and its weight block,
-    outer(activation_i, delta_i) per sample, is written by np.einsum
-    straight into its (n, fan_in, fan_out) _split_params view. einsum sums
-    into a zeroed block, so each entry is 0 + a*d: the product a*d, except
-    that a -0.0 product is stored as +0.0 (equal under ==). Pass a
-    C-contiguous float64 (n, p) `out` to have it filled, every entry
-    written, and returned instead of a new array.
+    The deltas are not divided by n, and the softmax is formed as
+    normalized exponentials, so sample i's factors equal those of the
+    single-sample batch i up to rounding (loss_and_grad forms the softmax
+    as exp(log-softmax)). The first layer's A is the batch's own inputs,
+    and no array is copied: callers must not write into them.
     """
     _check_batch(batch, spec)
     layers = _split_params(params, spec)
@@ -249,12 +248,23 @@ def per_sample_grads(params: ParamVector, batch: Batch, spec: ModelSpec,
     else:
         t = _regression_targets(batch)
         delta = 2.0 * (logits - t) / t.shape[1]
+    return [(a, d) for _, a, d in _backprop(acts, delta, spec, layers)][::-1]
 
+
+def per_sample_grads(factors, spec: ModelSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """The (rows, p) per-sample gradients of sample_factors rows: each
+    layer's bias block is D and its weight block, outer(A_i, D_i) per row,
+    is written by np.einsum straight into its (rows, fan_in, fan_out)
+    _split_params view. No entry sums over rows, so a row's gradient has
+    the same bits whatever rows it is expanded with. einsum sums into a
+    zeroed block, so each entry is 0 + a*d: the product a*d, except that a
+    -0.0 product is stored as +0.0 (equal under ==). Pass a C-contiguous
+    float64 (rows, p) `out` to have it filled, every entry written, and
+    returned instead of a new array.
+    """
     if out is None:
-        out = np.empty((n, spec.param_count))
-    views = _split_params(out, spec)
-    for i, a, d in _backprop(acts, delta, spec, layers):
-        w, b = views[i]
+        out = np.empty((factors[0][0].shape[0], spec.param_count))
+    for (w, b), (a, d) in zip(_split_params(out, spec), factors):
         b[:, 0] = d
         np.einsum("ni,nj->nij", a, d, out=w)
     return out

@@ -18,6 +18,7 @@ state share the ordering prefixes their tasks have in common.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -103,14 +104,22 @@ class PipelineConfig:
 
 @dataclass
 class GroupExplorationResult:
+    """One group's explored orderings, their scores and the winner.
+    explore_group gives the winner's settled state as `best_state`; the
+    records that a run keeps hold None there."""
+
     group: TaskGroup
     best_perm: Permutation
     per_perm_scores: list[tuple[Permutation, float]]
-    best_state: LearnerState
+    best_state: LearnerState | None
 
 
 @dataclass
 class RunResult:
+    """A hier cell: the final hierarchy, its accuracy matrix, per group the
+    explored orderings and scores (without the winner's state), the update
+    norms, the selection audit and the run log."""
+
     hierarchy: HierarchyState
     matrix: AccuracyMatrix
     group_results: list[GroupExplorationResult]
@@ -164,7 +173,8 @@ def explore_group(
     seeded by derive_seed(base_seed, HIER_STREAM, group index, d + 1,
     *prefix), so its result depends only on the prefix. Under sgd and ewc,
     which read no buffer in training, the trie carries only its counts
-    (ReplayCounts) and the winner's chain alone fills a clone of `buffer`.
+    (ReplayCounts) and the winner's chain alone fills a clone of `buffer`,
+    drawing with its prefixes' seeds again (each derived once a call).
     Every prefix but the full orderings is settled (its EWC Fisher
     estimated) before its children train. `shared` maps ordering prefixes
     to settled states of explorations from the same snapshot and group
@@ -182,8 +192,9 @@ def explore_group(
     last = group.size - 1
     shared = {} if shared is None else shared
 
-    def prefix_seed(depth, prefix):
-        return derive_seed(base_seed, HIER_STREAM, group.group_index, depth + 1, *prefix)
+    @functools.cache
+    def prefix_seed(prefix):
+        return derive_seed(base_seed, HIER_STREAM, group.group_index, len(prefix), *prefix)
 
     def train_stack(depth, prefixes, parents):
         nodes = [shared.get(p) for p in prefixes]  # leaves are never shared
@@ -192,7 +203,7 @@ def explore_group(
             return nodes
         try:
             states = train_seq([parents[r] for r in rows], [tasks[prefixes[r][-1]] for r in rows],
-                               cfg, spec, [prefix_seed(depth, prefixes[r]) for r in rows])
+                               cfg, spec, [prefix_seed(prefixes[r]) for r in rows])
         except TrainingDiverged as err:
             err.index = rows[err.index]  # the row of the whole stack
             raise
@@ -219,7 +230,7 @@ def explore_group(
         order, filled = perms[best].order, buffer.clone()
         for d, t in enumerate(order):
             epoch_plan(tasks[t], cfg.batch_size,
-                       np.random.default_rng(prefix_seed(d, order[: d + 1])), filled)
+                       np.random.default_rng(prefix_seed(order[: d + 1])), filled)
         best_state = replace(best_state, buffer=filled)
     return GroupExplorationResult(
         group=group,
@@ -279,7 +290,7 @@ class _Prefix:
     hier: HierarchyState
     buffer: ReplayBuffer
     ewc: tuple | None        # the winner's EWC sums (SigmaF, SigmaF*w*)
-    results: tuple = ()      # GroupExplorationResult per group
+    results: tuple = ()      # GroupExplorationResult per group, without best_state
     norms: tuple = ()        # update norms per group, None for group 0
     accs: tuple = ()         # hier.top accuracy per task id after each group
     catch_norms: tuple = ()  # last group only: update norms per catch-up pass
@@ -314,8 +325,10 @@ def _absorb_group(node: _Prefix, chain: tuple, last: bool, tasks, cfg: PipelineC
                                           eta=cfg.eta, clip=cfg.clip)
     except ValueError as err:
         raise ValueError(f"{_group_name(group)}: {err}") from err
-    node = _Prefix(hier, buffer, res.best_state.ewc, node.results + (res,),
-                   node.norms + (norms,), node.accs + (task_accuracies(hier.top, tasks, spec),))
+    # a plan node keeps the group's record, not the winner's state, which no cell reads
+    node = _Prefix(hier, buffer, res.best_state.ewc,
+                   node.results + (replace(res, best_state=None),), node.norms + (norms,),
+                   node.accs + (task_accuracies(hier.top, tasks, spec),))
     if not last:
         return node
     return replace(node, hier=final, catch_norms=tuple(catch_norms),
@@ -334,17 +347,19 @@ def run_pipeline(
     """Takes the leaf of this order's membership chain from `plan`: its
     first planned cell trains the trie of every planned chain, one group
     per depth, and the memberships explored from one parent share the
-    settled ordering prefixes that a later one of them contains. The
-    matrix rows, each TaskGroup's task ids and the log's task ids follow
-    this call's own arrival order, and the selection audit runs on every
-    call."""
+    settled ordering prefixes that a later one of them contains; only a
+    call that trains builds the root (init weights, hierarchy, empty
+    buffer). The matrix rows, each TaskGroup's task ids and the log's task
+    ids follow this call's own arrival order, and the selection audit runs
+    on every call. The group results hold no winner states."""
     order = arrival_order(full_perm, len(tasks))
     t_count = len(order)
     groups = arrival_groups(order, cfg.group_size)
-    if init is None:
-        init = init_params(spec, derive_seed(seed, INIT_STREAM))
-    lambdas = lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor)
-    root = _Prefix(init_hierarchy(init, lambdas), ReplayBuffer(cfg.learner.buffer_capacity), None)
+
+    def make_root():
+        w = init_params(spec, derive_seed(seed, INIT_STREAM)) if init is None else init
+        hier = init_hierarchy(w, lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor))
+        return _Prefix(hier, ReplayBuffer(cfg.learner.buffer_capacity), None)
 
     def train_stack(depth, chains, parents):
         # per parent chain, the settled ordering prefixes of its memberships
@@ -360,7 +375,7 @@ def run_pipeline(
                              if any(m.issuperset(prefix) for m in later)}
         return nodes
 
-    node = (ArrivalPlan() if plan is None else plan).take(membership_chain(groups), root,
+    node = (ArrivalPlan() if plan is None else plan).take(membership_chain(groups), make_root,
                                                           train_stack)
 
     matrix = np.zeros((t_count, t_count))

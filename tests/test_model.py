@@ -16,6 +16,7 @@ from hiercl.model import (
     loss_and_grad,
     per_sample_grads,
     predict,
+    sample_factors,
 )
 from model_reference import (exact_dense_hessian_oracle, fd_gradient, fd_hessian_from_grad,
                              ref_accuracy_eval, ref_init_params, ref_loss_and_grad,
@@ -113,7 +114,7 @@ def test_per_sample_grads_mean_is_batch_grad():
     for spec, make in ((CLS, _cls_batch), (REG, _reg_batch)):
         w = init_params(spec, 3) + 0.1 * rng.normal(size=spec.param_count)
         batch = make(rng, n=12)
-        rows = per_sample_grads(w, batch, spec)
+        rows = per_sample_grads(sample_factors(w, batch, spec), spec)
         assert rows.shape == (12, spec.param_count)
         _, g = loss_and_grad(w, batch, spec)
         assert np.max(np.abs(rows.mean(axis=0) - g)) < 1e-10
@@ -123,7 +124,7 @@ def test_per_sample_rows_match_singleton_batches():
     rng = np.random.default_rng(2)
     w = init_params(CLS, 5) + 0.1 * rng.normal(size=CLS.param_count)
     batch = _cls_batch(rng, n=6)
-    rows = per_sample_grads(w, batch, CLS)
+    rows = per_sample_grads(sample_factors(w, batch, CLS), CLS)
     for i in range(batch.n):
         one = Batch(batch.inputs[i : i + 1], batch.targets[i : i + 1])
         _, gi = loss_and_grad(w, one, CLS)
@@ -151,10 +152,11 @@ def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, rows,
     batch = Batch(rng.normal(size=(n, spec.input_dim)), targets(n))
     ref = ref_per_sample_grads(w, batch, spec)
     # array_equal counts -0.0 == +0.0: einsum stores a -0.0 product as +0.0
-    assert np.array_equal(per_sample_grads(w, batch, spec), ref)
+    factors = sample_factors(w, batch, spec)
+    assert np.array_equal(per_sample_grads(factors, spec), ref)
     # into a given block: every entry is written, none kept from before
     out = np.full((n, spec.param_count), np.nan)
-    assert per_sample_grads(w, batch, spec, out=out) is out
+    assert per_sample_grads(factors, spec, out=out) is out
     assert np.array_equal(out, ref)
     loss, g = loss_and_grad(w, batch, spec)
     ref_loss, ref_g = ref_loss_and_grad(w, batch, spec)

@@ -214,13 +214,22 @@ def test_run_pipeline_without_init_starts_from_the_init_stream():
     assert got.update_norms == want.update_norms and got.log == want.log
 
 
-def test_single_group_copies_best_local_before_catchup():
+def test_single_group_copies_best_local_before_catchup(monkeypatch):
     tasks = _tasks(num_classes=4)  # 2 tasks, one group of 2
     cfg = _cfg(n_catch=0)
+    winners = []
+
+    def recording(*args, **kwargs):
+        res = explore(*args, **kwargs)
+        winners.append(res.best_state)
+        return res
+
+    explore = pipeline.explore_group
+    monkeypatch.setattr(pipeline, "explore_group", recording)
     res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC)
-    assert len(res.group_results) == 1
+    assert len(res.group_results) == len(winners) == 1
     for level in res.hierarchy.levels:
-        assert np.array_equal(level, res.group_results[0].best_state.params)
+        assert np.array_equal(level, winners[0].params)
     assert res.update_norms == []
 
 

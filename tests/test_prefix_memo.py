@@ -13,7 +13,7 @@ prefix) node once.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from itertools import permutations
 
 import experiment_reference
@@ -25,6 +25,7 @@ from hiercl import curvature, federated, learners, model, pipeline
 from hiercl.config import build_experiment_config
 from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run_experiment
 from hiercl.federated import FedConfig, fed_compare_run
+from hiercl.learners import LearnerState, ReplayBuffer
 from hiercl.memo import STACK_ROWS, ArrivalPlan
 from hiercl.metrics import avg_forgetting, mean_accuracy
 from hiercl.model import init_params
@@ -137,7 +138,32 @@ def _same_sums(a, b):
     return all(map(np.array_equal, a, b))
 
 
-def _assert_same_cell(method, got, want):
+@pytest.fixture
+def winners(monkeypatch):
+    """Wraps pipeline.explore_group. Each call of the returned function
+    starts a new record: a dict into which every later exploration adds its
+    winner's state, under the sorted task ids of the groups up to the one
+    it explored (its membership chain, concatenated)."""
+    records = []
+
+    def recording(group, *args, seen_task_ids, **kwargs):
+        res = explore(group, *args, seen_task_ids=seen_task_ids, **kwargs)
+        records[-1].setdefault(tuple(seen_task_ids), []).append(res.best_state)
+        return res
+
+    def record():
+        records.append({})
+        return records[-1]
+
+    explore = pipeline.explore_group
+    monkeypatch.setattr(pipeline, "explore_group", recording)
+    return record
+
+
+def _assert_same_cell(method, got, want, winners=None):
+    """Whether two cells' results are the same; for hier, `winners` holds
+    the two runs' records (see the fixture), and every winner either run
+    recorded for the cell's membership chain must be the same state."""
     if method != "hier":
         assert np.array_equal(_matrix(method, got).values, _matrix(method, want).values)
         if method != "seq":
@@ -151,12 +177,16 @@ def _assert_same_cell(method, got, want):
     assert got.audit == want.audit
     assert got.log == want.log
     assert len(got.group_results) == len(want.group_results)
+    seen = ()
     for a, b in zip(got.group_results, want.group_results):
         assert a.group == b.group and a.best_perm == b.best_perm
         assert a.per_perm_scores == b.per_perm_scores
-        assert np.array_equal(a.best_state.params, b.best_state.params)
-        assert _same_buffer(a.best_state.buffer, b.best_state.buffer)
-        assert _same_sums(a.best_state.ewc, b.best_state.ewc)
+        seen += tuple(sorted(a.group.task_ids))
+        states = winners[0][seen] + winners[1][seen]
+        for state in states[1:]:
+            assert np.array_equal(state.params, states[0].params)
+            assert _same_buffer(state.buffer, states[0].buffer)
+            assert _same_sums(state.ewc, states[0].ewc)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -176,36 +206,44 @@ def test_sweep_rows_equal_cells_run_without_a_memo(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("method", ["seq", "hier", "fedavg", "fedprox"])
-def test_memo_cells_match_fresh_cells_in_any_order(case, method):
+def test_memo_cells_match_fresh_cells_in_any_order(winners, case, method):
     cfg = _cfg(case)
     seed = cfg.seeds[0]
     perms = _perms(cfg)
+    fresh_winners = winners()
     fresh = [_reference(cfg, method, perm, seed) for perm in perms]
 
+    def check(got, want):
+        _assert_same_cell(method, got, want, (planned_winners, fresh_winners))
+
+    planned_winners = winners()
     plan = _plan(cfg, method, perms)
     for perm, want in zip(perms, fresh):
-        _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
+        check(_cell(cfg, method, perm, seed, plan), want)
     assert _holds_nothing(plan)  # each state went after its last planned use
 
     # reverse order: the plan is filled by its last cell
+    planned_winners = winners()
     plan = _plan(cfg, method, perms)
     for perm, want in zip(perms[::-1], fresh[::-1]):
-        _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
+        check(_cell(cfg, method, perm, seed, plan), want)
 
     # cells asked again after later cells have used the plan
+    planned_winners = winners()
     plan = _plan(cfg, method, perms)
     ran = perms[: len(perms) // 2 + 1]
     for perm in ran:
         _cell(cfg, method, perm, seed, plan)
     for perm, want in zip(ran, fresh):
-        _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
+        check(_cell(cfg, method, perm, seed, plan), want)
 
     # an order outside the plan, asked first and again after the plan is used
+    planned_winners = winners()
     plan = _plan(cfg, method, perms[1:])
-    _assert_same_cell(method, _cell(cfg, method, perms[0], seed, plan), fresh[0])
+    check(_cell(cfg, method, perms[0], seed, plan), fresh[0])
     for perm, want in zip(perms[1:], fresh[1:]):
-        _assert_same_cell(method, _cell(cfg, method, perm, seed, plan), want)
-    _assert_same_cell(method, _cell(cfg, method, perms[0], seed, plan), fresh[0])
+        check(_cell(cfg, method, perm, seed, plan), want)
+    check(_cell(cfg, method, perms[0], seed, plan), fresh[0])
     assert _holds_nothing(plan)
 
 
@@ -300,7 +338,7 @@ def test_prefix_keys():
     assert membership_chain(arrival_groups((1, 3, 2, 0, 4), 2)) == membership_chain(groups)
 
 
-def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch):
+def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch, winners):
     cfg = _cfg("er-k2-sampled-pairwise")
     perms = [Permutation(p) for p in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1))]
     # seq and fed: one stack of the 3 orders per depth, and after the last
@@ -333,6 +371,7 @@ def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch):
 
     explore_group = pipeline.explore_group
     monkeypatch.setattr(pipeline, "explore_group", exploring)
+    planned_winners = winners()
     plan = _plan(cfg, "hier", perms)
     chains = {membership_chain(arrival_groups(perm.order, cfg.pipeline.group_size))
               for perm in perms}
@@ -345,7 +384,9 @@ def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch):
     assert _holds_nothing(plan)
     # a cell asked for after its leaf's last planned take trains alone
     explored.clear()
-    _assert_same_cell("hier", _cell(cfg, "hier", perms[1], cfg.seeds[0], plan), cells[1])
+    alone_winners = winners()
+    _assert_same_cell("hier", _cell(cfg, "hier", perms[1], cfg.seeds[0], plan), cells[1],
+                      (alone_winners, planned_winners))
     assert explored == [(0, 1), (2, 3)]
     assert _holds_nothing(plan)
 
@@ -423,3 +464,68 @@ def test_a_diverged_partly_served_stack_names_its_hier_prefix(monkeypatch, poiso
     with pytest.raises(ValueError, match=rf"^group 0 \(tasks 0, 2\): ordering prefix 2: task 2: "
                                          rf"{why}; training diverged$"):
         _cell(cfg, "hier", perms[0], cfg.seeds[0], plan)
+
+
+def test_a_planned_sweep_builds_one_root_per_trie(monkeypatch):
+    # a look-up takes its leaf without building the root that only a
+    # trained trie starts from: one root per data seed and method, and one
+    # per cell outside its plan
+    builds = []
+
+    def counting(self, chain, make_root, train_stack):
+        def build():
+            builds.append(chain)
+            return make_root()
+
+        return take(self, chain, build, train_stack)
+
+    take = ArrivalPlan.take
+    monkeypatch.setattr(ArrivalPlan, "take", counting)
+    cfg = build_experiment_config({**_TINY, **CASES["er-k2-sampled-pairwise"],
+                                   "run.seeds": "5,6"})
+    records, _ = run_experiment(cfg, csv_path="")
+    assert len(records) == 2 * 7 * 4
+    assert len(builds) == len(cfg.seeds) * len(cfg.methods) == 8
+    perms = _perms(cfg)
+    for method in cfg.methods:
+        builds.clear()
+        plan = _plan(cfg, method, perms[1:])
+        _cell(cfg, method, perms[0], cfg.seeds[0], plan)  # outside the plan
+        for perm in perms[1:]:
+            _cell(cfg, method, perm, cfg.seeds[0], plan)  # the first trains the trie
+        _cell(cfg, method, perms[1], cfg.seeds[0], plan)  # after its last planned take
+        assert len(builds) == 3
+
+
+def _reachable(obj) -> list:
+    """Every object reachable from obj through dataclass fields, tuples,
+    lists and dicts, obj included."""
+    found, todo = [], [obj]
+    while todo:
+        x = todo.pop()
+        found.append(x)
+        if is_dataclass(x) and not isinstance(x, type):
+            todo.extend(getattr(x, f.name) for f in fields(x))
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend([*x.keys(), *x.values()])
+    return found
+
+
+def test_planned_hier_leaves_keep_no_learner_state_in_their_results():
+    # a leaf's group records are what its cells read (orderings and
+    # scores); the winners' params, buffers and EWC sums stay out of them
+    cfg = _cfg("ewc-k2-all")
+    perms = _perms(cfg)
+    plan = _plan(cfg, "hier", perms)
+    _cell(cfg, "hier", perms[0], cfg.seeds[0], plan)
+    assert plan._leaves
+    for leaf in plan._leaves.values():
+        # the walk does reach a leaf's own buffer and EWC sums
+        assert isinstance(leaf.buffer, ReplayBuffer) and leaf.ewc is not None
+        assert any(x is leaf.buffer for x in _reachable(leaf))
+        assert any(x is leaf.ewc[0] for x in _reachable(leaf))
+        assert len(leaf.results) == 2
+        for x in _reachable(leaf.results):
+            assert not isinstance(x, (LearnerState, ReplayBuffer, np.ndarray))
