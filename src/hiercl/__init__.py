@@ -9,7 +9,7 @@ closed-form curvature-regularized update.
 from .config import DatasetConfig, ExperimentConfig
 from .consolidation import (HierarchyState, catch_up, init_hierarchy,
                             multi_level_consolidate, taylor_consolidate)
-from .curvature import (CurvatureEstimate, estimate_diag_curvature, estimate_gradient,
+from .curvature import (DiagFisher, LowRankFisher, estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, regularized_solve)
 from .federated import FedConfig, fed_compare_run, fedavg_aggregate
 from .learners import LearnerConfig, LearnerState, ReplayBuffer, settle, train_seq

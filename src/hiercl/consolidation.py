@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureEstimate, quad_form, regularized_solve
+from .curvature import DiagFisher, LowRankFisher, regularized_solve
 
 
 @dataclass
@@ -41,8 +41,8 @@ class HierarchyState:
         self.lambdas = tuple(float(l) for l in self.lambdas)
         if len(self.lambdas) != len(self.levels):
             raise ValueError("need one lambda per level")
-        if any(l <= 0 for l in self.lambdas):
-            raise ValueError("lambdas must be positive")
+        if not all(0 < l < math.inf for l in self.lambdas):
+            raise ValueError(f"lambdas must be positive and finite: {self.lambdas}")
 
     @property
     def top(self) -> np.ndarray:
@@ -77,7 +77,7 @@ def taylor_consolidate(
     w_prev: np.ndarray,
     w_target: np.ndarray,
     grad: np.ndarray,
-    curv: CurvatureEstimate,
+    curv: DiagFisher | LowRankFisher,
     lam: float,
     eta: float = 1.0,
     clip: float | None = None,
@@ -96,11 +96,11 @@ def taylor_consolidate(
 
 
 def surrogate_value(
-    dw: np.ndarray, grad: np.ndarray, curv: CurvatureEstimate, lam: float, dd: np.ndarray
-) -> float:
+    dw: np.ndarray, grad: np.ndarray, curv: DiagFisher | LowRankFisher, lam: float,
+    dd: np.ndarray) -> float:
     """The quadratic objective the consolidation step minimizes over dw."""
     diff = dw - dd
-    return float(grad @ dw) + 0.5 * quad_form(curv, dw) + 0.5 * lam * float(diff @ diff)
+    return float(grad @ dw) + 0.5 * curv.quad_form(dw) + 0.5 * lam * float(diff @ diff)
 
 
 def multi_level_consolidate(

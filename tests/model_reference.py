@@ -19,8 +19,8 @@ so the oracle serves small nets only (p <= MAX_ORACLE_DIM).
 
 import numpy as np
 
-from hiercl.curvature import CurvatureEstimate
 from hiercl.model import Batch, ModelSpec, _check_batch, loss_and_grad
+from consolidation_reference import DenseCurvature
 
 # finite-difference Hessians are dense p x p; keep oracle use small
 MAX_ORACLE_DIM = 200
@@ -111,12 +111,12 @@ def fd_hessian_from_grad(grad_fn, w: np.ndarray, h: float = 1e-4) -> np.ndarray:
 
 
 def exact_dense_hessian_oracle(params, pool: Batch, spec: ModelSpec,
-                               h: float = 1e-4) -> CurvatureEstimate:
+                               h: float = 1e-4) -> DenseCurvature:
     """Finite-difference Hessian of the pool's mean loss, by central
     differences of the analytic gradient. Small p only; the dimension
     guard lives in the differencing helper."""
     hess = fd_hessian_from_grad(lambda w: loss_and_grad(w, pool, spec)[1], params, h)
-    return CurvatureEstimate("dense", matrix=hess)
+    return DenseCurvature(hess)
 
 
 def _ref_forward(params, inputs, spec: ModelSpec):

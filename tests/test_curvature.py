@@ -1,6 +1,7 @@
 """Tests for gradient/curvature estimation and the regularized solves."""
 
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,20 +11,19 @@ from hypothesis import strategies as st
 
 from hiercl import curvature
 from hiercl.curvature import (
-    VARIANTS,
-    CurvatureEstimate,
+    DiagFisher,
+    LowRankFisher,
     estimate_diag_curvature,
     estimate_gradient,
     estimate_lowrank_curvature,
     parse_curvature_spec,
-    quad_form,
     regularized_solve,
 )
 from hiercl.learners import ReplayBuffer
 from hiercl.model import (Batch, ModelSpec, init_params, loss_and_grad, per_sample_grads,
                           predict, sample_factors)
 from hiercl.pipeline import DEFAULT_SAMPLE_CAP, consolidation_pool
-from consolidation_reference import materialize
+from consolidation_reference import DenseCurvature, materialize
 
 SPEC = ModelSpec((3, 6, 3))
 
@@ -46,16 +46,29 @@ def test_parse_curvature_spec():
 
 
 def test_estimate_validation():
-    with pytest.raises(ValueError):
-        CurvatureEstimate("diagonal", diag=np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        CurvatureEstimate("diagonal", diag=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        CurvatureEstimate("lowrank", factors=(np.ones((3, 2)), np.ones(2)))  # not orthonormal
-    with pytest.raises(ValueError):
-        CurvatureEstimate("dense", matrix=np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError):
-        CurvatureEstimate("sketch", diag=np.ones(2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiagFisher(np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="1-D"):
+        DiagFisher(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="orthonormal"):
+        LowRankFisher(np.ones((3, 2)), np.ones(2))
+    with pytest.raises(ValueError, match=r"\(p x r, r\)"):
+        LowRankFisher(np.eye(3)[:, :2], np.ones(3))
+    with pytest.raises(ValueError, match="rank exceeds"):
+        LowRankFisher(np.ones((1, 2)), np.ones(2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        LowRankFisher(np.eye(3)[:, :1], np.array([-1.0]))
+    with pytest.raises(ValueError, match="symmetric"):
+        DenseCurvature(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        DenseCurvature(np.zeros((2, 3)))
+    # the estimates are frozen, and hold float64 arrays of what they were given
+    est = DiagFisher([1, 2])
+    assert est.diag.dtype == np.float64 and est.dim == 2
+    with pytest.raises(FrozenInstanceError):
+        est.diag = np.zeros(2)
+    lr = LowRankFisher(np.eye(3)[:, :1], [2])
+    assert lr.u.dtype == lr.d.dtype == np.float64 and lr.dim == 3
 
 
 def test_gradient_matches_samplewise_average():
@@ -192,7 +205,7 @@ def test_lowrank_rank_one_case():
     batch = Batch(rng.normal(size=(1, 2)), np.array([1]))
     est = estimate_lowrank_curvature(w, batch, spec, r=5)
     v = per_sample_grads(sample_factors(w, batch, spec), spec)[0]
-    u, d = est.factors
+    u, d = est.u, est.d
     assert u.shape[1] == 1
     assert abs(d[0] - v @ v) < 1e-10
     assert np.max(np.abs(np.abs(u[:, 0]) - np.abs(v) / np.linalg.norm(v))) < 1e-10
@@ -207,7 +220,7 @@ def test_lowrank_reconstructs_low_rank_fisher():
     g = per_sample_grads(sample_factors(w, batch, SPEC), SPEC)
     fisher = g.T @ g / batch.n
     assert np.max(np.abs(materialize(est) - fisher)) < 1e-8
-    u, d = est.factors
+    u, d = est.u, est.d
     assert np.all(np.diff(d) <= 1e-12)  # nonincreasing
     assert np.all(d >= 0.0)
     assert np.allclose(u.T @ u, np.eye(d.size), atol=1e-8)
@@ -222,7 +235,7 @@ def test_lowrank_direct_route_matches_gram_route():
     small = Batch(batch.inputs[:8], batch.targets[:8])  # n < p takes the gram route
     for data in (batch, small):
         est = estimate_lowrank_curvature(w, data, spec, r=4)
-        u, d = est.factors
+        u, d = est.u, est.d
         assert np.allclose(u.T @ u, np.eye(d.size), atol=1e-8)
         g = per_sample_grads(sample_factors(w, data, spec), spec)
         fisher = g.T @ g / g.shape[0]
@@ -236,20 +249,22 @@ def test_quad_form_matches_materialized():
     w = init_params(SPEC, 2)
     batch = _batch(rng, n=8)
     v = rng.normal(size=SPEC.param_count)
+    a = rng.normal(size=(SPEC.param_count, SPEC.param_count))
     for est in (
         estimate_diag_curvature(w, batch, SPEC),
         estimate_lowrank_curvature(w, batch, SPEC, r=4),
+        DenseCurvature((a + a.T) / 2),
     ):
-        assert abs(quad_form(est, v) - v @ materialize(est) @ v) < 1e-8
+        assert abs(est.quad_form(v) - v @ materialize(est) @ v) < 1e-8
 
 
-def min_eig_lower_bound(curv: CurvatureEstimate) -> float:
+def min_eig_lower_bound(curv) -> float:
     """Smallest eigenvalue (exact for diagonal/dense; 0 for a strictly
     low-rank PSD factorization, whose nullspace contributes eigenvalue 0)."""
-    if curv.variant == "diagonal":
+    if isinstance(curv, DiagFisher):
         return float(curv.diag.min()) if curv.diag.size else 0.0
-    if curv.variant == "lowrank":
-        u, d = curv.factors
+    if isinstance(curv, LowRankFisher):
+        u, d = curv.u, curv.d
         if u.shape[1] < u.shape[0]:
             return min(0.0, float(d.min())) if d.size else 0.0
         return float(d.min())
@@ -257,12 +272,12 @@ def min_eig_lower_bound(curv: CurvatureEstimate) -> float:
 
 
 def test_min_eig_examples():
-    assert min_eig_lower_bound(CurvatureEstimate("dense", matrix=np.eye(3))) == 1.0
-    assert min_eig_lower_bound(CurvatureEstimate("dense", matrix=np.diag([-2.0, 5.0]))) == -2.0
-    assert min_eig_lower_bound(CurvatureEstimate("diagonal", diag=np.array([0.5, 2.0]))) == 0.5
+    assert min_eig_lower_bound(DenseCurvature(np.eye(3))) == 1.0
+    assert min_eig_lower_bound(DenseCurvature(np.diag([-2.0, 5.0]))) == -2.0
+    assert min_eig_lower_bound(DiagFisher(np.array([0.5, 2.0]))) == 0.5
     # strictly low-rank PSD estimate has a nullspace
     u = np.eye(4)[:, :2]
-    est = CurvatureEstimate("lowrank", factors=(u, np.array([3.0, 1.0])))
+    est = LowRankFisher(u, np.array([3.0, 1.0]))
     assert min_eig_lower_bound(est) == 0.0
 
 
@@ -273,20 +288,20 @@ def test_min_eig_matches_char_poly_roots():
         a = a + a.T
         roots = np.roots(np.poly(a))
         want = float(np.sort(roots.real)[0])
-        got = min_eig_lower_bound(CurvatureEstimate("dense", matrix=a))
+        got = min_eig_lower_bound(DenseCurvature(a))
         assert abs(got - want) < 1e-8
 
 
 def test_diag_solve_elementwise():
     diag = np.array([0.0, 1.0, 3.0])
-    est = CurvatureEstimate("diagonal", diag=diag)
+    est = DiagFisher(diag)
     rhs = np.array([2.0, 2.0, 2.0])
     x = regularized_solve(est, 1.0, rhs)
     assert np.array_equal(x, rhs / (diag + 1.0))
     # the solve writes into its own temporary, never into H or rhs
     assert np.array_equal(est.diag, [0.0, 1.0, 3.0]) and np.array_equal(rhs, [2.0, 2.0, 2.0])
     # H = 0 -> x = rhs / lambda
-    zero = CurvatureEstimate("diagonal", diag=np.zeros(3))
+    zero = DiagFisher(np.zeros(3))
     assert np.array_equal(regularized_solve(zero, 2.0, rhs), rhs / 2.0)
     with pytest.raises(ValueError):
         regularized_solve(est, 0.0, rhs)
@@ -296,10 +311,12 @@ def test_diag_solve_elementwise():
         regularized_solve(est, 1.0, np.ones(4))
 
 
+# one estimate of each representation; every one goes through the same
+# shared checks in regularized_solve and require_finite
 _SOLVE_CASES = {
-    "diagonal": CurvatureEstimate("diagonal", diag=np.array([0.0, 1.0, 3.0])),
-    "lowrank": CurvatureEstimate("lowrank", factors=(np.eye(3)[:, :1], np.array([2.0]))),
-    "dense": CurvatureEstimate("dense", matrix=np.diag([1.0, 2.0, 3.0])),
+    "diagonal": DiagFisher(np.array([0.0, 1.0, 3.0])),
+    "lowrank": LowRankFisher(np.eye(3)[:, :1], np.array([2.0])),
+    "dense": DenseCurvature(np.diag([1.0, 2.0, 3.0])),
 }
 
 
@@ -318,13 +335,55 @@ def test_regularized_solve_accepts_a_finite_rhs_whose_sum_overflows(variant):
     assert np.isfinite(x).all()
 
 
+@pytest.mark.parametrize("variant", ["diagonal", "lowrank"])
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_regularized_solve_rejects_a_nonpositive_lambda(variant, lam):
+    with pytest.raises(ValueError, match=f"^lambda must be positive, got {lam}$"):
+        regularized_solve(_SOLVE_CASES[variant], lam, np.ones(3))
+    # a nonfinite rhs is named before the lambda
+    with pytest.raises(ValueError, match="^nonfinite inputs to regularized_solve$"):
+        regularized_solve(_SOLVE_CASES[variant], lam, np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("p", [7, 100_003])
+def test_chunked_diag_solve_is_bitwise_the_unchunked_one(monkeypatch, p):
+    if p < curvature.SOLVE_CHUNK:
+        monkeypatch.setattr(curvature, "SOLVE_CHUNK", 3)  # chunks of 3, 3 and 1
+    assert p % curvature.SOLVE_CHUNK and p > 2 * curvature.SOLVE_CHUNK
+    rng = np.random.default_rng(p)
+    est = DiagFisher(rng.uniform(0.0, 3.0, size=p))
+    rhs = rng.normal(size=p)
+    assert same_bits(regularized_solve(est, 0.7, rhs), rhs / (est.diag + 0.7))
+    # a nonfinite entry in the first or the last chunk is refused
+    for i in (0, p - 1):
+        bad = rhs.copy()
+        bad[i] = np.inf
+        with pytest.raises(ValueError, match="^nonfinite inputs to regularized_solve$"):
+            regularized_solve(est, 0.7, bad)
+
+
+def test_diag_solve_on_a_finite_rhs_builds_no_mask():
+    # the result is the solve's only p-sized allocation; a p-sized mask, or
+    # a p-sized temporary, would pass the bound
+    p = 100_003
+    rng = np.random.default_rng(1)
+    est, rhs = DiagFisher(rng.uniform(0.0, 3.0, size=p)), rng.normal(size=p)
+    tracemalloc.start()
+    try:
+        regularized_solve(est, 0.5, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rhs.nbytes <= peak < rhs.nbytes + p // 2
+
+
 def test_woodbury_matches_dense_solve():
     rng = np.random.default_rng(11)
     p, r = 30, 4
     for _ in range(25):
         q, _ = np.linalg.qr(rng.normal(size=(p, r)))
         d = np.abs(rng.normal(size=r)) + 0.1
-        est = CurvatureEstimate("lowrank", factors=(q, d))
+        est = LowRankFisher(q, d)
         lam = float(np.abs(rng.normal()) + 0.05)
         rhs = rng.normal(size=p)
         x = regularized_solve(est, lam, rhs)
@@ -333,7 +392,7 @@ def test_woodbury_matches_dense_solve():
 
 
 @settings(max_examples=150, deadline=None)
-@given(variant=st.sampled_from(VARIANTS),
+@given(variant=st.sampled_from(sorted(_SOLVE_CASES)),
        p=st.integers(1, 30),
        rank=st.integers(0, 30),
        lam=st.floats(0.05, 20.0),
@@ -341,22 +400,22 @@ def test_woodbury_matches_dense_solve():
 def test_regularized_solve_matches_dense_solve_and_writes_nothing(variant, p, rank, lam, seed):
     rng = np.random.default_rng(seed)
     if variant == "diagonal":
-        curv = CurvatureEstimate("diagonal", diag=rng.random(p) * 10.0)
+        curv = DiagFisher(rng.random(p) * 10.0)
     elif variant == "lowrank":
         q, _ = np.linalg.qr(rng.normal(size=(p, min(rank, p))))
-        curv = CurvatureEstimate("lowrank", factors=(q, rng.random(q.shape[1]) * 10.0))
+        curv = LowRankFisher(q, rng.random(q.shape[1]) * 10.0)
     else:
         a = rng.normal(size=(p, p))
         h = (a + a.T) / 2.0  # indefinite in general; lam clears its lowest eigenvalue
-        curv = CurvatureEstimate("dense", matrix=h)
+        curv = DenseCurvature(h)
         lam = lam + max(0.0, -float(np.linalg.eigvalsh(h)[0]))
     rhs = rng.normal(size=p)
-    before = [a.copy() for a in (curv.diag, curv.matrix, *(curv.factors or ())) if a is not None]
+    before = [a.copy() for a in vars(curv).values()]
     rhs_before = rhs.copy()
     x = regularized_solve(curv, lam, rhs)
     want = np.linalg.solve(materialize(curv) + lam * np.eye(p), rhs)
     assert np.max(np.abs(x - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
-    after = [a for a in (curv.diag, curv.matrix, *(curv.factors or ())) if a is not None]
+    after = list(vars(curv).values())
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     assert np.array_equal(rhs, rhs_before)
 
@@ -365,12 +424,12 @@ def test_dense_solve_and_pd_guard():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(8, 8))
     h = a @ a.T  # PSD
-    est = CurvatureEstimate("dense", matrix=h)
+    est = DenseCurvature(h)
     rhs = rng.normal(size=8)
     x = regularized_solve(est, 0.5, rhs)
     assert np.max(np.abs((h + 0.5 * np.eye(8)) @ x - rhs)) < 1e-8
-    neg = CurvatureEstimate("dense", matrix=np.diag([-2.0, 1.0]))
-    with pytest.raises(ValueError):
+    neg = DenseCurvature(np.diag([-2.0, 1.0]))
+    with pytest.raises(ValueError, match="positive definite"):
         regularized_solve(neg, 1.5, np.ones(2))  # needs lambda > 2
     ok = regularized_solve(neg, 2.5, np.ones(2))
     assert np.allclose(ok, [2.0, 1.0 / 3.5])
