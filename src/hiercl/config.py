@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields
 from .federated import FedConfig
 from .learners import LearnerConfig
 from .pipeline import PipelineConfig
+from .tasks import MAX_GROUP_SIZE, partition_into_groups
 
 DATASET_KINDS = ("gaussians", "permuted", "sine")
 
@@ -99,6 +100,13 @@ class ExperimentConfig:
         if self.pipeline.group_size > self.dataset.task_count:
             raise ValueError(f"group_size {self.pipeline.group_size} exceeds task_count "
                              f"{self.dataset.task_count}")
+        if "hier" in self.methods:  # the last group absorbs the remainder
+            k, n = self.pipeline.group_size, self.dataset.task_count
+            last = partition_into_groups(n, k)[-1].size
+            if last > MAX_GROUP_SIZE:
+                raise ValueError(f"run.group_size={k} with {n} tasks leaves a last group of "
+                                 f"{last}, whose {math.factorial(last)} orderings hier would "
+                                 f"explore; the cap is {MAX_GROUP_SIZE} tasks a group")
 
 
 def _opt(conv):

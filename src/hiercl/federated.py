@@ -14,6 +14,7 @@ never share one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class FedConfig:
     def __post_init__(self):
         if self.kind not in FED_KINDS:
             raise ValueError(f"unknown federated kind {self.kind!r}")
-        if not self.prox_mu >= 0:
-            raise ValueError(f"prox_mu must be nonnegative, got {self.prox_mu}")
+        if not (math.isfinite(self.prox_mu) and self.prox_mu >= 0):
+            raise ValueError(f"prox_mu must be nonnegative and finite, got {self.prox_mu}")
         if self.kind == "fedavg" and self.prox_mu != 0:
             raise ValueError("fedavg does not take a proximal coefficient")
         if self.aggregate not in AGG_MODES:

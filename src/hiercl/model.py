@@ -147,14 +147,15 @@ def _forward(layers, inputs: np.ndarray, spec: ModelSpec) -> list[np.ndarray]:
     linear (logits for classification, raw values for regression).
     """
     acts = [np.asarray(inputs, dtype=np.float64)]
-    a = acts[0]
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = acts[-1] @ w
+        z += b
         if i < len(layers) - 1:
-            a = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            a = z
-        acts.append(a)
+            if spec.activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts
 
 
@@ -168,21 +169,33 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     loss per minibatch of a stack."""
     n = out.shape[-2]
     if spec.task_kind == "classification":
-        # one shared label array serves every row of a (P, p) stack
-        y = np.broadcast_to(np.asarray(batch.targets, dtype=np.intp), out.shape[:-1])
-        m = out.max(axis=-1, keepdims=True)
-        lse = m + np.log(np.exp(out - m).sum(axis=-1, keepdims=True))
+        y = np.asarray(batch.targets, dtype=np.intp)
+        if y.shape != out.shape[:-1]:  # one shared label array serves every row of a stack
+            y = np.broadcast_to(y, out.shape[:-1])
+        # the class-axis max one column at a time: max is exact, NaN propagates
+        # as in out.max, and a signed zero in m cannot reach lse
+        m = out[..., :1].copy()
+        for j in range(1, out.shape[-1]):
+            np.maximum(m, out[..., j : j + 1], out=m)
+        e = out - m
+        np.exp(e, out=e)
+        lse = e.sum(axis=-1, keepdims=True)
+        np.log(lse, out=lse)
+        lse += m
         logp = out - lse
         # flat position of each sample's target entry in the (..., n, c) array
         at = np.arange(0, logp.size, logp.shape[-1]) + y.reshape(-1)
         loss = -logp.reshape(-1)[at].reshape(y.shape).mean(axis=-1)
-        delta = np.exp(logp)
+        delta = np.exp(logp, out=logp)  # only once the loss has its entries
         delta.reshape(-1)[at] -= 1.0
-        return loss, delta / n
+        delta /= n
+        return loss, delta
     t = _regression_targets(batch)
     r = out - t
     loss = (r * r).reshape(*r.shape[:-2], -1).mean(axis=-1)
-    return loss, 2.0 * r / (n * r.shape[-1])
+    r *= 2.0
+    r /= n * r.shape[-1]
+    return loss, r
 
 
 def _backprop(acts, delta, spec: ModelSpec, layers):
@@ -191,14 +204,21 @@ def _backprop(acts, delta, spec: ModelSpec, layers):
 
     The hidden-layer derivative reuses the stored activation a: 1 - a**2
     for tanh and a > 0 for relu, the same bits as recomputing them from
-    the pre-activations. Callers must not write into the yielded delta.
+    the pre-activations. It is multiplied in place into the fresh product
+    delta @ W^T, so no yielded delta is ever written; callers must not
+    write into one either.
     """
     for i in range(len(layers) - 1, -1, -1):
         yield i, acts[i], delta
         if i > 0:
             a = acts[i]
+            if spec.activation == "tanh":
+                slope = np.square(a)
+                np.subtract(1.0, slope, out=slope)
+            else:
+                slope = a > 0.0
             delta = delta @ layers[i][0].swapaxes(-1, -2)
-            delta = delta * (1.0 - a ** 2) if spec.activation == "tanh" else delta * (a > 0.0)
+            delta *= slope
 
 
 def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):

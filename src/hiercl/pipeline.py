@@ -229,8 +229,7 @@ def explore_group(
     if counts_only:  # the winner's chain makes its epoch-0 offers again, into a real buffer
         order, filled = perms[best].order, buffer.clone()
         for d, t in enumerate(order):
-            epoch_plan(tasks[t], cfg.batch_size,
-                       np.random.default_rng(prefix_seed(order[: d + 1])), filled)
+            epoch_plan(tasks[t], np.random.default_rng(prefix_seed(order[: d + 1])), filled)
         best_state = replace(best_state, buffer=filled)
     return GroupExplorationResult(
         group=group,

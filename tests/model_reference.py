@@ -6,9 +6,11 @@ uniform draw per weight block, joined with zero biases by concatenation.
 kernels kept verbatim: per-layer einsum blocks joined by concatenation,
 and a backward pass that recomputes each hidden derivative from the
 pre-activations. They run on one unstacked batch, through their own
-copies of the parameter split and the output loss, so the library's
-stacked kernels are checked against code they do not share. The library
-kernels must match them bit for bit.
+copies of the parameter split and the output loss
+(`ref_output_loss_and_delta`: a whole-axis max, one expression for the
+log-sum-exp, the softmax as exp(log-softmax)), so the library's stacked
+kernels are checked against code they do not share. The library kernels
+must match them bit for bit.
 
 The finite-difference oracles: `fd_gradient` differences a scalar
 function, `fd_hessian_from_grad` a gradient function, and
@@ -58,7 +60,7 @@ def _split_params(params, spec: ModelSpec):
     return layers
 
 
-def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
+def ref_output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     n = out.shape[0]
     if spec.task_kind == "classification":
         y = np.asarray(batch.targets, dtype=np.intp)
@@ -156,7 +158,7 @@ def _ref_backward(acts, pre, delta, spec: ModelSpec, params):
 def ref_loss_and_grad(params, batch: Batch, spec: ModelSpec):
     _check_batch(batch, spec)
     acts, pre = _ref_forward(params, batch.inputs, spec)
-    loss, delta = _output_loss_and_delta(acts[-1], batch, spec)
+    loss, delta = ref_output_loss_and_delta(acts[-1], batch, spec)
     return loss, _ref_backward(acts, pre, delta, spec, params)
 
 

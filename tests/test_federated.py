@@ -24,8 +24,9 @@ def _tasks(seed=0):
 def test_fed_config_validation():
     with pytest.raises(ValueError):
         FedConfig(kind="fedsgd")
-    with pytest.raises(ValueError):
-        FedConfig(kind="fedprox", prox_mu=-1.0)
+    for mu in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="prox_mu"):
+            FedConfig(kind="fedprox", prox_mu=mu)
     with pytest.raises(ValueError):
         FedConfig(kind="fedavg", prox_mu=0.5)
     with pytest.raises(ValueError):

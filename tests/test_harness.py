@@ -412,6 +412,9 @@ _BAD_VALUES = [
     ("run.group_size=9", "group_size"),  # the default dataset has 5 tasks
     ("run.fed_aggregate=bogus", "aggregate"),
     ("run.prox_mu=-1", "prox_mu"),
+    ("run.prox_mu=inf", "prox_mu"),  # these three used to fail at the first nan loss
+    ("learner.weight_decay=inf", "weight_decay"),
+    ("learner.ewc_strength=inf", "ewc_strength"),
     ("run.clip=0", "clip"),  # would zero every consolidation step
     ("run.clip=-1", "clip"),  # would reverse every consolidation step
     ("run.methods=", "methods"),
@@ -451,6 +454,9 @@ def test_cli_rejects_bad_learner_value_when_building_the_config(tmp_path, capsys
      ("run.lambda=", "run.lambda_factor=", "run.levels=")),
     (("run.perms=0",), ("run.perms",)),
     (("run.perms=-2",), ("run.perms",)),
+    # 11 tasks in groups of 4: the last group of 7 has 5040 orderings, which
+    # failed only in the first hier cell, after the seq cells had trained
+    (("dataset.num_classes=22", "run.group_size=4"), ("run.group_size=4", "11 tasks")),
 ])
 def test_bad_value_combinations_fail_at_build_time_naming_their_keys(
         tmp_path, capsys, settings, names):
@@ -464,6 +470,14 @@ def test_bad_value_combinations_fail_at_build_time_naming_their_keys(
     with pytest.raises(ValueError) as info:
         build_experiment_config(dict(s.split("=", 1) for s in settings))
     assert all(name in str(info.value) for name in names)
+
+
+def test_an_over_cap_last_group_is_refused_only_when_hier_runs():
+    settings = {"dataset.num_classes": "22", "run.group_size": "4"}
+    for methods in ("seq", "fedavg,fedprox"):  # neither explores group orderings
+        build_experiment_config({**settings, "run.methods": methods})
+    with pytest.raises(ValueError, match="run.group_size=4 with 11 tasks"):
+        build_experiment_config({**settings, "run.methods": "hier"})
 
 
 @pytest.mark.parametrize("setting, shown", [("run.methods=seq,hier,seq", "'seq'"),
@@ -501,9 +515,10 @@ def test_a_run_that_diverges_after_its_first_record_leaves_the_out_file_untouche
     # the fedavg rows are written before the seq trie diverges
     out_csv = tmp_path / "x.csv"
     out_csv.write_bytes(b"method,seed\nkept,0\n")
-    rc = main(["run", "--set", "run.perms=2", "--set", "run.seeds=0",
-               "--set", "run.methods=fedavg,seq", "--set", "learner.learning_rate=6e10",
-               "--set", f"run.out={out_csv}"])
+    with pytest.warns(RuntimeWarning, match="overflow"):  # the step that diverges
+        rc = main(["run", "--set", "run.perms=2", "--set", "run.seeds=0",
+                   "--set", "run.methods=fedavg,seq", "--set", "learner.learning_rate=6e10",
+                   "--set", f"run.out={out_csv}"])
     assert rc == 2 and "training diverged" in capsys.readouterr().err
     assert out_csv.read_bytes() == b"method,seed\nkept,0\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]

@@ -258,13 +258,14 @@ def test_learner_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
     ("momentum", -0.1), ("momentum", 1.0), ("momentum", float("nan")),
-    ("weight_decay", -1e-4), ("weight_decay", float("nan")),
-    ("ewc_strength", -1.0), ("ewc_strength", float("nan")),
+    ("weight_decay", -1e-4), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("ewc_strength", -1.0), ("ewc_strength", float("nan")), ("ewc_strength", float("inf")),
     ("learning_rate", float("inf")), ("learning_rate", float("nan")),
 ])
 def test_learner_config_rejects_bad_optimizer_values(field, value):
     # a negative clip used to flip the step: grad (3, 4) moved the params
-    # by +(0.06, 0.08) instead of -(0.3, 0.4), so training climbed the loss
+    # by +(0.06, 0.08) instead of -(0.3, 0.4), so training climbed the loss;
+    # an infinite coefficient failed only at the first nan minibatch loss
     with pytest.raises(ValueError, match=field):
         LearnerConfig(**{field: value})
 
@@ -272,6 +273,7 @@ def test_learner_config_rejects_bad_optimizer_values(field, value):
 def test_learner_config_accepts_boundary_values():
     cfg = LearnerConfig(momentum=0.0, weight_decay=0.0, ewc_strength=0.0, grad_clip=1e-9)
     assert cfg.momentum == 0.0 and cfg.grad_clip == 1e-9
+    assert LearnerConfig(grad_clip=float("inf")).grad_clip == float("inf")  # never clips
 
 
 def _zero_grad_task(spec, w, n=6, seed=0):
@@ -686,6 +688,39 @@ def test_train_seq_never_writes_a_parent(kind):
         assert np.array_equal(got, want)
     assert parent.buffer is buffer and buffer.seen_count == 4
     assert parent.ewc is sums and parent.pending is None
+
+
+@pytest.mark.parametrize("task_kind", ("classification", "regression"))
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_train_seq_runs_on_write_protected_tasks_and_parents(kind, task_kind):
+    # the stacked training set, its gathers and the step's in-place updates
+    # are the learner's own arrays: read-only inputs give the bits of copies
+    if task_kind == "classification":
+        spec, tasks = SPEC, _tasks()
+    else:
+        spec = ModelSpec((1, 8, 1), task_kind="regression")
+        tasks = gen_sine_tasks(num_tasks=2, samples_per_task=20, seed=3)
+    cfg = LearnerConfig(kind=kind, epochs_per_task=2, batch_size=8, buffer_capacity=6)
+    sums = (np.full(spec.param_count, 0.5), 0.5 * init_params(spec, 1))
+
+    def run(freeze):
+        def own(a):
+            a = a.copy()
+            a.setflags(write=not freeze)
+            return a
+
+        row_tasks = [TaskDataset(t.task_id, *(Batch(own(b.inputs), own(b.targets))
+                                              for b in (t.train, t.val, t.test)))
+                     for t in tasks]
+        parents = [LearnerState(own(init_params(spec, s)), None,
+                                tuple(map(own, sums)) if kind == "ewc" else None)
+                   for s in range(2)]
+        children = train_seq(parents, row_tasks, cfg, spec, [0, 1])
+        return [a for c in children for a in (c.params, *((c.buffer.inputs, c.buffer.targets)
+                                                          if c.buffer else ()))]
+
+    want, got = run(False), run(True)
+    assert len(got) == len(want) and all(map(same_bits, got, want))
 
 
 @pytest.mark.parametrize("kind", LEARNER_KINDS)

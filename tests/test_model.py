@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from bits import same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from hiercl.curvature import estimate_diag_curvature
 from hiercl.model import (
     Batch,
     ModelSpec,
+    _output_loss_and_delta,
     accuracy_eval,
     init_params,
     loss_and_grad,
@@ -20,7 +22,7 @@ from hiercl.model import (
 )
 from model_reference import (exact_dense_hessian_oracle, fd_gradient, fd_hessian_from_grad,
                              ref_accuracy_eval, ref_init_params, ref_loss_and_grad,
-                             ref_per_sample_grads)
+                             ref_output_loss_and_delta, ref_per_sample_grads)
 
 CLS = ModelSpec((4, 6, 3))
 REG = ModelSpec((3, 5, 2), task_kind="regression")
@@ -179,6 +181,82 @@ def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, rows,
         ref_loss, ref_g = ref_loss_and_grad(ws[i], batch, spec)
         assert shared_losses[i] == ref_loss and np.array_equal(shared_grads[i], ref_g)
         assert scores[i] == ref_accuracy_eval(ws[i], batch, spec)
+
+
+# each row is one corner of the class-axis max and the log-sum-exp
+_HARD_LOGITS = np.array([
+    [1.0, 3.0, 3.0, -2.0],  # a tied maximum
+    [-0.0, 0.0, -0.0, -1.0],  # maxima of either signed zero
+    [0.0, -0.0, -5.0, -0.0],
+    [-0.0, -0.0, -0.0, -0.0],
+    [np.inf, 1.0, 0.0, 2.0],
+    [np.inf, np.inf, 0.0, 1.0],
+    [-np.inf, 1.0, 0.0, 2.0],
+    [-np.inf, -np.inf, -np.inf, -np.inf],
+    [np.nan, 1.0, 2.0, 0.0],
+    [1.0, 2.0, np.nan, np.inf],
+    [750.0, -750.0, 0.0, 700.0],  # exp overflows and underflows
+])
+_HARD_LABELS = np.array([1, 2, 0, 3, 1, 0, 0, 2, 1, 3, 1])
+
+
+def test_loss_kernel_gives_the_reference_bits_on_hard_logits():
+    spec = ModelSpec((1, _HARD_LOGITS.shape[1]))
+    n = len(_HARD_LABELS)
+
+    def check(out, y, stack=False):
+        loss, delta = _output_loss_and_delta(out, Batch(np.zeros((*y.shape, 1)), y), spec)
+        for i in range(len(out)) if stack else [None]:
+            row_out, row_y = (out, y) if i is None else (out[i], y if y.ndim == 1 else y[i])
+            want = ref_output_loss_and_delta(row_out, Batch(np.zeros((len(row_y), 1)), row_y),
+                                             spec)
+            got = (loss, delta) if i is None else (loss[i], delta[i])
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (i, row_out)
+
+    with np.errstate(all="ignore"):  # these logits overflow and make NaNs on purpose
+        for j in range(n):
+            check(_HARD_LOGITS[j : j + 1], _HARD_LABELS[j : j + 1])
+        check(_HARD_LOGITS, _HARD_LABELS)
+        stack = np.stack([_HARD_LOGITS, _HARD_LOGITS[::-1]])
+        check(stack, _HARD_LABELS, stack=True)  # labels shared by the stack
+        check(stack, np.stack([_HARD_LABELS, _HARD_LABELS[::-1]]), stack=True)
+
+
+@pytest.mark.parametrize("task_kind", ("classification", "regression"))
+@pytest.mark.parametrize("activation", ("tanh", "relu"))
+def test_no_kernel_writes_into_its_callers_arrays(activation, task_kind):
+    # the kernels work in place on their own temporaries only: on
+    # write-protected params and batches they run, to the bits of copies
+    spec = ModelSpec((4, 6, 5, 3), activation=activation, task_kind=task_kind)
+    rng = np.random.default_rng(8)
+    rows, n = 3, 7
+
+    def targets(*shape):
+        if task_kind == "classification":
+            return rng.integers(0, spec.output_dim, size=shape)
+        return rng.normal(size=(*shape, spec.output_dim))
+
+    w = init_params(spec, 0) + 0.3 * rng.normal(size=spec.param_count)
+    ws = w + 0.3 * rng.normal(size=(rows, spec.param_count))
+    shared = Batch(rng.normal(size=(n, 4)), targets(n))
+    stacked = Batch(rng.normal(size=(rows, n, 4)), targets(rows, n))
+
+    def results(params, batch, freeze):
+        if freeze:
+            for a in (params, batch.inputs, batch.targets):
+                a.setflags(write=False)
+        out = list(loss_and_grad(params, batch, spec))
+        if batch.inputs.ndim == 2:
+            out.append(accuracy_eval(params, batch, spec))
+        if params.ndim == 1:
+            out += [x for pair in sample_factors(params, batch, spec) for x in pair]
+        return out
+
+    for params, batch in ((w, shared), (ws, shared), (ws, stacked)):
+        copies = [(params.copy(), Batch(batch.inputs.copy(), batch.targets.copy()))
+                  for _ in range(2)]
+        want, got = (results(*pair, freeze) for pair, freeze in zip(copies, (False, True)))
+        assert len(got) == len(want) and all(map(same_bits, got, want))
 
 
 def test_accuracy_classification():
