@@ -11,7 +11,7 @@ from .consolidation import (HierarchyState, catch_up, init_hierarchy,
                             multi_level_consolidate, taylor_consolidate)
 from .curvature import (DiagFisher, LowRankFisher, estimate_diag_curvature, estimate_gradient,
                         estimate_lowrank_curvature, regularized_solve)
-from .federated import FedConfig, fed_compare_run, fedavg_aggregate
+from .federated import fed_compare_run, fedavg_aggregate
 from .learners import LearnerConfig, LearnerState, ReplayBuffer, settle, train_seq
 from .metrics import (AccuracyMatrix, MetricsRecord, avg_forgetting, mean_accuracy,
                       read_records, std_across_permutations, summarize)

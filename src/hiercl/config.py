@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .federated import FedConfig
 from .learners import LearnerConfig
 from .pipeline import PipelineConfig
 from .tasks import MAX_GROUP_SIZE, partition_into_groups
@@ -42,7 +41,7 @@ class DatasetConfig:
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            raise ValueError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
         for name in ("num_tasks", "num_classes", "classes_per_task", "dim", "samples_per_class",
                      "val_per_class", "test_per_class", "samples_per_task"):
             value = getattr(self, name)
@@ -73,20 +72,20 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("seq", "hier")
     hidden: tuple[int, ...] = (16,)
     prox_mu: float = 0.1
-    fed_aggregate: str = "running"
     out: str = "results.csv"
 
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0:
-            raise ValueError(f"seeds must be one or more nonnegative ints, got {self.seeds}")
+            raise ValueError(f"run.seeds must be one or more nonnegative ints, got {self.seeds}")
         if self.perm_sample_seed < 0:
-            raise ValueError(f"run.perm_sample_seed must be nonnegative: {self.perm_sample_seed}")
+            raise ValueError(f"run.perm_sample_seed must be nonnegative, "
+                             f"got {self.perm_sample_seed}")
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"run.hidden widths must be positive, got {self.hidden}")
         if self.perms != "all" and (isinstance(self.perms, str) or self.perms < 1):
             raise ValueError(f"run.perms must be 'all' or a positive integer, got {self.perms!r}")
         if not self.methods:
-            raise ValueError("methods must name at least one method")
+            raise ValueError(f"run.methods must name at least one method, got {self.methods}")
         for key, values in (("run.seeds", self.seeds), ("run.methods", self.methods)):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
@@ -95,11 +94,15 @@ class ExperimentConfig:
         known = {"seq", "hier", "fedavg", "fedprox"}
         bad = set(self.methods) - known
         if bad:
-            raise ValueError(f"unknown methods {sorted(bad)}; pick from {sorted(known)}")
-        FedConfig("fedprox", self.prox_mu, self.fed_aggregate)  # checks both values
+            raise ValueError(f"run.methods has unknown methods {sorted(bad)}; "
+                             f"pick from {sorted(known)}")
+        if not (math.isfinite(self.prox_mu) and self.prox_mu >= 0):
+            raise ValueError(f"run.prox_mu must be nonnegative and finite, got {self.prox_mu}")
+        if not self.out:  # run_experiment(cfg, csv_path="") is the route that writes no CSV
+            raise ValueError("run.out must name the results CSV, got ''")
         if self.pipeline.group_size > self.dataset.task_count:
-            raise ValueError(f"group_size {self.pipeline.group_size} exceeds task_count "
-                             f"{self.dataset.task_count}")
+            raise ValueError(f"run.group_size={self.pipeline.group_size} exceeds the "
+                             f"{self.dataset.task_count} tasks of the dataset")
         if "hier" in self.methods:  # the last group absorbs the remainder
             k, n = self.pipeline.group_size, self.dataset.task_count
             last = partition_into_groups(n, k)[-1].size

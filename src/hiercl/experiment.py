@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from .config import DatasetConfig, ExperimentConfig
-from .federated import FedConfig, fed_compare_run
+from .federated import fed_compare_run
 from .learners import LearnerConfig, LearnerState, settle, train_seq
 from .memo import ArrivalPlan
 from .metrics import (AccuracyMatrix, CsvSink, MetricsRecord, avg_forgetting,
@@ -107,10 +107,8 @@ def _run_method(method, tasks, perm, cfg, spec, seed, init, plan) -> AccuracyMat
         return run_baseline_seq(tasks, perm, learner, spec, seed, init, plan)
     if method == "hier":
         return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, plan=plan).matrix
-    fed = FedConfig(kind=method,
-                    prox_mu=cfg.prox_mu if method == "fedprox" else 0.0,
-                    aggregate=cfg.fed_aggregate)
-    return fed_compare_run(tasks, perm, fed, learner, spec, seed, init, plan)[1]
+    mu = cfg.prox_mu if method == "fedprox" else 0.0  # fedavg is fedprox at mu = 0
+    return fed_compare_run(tasks, perm, mu, learner, spec, seed, init, plan)[1]
 
 
 def run_experiment(cfg: ExperimentConfig, csv_path: str | None = None):

@@ -125,29 +125,28 @@ class LearnerConfig:
     batch_size: int = 32
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    grad_clip: float | None = None
     buffer_capacity: int = 50
     ewc_strength: float = 10.0
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}")
+            raise ValueError(f"learner.kind must be one of {LEARNER_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+            raise ValueError(f"learner.learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+            raise ValueError(f"learner.momentum must lie in [0, 1), got {self.momentum}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be nonnegative and finite, "
+            raise ValueError(f"learner.weight_decay must be nonnegative and finite, "
                              f"got {self.weight_decay}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be positive when set, got {self.grad_clip}")
         if not (math.isfinite(self.ewc_strength) and self.ewc_strength >= 0):
-            raise ValueError(f"ewc_strength must be nonnegative and finite, "
+            raise ValueError(f"learner.ewc_strength must be nonnegative and finite, "
                              f"got {self.ewc_strength}")
         if self.epochs_per_task < 1:
-            raise ValueError("epochs_per_task must be at least 1")
+            raise ValueError(f"learner.epochs_per_task must be at least 1, "
+                             f"got {self.epochs_per_task}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise ValueError(f"learner.batch_size must be at least 1, got {self.batch_size}")
         if self.buffer_capacity < 1:  # hier's consolidation pool holds a buffer for every kind
             raise ValueError(f"learner.buffer_capacity must be at least 1, "
                              f"got {self.buffer_capacity}")
@@ -175,14 +174,9 @@ class TrainingDiverged(ValueError):
 
 def _sgd_step(params, grad, velocity, cfg: LearnerConfig):
     """One momentum step, in place, for every row of a (P, p) stack of
-    params and its velocity; clipping scales each row by its own norm."""
+    params and its velocity."""
     g = params * cfg.weight_decay
     g += grad
-    if cfg.grad_clip is not None:
-        norm = np.array([np.linalg.norm(row) for row in g])
-        scale = np.divide(cfg.grad_clip, norm, out=np.ones_like(norm),
-                          where=norm > cfg.grad_clip)
-        g *= scale[:, None]
     velocity *= cfg.momentum
     g *= cfg.learning_rate
     velocity -= g

@@ -37,8 +37,6 @@ from .model import Batch, ModelSpec, accuracy_eval, init_params
 from .tasks import (Permutation, TaskDataset, TaskGroup, arrival_order,
                     enumerate_intra_group_perms, partition_into_groups, task_accuracies)
 
-EVAL_POLICIES = ("group_val", "seen_test")
-
 # uniform cap on samples fed to the estimators; keeps cost bounded
 DEFAULT_SAMPLE_CAP = 512
 
@@ -73,27 +71,25 @@ class PipelineConfig:
     clip: float | None = 1.0
     n_catch: int = 2
     curvature: str = "diag"
-    eval_policy: str = "group_val"
     sample_cap: int | None = DEFAULT_SAMPLE_CAP
     audit_draws: int = 1000
 
     def __post_init__(self):
         if self.group_size < 1:
-            raise ValueError("group_size must be at least 1")
+            raise ValueError(f"run.group_size must be at least 1, got {self.group_size}")
         if self.levels < 1:
             raise ValueError(f"run.levels must be at least 1, got {self.levels}")
         if self.n_catch < 0:
             raise ValueError(f"run.catchup must be nonnegative, got {self.n_catch}")
         if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
-        if self.eval_policy not in EVAL_POLICIES:
-            raise ValueError(f"eval_policy must be one of {EVAL_POLICIES}")
+            raise ValueError(f"run.eta must lie in (0, 1], got {self.eta}")
         if self.clip is not None and not self.clip > 0:
-            raise ValueError(f"clip must be positive when set, got {self.clip}")
+            raise ValueError(f"run.clip must be positive when set, got {self.clip}")
         if self.sample_cap is not None and self.sample_cap < 1:
-            raise ValueError(f"sample_cap must be at least 1 when set, got {self.sample_cap}")
+            raise ValueError(f"run.sample_cap must be at least 1 when set, "
+                             f"got {self.sample_cap}")
         if self.audit_draws < 0:
-            raise ValueError(f"audit_draws must be nonnegative, got {self.audit_draws}")
+            raise ValueError(f"run.audit_draws must be nonnegative, got {self.audit_draws}")
         try:
             lambda_schedule(self.lam, self.levels, self.lambda_factor)
         except ValueError as exc:
@@ -137,14 +133,6 @@ def _concat_batches(batches: list[Batch]) -> Batch:
                  np.concatenate([b.targets for b in batches]))
 
 
-def _eval_batch(tasks, group: TaskGroup, policy: str, seen_task_ids) -> Batch:
-    if policy == "group_val":
-        ids = sorted(group.task_ids)
-        return _concat_batches([tasks[i].val for i in ids])
-    ids = sorted(seen_task_ids)
-    return _concat_batches([tasks[i].test for i in ids])
-
-
 def _group_name(group: TaskGroup) -> str:
     return f"group {group.group_index} (tasks {', '.join(map(str, sorted(group.task_ids)))})"
 
@@ -156,10 +144,8 @@ def explore_group(
     cfg: LearnerConfig,
     spec: ModelSpec,
     base_seed: int,
-    eval_policy: str = "group_val",
     buffer: ReplayBuffer | None = None,
     ewc=None,
-    seen_task_ids=None,
     shared: dict | None = None,
 ) -> GroupExplorationResult:
     """Train every ordering of the group from identical snapshots and pick
@@ -180,14 +166,14 @@ def explore_group(
     to settled states of explorations from the same snapshot and group
     index: a prefix found there is taken, not trained, and every prefix
     settled here is added. The k! orderings are scored by one
-    accuracy_eval call, and only the winner is settled. A nonfinite loss,
+    accuracy_eval call on the group's validation sets, in task-id order,
+    and only the winner is settled. A nonfinite loss,
     nonfinite params at the end of a task, or a nonfinite EWC Fisher stop
     training at once, and the error names the group, its sorted task ids
     and the first prefix of its stack where that happened (the ordering,
     for the winner's Fisher)."""
     perms = enumerate_intra_group_perms(group)
-    eval_batch = _eval_batch(tasks, group, eval_policy,
-                             seen_task_ids or group.task_ids)
+    eval_batch = _concat_batches([tasks[i].val for i in sorted(group.task_ids)])
     where = f"{_group_name(group)}: ordering"
     last = group.size - 1
     shared = {} if shared is None else shared
@@ -303,8 +289,8 @@ def _absorb_group(node: _Prefix, chain: tuple, last: bool, tasks, cfg: PipelineC
     last group, run the catch-up passes."""
     group = TaskGroup(len(chain) - 1, chain[-1])
     res = explore_group(
-        group, tasks, node.hier.levels[0], cfg.learner, spec, seed, cfg.eval_policy,
-        buffer=node.buffer, ewc=node.ewc, seen_task_ids=sum(chain, ()), shared=shared,
+        group, tasks, node.hier.levels[0], cfg.learner, spec, seed,
+        buffer=node.buffer, ewc=node.ewc, shared=shared,
     )
     buffer, local = res.best_state.buffer, res.best_state.params
     # group 0 only copies the local model; its pool is needed only when it

@@ -14,7 +14,7 @@ import numpy as np
 from federated_reference import fedprox_train_local
 from learners_reference import train_seq
 
-from hiercl.federated import FedConfig, fedavg_aggregate
+from hiercl.federated import fedavg_aggregate
 from hiercl.learners import LearnerConfig, LearnerState
 from hiercl.metrics import AccuracyMatrix
 from hiercl.model import ModelSpec, init_params
@@ -53,7 +53,7 @@ def run_baseline_seq(
 def fed_compare_run(
     tasks: list[TaskDataset],
     full_perm: Permutation,
-    fed_cfg: FedConfig,
+    mu: float,
     learner_cfg: LearnerConfig,
     spec: ModelSpec,
     base_seed: int,
@@ -67,14 +67,10 @@ def fed_compare_run(
     if init is None:
         init = init_params(spec, derive_seed(base_seed, INIT_STREAM))
     global_w, locals_, accs = np.array(init, dtype=np.float64), [], []
-    mu = fed_cfg.prox_mu if fed_cfg.kind == "fedprox" else 0.0
     for i, task in enumerate(order):
         local = fedprox_train_local(tasks[task], global_w, learner_cfg, mu, spec,
                                     derive_seed(base_seed, FED_STREAM, i))
-        if fed_cfg.aggregate == "running":
-            locals_.append(local)
-            global_w = fedavg_aggregate(locals_)
-        else:
-            global_w = fedavg_aggregate([global_w, local])
+        locals_.append(local)
+        global_w = fedavg_aggregate(locals_)
         accs.append(task_accuracies(global_w, tasks, spec))
     return global_w, AccuracyMatrix(np.stack(accs)[:, order])

@@ -37,10 +37,6 @@ def ewc_penalty_grad(params, anchors, strength):
 
 def _sgd_step(params, grad, velocity, cfg: LearnerConfig):
     g = grad + cfg.weight_decay * params
-    if cfg.grad_clip is not None:
-        norm = float(np.linalg.norm(g))
-        if norm > cfg.grad_clip:
-            g = g * (cfg.grad_clip / norm)
     velocity = cfg.momentum * velocity - cfg.learning_rate * g
     return params + velocity, velocity
 

@@ -3,9 +3,10 @@ claims, from closed-form algebra against iterative oracles up to the full
 permutation-sweep benchmark. Each test prints one PASS/FAIL line (echoed
 again after the run summary) and asserts the same condition.
 
-The benchmark cells (variance reduction, forgetting reduction, federated
-comparison) share one session-scoped sweep: split-Gaussian 5-task stream,
-all 120 arrival orders, seeds 0..4, four methods per cell.
+Four criteria (3 selection audit, 9 variance reduction, 10 forgetting
+reduction, 13 federated comparison) share one session-scoped sweep:
+split-Gaussian 5-task stream, all 120 arrival orders, seeds 0..4, four
+methods per cell.
 """
 
 import time
@@ -45,7 +46,7 @@ def _bench_pipeline(**overrides) -> PipelineConfig:
 
 @pytest.fixture(scope="session")
 def benchmark_sweep():
-    """One full sweep reused by the three benchmark criteria: 5 seeds x
+    """One full sweep reused by criteria 3, 9, 10 and 13: 5 seeds x
     120 permutations x (er, er+hier, fedavg, fedprox at mu=0)."""
     cfg = ExperimentConfig(
         dataset=BENCH_DATASET,

@@ -5,10 +5,12 @@ import pytest
 from federated_reference import fedprox_train_local
 
 from hiercl import federated
-from hiercl.federated import FedConfig, fed_compare_run, fedavg_aggregate
+from hiercl.config import ExperimentConfig
+from hiercl.experiment import _run_method
+from hiercl.federated import fed_compare_run, fedavg_aggregate
 from hiercl.learners import LearnerConfig, train_on_task
 from hiercl.model import ModelSpec, init_params
-from hiercl.pipeline import INIT_STREAM, derive_seed
+from hiercl.pipeline import INIT_STREAM, PipelineConfig, derive_seed
 from hiercl.tasks import Permutation, gen_split_gaussians
 
 SPEC = ModelSpec((4, 6, 6))
@@ -19,19 +21,6 @@ def _tasks(seed=0):
         num_classes=6, classes_per_task=2, dim=4, samples_per_class=10,
         spread=3.0, seed=seed, val_per_class=4, test_per_class=8,
     )
-
-
-def test_fed_config_validation():
-    with pytest.raises(ValueError):
-        FedConfig(kind="fedsgd")
-    for mu in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="prox_mu"):
-            FedConfig(kind="fedprox", prox_mu=mu)
-    with pytest.raises(ValueError):
-        FedConfig(kind="fedavg", prox_mu=0.5)
-    with pytest.raises(ValueError):
-        FedConfig(aggregate="median")
-    FedConfig(kind="fedprox", prox_mu=0.0)  # allowed: reduces to plain
 
 
 def test_aggregate_hand_values():
@@ -92,13 +81,13 @@ def test_fedprox_pull_matches_the_proximal_gradient_within_rounding(monkeypatch)
     monkeypatch.setattr(federated, "train_on_task", recording)
     tasks, cfg = _tasks(), LearnerConfig(kind="sgd", epochs_per_task=1)
     init, perm = init_params(SPEC, 5), Permutation((0, 1, 2))
-    fed_compare_run(tasks, perm, FedConfig("fedprox", 0.0), cfg, SPEC, 5, init=init)
+    fed_compare_run(tasks, perm, 0.0, cfg, SPEC, 5, init=init)
     assert [pull for _, pull in seen] == [None] * 3
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(0)
     for mu in (1e-3, 0.1, 0.7, 30.0):
         seen.clear()
-        fed_compare_run(tasks, perm, FedConfig("fedprox", mu), cfg, SPEC, 5, init=init)
+        fed_compare_run(tasks, perm, mu, cfg, SPEC, 5, init=init)
         assert len(seen) == 3
         for anchor, (a, b) in seen:
             assert a == mu and np.array_equal(b, mu * anchor)
@@ -111,9 +100,9 @@ def test_fedprox_pull_matches_the_proximal_gradient_within_rounding(monkeypatch)
 def test_fed_compare_run_without_init_starts_from_the_init_stream():
     tasks, cfg = _tasks(), LearnerConfig(kind="sgd", epochs_per_task=1)
     init, perm = init_params(SPEC, derive_seed(5, INIT_STREAM)), Permutation((1, 0, 2))
-    for fed in (FedConfig("fedavg"), FedConfig("fedprox", 0.3)):
-        g_got, m_got = fed_compare_run(tasks, perm, fed, cfg, SPEC, 5)
-        g_want, m_want = fed_compare_run(tasks, perm, fed, cfg, SPEC, 5, init=init)
+    for mu in (0.0, 0.3):
+        g_got, m_got = fed_compare_run(tasks, perm, mu, cfg, SPEC, 5)
+        g_want, m_want = fed_compare_run(tasks, perm, mu, cfg, SPEC, 5, init=init)
         assert np.array_equal(g_got, g_want) and np.array_equal(m_got.values, m_want.values)
 
 
@@ -121,24 +110,18 @@ def test_fed_compare_run_single_task_global_equals_local():
     tasks = _tasks()[:1]
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
     init = init_params(SPEC, 0)
-    for agg in ("running", "pairwise"):
-        fed = FedConfig(kind="fedavg", aggregate=agg)
-        global_w, matrix = fed_compare_run(tasks, Permutation((0,)), fed, cfg, SPEC, 0, init=init)
-        local = fedprox_train_local(tasks[0], init, cfg, 0.0, SPEC, derive_seed(0, 2, 0))
-        if agg == "running":
-            assert np.array_equal(global_w, local)
-        else:
-            assert np.array_equal(global_w, fedavg_aggregate([init, local]))
-        assert matrix.values.shape == (1, 1)
+    global_w, matrix = fed_compare_run(tasks, Permutation((0,)), 0.0, cfg, SPEC, 0, init=init)
+    local = fedprox_train_local(tasks[0], init, cfg, 0.0, SPEC, derive_seed(0, 2, 0))
+    assert np.array_equal(global_w, local)
+    assert matrix.values.shape == (1, 1)
 
 
 def test_fed_compare_run_running_average_identity():
     tasks = _tasks()
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
-    fed = FedConfig(kind="fedavg")
     init = init_params(SPEC, 4)
     perm = Permutation((2, 0, 1))
-    global_w, matrix = fed_compare_run(tasks, perm, fed, cfg, SPEC, 4, init=init)
+    global_w, matrix = fed_compare_run(tasks, perm, 0.0, cfg, SPEC, 4, init=init)
     # replay the protocol by hand
     locals_ = []
     g = init.copy()
@@ -148,23 +131,26 @@ def test_fed_compare_run_running_average_identity():
     assert np.array_equal(global_w, g)
     assert matrix.values.shape == (3, 3)
     with pytest.raises(ValueError):
-        fed_compare_run(tasks, Permutation((0, 1)), fed, cfg, SPEC, 0)
+        fed_compare_run(tasks, Permutation((0, 1)), 0.0, cfg, SPEC, 0)
 
 
 def test_fedavg_and_fedprox_mu_zero_agree_end_to_end():
+    # the sweep runs fedavg at mu = 0 whatever run.prox_mu says, and
+    # fedprox at run.prox_mu
     tasks = _tasks()
     # two epochs: after the first step the weights leave the prox anchor,
     # so a nonzero mu actually changes the trajectory
-    cfg = LearnerConfig(kind="sgd", epochs_per_task=2)
+    lcfg = LearnerConfig(kind="sgd", epochs_per_task=2)
     init = init_params(SPEC, 5)
     perm = Permutation((0, 1, 2))
-    g_avg, m_avg = fed_compare_run(tasks, perm, FedConfig(kind="fedavg"), cfg, SPEC, 5, init=init)
-    g_prox, m_prox = fed_compare_run(
-        tasks, perm, FedConfig(kind="fedprox", prox_mu=0.0), cfg, SPEC, 5, init=init
-    )
-    assert np.array_equal(g_avg, g_prox)
-    assert np.array_equal(m_avg.values, m_prox.values)
-    g_tight, _ = fed_compare_run(
-        tasks, perm, FedConfig(kind="fedprox", prox_mu=5.0), cfg, SPEC, 5, init=init
-    )
-    assert not np.array_equal(g_avg, g_tight)
+
+    def cell(method, prox_mu):
+        cfg = ExperimentConfig(pipeline=PipelineConfig(learner=lcfg), prox_mu=prox_mu)
+        return _run_method(method, tasks, perm, cfg, SPEC, 5, init, None).values
+
+    plain = fed_compare_run(tasks, perm, 0.0, lcfg, SPEC, 5, init=init)[1].values
+    assert np.array_equal(cell("fedavg", 5.0), plain)
+    assert np.array_equal(cell("fedprox", 0.0), plain)
+    tight = fed_compare_run(tasks, perm, 5.0, lcfg, SPEC, 5, init=init)[1].values
+    assert np.array_equal(cell("fedprox", 5.0), tight)
+    assert not np.array_equal(tight, plain)

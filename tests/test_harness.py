@@ -1,4 +1,7 @@
+import itertools
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hiercl.cli import _build_parser, _config_from_args, main
 from hiercl.config import (_KEYMAP, DatasetConfig, ExperimentConfig,
                            build_experiment_config, parse_config_text)
 from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run_experiment
-from hiercl.federated import FedConfig, fed_compare_run
+from hiercl.federated import fed_compare_run
 from hiercl.learners import LearnerConfig
 from hiercl.metrics import CSV_HEADER, read_records
 from hiercl.model import init_params
@@ -47,10 +50,10 @@ def test_build_experiment_config_conversions():
         "dataset.kind": "sine",
         "dataset.num_tasks": "3",
         "learner.kind": "er",
-        "learner.grad_clip": "none",
         "run.lambda": "0.25",
         "run.catchup": "4",
         "run.clip": "off",
+        "run.sample_cap": "none",
         "run.seeds": "0, 2, 5",
         "run.perms": "all",
         "run.methods": "seq,hier",
@@ -58,7 +61,7 @@ def test_build_experiment_config_conversions():
     })
     assert cfg.dataset.kind == "sine" and cfg.dataset.num_tasks == 3
     pipe = cfg.pipeline
-    assert pipe.learner.kind == "er" and pipe.learner.grad_clip is None
+    assert pipe.learner.kind == "er" and pipe.sample_cap is None
     assert pipe.lam == 0.25 and pipe.n_catch == 4 and pipe.clip is None
     assert cfg.seeds == (0, 2, 5)
     assert cfg.perms == "all"
@@ -75,14 +78,16 @@ def test_config_key_set_is_pinned():
         "dataset.samples_per_task", "dataset.noise_std",
         "learner.kind", "learner.learning_rate", "learner.epochs_per_task",
         "learner.batch_size", "learner.momentum", "learner.weight_decay",
-        "learner.grad_clip", "learner.buffer_capacity", "learner.ewc_strength",
+        "learner.buffer_capacity", "learner.ewc_strength",
         "run.group_size", "run.levels", "run.lambda", "run.lambda_factor",
         "run.eta", "run.clip", "run.catchup", "run.curvature", "run.perms",
-        "run.seeds", "run.perm_sample_seed", "run.eval_policy", "run.methods",
-        "run.hidden", "run.prox_mu", "run.fed_aggregate", "run.sample_cap",
+        "run.seeds", "run.perm_sample_seed", "run.methods",
+        "run.hidden", "run.prox_mu", "run.sample_cap",
         "run.audit_draws", "run.out",
     }
-    for key in ("run.seed", "learner.seed", "run.lam", "run.n_catch"):
+    # per-run seeds, the fields behind aliases and three removed options
+    for key in ("run.seed", "learner.seed", "run.lam", "run.n_catch",
+                "run.eval_policy", "run.fed_aggregate", "learner.grad_clip"):
         with pytest.raises(ValueError, match="unknown config key"):
             build_experiment_config({key: "1"})
 
@@ -92,8 +97,7 @@ _SECTIONS = {"dataset": DatasetConfig, "learner": LearnerConfig,
 _INTS = st.integers(-2**16, 2**16)
 _NONE = st.sampled_from(("none", "off", "None"))
 _WORDS = ("gaussians", "permuted", "sine", "sgd", "er", "ewc", "diag", "dense", "lowrank:3",
-          "lowrank:0", "lowrank5", "group_val", "seen_test", "running", "pairwise", "all",
-          "results.csv")
+          "lowrank:0", "lowrank5", "all", "results.csv", "")
 _METHODS = ("seq", "hier", "fedavg", "fedprox", "central")
 # field annotation -> text a config file could hold for it
 _TEXT_FOR = {
@@ -160,7 +164,7 @@ def test_a_later_set_overrides_the_config_file(tmp_path_factory, key, data):
 
 def test_bad_pipeline_values_fail_at_build_time_even_for_seq_only():
     for key, value in (("run.eta", "1.5"), ("run.levels", "0"),
-                       ("run.curvature", "kfac"), ("run.eval_policy", "train")):
+                       ("run.curvature", "kfac"), ("run.sample_cap", "0")):
         with pytest.raises(ValueError):
             build_experiment_config({"run.methods": "seq", key: value})
     with pytest.raises(ValueError, match="run.levels"):
@@ -227,7 +231,7 @@ _RUNNERS = {
     "seq": lambda tasks, perm, cfg, spec, init: run_baseline_seq(
         tasks, perm, cfg.pipeline.learner, spec, 0, init),
     "fed": lambda tasks, perm, cfg, spec, init: fed_compare_run(
-        tasks, perm, FedConfig("fedavg"), cfg.pipeline.learner, spec, 0, init),
+        tasks, perm, 0.0, cfg.pipeline.learner, spec, 0, init),
     "hier": lambda tasks, perm, cfg, spec, init: run_pipeline(
         tasks, perm, cfg.pipeline, spec, init),
 }
@@ -309,6 +313,26 @@ run.methods=seq,hier
 run.hidden=8
 run.audit_draws=50
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_and_set_flags_build():
+    # a key that is removed or renamed cannot linger in the docs
+    text = README.read_text()
+    after = text.split("\nExample:\n", 1)[1].lstrip("\n").splitlines()
+    example = parse_config_text("\n".join(
+        itertools.takewhile(lambda line: line.startswith("    "), after)))
+    assert len(example) >= 10 and "run.out" in example
+    build_experiment_config(example)
+    sets = re.findall(r"--set ([a-z_]+\.[a-z_]+=\S*)", text)
+    assert len(sets) >= 3
+    for item in sets:
+        key, _, value = item.partition("=")
+        build_experiment_config({key: value})
+    named = set(re.findall(r"`((?:dataset|learner|run)\.[a-z_]+)`", text))
+    assert named and named <= set(_KEYMAP), named - set(_KEYMAP)
 
 
 def test_cli_run_and_report(tmp_path, capsys):
@@ -401,45 +425,55 @@ def test_cli_malformed_set_is_a_clean_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-# each value, and the field or key its error names
+# each setting's error names its key and the value it got
 _BAD_VALUES = [
-    ("learner.grad_clip=-1", "grad_clip"),
-    ("run.lambda=0", "lambda"),
-    ("run.lambda_factor=0", "lambda_factor"),
-    ("run.lambda=nan", "lambda"),
-    ("run.sample_cap=0", "sample_cap"),
-    ("run.audit_draws=-1", "audit_draws"),
-    ("run.group_size=9", "group_size"),  # the default dataset has 5 tasks
-    ("run.fed_aggregate=bogus", "aggregate"),
-    ("run.prox_mu=-1", "prox_mu"),
-    ("run.prox_mu=inf", "prox_mu"),  # these three used to fail at the first nan loss
-    ("learner.weight_decay=inf", "weight_decay"),
-    ("learner.ewc_strength=inf", "ewc_strength"),
-    ("run.clip=0", "clip"),  # would zero every consolidation step
-    ("run.clip=-1", "clip"),  # would reverse every consolidation step
-    ("run.methods=", "methods"),
-    ("run.seeds=-1", "seeds"),
-    ("run.levels=0", "levels"),
-    ("run.catchup=-1", "catchup"),
-    ("run.curvature=lowrank:abc", "run.curvature"),
-    ("run.curvature=lowrank5", "run.curvature"),  # not rank 5, nor the default 10
-    ("run.curvature=dense", "run.curvature"),  # runs estimate only the empirical Fisher
-    ("run.hidden=0", "hidden"),
-    ("run.perm_sample_seed=-1", "perm_sample_seed"),
+    "dataset.kind=images",
+    "run.lambda=0",
+    "run.lambda_factor=0",
+    "run.lambda=nan",
+    "run.sample_cap=0",
+    "run.audit_draws=-1",
+    "run.group_size=9",  # the default dataset has 5 tasks
+    "run.group_size=0",
+    "run.eta=0",
+    "run.eta=nan",
+    "run.prox_mu=-1",
+    "run.prox_mu=inf",  # these three used to fail at the first nan loss
+    "learner.weight_decay=inf",
+    "learner.ewc_strength=inf",
+    "learner.learning_rate=0",
+    "learner.momentum=1",
+    "learner.epochs_per_task=0",
+    "learner.batch_size=0",
+    "run.clip=0",  # would zero every consolidation step
+    "run.clip=-1",  # would reverse every consolidation step
+    "run.methods=",
+    "run.out=",  # used to train the whole sweep and write no CSV
+    "run.seeds=-1",
+    "run.levels=0",
+    "run.catchup=-1",
+    "run.curvature=lowrank:abc",
+    "run.curvature=lowrank5",  # not rank 5, nor the default 10
+    "run.curvature=dense",  # runs estimate only the empirical Fisher
+    "run.hidden=0",
+    "run.perm_sample_seed=-1",
 ]
 
 
 def test_cli_rejects_bad_learner_value_when_building_the_config(tmp_path, capsys):
     out_csv = tmp_path / "x.csv"
-    for setting, name in _BAD_VALUES:
-        rc = main(["run", "--set", "run.perms=1", "--set", "run.seeds=0", "--set", setting,
-                   "--set", f"run.out={out_csv}"])
-        err = capsys.readouterr().err
-        assert rc == 2 and "error:" in err and name in err, setting
-        assert not out_csv.exists(), setting
+    for setting in _BAD_VALUES:
         key, _, value = setting.partition("=")
-        with pytest.raises(ValueError, match=name):
+        # the setting comes last, so an empty run.out is not overridden
+        rc = main(["run", "--set", "run.perms=1", "--set", "run.seeds=0",
+                   "--set", f"run.out={out_csv}", "--set", setting])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.err.startswith("error:") and not captured.out, setting
+        assert key in captured.err and value in captured.err, setting
+        assert not out_csv.exists(), setting
+        with pytest.raises(ValueError, match=re.escape(key)) as info:
             build_experiment_config({key: value})
+        assert value in str(info.value), setting
 
 
 @pytest.mark.parametrize("settings, names", [

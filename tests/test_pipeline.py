@@ -73,20 +73,18 @@ def test_hier_seeds_never_equal_another_streams_seeds():
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        _cfg(group_size=0)
-    with pytest.raises(ValueError):
-        _cfg(levels=0)
-    with pytest.raises(ValueError):
-        _cfg(eta=0.0)
-    with pytest.raises(ValueError):
-        _cfg(eta=1.5)
-    with pytest.raises(ValueError):
-        _cfg(n_catch=-1)
-    with pytest.raises(ValueError):
-        _cfg(eval_policy="train")
-    with pytest.raises(ValueError):
-        _cfg(curvature="kfac")
+    # each error names its config key and the value it got
+    for kw, error in ((dict(group_size=0), "run.group_size must be at least 1, got 0"),
+                      (dict(levels=0), "run.levels must be at least 1, got 0"),
+                      (dict(eta=0.0), r"run.eta must lie in \(0, 1\], got 0.0"),
+                      (dict(eta=1.5), r"run.eta must lie in \(0, 1\], got 1.5"),
+                      (dict(n_catch=-1), "run.catchup must be nonnegative, got -1"),
+                      (dict(clip=0.0), "run.clip must be positive when set, got 0.0"),
+                      (dict(sample_cap=0), "run.sample_cap must be at least 1 when set, got 0"),
+                      (dict(audit_draws=-1), "run.audit_draws must be nonnegative, got -1"),
+                      (dict(curvature="kfac"), "run.curvature='kfac'")):
+        with pytest.raises(ValueError, match=f"^{error}"):
+            _cfg(**kw)
 
 
 def test_explore_group_counts_and_argmax():
@@ -231,15 +229,6 @@ def test_single_group_copies_best_local_before_catchup(monkeypatch):
     for level in res.hierarchy.levels:
         assert np.array_equal(level, winners[0].params)
     assert res.update_norms == []
-
-
-def test_eval_policies_differ():
-    tasks = _tasks()
-    a = run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(eval_policy="group_val"), SPEC)
-    b = run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(eval_policy="seen_test"), SPEC)
-    sa = [s for _, s in a.group_results[1].per_perm_scores]
-    sb = [s for _, s in b.group_results[1].per_perm_scores]
-    assert sa != sb
 
 
 def test_lowrank_curvature_path_runs():

@@ -24,7 +24,7 @@ from experiment_reference import arrival_prefixes
 from hiercl import curvature, federated, learners, model, pipeline
 from hiercl.config import build_experiment_config
 from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run_experiment
-from hiercl.federated import FedConfig, fed_compare_run
+from hiercl.federated import fed_compare_run
 from hiercl.learners import LearnerState, ReplayBuffer
 from hiercl.memo import STACK_ROWS, ArrivalPlan
 from hiercl.metrics import avg_forgetting, mean_accuracy
@@ -42,22 +42,22 @@ _TINY = {
     "run.prox_mu": "0.05",
 }
 
-# 4 tasks (6 at k=3); every learner, aggregation, group size 1-3, both eval
-# policies, all 24 orders and samples of them
+# 4 tasks (6 at k=3); every learner, group size 1-3, all 24 orders and
+# samples of them. The names are test ids; "running", "pairwise" and
+# "seen" name fed aggregation and ordering-score modes that are gone.
 CASES = {
     "er-k2-all-running": {"learner.kind": "er", "run.group_size": "2", "run.perms": "all",
                           "run.seeds": "0,1"},
     "sgd-k1-all-pairwise-seen": {"learner.kind": "sgd", "run.group_size": "1",
-                                 "run.perms": "all", "run.fed_aggregate": "pairwise",
-                                 "run.eval_policy": "seen_test", "run.seeds": "3"},
+                                 "run.perms": "all", "run.seeds": "3"},
     "ewc-k2-all": {"learner.kind": "ewc", "run.group_size": "2", "run.perms": "all",
                    "run.seeds": "1"},
     "ewc-k3-sampled": {"learner.kind": "ewc", "dataset.num_classes": "12",
                        "run.group_size": "3", "run.perms": "9", "run.perm_sample_seed": "4",
-                       "run.seeds": "2", "run.eval_policy": "seen_test"},
+                       "run.seeds": "2"},
     "er-k2-sampled-pairwise": {"learner.kind": "er", "run.group_size": "2",
                                "run.perms": "7", "run.perm_sample_seed": "1",
-                               "run.fed_aggregate": "pairwise", "run.seeds": "5"},
+                               "run.seeds": "5"},
 }
 
 
@@ -76,8 +76,8 @@ def _setup(cfg, seed):
     return spec, make_tasks(cfg.dataset, seed), init_params(spec, derive_seed(seed, INIT_STREAM))
 
 
-def _fed(cfg, method):
-    return FedConfig(method, cfg.prox_mu if method == "fedprox" else 0.0, cfg.fed_aggregate)
+def _mu(cfg, method):
+    return cfg.prox_mu if method == "fedprox" else 0.0
 
 
 def _cell(cfg, method, perm, seed, plan=None):
@@ -89,7 +89,7 @@ def _cell(cfg, method, perm, seed, plan=None):
         return run_baseline_seq(tasks, perm, learner, spec, seed, init, plan)
     if method == "hier":
         return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed, plan=plan)
-    return fed_compare_run(tasks, perm, _fed(cfg, method), learner, spec, seed, init, plan)
+    return fed_compare_run(tasks, perm, _mu(cfg, method), learner, spec, seed, init, plan)
 
 
 def _reference(cfg, method, perm, seed):
@@ -101,7 +101,7 @@ def _reference(cfg, method, perm, seed):
         return experiment_reference.run_baseline_seq(tasks, perm, learner, spec, seed, init)
     if method == "hier":
         return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed)
-    return experiment_reference.fed_compare_run(tasks, perm, _fed(cfg, method), learner,
+    return experiment_reference.fed_compare_run(tasks, perm, _mu(cfg, method), learner,
                                                 spec, seed, init)
 
 
@@ -140,22 +140,27 @@ def _same_sums(a, b):
 
 @pytest.fixture
 def winners(monkeypatch):
-    """Wraps pipeline.explore_group. Each call of the returned function
-    starts a new record: a dict into which every later exploration adds its
-    winner's state, under the sorted task ids of the groups up to the one
-    it explored (its membership chain, concatenated)."""
-    records = []
+    """Wraps pipeline._absorb_group and pipeline.explore_group. Each call of
+    the returned function starts a new record: a dict into which every later
+    exploration adds its winner's state, under the membership chain of the
+    groups up to the one it explored."""
+    records, chains = [], []
 
-    def recording(group, *args, seen_task_ids, **kwargs):
-        res = explore(group, *args, seen_task_ids=seen_task_ids, **kwargs)
-        records[-1].setdefault(tuple(seen_task_ids), []).append(res.best_state)
+    def absorbing(node, chain, *args, **kwargs):
+        chains.append(chain)
+        return absorb(node, chain, *args, **kwargs)
+
+    def recording(*args, **kwargs):
+        res = explore(*args, **kwargs)
+        records[-1].setdefault(chains[-1], []).append(res.best_state)
         return res
 
     def record():
         records.append({})
         return records[-1]
 
-    explore = pipeline.explore_group
+    absorb, explore = pipeline._absorb_group, pipeline.explore_group
+    monkeypatch.setattr(pipeline, "_absorb_group", absorbing)
     monkeypatch.setattr(pipeline, "explore_group", recording)
     return record
 
@@ -177,12 +182,12 @@ def _assert_same_cell(method, got, want, winners=None):
     assert got.audit == want.audit
     assert got.log == want.log
     assert len(got.group_results) == len(want.group_results)
-    seen = ()
+    chain = ()
     for a, b in zip(got.group_results, want.group_results):
         assert a.group == b.group and a.best_perm == b.best_perm
         assert a.per_perm_scores == b.per_perm_scores
-        seen += tuple(sorted(a.group.task_ids))
-        states = winners[0][seen] + winners[1][seen]
+        chain += (tuple(sorted(a.group.task_ids)),)
+        states = winners[0][chain] + winners[1][chain]
         for state in states[1:]:
             assert np.array_equal(state.params, states[0].params)
             assert _same_buffer(state.buffer, states[0].buffer)
