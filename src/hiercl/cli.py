@@ -76,7 +76,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summary = summarize(read_records(args.csv))
+    records = read_records(args.csv)
+    if not records:
+        raise ValueError(f"{args.csv}: no records")
+    summary = summarize(records)
     print("\n".join([format_summary(summary), *headline_lines(summary)]))
     return 0
 

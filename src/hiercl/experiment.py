@@ -71,21 +71,20 @@ def run_baseline_seq(
     The first cell of `plan` trains the arrival trie of every planned order
     (see memo.train_trie): each depth's prefixes step as (P, p) stacks
     through train_seq, every row on its last task from its parent's settled
-    state, with the seed derive_seed(seed, SEQ_STREAM, depth). Every node
-    but the leaves is settled (its EWC Fisher estimated) once, before its
-    children train, so an order's final Fisher is never estimated; a leaf
-    keeps only the accuracies the cell's matrix reads."""
+    state, with the seed derive_seed(seed, SEQ_STREAM, depth), and the
+    stack's nodes are scored on every test set in one task_accuracies
+    call. Every node but the leaves is settled (its EWC Fisher estimated)
+    once, before its children train, so an order's final Fisher is never
+    estimated; a leaf keeps only the accuracies the cell's matrix reads."""
     order = arrival_order(full_perm, len(tasks))
     last = len(order) - 1
 
     def train_stack(depth, prefixes, parents):
         states = train_seq([state for state, _ in parents], [tasks[p[-1]] for p in prefixes],
                            lcfg, spec, [derive_seed(seed, SEQ_STREAM, depth)] * len(prefixes))
-        nodes = []
-        for row, (state, (_, accs)) in enumerate(zip(states, parents)):
-            accs += (task_accuracies(state.params, tasks, spec),)
-            nodes.append((settle(state, spec, row) if depth < last else None, accs))
-        return nodes
+        scores = task_accuracies(np.stack([state.params for state in states]), tasks, spec)
+        return [(settle(state, spec, row) if depth < last else None, accs + (scores[row],))
+                for row, (state, (_, accs)) in enumerate(zip(states, parents))]
 
     # train_seq gives er its buffer at the first task
     _, accs = (ArrivalPlan() if plan is None else plan).take(

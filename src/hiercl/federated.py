@@ -49,8 +49,9 @@ def fed_compare_run(
     through train_on_task, every row from its parent's global weights,
     which are also its proximal anchor, with the seed
     derive_seed(base_seed, FED_STREAM, depth); each row is then averaged
-    into its own new global weights. A leaf keeps only the global weights
-    and accuracies that the cell's result reads."""
+    into its own new global weights, and the stack's new global weights
+    are scored on every test set in one task_accuracies call. A leaf keeps
+    only the global weights and accuracies that the cell's result reads."""
     order = arrival_order(full_perm, len(tasks))
     last = len(order) - 1
 
@@ -60,13 +61,11 @@ def fed_compare_run(
         rngs = [np.random.default_rng(seed) for _ in prefixes]
         locals_ = train_on_task(anchor, [tasks[p[-1]] for p in prefixes], learner_cfg, spec,
                                 rngs, pull=(mu, mu * anchor) if mu != 0.0 else None)
-        nodes = []
-        for (_, seen, accs), local in zip(parents, locals_):
-            seen += (local,)
-            global_w = fedavg_aggregate(seen)
-            nodes.append((global_w, seen if depth < last else (),
-                          accs + (task_accuracies(global_w, tasks, spec),)))
-        return nodes
+        seens = [seen + (local,) for (_, seen, _), local in zip(parents, locals_)]
+        globals_ = np.stack([fedavg_aggregate(seen) for seen in seens])
+        scores = task_accuracies(globals_, tasks, spec)
+        return [(globals_[row], seen if depth < last else (), accs + (scores[row],))
+                for row, (seen, (_, _, accs)) in enumerate(zip(seens, parents))]
 
     def make_root():
         w = init_params(spec, derive_seed(base_seed, INIT_STREAM)) if init is None else init

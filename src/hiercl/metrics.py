@@ -7,6 +7,7 @@ training stage i; every task is evaluated at every stage, seen or not.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -112,8 +113,9 @@ class CsvSink:
 
 def read_records(path: str) -> list[MetricsRecord]:
     """Parse a CSV in the fixed schema. A missing or wrong header, a row
-    with the wrong number of fields or a field that does not parse raises
-    ValueError naming the path and line."""
+    with the wrong number of fields, a field that does not parse, a
+    nonfinite number or a mean accuracy outside [0, 1] raises ValueError
+    naming the path and line."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -124,8 +126,14 @@ def read_records(path: str) -> list[MetricsRecord]:
             try:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                out.append(MetricsRecord(row[0], int(row[1]), row[2],
-                                         float(row[3]), float(row[4]), float(row[5])))
+                rec = MetricsRecord(row[0], int(row[1]), row[2],
+                                    float(row[3]), float(row[4]), float(row[5]))
+                for name in CSV_HEADER[3:]:
+                    if not math.isfinite(getattr(rec, name)):
+                        raise ValueError(f"{name} must be finite, got {getattr(rec, name)}")
+                if not 0.0 <= rec.mean_accuracy <= 1.0:
+                    raise ValueError(f"mean_accuracy must lie in [0, 1], got {rec.mean_accuracy}")
+                out.append(rec)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out

@@ -119,11 +119,11 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 
 
 def _split_params(params: ParamVector, spec: ModelSpec):
-    """View the flat vector, or each row of a (P, p) stack, as per-layer
-    (W, b) pairs without copying: W is (..., fan_in, fan_out) and b is
-    (..., 1, fan_out). The only code that knows the flat layout."""
+    """View the flat vector, or each row of a stack with any leading axes,
+    as per-layer (W, b) pairs without copying: W is (..., fan_in, fan_out)
+    and b is (..., 1, fan_out). The only code that knows the flat layout."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim not in (1, 2) or params.shape[-1] != spec.param_count:
+    if params.ndim < 1 or params.shape[-1] != spec.param_count:
         raise ValueError(
             f"parameter array has shape {params.shape}, expected rows of length "
             f"{spec.param_count}"

@@ -24,6 +24,16 @@ from .model import Batch, ModelSpec, accuracy_eval
 MAX_GROUP_SIZE = 6
 WARN_GROUP_SIZE = 4
 
+# bytes of layer outputs that one task_accuracies product may hold: a row
+# scoring T test sets of n samples holds T * n * (sum of layer widths after
+# the input) floats, 6 rows on sweep-er-k2's net (5 test sets of 80, widths
+# 16 and 10). There, 24 rows in one process took 2.08 ms one call per row,
+# 1.20 ms at this size and 1.04 ms as one stack; over 30 s perfbench runs
+# (2-core x86 Linux, 1 BLAS thread) peak RSS read a median of 47.4 MB one
+# call per row, 47.9 MB at this size, 48.2 MB at 1 MiB and 49.0 MB as whole
+# 24-row stacks, which ran the sweep only about 2% faster than this size
+SCORE_STACK_BYTES = 1 << 19
+
 
 @dataclass
 class TaskDataset:
@@ -199,19 +209,28 @@ def gen_sine_tasks(
 
 
 def task_accuracies(params: np.ndarray, tasks: list[TaskDataset], spec: ModelSpec) -> np.ndarray:
-    """accuracy_eval of one parameter vector on each task's test set, in
-    list order. The test sets of one shape are scored as one (T, n, d)
-    stack in a single call; np.matmul runs one product per slice, so each
-    entry has the bits of a call on that test set alone."""
+    """accuracy_eval of a parameter vector on each task's test set, in list
+    order: (T,) scores for a (p,) vector, (P, T) for a (P, p) stack. The
+    test sets of one shape are scored as one (T, n, d) stack against the
+    rows as (P, 1, p), so each layer's weights broadcast as
+    (P, 1, fan_in, fan_out) and np.matmul runs one (n x d)(d x h) product
+    per (row, test set) slice: each entry has the bits of a lone call on
+    that row and test set. The rows go SCORE_STACK_BYTES of layer outputs
+    at a time."""
+    params = np.asarray(params, dtype=np.float64)
+    rows = params.reshape(-1, params.shape[-1])[:, None, :]
     by_shape: dict = {}
     for i, t in enumerate(tasks):
         by_shape.setdefault((t.test.inputs.shape, t.test.targets.shape), []).append(i)
-    out = np.empty(len(tasks))
+    out = np.empty((len(rows), len(tasks)))
     for idx in by_shape.values():
         stack = Batch(np.stack([tasks[i].test.inputs for i in idx]),
                       np.stack([tasks[i].test.targets for i in idx]))
-        out[idx] = accuracy_eval(params, stack, spec)
-    return out
+        row_bytes = 8 * len(idx) * stack.n * sum(spec.layer_widths[1:])
+        step = max(1, SCORE_STACK_BYTES // row_bytes)
+        for lo in range(0, len(rows), step):
+            out[lo : lo + step, idx] = accuracy_eval(rows[lo : lo + step], stack, spec)
+    return out.reshape(*params.shape[:-1], len(tasks))
 
 
 def partition_into_groups(num_tasks: int, k: int) -> list[TaskGroup]:

@@ -1,10 +1,11 @@
 """Results do not depend on the BLAS thread count.
 
-A tiny hier sweep and one diagonal Fisher run in two child processes, one
-at OPENBLAS_NUM_THREADS=1 and one at 2, set before numpy loads. OpenBLAS
-splits a long sum between threads (a 1-D dot of more than 10,000 entries,
-say), and a split sum can round differently, so a product put on such an
-axis would show here as a changed bit.
+A tiny sweep of hier, seq and fedavg (seq and fed score each trie stack
+in one stacked forward pass) and one diagonal Fisher run in two child
+processes, one at OPENBLAS_NUM_THREADS=1 and one at 2, set before numpy
+loads. OpenBLAS splits a long sum between threads (a 1-D dot of more than
+10,000 entries, say), and a split sum can round differently, so a product
+put on such an axis would show here as a changed bit.
 """
 
 import csv
@@ -30,7 +31,7 @@ from hiercl.model import Batch, ModelSpec, init_params
 
 sets = ["dataset.num_classes=8", "dataset.classes_per_task=2", "learner.kind=er",
         "run.group_size=2", "run.hidden=128", "run.perms=2", "run.seeds=0",
-        "run.methods=hier", "run.out=" + sys.argv[1]]
+        "run.methods=hier,seq,fedavg", "run.out=" + sys.argv[1]]
 assert main(["run", *(a for s in sets for a in ("--set", s))]) == 0
 # the consolidate-wide-k1 net, p = 26,122, and a 240-row pool
 spec = ModelSpec((64, 128, 128, 10))
@@ -50,7 +51,7 @@ def _run_child(tmp_path: Path, threads: int) -> tuple[list[list[str]], np.ndarra
     assert proc.returncode == 0, proc.stderr
     with open(out_csv, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][-1] == "wall_time_seconds" and len(rows) == 3
+    assert rows[0][-1] == "wall_time_seconds" and len(rows) == 7
     return [row[:-1] for row in rows], np.load(out_diag)
 
 

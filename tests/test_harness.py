@@ -383,13 +383,28 @@ def test_cli_report_prints_each_hier_method_against_its_base(tmp_path, capsys):
     ("", 1),
     (_HEADER + "er,0,0-1-2\n", 2),
     (_HEADER + "er,0,0-1-2,0.5,0.1,0.2\ner,x,0-1-2,0.5,0.1,0.2\n", 3),
-], ids=["empty", "short_row", "bad_seed"])
+    (_HEADER + "er,0,0-1-2,nan,0.1,0.2\n", 2),
+    (_HEADER + "er,0,0-1-2,0.5,0.1,0.2\ner,0,1-0-2,0.5,inf,0.2\n", 3),
+    (_HEADER + "er,0,0-1-2,0.5,0.1,-inf\n", 2),
+    (_HEADER + "er,0,0-1-2,1.5,0.1,0.2\n", 2),
+    (_HEADER + "er,0,0-1-2,-0.25,0.1,0.2\n", 2),
+], ids=["empty", "short_row", "bad_seed", "nan_accuracy", "inf_forgetting", "inf_wall_time",
+        "accuracy_above_1", "accuracy_below_0"])
 def test_cli_report_on_a_bad_csv_is_a_clean_error(tmp_path, capsys, text, line):
     path = tmp_path / "res.csv"
     path.write_text(text)
     rc = main(["report", str(path)])
-    err = capsys.readouterr().err
-    assert rc == 2 and err.startswith(f"error: {path}: line {line}: ")
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err.startswith(f"error: {path}: line {line}: ")
+    assert captured.out == ""
+
+
+def test_cli_report_on_a_csv_without_records_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "res.csv"
+    path.write_text(_HEADER)
+    rc = main(["report", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == f"error: {path}: no records\n" and captured.out == ""
 
 
 def test_cli_run_flag_overrides(tmp_path, capsys):

@@ -996,18 +996,25 @@ def test_train_on_task_rejects_params_that_end_the_task_nonfinite():
 
 
 def _nonfinite_fisher_problem():
-    """Ordering 4 of this problem keeps finite losses, but its weights end
-    its one task near 7e56, so its mean squared per-sample gradients
-    overflow."""
-    return _lockstep_problem("ewc", "relu", "regression", [20], 5, 563)
+    """Five rows of one regression task on inputs of 1, on a (1, 1, 1) relu
+    net. Row 4's hidden weight is 1e100: its loss (about 1e200) stays
+    finite and a step at lr=1e-300 barely moves it, but its per-sample
+    gradients (about 2e200) overflow when squared, so its EWC Fisher is
+    nonfinite. The other rows start at weights of 1."""
+    spec = ModelSpec((1, 1, 1), activation="relu", task_kind="regression")
+    ones = Batch(np.ones((4, 1)), np.zeros(4))
+    tasks = [TaskDataset(0, ones, ones, ones), TaskDataset(1, ones, ones, ones)]
+    cfg = LearnerConfig(kind="ewc", learning_rate=1e-300, epochs_per_task=1, batch_size=4)
+    params = np.tile([1.0, 0.0, 1.0, 0.0], (5, 1))
+    params[4, 0] = 1e100
+    return spec, tasks, cfg, [LearnerState(w) for w in params]
 
 
 def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
     # a 1-task ordering's Fisher is estimated when its state is settled
-    spec, tasks, cfg, seeds, perms, buffers, ewc, init, _ = _nonfinite_fisher_problem()
-    parents = [LearnerState(init, buffer, ewc) for buffer in buffers]
+    spec, tasks, cfg, parents = _nonfinite_fisher_problem()
     with np.errstate(all="ignore"):
-        states = train_seq(parents, [tasks[perm.order[0]] for perm in perms], cfg, spec, seeds)
+        states = train_seq(parents, [tasks[0]] * 5, cfg, spec, list(range(5)))
     failed = []
     for i, state in enumerate(states):
         try:
@@ -1020,12 +1027,10 @@ def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
 
 
 def test_train_seq_rejects_a_nonfinite_fisher_before_the_next_task(monkeypatch):
-    # orderings 3 and 4 again, each now followed by a second task: task 0's
-    # Fishers are estimated when the rows are settled between depths, and
-    # row 1's (ordering 4's) is nonfinite, so task 1 never trains
-    spec, tasks, cfg, seeds, perms, buffers, ewc, init, _ = _nonfinite_fisher_problem()
-    first = tasks[0]
-    tasks = [first, TaskDataset(1, first.train, first.val, first.test)]
+    # rows 3 and 4, each ordering tasks 0 then 1: task 0's Fishers are
+    # estimated when the rows are settled between depths, and row 1's
+    # (row 4 of the problem) is nonfinite, so task 1 never trains
+    spec, tasks, cfg, parents = _nonfinite_fisher_problem()
     trained = []
 
     def counting(params, task, *args, **kwargs):
@@ -1033,9 +1038,8 @@ def test_train_seq_rejects_a_nonfinite_fisher_before_the_next_task(monkeypatch):
         return train_on_task(params, task, *args, **kwargs)
 
     monkeypatch.setattr("hiercl.learners.train_on_task", counting)
-    parents = [LearnerState(init, buffers[i], ewc) for i in (3, 4)]
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
-        _train_depths(parents, [(0, 1)] * 2, tasks, cfg, spec, [seeds[3], seeds[4]])
+        _train_depths(parents[3:], [(0, 1)] * 2, tasks, cfg, spec, [3, 4])
     assert info.value.index == 1
     assert str(info.value) == "task 0: EWC Fisher is not finite after training; training diverged"
     assert trained == [[0, 0]]

@@ -3,7 +3,7 @@ from contextlib import closing
 import numpy as np
 import pytest
 
-from hiercl.metrics import (AccuracyMatrix, CsvSink, MetricsRecord,
+from hiercl.metrics import (CSV_HEADER, AccuracyMatrix, CsvSink, MetricsRecord,
                             avg_forgetting, format_summary, mean_accuracy,
                             read_records, std_across_permutations, summarize)
 
@@ -109,6 +109,24 @@ def test_csv_header_enforced(tmp_path):
         fh.write("method,seed,acc\nm,0,1.0\n")
     with pytest.raises(ValueError):
         read_records(path)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ("nan,0.1,0.2", "mean_accuracy must be finite, got nan"),
+    ("0.5,-inf,0.2", "avg_forgetting must be finite, got -inf"),
+    ("0.5,0.1,inf", "wall_time_seconds must be finite, got inf"),
+    ("1.0000000000000002,0.1,0.2", "mean_accuracy must lie in [0, 1], got 1.0000000000000002"),
+    ("-0.0625,0.1,0.2", "mean_accuracy must lie in [0, 1], got -0.0625"),
+], ids=["nan_accuracy", "inf_forgetting", "inf_wall_time", "accuracy_above_1",
+        "accuracy_below_0"])
+def test_csv_rejects_nonfinite_numbers_and_accuracies_outside_the_unit_interval(
+        tmp_path, fields, message):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_HEADER) + "\ner,0,0-1,1.0,-0.5,0.0\n" + f"er,1,1-0,{fields}\n")
+    with pytest.raises(ValueError) as info:
+        read_records(path)
+    assert str(info.value) == f"{path}: line 3: {message}"
 
 
 def test_csv_sink_context_manager(tmp_path):

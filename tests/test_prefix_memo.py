@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 from experiment_reference import arrival_prefixes
 
-from hiercl import curvature, federated, learners, model, pipeline
+from hiercl import curvature, federated, learners, memo, model, pipeline
+from hiercl import tasks as tasks_module
 from hiercl.config import build_experiment_config
 from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run_experiment
 from hiercl.federated import fed_compare_run
@@ -314,6 +315,36 @@ def test_an_all_orders_plan_trains_each_depth_in_capped_stacks(monkeypatch, meth
     assert len(records) == 120
     assert STACK_ROWS == 24
     assert rows == [5, 20, 24, 24, 12] + [24] * 10
+
+
+@pytest.mark.parametrize("method", ["seq", "fedavg"])
+def test_a_plan_scores_each_trained_stack_in_one_call(monkeypatch, method):
+    # 4 tasks, all 24 orders, stacks of at most 5 rows: depths of 4, 12, 24
+    # and 24 prefixes train as 1 + 3 + 5 + 5 stacks, and each stack's
+    # nodes are scored on every test set by one task_accuracies call
+    trained, scored = [], []
+
+    def training(params, *args, **kwargs):
+        trained.append(len(params))
+        return train_on_task(params, *args, **kwargs)
+
+    def scoring(params, tasks, spec):
+        scored.append((params.shape, len(tasks)))
+        return task_accuracies(params, tasks, spec)
+
+    train_on_task, task_accuracies = learners.train_on_task, tasks_module.task_accuracies
+    monkeypatch.setattr(learners, "train_on_task", training)
+    monkeypatch.setattr(federated, "train_on_task", training)
+    monkeypatch.setattr(memo, "STACK_ROWS", 5)
+    monkeypatch.setattr(f"hiercl.{'experiment' if method == 'seq' else 'federated'}."
+                        "task_accuracies", scoring)
+    cfg = build_experiment_config({**_TINY, "learner.kind": "er", "run.perms": "all",
+                                   "run.seeds": "0", "run.methods": method})
+    records, _ = run_experiment(cfg, csv_path="")
+    assert len(records) == 24
+    assert trained == [4, 5, 5, 2, 5, 5, 5, 5, 4, 5, 5, 5, 5, 4]
+    p = make_model_spec(cfg).param_count
+    assert scored == [((rows, p), 4) for rows in trained]
 
 
 def test_a_diverged_stack_names_its_arrival_prefix(monkeypatch):

@@ -5,6 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from bits import same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tasks_reference import load_tasks
@@ -40,21 +41,40 @@ def test_task_accuracies_score_each_test_shape_once_with_the_lone_bits(monkeypat
     else:
         spec = ModelSpec((1, 9, 1), task_kind="regression")
         tasks = gen_sine_tasks(3, 3)
-    # one test set cut short, so two shapes are scored
+    # one test set cut short, so a stack of two test sets and one of one
     t = tasks[1]
     tasks[1] = type(t)(t.task_id, t.train, t.val, Batch(t.test.inputs[:-3], t.test.targets[:-3]))
+    n, width = tasks[0].test.n, sum(spec.layer_widths[1:])
+    # three rows of the two-set stack's layer outputs at a time
+    bound = 3 * 8 * 2 * n * width
+    monkeypatch.setattr(tasks_module, "SCORE_STACK_BYTES", bound)
     calls = []
 
     def counting(params, batch, spec):
-        calls.append(batch.inputs.shape)
+        calls.append((params.shape[0], *batch.inputs.shape[:2]))
         return accuracy_eval(params, batch, spec)
 
     monkeypatch.setattr(tasks_module, "accuracy_eval", counting)
-    w = init_params(spec, 5)
-    got = task_accuracies(w, tasks, spec)
-    want = np.array([accuracy_eval(w, t.test, spec) for t in tasks])
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert sorted(c[0] for c in calls) == [1, 2]
+    for rows in (None, 1, 7):  # a vector, a one-row stack, more rows than one sub-stack
+        w = (init_params(spec, 5) if rows is None
+             else np.stack([init_params(spec, 5 + r) for r in range(rows)]))
+        calls.clear()
+        got = task_accuracies(w, tasks, spec)
+        # each shape's rows are scored once, in sub-stacks within the bound
+        per_shape = {}
+        for lead, sets, samples in calls:
+            per_shape[sets, samples] = per_shape.get((sets, samples), 0) + lead
+            assert lead == 1 or 8 * lead * sets * samples * width <= bound
+        assert per_shape == {(2, n): rows or 1, (1, n - 3): rows or 1}
+        # 7 rows: 3 + 3 + 1 of the two-set stack; of the one-set stack, whose
+        # rows are smaller, all 7 (n = 18) or 6 + 1 (n = 100)
+        assert len(calls) == (2 if rows in (None, 1) else 4 + (kind == "regression"))
+        want = np.array([[accuracy_eval(v, t.test, spec) for t in tasks]
+                         for v in np.atleast_2d(w)])
+        assert same_bits(got, want[0] if rows is None else want)
+        if rows:  # each row has the bits of the vector call on it
+            assert all(same_bits(got[r], task_accuracies(w[r], tasks, spec))
+                       for r in range(rows))
 
 
 def test_split_gaussians_shapes_and_classes():
