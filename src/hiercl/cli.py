@@ -68,6 +68,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     cfg = _config_from_args(args)
     tasks = make_tasks(cfg.dataset, args.seed)
     dump_tasks(tasks, args.out)

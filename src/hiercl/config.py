@@ -122,7 +122,6 @@ _CONVERTERS = {
     "int": int,
     "float": float,
     "float | None": _opt(float),
-    "int | None": _opt(int),
     "tuple[int, ...]": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
     "tuple[str, ...]": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
     "str | int": lambda s: "all" if s.strip().lower() == "all" else int(s),

@@ -171,24 +171,12 @@ def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> 
         raise ValueError("rank must be positive")
     g = per_sample_grads(sample_factors(params, pool, spec), spec)
     n, p = g.shape
-    r = min(r, n, p)
     vals, vecs = np.linalg.eigh(g.T @ g / n if p <= n else g @ g.T / n)
-    order = np.argsort(vals)[::-1][:r]
-    d = vals[order]
-    if p <= n:
-        u = vecs[:, order]
-    else:
-        cols = []
-        for i, di in zip(order, d):
-            if di <= 1e-12:
-                break
-            cols.append(g.T @ vecs[:, i] / np.sqrt(n * di))
-        u = np.stack(cols, axis=1) if cols else np.empty((p, 0))
-        d = d[: u.shape[1]]
+    top = np.argsort(vals)[::-1][:r]
     # drop directions with negligible mass; keeps the basis well-conditioned
-    keep = d > 1e-12
-    u, d = u[:, keep], np.maximum(d[keep], 0.0)
-    return LowRankFisher(u, d)
+    top = top[vals[top] > 1e-12]
+    d, vecs = vals[top], vecs[:, top]
+    return LowRankFisher(vecs if p <= n else g.T @ vecs / np.sqrt(n * d), d)
 
 
 def regularized_solve(curv: DiagFisher | LowRankFisher, lam: float, rhs: np.ndarray) -> np.ndarray:

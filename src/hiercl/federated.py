@@ -18,8 +18,8 @@ import numpy as np
 from .learners import LearnerConfig, train_on_task
 from .memo import ArrivalPlan
 from .metrics import AccuracyMatrix
-from .model import ModelSpec, init_params
-from .pipeline import FED_STREAM, INIT_STREAM, derive_seed
+from .model import ModelSpec
+from .pipeline import FED_STREAM, derive_seed
 from .tasks import Permutation, TaskDataset, arrival_order, task_accuracies
 
 
@@ -37,7 +37,7 @@ def fed_compare_run(
     learner_cfg: LearnerConfig,
     spec: ModelSpec,
     base_seed: int,
-    init: np.ndarray | None = None,
+    init: np.ndarray,
     plan: ArrivalPlan | None = None,
 ) -> tuple[np.ndarray, AccuracyMatrix]:
     """Sequential federated consolidation over the arrival order; returns
@@ -68,8 +68,7 @@ def fed_compare_run(
                 for row, (seen, (_, _, accs)) in enumerate(zip(seens, parents))]
 
     def make_root():
-        w = init_params(spec, derive_seed(base_seed, INIT_STREAM)) if init is None else init
-        return np.array(w, dtype=np.float64), (), ()
+        return np.array(init, dtype=np.float64), (), ()
 
     global_w, _, accs = (ArrivalPlan() if plan is None else plan).take(
         tuple(order), make_root, train_stack)

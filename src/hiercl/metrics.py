@@ -30,10 +30,6 @@ class AccuracyMatrix:
         if not np.all((v >= -1e-9) & (v <= 1 + 1e-9)):
             raise ValueError("accuracies must be finite and lie in [0, 1]")
 
-    @property
-    def num_tasks(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class MetricsRecord:
@@ -75,10 +71,14 @@ class CsvSink:
 
     Rows go to a temporary file beside `path`, which close() moves onto
     `path`; discard() deletes it instead, so an existing file at `path` is
-    replaced only by a finished one. As a context manager it closes on a
-    clean exit and discards on an exception."""
+    replaced only by a finished one. A `path` that names a directory is
+    refused at once, and a failed move deletes the temporary file. As a
+    context manager it closes on a clean exit and discards on an
+    exception."""
 
     def __init__(self, path: str):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: is a directory, not a results CSV")
         self._path = path
         self._tmp = f"{path}.{os.getpid()}.tmp"
         self._fh = open(self._tmp, "w", newline="")
@@ -104,7 +104,11 @@ class CsvSink:
 
     def close(self):
         self._fh.close()
-        os.replace(self._tmp, self._path)
+        try:
+            os.replace(self._tmp, self._path)
+        except OSError:
+            os.remove(self._tmp)
+            raise
 
     def discard(self):
         self._fh.close()

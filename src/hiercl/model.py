@@ -1,4 +1,4 @@
-"""Dense feed-forward model over a flat parameter vector.
+"""Dense tanh feed-forward model over a flat parameter vector.
 
 All model state lives in a single 1-D float64 array so that second-order
 consolidation can treat the network as a point in R^p. Forward, loss,
@@ -22,16 +22,14 @@ import numpy as np
 
 ParamVector = np.ndarray  # flat float64 vector of length p
 
-ACTIVATIONS = ("tanh", "relu")
 TASK_KINDS = ("classification", "regression")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture of the dense net: layer widths, activation, task kind."""
+    """Architecture of the dense tanh net: layer widths and task kind."""
 
     layer_widths: tuple[int, ...]
-    activation: str = "tanh"
     task_kind: str = "classification"
 
     def __post_init__(self):
@@ -40,8 +38,6 @@ class ModelSpec:
             raise ValueError("model needs at least an input and an output layer")
         if any(w <= 0 for w in self.layer_widths):
             raise ValueError(f"layer widths must be positive, got {self.layer_widths}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.task_kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.task_kind!r}")
 
@@ -140,28 +136,25 @@ def _split_params(params: ParamVector, spec: ModelSpec):
     return layers
 
 
-def _forward(layers, inputs: np.ndarray, spec: ModelSpec) -> list[np.ndarray]:
+def _forward(layers, inputs: np.ndarray) -> list[np.ndarray]:
     """Forward pass keeping every layer's input activation for backprop.
 
-    Hidden layers use the configured nonlinearity; the output layer is
-    linear (logits for classification, raw values for regression).
+    Hidden layers are tanh; the output layer is linear (logits for
+    classification, raw values for regression).
     """
     acts = [np.asarray(inputs, dtype=np.float64)]
     for i, (w, b) in enumerate(layers):
         z = acts[-1] @ w
         z += b
         if i < len(layers) - 1:
-            if spec.activation == "tanh":
-                np.tanh(z, out=z)
-            else:
-                np.maximum(z, 0.0, out=z)
+            np.tanh(z, out=z)
         acts.append(z)
     return acts
 
 
 def predict(params: ParamVector, inputs: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """Network outputs: logits (classification) or values (regression)."""
-    return _forward(_split_params(params, spec), inputs, spec)[-1]
+    return _forward(_split_params(params, spec), inputs)[-1]
 
 
 def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
@@ -198,25 +191,20 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     return loss, r
 
 
-def _backprop(acts, delta, spec: ModelSpec, layers):
+def _backprop(acts, delta, layers):
     """Walk the layers from the last one down, yielding (i, acts[i], delta)
     with delta the loss gradient w.r.t. layer i's pre-activation output.
 
-    The hidden-layer derivative reuses the stored activation a: 1 - a**2
-    for tanh and a > 0 for relu, the same bits as recomputing them from
-    the pre-activations. It is multiplied in place into the fresh product
-    delta @ W^T, so no yielded delta is ever written; callers must not
-    write into one either.
+    The tanh derivative reuses the stored activation a: 1 - a**2, the same
+    bits as recomputing it from the pre-activations. It is multiplied in
+    place into the fresh product delta @ W^T, so no yielded delta is ever
+    written; callers must not write into one either.
     """
     for i in range(len(layers) - 1, -1, -1):
         yield i, acts[i], delta
         if i > 0:
-            a = acts[i]
-            if spec.activation == "tanh":
-                slope = np.square(a)
-                np.subtract(1.0, slope, out=slope)
-            else:
-                slope = a > 0.0
+            slope = np.square(acts[i])
+            np.subtract(1.0, slope, out=slope)
             delta = delta @ layers[i][0].swapaxes(-1, -2)
             delta *= slope
 
@@ -231,11 +219,11 @@ def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
     """
     _check_batch(batch, spec)
     layers = _split_params(params, spec)
-    acts = _forward(layers, batch.inputs, spec)
+    acts = _forward(layers, batch.inputs)
     loss, delta = _output_loss_and_delta(acts[-1], batch, spec)
     grad = np.empty((*delta.shape[:-2], spec.param_count))
     views = _split_params(grad, spec)
-    for i, a, d in _backprop(acts, delta, spec, layers):
+    for i, a, d in _backprop(acts, delta, layers):
         w, b = views[i]
         np.matmul(a.swapaxes(-1, -2), d, out=w)
         d.sum(axis=-2, keepdims=True, out=b)
@@ -256,7 +244,7 @@ def sample_factors(params: ParamVector, batch: Batch, spec: ModelSpec):
     """
     _check_batch(batch, spec)
     layers = _split_params(params, spec)
-    acts = _forward(layers, batch.inputs, spec)
+    acts = _forward(layers, batch.inputs)
     logits = acts[-1]
     n = logits.shape[0]
     if spec.task_kind == "classification":
@@ -268,7 +256,7 @@ def sample_factors(params: ParamVector, batch: Batch, spec: ModelSpec):
     else:
         t = _regression_targets(batch)
         delta = 2.0 * (logits - t) / t.shape[1]
-    return [(a, d) for _, a, d in _backprop(acts, delta, spec, layers)][::-1]
+    return [(a, d) for _, a, d in _backprop(acts, delta, layers)][::-1]
 
 
 def per_sample_grads(factors, spec: ModelSpec, out: np.ndarray | None = None) -> np.ndarray:

@@ -33,12 +33,13 @@ from .learners import (LearnerConfig, LearnerState, ReplayBuffer, ReplayCounts,
                        TrainingDiverged, epoch_plan, settle, train_seq)
 from .memo import ArrivalPlan, train_trie
 from .metrics import AccuracyMatrix
-from .model import Batch, ModelSpec, accuracy_eval, init_params
+from .model import Batch, ModelSpec, accuracy_eval
 from .tasks import (Permutation, TaskDataset, TaskGroup, arrival_order,
                     enumerate_intra_group_perms, partition_into_groups, task_accuracies)
 
-# uniform cap on samples fed to the estimators; keeps cost bounded
-DEFAULT_SAMPLE_CAP = 512
+# cap on the consolidation pool behind g and H. The perfbench workloads' pools
+# are 120-370 rows and README's example config's 290, so none is thinned
+SAMPLE_CAP = 512
 
 # seed-stream tags
 INIT_STREAM, SEQ_STREAM, FED_STREAM, AUDIT_STREAM, HIER_STREAM = 0, 1, 2, 3, 4
@@ -71,7 +72,6 @@ class PipelineConfig:
     clip: float | None = 1.0
     n_catch: int = 2
     curvature: str = "diag"
-    sample_cap: int | None = DEFAULT_SAMPLE_CAP
     audit_draws: int = 1000
 
     def __post_init__(self):
@@ -85,9 +85,6 @@ class PipelineConfig:
             raise ValueError(f"run.eta must lie in (0, 1], got {self.eta}")
         if self.clip is not None and not self.clip > 0:
             raise ValueError(f"run.clip must be positive when set, got {self.clip}")
-        if self.sample_cap is not None and self.sample_cap < 1:
-            raise ValueError(f"run.sample_cap must be at least 1 when set, "
-                             f"got {self.sample_cap}")
         if self.audit_draws < 0:
             raise ValueError(f"run.audit_draws must be nonnegative, got {self.audit_draws}")
         try:
@@ -226,12 +223,12 @@ def explore_group(
 
 
 def consolidation_pool(buffer: ReplayBuffer, group_batches: list[Batch],
-                       cap: int | None, seed: int) -> Batch:
+                       cap: int, seed: int) -> Batch:
     """The one sample set behind g and H for a group: the buffer's items
     (slot order) then the group's batches, thinned to `cap` by a seeded
     uniform draw that keeps their order."""
     pool = _concat_batches(([buffer.as_batch()] if len(buffer) else []) + group_batches)
-    if cap is not None and pool.n > cap:
+    if pool.n > cap:
         keep = np.sort(np.random.default_rng(seed).choice(pool.n, size=cap, replace=False))
         pool = Batch(pool.inputs[keep], pool.targets[keep])
     return pool
@@ -297,7 +294,7 @@ def _absorb_group(node: _Prefix, chain: tuple, last: bool, tasks, cfg: PipelineC
     # is also the last group, for the catch-up passes
     if group.group_index > 0 or last:
         pool = consolidation_pool(buffer, [tasks[i].train for i in group.task_ids],
-                                  cfg.sample_cap, seed)
+                                  SAMPLE_CAP, seed)
         estimate = _estimator(cfg, pool, spec)
     try:
         if group.group_index == 0:
@@ -325,7 +322,7 @@ def run_pipeline(
     full_perm: Permutation,
     cfg: PipelineConfig,
     spec: ModelSpec,
-    init: np.ndarray | None = None,
+    init: np.ndarray,
     seed: int = 0,
     plan: ArrivalPlan | None = None,
 ) -> RunResult:
@@ -342,8 +339,7 @@ def run_pipeline(
     groups = arrival_groups(order, cfg.group_size)
 
     def make_root():
-        w = init_params(spec, derive_seed(seed, INIT_STREAM)) if init is None else init
-        hier = init_hierarchy(w, lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor))
+        hier = init_hierarchy(init, lambda_schedule(cfg.lam, cfg.levels, cfg.lambda_factor))
         return _Prefix(hier, ReplayBuffer(cfg.learner.buffer_capacity), None)
 
     def train_stack(depth, chains, parents):

@@ -72,9 +72,6 @@ class Permutation:
     def __iter__(self):
         return iter(self.order)
 
-    def __len__(self):
-        return len(self.order)
-
     def label(self) -> str:
         return "-".join(str(t) for t in self.order)
 

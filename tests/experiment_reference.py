@@ -6,6 +6,9 @@ through the serial learners (train_seq from learners_reference.py, one rng
 per task, and fedprox_train_local from federated_reference.py). The
 library's trie, which trains each depth of all planned orders as (P, p)
 stacks, must match them bit for bit, cell by cell.
+
+`sweep_init` gives the initial weights that run_experiment hands every
+cell of a data seed, for tests that call a runner directly.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ from hiercl.metrics import AccuracyMatrix
 from hiercl.model import ModelSpec, init_params
 from hiercl.pipeline import FED_STREAM, INIT_STREAM, SEQ_STREAM, derive_seed
 from hiercl.tasks import Permutation, TaskDataset, task_accuracies
+
+
+def sweep_init(spec: ModelSpec, seed: int = 0) -> np.ndarray:
+    """The initial weights of every cell of data seed `seed` in a sweep."""
+    return init_params(spec, derive_seed(seed, INIT_STREAM))
 
 
 def arrival_prefixes(order) -> list[tuple[int, ...]]:
@@ -57,15 +65,13 @@ def fed_compare_run(
     learner_cfg: LearnerConfig,
     spec: ModelSpec,
     base_seed: int,
-    init: np.ndarray | None = None,
+    init: np.ndarray,
 ) -> tuple[np.ndarray, AccuracyMatrix]:
     """Sequential federated consolidation over the arrival order; returns
     the final global weights and the per-stage accuracy matrix."""
     order = list(full_perm)
     if sorted(order) != list(range(len(tasks))):
         raise ValueError("full permutation must cover every task exactly once")
-    if init is None:
-        init = init_params(spec, derive_seed(base_seed, INIT_STREAM))
     global_w, locals_, accs = np.array(init, dtype=np.float64), [], []
     for i, task in enumerate(order):
         local = fedprox_train_local(tasks[task], global_w, learner_cfg, mu, spec,

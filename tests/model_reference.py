@@ -130,7 +130,7 @@ def _ref_forward(params, inputs, spec: ModelSpec):
         z = a @ w + b
         pre.append(z)
         if i < len(layers) - 1:
-            a = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+            a = np.tanh(z)
         else:
             a = z
         acts.append(a)
@@ -147,11 +147,7 @@ def _ref_backward(acts, pre, delta, spec: ModelSpec, params):
         grads[i] = (gw, gb)
         if i > 0:
             delta = delta @ w.T
-            z = pre[i - 1]
-            if spec.activation == "tanh":
-                delta = delta * (1.0 - np.tanh(z) ** 2)
-            else:
-                delta = delta * (z > 0.0)
+            delta = delta * (1.0 - np.tanh(pre[i - 1]) ** 2)
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
 
@@ -186,11 +182,7 @@ def ref_per_sample_grads(params, batch: Batch, spec: ModelSpec) -> np.ndarray:
         pieces[i] = np.concatenate([gw, delta], axis=1)
         if i > 0:
             delta = delta @ w.T
-            z = pre[i - 1]
-            if spec.activation == "tanh":
-                delta = delta * (1.0 - np.tanh(z) ** 2)
-            else:
-                delta = delta * (z > 0.0)
+            delta = delta * (1.0 - np.tanh(pre[i - 1]) ** 2)
     return np.concatenate(pieces, axis=1)
 
 

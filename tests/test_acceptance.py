@@ -21,10 +21,11 @@ from hiercl.experiment import make_tasks, run_experiment
 from hiercl.learners import LearnerConfig, ReplayBuffer, train_on_task
 from hiercl.metrics import CSV_HEADER
 from hiercl.model import Batch, ModelSpec, init_params, loss_and_grad
-from hiercl.pipeline import PipelineConfig, derive_seed, run_pipeline
+from hiercl.pipeline import PipelineConfig, run_pipeline
 from hiercl.tasks import Permutation, gen_sine_tasks
 from consolidation_reference import (DenseCurvature, descent_reference_min,
                                      two_step_recursive_check)
+from experiment_reference import sweep_init
 from federated_reference import fedprox_train_local
 from model_reference import fd_gradient
 
@@ -130,8 +131,7 @@ def test_criterion_03_selection_audit_zero_violations(criterion_log, benchmark_s
         tasks = make_tasks(BENCH_DATASET, seed)
         run = run_pipeline(tasks, Permutation(tuple(range(5))),
                            _bench_pipeline(), ModelSpec((8, 16, 10)),
-                           init_params(ModelSpec((8, 16, 10)), derive_seed(seed, 0)),
-                           seed=seed)
+                           sweep_init(ModelSpec((8, 16, 10)), seed), seed=seed)
         assert run.audit["violations"] == 0
         assert run.audit["draws"] == 1000
         assert run.audit["gap_vs_mean"] >= 0.0
@@ -274,7 +274,7 @@ def test_criterion_11_multi_level_smoothing(criterion_log):
         cfg = _bench_pipeline(levels=3, lam=30.0, lambda_factor=1.0,
                               eta=0.5, clip=None)
         run = run_pipeline(tasks, Permutation(tuple(range(5))), cfg, spec,
-                           init_params(spec, derive_seed(seed, 0)), seed=seed)
+                           sweep_init(spec, seed), seed=seed)
         norms = np.array(run.update_norms)
         mean_l1, mean_l3 = float(norms[:, 0].mean()), float(norms[:, 2].mean())
         wins += mean_l3 < mean_l1

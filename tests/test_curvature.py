@@ -22,7 +22,7 @@ from hiercl.curvature import (
 from hiercl.learners import ReplayBuffer
 from hiercl.model import (Batch, ModelSpec, init_params, loss_and_grad, per_sample_grads,
                           predict, sample_factors)
-from hiercl.pipeline import DEFAULT_SAMPLE_CAP, consolidation_pool
+from hiercl.pipeline import SAMPLE_CAP, consolidation_pool
 from consolidation_reference import DenseCurvature, materialize
 
 SPEC = ModelSpec((3, 6, 3))
@@ -97,14 +97,14 @@ def test_gradient_pools_buffer_and_group():
     group = _batch(rng, n=5)
     buf = ReplayBuffer(4)
     buf.insert_many(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4), rng)
-    g = estimate_gradient(w, consolidation_pool(buf, [group], DEFAULT_SAMPLE_CAP, 0), SPEC)
+    g = estimate_gradient(w, consolidation_pool(buf, [group], SAMPLE_CAP, 0), SPEC)
     merged = Batch(
         np.concatenate([buf.as_batch().inputs, group.inputs]),
         np.concatenate([buf.as_batch().targets, group.targets]),
     )
     assert np.array_equal(g, loss_and_grad(w, merged, SPEC)[1])
     with pytest.raises(ValueError):
-        consolidation_pool(ReplayBuffer(1), [], DEFAULT_SAMPLE_CAP, 0)
+        consolidation_pool(ReplayBuffer(1), [], SAMPLE_CAP, 0)
 
 
 def test_diag_is_mean_squared_per_sample_grads():
@@ -118,7 +118,7 @@ def test_diag_is_mean_squared_per_sample_grads():
 
 
 @pytest.mark.parametrize("spec, n", [
-    # the consolidate-wide-k1 net; 240 is its pool, 512 DEFAULT_SAMPLE_CAP
+    # the consolidate-wide-k1 net; 240 is its pool, 512 SAMPLE_CAP
     pytest.param(ModelSpec((64, 128, 128, 10)), 240, id="240"),
     pytest.param(ModelSpec((64, 128, 128, 10)), 512, id="512"),
     # where blocks of 16-row tiles, each with its own forward pass, lost
@@ -195,7 +195,7 @@ def test_sample_cap_thins_pool_deterministically():
     assert np.array_equal(a.diag, b.diag)
     c = estimate_diag_curvature(w, consolidation_pool(empty, [batch], 16, 6), SPEC)
     assert not np.array_equal(a.diag, c.diag)
-    assert DEFAULT_SAMPLE_CAP == 512
+    assert SAMPLE_CAP == 512
 
 
 def test_lowrank_rank_one_case():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from experiment_reference import sweep_init
 from federated_reference import fedprox_train_local
 
 from hiercl import federated
@@ -10,7 +11,7 @@ from hiercl.experiment import _run_method
 from hiercl.federated import fed_compare_run, fedavg_aggregate
 from hiercl.learners import LearnerConfig, train_on_task
 from hiercl.model import ModelSpec, init_params
-from hiercl.pipeline import INIT_STREAM, PipelineConfig, derive_seed
+from hiercl.pipeline import PipelineConfig, derive_seed
 from hiercl.tasks import Permutation, gen_split_gaussians
 
 SPEC = ModelSpec((4, 6, 6))
@@ -80,7 +81,7 @@ def test_fedprox_pull_matches_the_proximal_gradient_within_rounding(monkeypatch)
 
     monkeypatch.setattr(federated, "train_on_task", recording)
     tasks, cfg = _tasks(), LearnerConfig(kind="sgd", epochs_per_task=1)
-    init, perm = init_params(SPEC, 5), Permutation((0, 1, 2))
+    init, perm = sweep_init(SPEC, 5), Permutation((0, 1, 2))
     fed_compare_run(tasks, perm, 0.0, cfg, SPEC, 5, init=init)
     assert [pull for _, pull in seen] == [None] * 3
     eps = np.finfo(np.float64).eps
@@ -97,19 +98,10 @@ def test_fedprox_pull_matches_the_proximal_gradient_within_rounding(monkeypatch)
                 assert np.all(err <= 2 * eps * mu * (np.abs(w) + np.abs(anchor)))
 
 
-def test_fed_compare_run_without_init_starts_from_the_init_stream():
-    tasks, cfg = _tasks(), LearnerConfig(kind="sgd", epochs_per_task=1)
-    init, perm = init_params(SPEC, derive_seed(5, INIT_STREAM)), Permutation((1, 0, 2))
-    for mu in (0.0, 0.3):
-        g_got, m_got = fed_compare_run(tasks, perm, mu, cfg, SPEC, 5)
-        g_want, m_want = fed_compare_run(tasks, perm, mu, cfg, SPEC, 5, init=init)
-        assert np.array_equal(g_got, g_want) and np.array_equal(m_got.values, m_want.values)
-
-
 def test_fed_compare_run_single_task_global_equals_local():
     tasks = _tasks()[:1]
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
-    init = init_params(SPEC, 0)
+    init = sweep_init(SPEC)
     global_w, matrix = fed_compare_run(tasks, Permutation((0,)), 0.0, cfg, SPEC, 0, init=init)
     local = fedprox_train_local(tasks[0], init, cfg, 0.0, SPEC, derive_seed(0, 2, 0))
     assert np.array_equal(global_w, local)
@@ -119,7 +111,7 @@ def test_fed_compare_run_single_task_global_equals_local():
 def test_fed_compare_run_running_average_identity():
     tasks = _tasks()
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
-    init = init_params(SPEC, 4)
+    init = sweep_init(SPEC, 4)
     perm = Permutation((2, 0, 1))
     global_w, matrix = fed_compare_run(tasks, perm, 0.0, cfg, SPEC, 4, init=init)
     # replay the protocol by hand
@@ -131,7 +123,7 @@ def test_fed_compare_run_running_average_identity():
     assert np.array_equal(global_w, g)
     assert matrix.values.shape == (3, 3)
     with pytest.raises(ValueError):
-        fed_compare_run(tasks, Permutation((0, 1)), 0.0, cfg, SPEC, 0)
+        fed_compare_run(tasks, Permutation((0, 1)), 0.0, cfg, SPEC, 0, init)
 
 
 def test_fedavg_and_fedprox_mu_zero_agree_end_to_end():
@@ -141,7 +133,7 @@ def test_fedavg_and_fedprox_mu_zero_agree_end_to_end():
     # two epochs: after the first step the weights leave the prox anchor,
     # so a nonzero mu actually changes the trajectory
     lcfg = LearnerConfig(kind="sgd", epochs_per_task=2)
-    init = init_params(SPEC, 5)
+    init = sweep_init(SPEC, 5)
     perm = Permutation((0, 1, 2))
 
     def cell(method, prox_mu):

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from experiment_reference import sweep_init
 from hypothesis import strategies as st
 
-from hiercl import pipeline
+from hiercl import experiment, pipeline
 from hiercl.cli import _build_parser, _config_from_args, main
 from hiercl.config import (_KEYMAP, DatasetConfig, ExperimentConfig,
                            build_experiment_config, parse_config_text)
@@ -16,7 +17,6 @@ from hiercl.experiment import make_model_spec, make_tasks, run_baseline_seq, run
 from hiercl.federated import fed_compare_run
 from hiercl.learners import LearnerConfig
 from hiercl.metrics import CSV_HEADER, read_records
-from hiercl.model import init_params
 from hiercl.pipeline import PipelineConfig, run_pipeline
 from hiercl.tasks import Permutation
 from tasks_reference import load_tasks
@@ -53,7 +53,6 @@ def test_build_experiment_config_conversions():
         "run.lambda": "0.25",
         "run.catchup": "4",
         "run.clip": "off",
-        "run.sample_cap": "none",
         "run.seeds": "0, 2, 5",
         "run.perms": "all",
         "run.methods": "seq,hier",
@@ -61,7 +60,7 @@ def test_build_experiment_config_conversions():
     })
     assert cfg.dataset.kind == "sine" and cfg.dataset.num_tasks == 3
     pipe = cfg.pipeline
-    assert pipe.learner.kind == "er" and pipe.sample_cap is None
+    assert pipe.learner.kind == "er"
     assert pipe.lam == 0.25 and pipe.n_catch == 4 and pipe.clip is None
     assert cfg.seeds == (0, 2, 5)
     assert cfg.perms == "all"
@@ -82,12 +81,11 @@ def test_config_key_set_is_pinned():
         "run.group_size", "run.levels", "run.lambda", "run.lambda_factor",
         "run.eta", "run.clip", "run.catchup", "run.curvature", "run.perms",
         "run.seeds", "run.perm_sample_seed", "run.methods",
-        "run.hidden", "run.prox_mu", "run.sample_cap",
-        "run.audit_draws", "run.out",
+        "run.hidden", "run.prox_mu", "run.audit_draws", "run.out",
     }
-    # per-run seeds, the fields behind aliases and three removed options
+    # per-run seeds, the fields behind aliases and four removed options
     for key in ("run.seed", "learner.seed", "run.lam", "run.n_catch",
-                "run.eval_policy", "run.fed_aggregate", "learner.grad_clip"):
+                "run.eval_policy", "run.fed_aggregate", "learner.grad_clip", "run.sample_cap"):
         with pytest.raises(ValueError, match="unknown config key"):
             build_experiment_config({key: "1"})
 
@@ -104,7 +102,6 @@ _TEXT_FOR = {
     "int": _INTS.map(str),
     "float": st.one_of(st.floats().map(repr), _INTS.map(str)),
     "float | None": st.one_of(st.floats().map(repr), _INTS.map(str), _NONE),
-    "int | None": st.one_of(_INTS.map(str), _NONE),
     "str": st.sampled_from(_WORDS),
     "tuple[int, ...]": st.lists(_INTS, max_size=4).map(lambda v: ",".join(map(str, v))),
     "tuple[str, ...]": st.lists(st.sampled_from(_METHODS), max_size=4).map(",".join),
@@ -164,7 +161,7 @@ def test_a_later_set_overrides_the_config_file(tmp_path_factory, key, data):
 
 def test_bad_pipeline_values_fail_at_build_time_even_for_seq_only():
     for key, value in (("run.eta", "1.5"), ("run.levels", "0"),
-                       ("run.curvature", "kfac"), ("run.sample_cap", "0")):
+                       ("run.curvature", "kfac"), ("run.audit_draws", "-1")):
         with pytest.raises(ValueError):
             build_experiment_config({"run.methods": "seq", key: value})
     with pytest.raises(ValueError, match="run.levels"):
@@ -217,7 +214,7 @@ def test_run_baseline_seq_shape_and_determinism():
     cfg = _tiny_cfg()
     tasks = make_tasks(cfg.dataset, 0)
     spec = make_model_spec(cfg)
-    init = init_params(spec, 9)
+    init = sweep_init(spec, 9)
     perm = Permutation((1, 0))
     m1 = run_baseline_seq(tasks, perm, cfg.pipeline.learner, spec, 3, init)
     m2 = run_baseline_seq(tasks, perm, cfg.pipeline.learner, spec, 3, init)
@@ -245,7 +242,7 @@ def test_every_runner_rejects_an_order_that_is_not_the_whole_stream(runner, orde
                                           dim=4, samples_per_class=8))
     tasks, spec = make_tasks(cfg.dataset, 0), make_model_spec(cfg)
     with pytest.raises(ValueError, match="must cover every task of the 3-task stream"):
-        _RUNNERS[runner](tasks, Permutation(order), cfg, spec, init_params(spec, 0))
+        _RUNNERS[runner](tasks, Permutation(order), cfg, spec, sweep_init(spec))
 
 
 def test_run_experiment_sweep(tmp_path):
@@ -446,7 +443,6 @@ _BAD_VALUES = [
     "run.lambda=0",
     "run.lambda_factor=0",
     "run.lambda=nan",
-    "run.sample_cap=0",
     "run.audit_draws=-1",
     "run.group_size=9",  # the default dataset has 5 tasks
     "run.group_size=0",
@@ -573,6 +569,21 @@ def test_a_run_that_diverges_after_its_first_record_leaves_the_out_file_untouche
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
+def test_a_run_out_that_names_a_directory_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    # it used to run the whole sweep, then fail to move its rows onto the
+    # directory and leave <out>.<pid>.tmp beside it
+    cells = []
+    monkeypatch.setattr(experiment, "_run_method", lambda *args: cells.append(args))
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+    rc = main(["run", "--set", "run.perms=1", "--set", "run.seeds=0",
+               "--set", f"run.out={out_dir}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out and cells == []
+    assert captured.err == f"error: {out_dir}: is a directory, not a results CSV\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["results"] and not any(out_dir.iterdir())
+
+
 def test_a_failed_cell_names_its_seed_method_and_order(tmp_path, monkeypatch):
     # a nonfinite gradient fails the first consolidation of the first hier cell
     real = pipeline.estimate_gradient
@@ -641,6 +652,15 @@ def test_cli_gen(tmp_path, capsys):
     assert rc == 0 and "wrote" in captured.out
     tasks = load_tasks(str(out))
     assert len(tasks) == 5  # default sine stream length
+
+
+def test_cli_gen_rejects_a_negative_seed_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "tasks.txt"
+    rc = main(["gen", "--seed", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert captured.err == "error: --seed must be nonnegative, got -1\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_the_removed_audit_subcommand(capsys):

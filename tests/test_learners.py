@@ -6,7 +6,7 @@ import learners_reference
 import numpy as np
 import pytest
 from bits import same_bits
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from learners_reference import ewc_penalty_grad
 from learners_reference import train_on_task as serial_train_on_task
@@ -434,15 +434,14 @@ def test_ewc_strength_pulls_toward_anchor():
     assert dists[1] < dists[0]
 
 
-def _lockstep_problem(kind, activation, task_kind, sizes, rows, seed):
+def _lockstep_problem(kind, task_kind, sizes, rows, seed):
     """Tasks of the given train sizes, `rows` random orderings of them with
     one seed each, and per-ordering incoming buffers, some of them empty
     or absent, so a stack mixes schedules."""
     rng = np.random.default_rng(seed)
     classify = task_kind == "classification"
     out_dim = int(rng.integers(2, 4)) if classify else int(rng.integers(1, 3))
-    spec = ModelSpec((3, int(rng.integers(1, 9)), out_dim),
-                     activation=activation, task_kind=task_kind)
+    spec = ModelSpec((3, int(rng.integers(1, 9)), out_dim), task_kind=task_kind)
 
     def targets(n):
         return rng.integers(0, out_dim, size=n) if classify else rng.normal(size=(n, out_dim))
@@ -511,7 +510,6 @@ def _assert_same_buffer(got, want):
 
 _LOCKSTEP_CASES = dict(
     kind=st.sampled_from(LEARNER_KINDS),
-    activation=st.sampled_from(("tanh", "relu")),
     task_kind=st.sampled_from(("classification", "regression")),
     sizes=st.lists(st.integers(1, 20), min_size=1, max_size=3),
     rows=st.integers(1, 6),
@@ -521,9 +519,9 @@ _LOCKSTEP_CASES = dict(
 
 @settings(max_examples=80, deadline=None)
 @given(**_LOCKSTEP_CASES)
-def test_lockstep_train_on_task_matches_serial_rows(kind, activation, task_kind, sizes, rows, seed):
+def test_lockstep_train_on_task_matches_serial_rows(kind, task_kind, sizes, rows, seed):
     spec, tasks, cfg, seeds, _, buffers, _, init, rng = _lockstep_problem(
-        kind, activation, task_kind, sizes, rows, seed)
+        kind, task_kind, sizes, rows, seed)
     p = spec.param_count
     stack = init + 0.1 * rng.normal(size=(rows, p))
     row_tasks = [tasks[int(t)] for t in rng.integers(0, len(tasks), size=rows)]
@@ -627,27 +625,23 @@ def _assert_depths_match_serial(parents, orders, tasks, cfg, spec, seeds):
 
 @settings(max_examples=80, deadline=None)
 @given(**_LOCKSTEP_CASES)
-def test_lockstep_train_seq_matches_serial_orderings(kind, activation, task_kind, sizes, rows, seed):
+def test_lockstep_train_seq_matches_serial_orderings(kind, task_kind, sizes, rows, seed):
     # every ordering from one start and one incoming sums pair, which every
     # row shares, each with its own incoming buffer
     spec, tasks, cfg, seeds, perms, buffers, ewc, init, _ = _lockstep_problem(
-        kind, activation, task_kind, sizes, rows, seed)
+        kind, task_kind, sizes, rows, seed)
     parents = [LearnerState(init, buffer, ewc) for buffer in buffers]
     _assert_depths_match_serial(parents, [perm.order for perm in perms], tasks, cfg, spec, seeds)
 
 
 @settings(max_examples=80, deadline=None)
 @given(**_LOCKSTEP_CASES)
-# one-task orderings whose only Fisher is not finite: the sums before it
-# are the parents' own
-@example(kind="ewc", activation="relu", task_kind="regression", sizes=[16], rows=4,
-         seed=4_055_477_125)
 def test_train_seq_from_stacked_starts_and_row_anchors_matches_lone_runs(
-        kind, activation, task_kind, sizes, rows, seed):
+        kind, task_kind, sizes, rows, seed):
     # each ordering starts from its own params and carries its own sums
     # (the shared sums plus anchors of its own), as the tries' rows do
     spec, tasks, cfg, seeds, perms, buffers, shared, init, rng = _lockstep_problem(
-        kind, activation, task_kind, sizes, rows, seed)
+        kind, task_kind, sizes, rows, seed)
     p = spec.param_count
     starts = init + 0.1 * rng.normal(size=(rows, p))
     m = int(rng.integers(0, 3))
@@ -996,17 +990,17 @@ def test_train_on_task_rejects_params_that_end_the_task_nonfinite():
 
 
 def _nonfinite_fisher_problem():
-    """Five rows of one regression task on inputs of 1, on a (1, 1, 1) relu
-    net. Row 4's hidden weight is 1e100: its loss (about 1e200) stays
+    """Five rows of one regression task on inputs of 1, on a (1, 1, 1) tanh
+    net. Row 4's output weight is 1e100: its loss (about 5.8e199) stays
     finite and a step at lr=1e-300 barely moves it, but its per-sample
-    gradients (about 2e200) overflow when squared, so its EWC Fisher is
-    nonfinite. The other rows start at weights of 1."""
-    spec = ModelSpec((1, 1, 1), activation="relu", task_kind="regression")
+    gradient of the hidden weight (about 6e199) overflows when squared, so
+    its EWC Fisher is nonfinite. The other rows start at weights of 1."""
+    spec = ModelSpec((1, 1, 1), task_kind="regression")
     ones = Batch(np.ones((4, 1)), np.zeros(4))
     tasks = [TaskDataset(0, ones, ones, ones), TaskDataset(1, ones, ones, ones)]
     cfg = LearnerConfig(kind="ewc", learning_rate=1e-300, epochs_per_task=1, batch_size=4)
     params = np.tile([1.0, 0.0, 1.0, 0.0], (5, 1))
-    params[4, 0] = 1e100
+    params[4, 2] = 1e100
     return spec, tasks, cfg, [LearnerState(w) for w in params]
 
 
@@ -1024,6 +1018,21 @@ def test_train_seq_rejects_an_ordering_whose_ewc_fisher_is_nonfinite():
             failed.append((i, err.index, str(err)))
     assert failed == [(4, 0, "task 0: EWC Fisher is not finite after training; "
                              "training diverged")]
+
+
+def test_train_seq_from_row_sums_keeps_them_when_the_only_fisher_is_nonfinite():
+    # one-task orderings from stacked starts, each with sums of its own:
+    # row 4's only Fisher is not finite, so its settled sums must be the
+    # parent's own, as a lone run's are before it adds that Fisher
+    spec, tasks, cfg, parents = _nonfinite_fisher_problem()
+    p = spec.param_count
+    parents = [LearnerState(s.params, None, _sums([(s.params + 0.5, np.full(p, 0.25 * (i + 1)))]))
+               for i, s in enumerate(parents)]
+    with np.errstate(all="ignore"):
+        last = train_seq(parents, [tasks[0]] * 5, cfg, spec, list(range(5)))[4]
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+        settle(last, spec)
+    _assert_depths_match_serial(parents, [(0,)] * 5, tasks, cfg, spec, list(range(5)))
 
 
 def test_train_seq_rejects_a_nonfinite_fisher_before_the_next_task(monkeypatch):

@@ -18,7 +18,7 @@ def test_matrix_validation():
         AccuracyMatrix(np.full((2, 2), 1.5))
     with pytest.raises(ValueError):
         AccuracyMatrix(np.full((2, 2), -0.1))
-    assert AccuracyMatrix(np.eye(4)).num_tasks == 4
+    assert AccuracyMatrix(np.eye(4)).values.shape == (4, 4)
 
 
 def test_matrix_rejects_nonfinite():
@@ -137,6 +137,19 @@ def test_csv_sink_context_manager(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "method,seed,permutation,mean_accuracy,avg_forgetting,wall_time_seconds"
     assert len(lines) == 2
+
+
+def test_csv_sink_refuses_a_directory_and_deletes_its_rows_when_the_move_fails(tmp_path):
+    with pytest.raises(IsADirectoryError, match="is a directory"):
+        CsvSink(str(tmp_path))
+    # a directory made at `path` while the rows are written
+    path = tmp_path / "late"
+    sink = CsvSink(str(path))
+    sink.write(MetricsRecord("a", 1, "0", 0.5, 0.1, 2.0))
+    path.mkdir()
+    with pytest.raises(OSError):
+        sink.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["late"] and not any(path.iterdir())
 
 
 def test_summarize_groups_by_method_and_seed():

@@ -46,8 +46,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec((4, 0, 2))
     with pytest.raises(ValueError):
-        ModelSpec((4, 3), activation="sigmoid")
-    with pytest.raises(ValueError):
         ModelSpec((4, 3), task_kind="ranking")
 
 
@@ -59,7 +57,7 @@ def test_param_count():
     fresh = ModelSpec((4, 6, 3))
     assert "param_count" not in vars(fresh) and "param_count" in vars(CLS)
     assert fresh == CLS and hash(fresh) == hash(CLS) and repr(fresh) == repr(CLS)
-    assert [f.name for f in fields(CLS)] == ["layer_widths", "activation", "task_kind"]
+    assert [f.name for f in fields(CLS)] == ["layer_widths", "task_kind"]
 
 
 def test_init_deterministic_and_bias_zero():
@@ -135,14 +133,13 @@ def test_per_sample_rows_match_singleton_batches():
 
 @settings(max_examples=120, deadline=None)
 @given(widths=st.lists(st.integers(1, 24), min_size=3, max_size=4),
-       activation=st.sampled_from(("tanh", "relu")),
        task_kind=st.sampled_from(("classification", "regression")),
        n=st.integers(1, 40),
        rows=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
-def test_kernels_match_reference_bitwise(widths, activation, task_kind, n, rows, seed):
+def test_kernels_match_reference_bitwise(widths, task_kind, n, rows, seed):
     # 3 or 4 widths: 1 or 2 hidden layers
-    spec = ModelSpec(tuple(widths), activation=activation, task_kind=task_kind)
+    spec = ModelSpec(tuple(widths), task_kind=task_kind)
     rng = np.random.default_rng(seed)
     w = init_params(spec, seed) + 0.3 * rng.normal(size=spec.param_count)
 
@@ -223,11 +220,10 @@ def test_loss_kernel_gives_the_reference_bits_on_hard_logits():
 
 
 @pytest.mark.parametrize("task_kind", ("classification", "regression"))
-@pytest.mark.parametrize("activation", ("tanh", "relu"))
-def test_no_kernel_writes_into_its_callers_arrays(activation, task_kind):
+def test_no_kernel_writes_into_its_callers_arrays(task_kind):
     # the kernels work in place on their own temporaries only: on
     # write-protected params and batches they run, to the bits of copies
-    spec = ModelSpec((4, 6, 5, 3), activation=activation, task_kind=task_kind)
+    spec = ModelSpec((4, 6, 5, 3), task_kind=task_kind)
     rng = np.random.default_rng(8)
     rows, n = 3, 7
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from bits import same_bits
+from experiment_reference import sweep_init
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pipeline_reference import explore_orderings
@@ -80,7 +81,6 @@ def test_pipeline_config_validation():
                       (dict(eta=1.5), r"run.eta must lie in \(0, 1\], got 1.5"),
                       (dict(n_catch=-1), "run.catchup must be nonnegative, got -1"),
                       (dict(clip=0.0), "run.clip must be positive when set, got 0.0"),
-                      (dict(sample_cap=0), "run.sample_cap must be at least 1 when set, got 0"),
                       (dict(audit_draws=-1), "run.audit_draws must be nonnegative, got -1"),
                       (dict(curvature="kfac"), "run.curvature='kfac'")):
         with pytest.raises(ValueError, match=f"^{error}"):
@@ -130,15 +130,16 @@ def test_tie_break_picks_lexicographically_smallest():
 def test_run_pipeline_validates_inputs():
     tasks = _tasks()
     with pytest.raises(ValueError):
-        run_pipeline(tasks, Permutation((0, 1, 2)), _cfg(), SPEC)  # missing task 3
+        run_pipeline(tasks, Permutation((0, 1, 2)), _cfg(), SPEC, sweep_init(SPEC))  # no task 3
     with pytest.raises(ValueError, match="^group size 9 exceeds the number of tasks 4$"):
-        run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(group_size=9), SPEC)
+        run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(group_size=9), SPEC,
+                     sweep_init(SPEC))
 
 
 def test_run_pipeline_shapes_counts_and_audit():
     tasks = _tasks()
     cfg = _cfg()
-    res = run_pipeline(tasks, Permutation((1, 0, 3, 2)), cfg, SPEC)
+    res = run_pipeline(tasks, Permutation((1, 0, 3, 2)), cfg, SPEC, sweep_init(SPEC))
     assert res.matrix.values.shape == (4, 4)
     assert len(res.group_results) == 2
     # groups of 2: 2! trainings each
@@ -158,15 +159,15 @@ def test_run_pipeline_shapes_counts_and_audit():
 def test_run_pipeline_with_no_audit_draws():
     tasks = _tasks()
     order = Permutation((1, 0, 3, 2))
-    res = run_pipeline(tasks, order, _cfg(audit_draws=0), SPEC)
-    want = run_pipeline(tasks, order, _cfg(), SPEC).audit
+    res = run_pipeline(tasks, order, _cfg(audit_draws=0), SPEC, sweep_init(SPEC))
+    want = run_pipeline(tasks, order, _cfg(), SPEC, sweep_init(SPEC)).audit
     assert res.audit == {**want, "draws": 0}
     assert res.log[-1] == {"event": "audit", **res.audit}
 
 
 def test_matrix_rows_replicate_within_group_and_final_row_is_post_catchup():
     tasks = _tasks()
-    res = run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(), SPEC)
+    res = run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(), SPEC, sweep_init(SPEC))
     a = res.matrix.values
     # stage rows are written per group: positions 0-1 share a row, 2-3 share
     assert np.array_equal(a[0], a[1])
@@ -181,35 +182,23 @@ def test_intra_group_order_invariance_bitwise():
     tasks = _tasks()
     cfg = _cfg()
     # same group memberships {0,1} {2,3}, different orders inside
-    r1 = run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, SPEC)
-    r2 = run_pipeline(tasks, Permutation((1, 0, 3, 2)), cfg, SPEC)
+    r1 = run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, SPEC, sweep_init(SPEC))
+    r2 = run_pipeline(tasks, Permutation((1, 0, 3, 2)), cfg, SPEC, sweep_init(SPEC))
     for a, b in zip(r1.hierarchy.levels, r2.hierarchy.levels):
         assert np.array_equal(a, b)
     assert r1.group_results[0].best_perm.order == r2.group_results[0].best_perm.order
     # different membership does change the outcome
-    r3 = run_pipeline(tasks, Permutation((0, 2, 1, 3)), cfg, SPEC)
+    r3 = run_pipeline(tasks, Permutation((0, 2, 1, 3)), cfg, SPEC, sweep_init(SPEC))
     assert not np.array_equal(r1.hierarchy.top, r3.hierarchy.top)
 
 
 def test_pipeline_deterministic_across_calls():
     tasks = _tasks()
     cfg = _cfg()
-    r1 = run_pipeline(tasks, Permutation((2, 0, 1, 3)), cfg, SPEC)
-    r2 = run_pipeline(tasks, Permutation((2, 0, 1, 3)), cfg, SPEC)
+    r1 = run_pipeline(tasks, Permutation((2, 0, 1, 3)), cfg, SPEC, sweep_init(SPEC))
+    r2 = run_pipeline(tasks, Permutation((2, 0, 1, 3)), cfg, SPEC, sweep_init(SPEC))
     assert np.array_equal(r1.hierarchy.top, r2.hierarchy.top)
     assert np.array_equal(r1.matrix.values, r2.matrix.values)
-
-
-def test_run_pipeline_without_init_starts_from_the_init_stream():
-    # the default weights come from (seed, INIT_STREAM), as a sweep's do,
-    # not from the bare seed that the consolidation pool draws from
-    tasks, cfg, order = _tasks(), _cfg(sample_cap=30), Permutation((2, 0, 1, 3))
-    got = run_pipeline(tasks, order, cfg, SPEC, seed=3)
-    want = run_pipeline(tasks, order, cfg, SPEC, init_params(SPEC, derive_seed(3, INIT_STREAM)),
-                        seed=3)
-    assert all(map(np.array_equal, got.hierarchy.levels, want.hierarchy.levels))
-    assert np.array_equal(got.matrix.values, want.matrix.values)
-    assert got.update_norms == want.update_norms and got.log == want.log
 
 
 def test_single_group_copies_best_local_before_catchup(monkeypatch):
@@ -224,7 +213,7 @@ def test_single_group_copies_best_local_before_catchup(monkeypatch):
 
     explore = pipeline.explore_group
     monkeypatch.setattr(pipeline, "explore_group", recording)
-    res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC)
+    res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC, sweep_init(SPEC))
     assert len(res.group_results) == len(winners) == 1
     for level in res.hierarchy.levels:
         assert np.array_equal(level, winners[0].params)
@@ -233,8 +222,8 @@ def test_single_group_copies_best_local_before_catchup(monkeypatch):
 
 def test_lowrank_curvature_path_runs():
     tasks = _tasks(num_classes=4)
-    cfg = _cfg(curvature="lowrank:4", sample_cap=64)
-    res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC)
+    cfg = _cfg(curvature="lowrank:4")
+    res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC, sweep_init(SPEC))
     assert np.isfinite(res.hierarchy.top).all()
     assert res.audit["violations"] == 0
 
@@ -260,17 +249,17 @@ def test_consolidation_failure_names_the_group_or_pass_and_the_level(monkeypatch
     tasks = _tasks(num_classes=num_classes)
     with pytest.raises(ValueError, match=f"^{where}: nonfinite inputs to regularized_solve"):
         run_pipeline(tasks, Permutation(tuple(range(len(tasks)))), _cfg(group_size=group_size),
-                     SPEC)
+                     SPEC, sweep_init(SPEC))
 
 
 def test_gradient_and_curvature_share_the_capped_pool(monkeypatch):
-    # buffer (8) plus a group's train data (10) exceed sample_cap=7: g and
+    # buffer (8) plus a group's train data (10) exceed a cap of 7: g and
     # H must both come from the same thinned pool
     spec = ModelSpec((3, 4, 2), task_kind="regression")
     w = init_params(spec, 0)
     tasks = _constant_score_tasks(spec, w, ids=(0, 1, 2, 3))
-    cfg = _cfg(sample_cap=7,
-               learner=LearnerConfig(kind="er", epochs_per_task=1,
+    monkeypatch.setattr(pipeline, "SAMPLE_CAP", 7)
+    cfg = _cfg(learner=LearnerConfig(kind="er", epochs_per_task=1,
                                      weight_decay=0.0, buffer_capacity=8))
     seen = {"grad": [], "curv": []}
     real_grad, real_curv = pipeline.estimate_gradient, pipeline.estimate_diag_curvature
@@ -298,7 +287,7 @@ def test_pool_is_built_only_for_groups_that_use_it(monkeypatch, num_classes, gro
     tasks = _tasks(num_classes=num_classes)
     order = Permutation(tuple(range(len(tasks))))
     cfg = _cfg(group_size=group_size)
-    plain = run_pipeline(tasks, order, cfg, SPEC)
+    plain = run_pipeline(tasks, order, cfg, SPEC, sweep_init(SPEC))
     calls = []
     real = pipeline.consolidation_pool
 
@@ -307,7 +296,7 @@ def test_pool_is_built_only_for_groups_that_use_it(monkeypatch, num_classes, gro
         return real(*args)
 
     monkeypatch.setattr(pipeline, "consolidation_pool", counting)
-    res = run_pipeline(tasks, order, cfg, SPEC)
+    res = run_pipeline(tasks, order, cfg, SPEC, sweep_init(SPEC))
     assert len(calls) == pools
     for got, want in zip(res.hierarchy.levels, plain.hierarchy.levels):
         assert np.array_equal(got, want)
@@ -430,7 +419,8 @@ def test_divergence_fails_fast_naming_group_ordering_task_and_step():
     want = (r"^group 0 \(tasks 0, 1, 2, 3, 4\): ordering prefix 0-1: task 1: epoch 1, "
             r"step 1: minibatch loss is inf")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
-        run_pipeline(gen_sine_tasks(5, 0), Permutation(tuple(range(5))), cfg, spec)
+        run_pipeline(gen_sine_tasks(5, 0), Permutation(tuple(range(5))), cfg, spec,
+                     sweep_init(spec))
 
 
 def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
@@ -588,13 +578,14 @@ def test_explore_group_estimates_each_fisher_a_later_task_or_the_winner_reads(mo
 
 
 def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
-    # task 1's inputs are 1e100: its loss (about 1e200) and the params stay
-    # finite, the step at lr=1e-300 barely moves them, and its squared
-    # per-sample gradients (about 4e400) overflow. The group's one ordering
-    # wins, so its last Fisher is estimated, after scoring.
-    spec = ModelSpec((1, 1, 1), activation="relu", task_kind="regression")
+    # task 1's targets are 5e153: its loss (about 2.5e307) and the params
+    # stay finite, the step at lr=1e-300 barely moves them, and the sum of
+    # its squared per-sample output-bias gradients (4 x 1e308) overflows.
+    # The group's one ordering wins, so its last Fisher is estimated, after
+    # scoring.
+    spec = ModelSpec((1, 1, 1), task_kind="regression")
     small = Batch(np.ones((4, 1)), np.zeros(4))
-    huge = Batch(np.full((4, 1), 1e100), np.zeros(4))
+    huge = Batch(np.ones((4, 1)), np.full(4, 5e153))
     tasks = [TaskDataset(0, small, small, small), TaskDataset(1, huge, huge, huge)]
     cfg = LearnerConfig(kind="ewc", learning_rate=1e-300, epochs_per_task=1, batch_size=4)
     want = (r"^group 2 \(tasks 1\): ordering 1: task 1: EWC Fisher is not finite after training; "
@@ -614,7 +605,7 @@ def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
 
 def test_write_run_log(tmp_path):
     tasks = _tasks(num_classes=4)
-    res = run_pipeline(tasks, Permutation((0, 1)), _cfg(), SPEC)
+    res = run_pipeline(tasks, Permutation((0, 1)), _cfg(), SPEC, sweep_init(SPEC))
     path = str(tmp_path / "run.log")
     write_run_log(path, res.log)
     import json

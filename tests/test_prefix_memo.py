@@ -19,7 +19,7 @@ from itertools import permutations
 import experiment_reference
 import numpy as np
 import pytest
-from experiment_reference import arrival_prefixes
+from experiment_reference import arrival_prefixes, sweep_init
 
 from hiercl import curvature, federated, learners, memo, model, pipeline
 from hiercl import tasks as tasks_module
@@ -29,9 +29,7 @@ from hiercl.federated import fed_compare_run
 from hiercl.learners import LearnerState, ReplayBuffer
 from hiercl.memo import STACK_ROWS, ArrivalPlan
 from hiercl.metrics import avg_forgetting, mean_accuracy
-from hiercl.model import init_params
-from hiercl.pipeline import (INIT_STREAM, arrival_groups, derive_seed, membership_chain,
-                             run_pipeline)
+from hiercl.pipeline import arrival_groups, membership_chain, run_pipeline
 from hiercl.tasks import Permutation, sample_full_permutations
 
 _TINY = {
@@ -74,7 +72,7 @@ def _perms(cfg):
 
 def _setup(cfg, seed):
     spec = make_model_spec(cfg)
-    return spec, make_tasks(cfg.dataset, seed), init_params(spec, derive_seed(seed, INIT_STREAM))
+    return spec, make_tasks(cfg.dataset, seed), sweep_init(spec, seed)
 
 
 def _mu(cfg, method):

@@ -36,7 +36,7 @@ def test_permutation_rejects_repeats():
 @pytest.mark.parametrize("kind", ["classification", "regression"])
 def test_task_accuracies_score_each_test_shape_once_with_the_lone_bits(monkeypatch, kind):
     if kind == "classification":
-        spec = ModelSpec((4, 7, 6), activation="relu")
+        spec = ModelSpec((4, 7, 6))
         tasks = gen_split_gaussians(6, 2, 4, 10, 1.0, seed=3, test_per_class=9)
     else:
         spec = ModelSpec((1, 9, 1), task_kind="regression")
