@@ -108,8 +108,6 @@ class LowRankFisher:
     def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
         """Woodbury form x = (rhs - U diag(d_i/(lam+d_i)) U^T rhs)/lam."""
         require_finite(rhs)
-        if not self.d.size:
-            return rhs / lam
         coeff = self.u.T @ rhs * (self.d / (lam + self.d))
         return (rhs - self.u @ coeff) / lam
 
@@ -173,8 +171,10 @@ def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> 
     n, p = g.shape
     vals, vecs = np.linalg.eigh(g.T @ g / n if p <= n else g @ g.T / n)
     top = np.argsort(vals)[::-1][:r]
-    # drop directions with negligible mass; keeps the basis well-conditioned
-    top = top[vals[top] > 1e-12]
+    # drop directions with negligible mass. Mapping an eigenvector back
+    # through G^T amplifies its rounding by about d_max / d, so the floor is
+    # relative to the top eigenvalue and matches _ORTHO_TOL
+    top = top[vals[top] > max(1e-12, _ORTHO_TOL * vals[top[0]])]
     d, vecs = vals[top], vecs[:, top]
     return LowRankFisher(vecs if p <= n else g.T @ vecs / np.sqrt(n * d), d)
 

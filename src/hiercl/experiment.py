@@ -63,7 +63,7 @@ def run_baseline_seq(
     spec: ModelSpec,
     seed: int,
     init: np.ndarray,
-    plan: ArrivalPlan | None = None,
+    plan: ArrivalPlan,
 ) -> AccuracyMatrix:
     """Plain continual learner over the arrival order, no grouping and no
     consolidation; one accuracy row per finished task.
@@ -87,8 +87,7 @@ def run_baseline_seq(
                 for row, (state, (_, accs)) in enumerate(zip(states, parents))]
 
     # train_seq gives er its buffer at the first task
-    _, accs = (ArrivalPlan() if plan is None else plan).take(
-        tuple(order), lambda: (LearnerState(init), ()), train_stack)
+    _, accs = plan.take(tuple(order), lambda: (LearnerState(init), ()), train_stack)
     return AccuracyMatrix(np.stack(accs)[:, order])
 
 

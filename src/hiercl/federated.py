@@ -38,7 +38,7 @@ def fed_compare_run(
     spec: ModelSpec,
     base_seed: int,
     init: np.ndarray,
-    plan: ArrivalPlan | None = None,
+    plan: ArrivalPlan,
 ) -> tuple[np.ndarray, AccuracyMatrix]:
     """Sequential federated consolidation over the arrival order; returns
     the final global weights and the per-stage accuracy matrix. `mu` is
@@ -70,6 +70,5 @@ def fed_compare_run(
     def make_root():
         return np.array(init, dtype=np.float64), (), ()
 
-    global_w, _, accs = (ArrivalPlan() if plan is None else plan).take(
-        tuple(order), make_root, train_stack)
+    global_w, _, accs = plan.take(tuple(order), make_root, train_stack)
     return global_w, AccuracyMatrix(np.stack(accs)[:, order])

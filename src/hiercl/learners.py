@@ -102,16 +102,13 @@ class ReplayCounts(ReplayBuffer):
     def __len__(self):  # a reservoir holds every offer until it is full
         return min(self.capacity, self.seen_count)
 
-    def insert_many(self, inputs, targets, rng: np.random.Generator):
-        self._draws(len(targets), rng)
-
     def offer(self, batch: Batch, order, rng: np.random.Generator):  # copies no rows
         self._draws(len(order), rng)
 
     def _no_items(self, *args):
         raise ValueError("a counts-only buffer holds no items")
 
-    sample = as_batch = _no_items
+    insert_many = sample = as_batch = _no_items
 
     def clone(self) -> "ReplayCounts":
         return ReplayCounts(self)

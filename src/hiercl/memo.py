@@ -57,9 +57,9 @@ class ArrivalPlan:
     The first planned cell trains the trie of every planned chain, and
     each cell then takes its chain's leaf; the plan keeps a leaf until the
     last planned cell of its chain has taken it. A chain outside the plan,
-    or asked for after its last planned take, is trained alone; so is
-    every chain of an empty plan. All cells of one plan must pass the same
-    tasks, config, initial weights and seed, and no runner writes a leaf.
+    or asked for after its last planned take, raises. All cells of one
+    plan must pass the same tasks, config, initial weights and seed, and no
+    runner writes a leaf.
     """
 
     def __init__(self, chains=()):
@@ -69,10 +69,9 @@ class ArrivalPlan:
     def take(self, chain, make_root, train_stack):
         """The leaf of `chain` in the trie trained by
         `train_trie(chains, make_root(), train_stack)`. The root is built
-        only when this call trains: by the plan's first cell and by a
-        chain trained alone, not by a look-up."""
+        only by the plan's first cell, which trains, not by a look-up."""
         if chain not in self._uses:
-            return train_trie([chain], make_root(), train_stack)[chain]
+            raise ValueError(f"chain {chain} is outside the plan or past its last planned take")
         if not self._leaves:  # the plan's first cell
             self._leaves = train_trie(list(self._uses), make_root(), train_stack)
         self._uses[chain] -= 1

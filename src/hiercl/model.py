@@ -6,11 +6,11 @@ analytic gradients and per-sample gradients are implemented with plain
 numpy; per-sample gradients take one pass over a batch (`sample_factors`)
 and expand any run of its rows into (rows, p) gradients (`per_sample_grads`).
 
-`loss_and_grad` and `accuracy_eval` also take a (P, p) stack of parameter
-vectors, with a stacked (P, n, d) Batch or one shared (n, d) Batch, and
-return one result per row. Stacked products go through np.matmul and the
-reductions run along the last axes, so each row gets the same bits as a
-call on that row alone.
+`loss_and_grad` also takes a (P, p) stack of parameter vectors with a
+stacked (P, n, d) Batch, and `accuracy_eval` a stack scored on one shared
+(n, d) Batch; each returns one result per row. Stacked products go through
+np.matmul and the reductions run along the last axes, so each row gets the
+same bits as a call on that row alone.
 """
 
 from __future__ import annotations
@@ -91,17 +91,8 @@ def _check_batch(batch: Batch, spec: ModelSpec):
         labels = batch.targets
         if labels.size and (labels.min() < 0 or labels.max() >= spec.output_dim):
             raise ValueError("class labels out of range for the output layer")
-    else:
-        t = batch.targets
-        if t.ndim == sample_axes:
-            t = t[..., None]
-        if t.ndim != sample_axes + 1 or t.shape[-1] != spec.output_dim:
-            raise ValueError("regression targets do not match the output width")
-
-
-def _regression_targets(batch: Batch) -> np.ndarray:
-    t = np.asarray(batch.targets, dtype=np.float64)
-    return t[..., None] if t.ndim == batch.inputs.ndim - 1 else t
+    elif batch.targets.ndim != sample_axes + 1 or batch.targets.shape[-1] != spec.output_dim:
+        raise ValueError("regression targets do not match the output width")
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
@@ -163,8 +154,6 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     n = out.shape[-2]
     if spec.task_kind == "classification":
         y = np.asarray(batch.targets, dtype=np.intp)
-        if y.shape != out.shape[:-1]:  # one shared label array serves every row of a stack
-            y = np.broadcast_to(y, out.shape[:-1])
         # the class-axis max one column at a time: max is exact, NaN propagates
         # as in out.max, and a signed zero in m cannot reach lse
         m = out[..., :1].copy()
@@ -183,8 +172,7 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
         delta.reshape(-1)[at] -= 1.0
         delta /= n
         return loss, delta
-    t = _regression_targets(batch)
-    r = out - t
+    r = out - batch.targets
     loss = (r * r).reshape(*r.shape[:-2], -1).mean(axis=-1)
     r *= 2.0
     r /= n * r.shape[-1]
@@ -214,8 +202,8 @@ def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
 
     Classification: softmax cross-entropy. Regression: mean squared error
     over all output entries. A (P, p) stack of parameters with a stacked
-    Batch, or with one shared Batch, gives P losses and a (P, p) gradient,
-    row i bitwise equal to the call on row i and its minibatch alone.
+    Batch gives P losses and a (P, p) gradient, row i bitwise equal to the
+    call on row i and its minibatch alone.
     """
     _check_batch(batch, spec)
     layers = _split_params(params, spec)
@@ -254,8 +242,7 @@ def sample_factors(params: ParamVector, batch: Batch, spec: ModelSpec):
         delta /= delta.sum(axis=1, keepdims=True)
         delta[np.arange(n), y] -= 1.0
     else:
-        t = _regression_targets(batch)
-        delta = 2.0 * (logits - t) / t.shape[1]
+        delta = 2.0 * (logits - batch.targets) / spec.output_dim
     return [(a, d) for _, a, d in _backprop(acts, delta, layers)][::-1]
 
 
@@ -290,7 +277,7 @@ def accuracy_eval(params: ParamVector, batch: Batch, spec: ModelSpec):
     if spec.task_kind == "classification":
         y = np.asarray(batch.targets, dtype=np.intp)
         return np.mean(out.argmax(axis=-1) == y, axis=-1)
-    r = out - _regression_targets(batch)
+    r = out - batch.targets
     mse = (r ** 2).reshape(*r.shape[:-2], -1).mean(axis=-1)
     return 1.0 / (1.0 + mse)
 

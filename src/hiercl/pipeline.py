@@ -323,8 +323,8 @@ def run_pipeline(
     cfg: PipelineConfig,
     spec: ModelSpec,
     init: np.ndarray,
-    seed: int = 0,
-    plan: ArrivalPlan | None = None,
+    seed: int,
+    plan: ArrivalPlan,
 ) -> RunResult:
     """Takes the leaf of this order's membership chain from `plan`: its
     first planned cell trains the trie of every planned chain, one group
@@ -356,8 +356,7 @@ def run_pipeline(
                              if any(m.issuperset(prefix) for m in later)}
         return nodes
 
-    node = (ArrivalPlan() if plan is None else plan).take(membership_chain(groups), make_root,
-                                                          train_stack)
+    node = plan.take(membership_chain(groups), make_root, train_stack)
 
     matrix = np.zeros((t_count, t_count))
     group_results: list[GroupExplorationResult] = []

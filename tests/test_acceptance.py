@@ -25,6 +25,7 @@ from hiercl.pipeline import PipelineConfig, run_pipeline
 from hiercl.tasks import Permutation, gen_sine_tasks
 from consolidation_reference import (DenseCurvature, descent_reference_min,
                                      two_step_recursive_check)
+from bits import lone_plan
 from experiment_reference import sweep_init
 from federated_reference import fedprox_train_local
 from model_reference import fd_gradient
@@ -131,7 +132,7 @@ def test_criterion_03_selection_audit_zero_violations(criterion_log, benchmark_s
         tasks = make_tasks(BENCH_DATASET, seed)
         run = run_pipeline(tasks, Permutation(tuple(range(5))),
                            _bench_pipeline(), ModelSpec((8, 16, 10)),
-                           sweep_init(ModelSpec((8, 16, 10)), seed), seed=seed)
+                           sweep_init(ModelSpec((8, 16, 10)), seed), seed, lone_plan(range(5), 2))
         assert run.audit["violations"] == 0
         assert run.audit["draws"] == 1000
         assert run.audit["gap_vs_mean"] >= 0.0
@@ -153,7 +154,7 @@ def test_criterion_04_permutation_accounting(criterion_log):
         run = run_pipeline(tasks, Permutation(tuple(range(n_tasks))),
                            _bench_pipeline(learner=lcfg, group_size=k,
                                            audit_draws=100),
-                           spec, init_params(spec, 0))
+                           spec, init_params(spec, 0), 0, lone_plan(range(n_tasks), k))
         counts[(n_tasks, k)] = sum(len(g.per_perm_scores) for g in run.group_results)
     ok = counts[(10, 3)] == 36 and counts[(5, 2)] == 8
     _check(criterion_log, 4, ok,
@@ -169,8 +170,9 @@ def test_criterion_05_intra_group_order_invariance(criterion_log):
     init = init_params(spec, 1)
     cfg = _bench_pipeline(learner=lcfg, group_size=3, audit_draws=100)
     # same groups {0,1,2} and {3,4,5}, shuffled inside each
-    run_a = run_pipeline(tasks, Permutation((0, 1, 2, 3, 4, 5)), cfg, spec, init)
-    run_b = run_pipeline(tasks, Permutation((2, 0, 1, 5, 3, 4)), cfg, spec, init)
+    run_a, run_b = (run_pipeline(tasks, Permutation(order), cfg, spec, init, 0,
+                                 lone_plan(order, 3))
+                    for order in ((0, 1, 2, 3, 4, 5), (2, 0, 1, 5, 3, 4)))
     same_levels = all(np.array_equal(a, b) for a, b in
                       zip(run_a.hierarchy.levels, run_b.hierarchy.levels))
     same_shape = len(run_a.hierarchy.levels) == len(run_b.hierarchy.levels)
@@ -274,7 +276,7 @@ def test_criterion_11_multi_level_smoothing(criterion_log):
         cfg = _bench_pipeline(levels=3, lam=30.0, lambda_factor=1.0,
                               eta=0.5, clip=None)
         run = run_pipeline(tasks, Permutation(tuple(range(5))), cfg, spec,
-                           sweep_init(spec, seed), seed=seed)
+                           sweep_init(spec, seed), seed, lone_plan(range(5), 2))
         norms = np.array(run.update_norms)
         mean_l1, mean_l3 = float(norms[:, 0].mean()), float(norms[:, 2].mean())
         wins += mean_l3 < mean_l1

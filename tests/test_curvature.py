@@ -244,6 +244,23 @@ def test_lowrank_direct_route_matches_gram_route():
         assert np.max(np.abs(vals - d)) < 1e-8
 
 
+@pytest.mark.parametrize("seed", [0, 2, 3, 4])
+@pytest.mark.parametrize("rank", [10, 200])
+def test_lowrank_gram_route_keeps_only_eigenpairs_it_can_map_back(seed, rank):
+    # p = 25 > n = 12 takes the Gram route. These pools' Grams have
+    # eigenvalues between 1e-12 and 1e-8 of the top one: mapped back through
+    # G^T, such a vector's rounding grows by about d_max / d, and an absolute
+    # 1e-12 floor kept them and failed the orthonormality check
+    spec = ModelSpec((1, 8, 1), task_kind="regression")
+    rng = np.random.default_rng(seed)
+    w = init_params(spec, seed) + 0.3 * rng.normal(size=spec.param_count)
+    pool = Batch(rng.normal(size=(12, 1)), rng.normal(size=(12, 1)))
+    est = estimate_lowrank_curvature(w, pool, spec, rank)
+    assert est.d.size and est.d.min() > 1e-8 * est.d.max()
+    g = per_sample_grads(sample_factors(w, pool, spec), spec)
+    assert np.abs(g.T @ (g @ est.u) / 12 - est.u * est.d).max() < 1e-10
+
+
 def test_quad_form_matches_materialized():
     rng = np.random.default_rng(9)
     w = init_params(SPEC, 2)

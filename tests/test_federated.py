@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from bits import lone_plan
 from experiment_reference import sweep_init
 from federated_reference import fedprox_train_local
 
@@ -82,13 +83,13 @@ def test_fedprox_pull_matches_the_proximal_gradient_within_rounding(monkeypatch)
     monkeypatch.setattr(federated, "train_on_task", recording)
     tasks, cfg = _tasks(), LearnerConfig(kind="sgd", epochs_per_task=1)
     init, perm = sweep_init(SPEC, 5), Permutation((0, 1, 2))
-    fed_compare_run(tasks, perm, 0.0, cfg, SPEC, 5, init=init)
+    fed_compare_run(tasks, perm, 0.0, cfg, SPEC, 5, init, lone_plan(perm))
     assert [pull for _, pull in seen] == [None] * 3
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(0)
     for mu in (1e-3, 0.1, 0.7, 30.0):
         seen.clear()
-        fed_compare_run(tasks, perm, mu, cfg, SPEC, 5, init=init)
+        fed_compare_run(tasks, perm, mu, cfg, SPEC, 5, init, lone_plan(perm))
         assert len(seen) == 3
         for anchor, (a, b) in seen:
             assert a == mu and np.array_equal(b, mu * anchor)
@@ -102,7 +103,8 @@ def test_fed_compare_run_single_task_global_equals_local():
     tasks = _tasks()[:1]
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
     init = sweep_init(SPEC)
-    global_w, matrix = fed_compare_run(tasks, Permutation((0,)), 0.0, cfg, SPEC, 0, init=init)
+    global_w, matrix = fed_compare_run(tasks, Permutation((0,)), 0.0, cfg, SPEC, 0, init,
+                                       lone_plan((0,)))
     local = fedprox_train_local(tasks[0], init, cfg, 0.0, SPEC, derive_seed(0, 2, 0))
     assert np.array_equal(global_w, local)
     assert matrix.values.shape == (1, 1)
@@ -113,7 +115,7 @@ def test_fed_compare_run_running_average_identity():
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1)
     init = sweep_init(SPEC, 4)
     perm = Permutation((2, 0, 1))
-    global_w, matrix = fed_compare_run(tasks, perm, 0.0, cfg, SPEC, 4, init=init)
+    global_w, matrix = fed_compare_run(tasks, perm, 0.0, cfg, SPEC, 4, init, lone_plan(perm))
     # replay the protocol by hand
     locals_ = []
     g = init.copy()
@@ -123,7 +125,7 @@ def test_fed_compare_run_running_average_identity():
     assert np.array_equal(global_w, g)
     assert matrix.values.shape == (3, 3)
     with pytest.raises(ValueError):
-        fed_compare_run(tasks, Permutation((0, 1)), 0.0, cfg, SPEC, 0, init)
+        fed_compare_run(tasks, Permutation((0, 1)), 0.0, cfg, SPEC, 0, init, lone_plan((0, 1)))
 
 
 def test_fedavg_and_fedprox_mu_zero_agree_end_to_end():
@@ -138,11 +140,11 @@ def test_fedavg_and_fedprox_mu_zero_agree_end_to_end():
 
     def cell(method, prox_mu):
         cfg = ExperimentConfig(pipeline=PipelineConfig(learner=lcfg), prox_mu=prox_mu)
-        return _run_method(method, tasks, perm, cfg, SPEC, 5, init, None).values
+        return _run_method(method, tasks, perm, cfg, SPEC, 5, init, lone_plan(perm)).values
 
-    plain = fed_compare_run(tasks, perm, 0.0, lcfg, SPEC, 5, init=init)[1].values
+    plain = fed_compare_run(tasks, perm, 0.0, lcfg, SPEC, 5, init, lone_plan(perm))[1].values
     assert np.array_equal(cell("fedavg", 5.0), plain)
     assert np.array_equal(cell("fedprox", 0.0), plain)
-    tight = fed_compare_run(tasks, perm, 5.0, lcfg, SPEC, 5, init=init)[1].values
+    tight = fed_compare_run(tasks, perm, 5.0, lcfg, SPEC, 5, init, lone_plan(perm))[1].values
     assert np.array_equal(cell("fedprox", 5.0), tight)
     assert not np.array_equal(tight, plain)

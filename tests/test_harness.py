@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bits import lone_plan
 from hypothesis import given, settings
 from experiment_reference import sweep_init
 from hypothesis import strategies as st
@@ -216,8 +217,8 @@ def test_run_baseline_seq_shape_and_determinism():
     spec = make_model_spec(cfg)
     init = sweep_init(spec, 9)
     perm = Permutation((1, 0))
-    m1 = run_baseline_seq(tasks, perm, cfg.pipeline.learner, spec, 3, init)
-    m2 = run_baseline_seq(tasks, perm, cfg.pipeline.learner, spec, 3, init)
+    m1, m2 = (run_baseline_seq(tasks, perm, cfg.pipeline.learner, spec, 3, init, lone_plan(perm))
+              for _ in range(2))
     assert m1.values.shape == (2, 2)
     assert np.array_equal(m1.values, m2.values)
     # row i evaluates every task in arrival order, trained or not
@@ -226,11 +227,11 @@ def test_run_baseline_seq_shape_and_determinism():
 
 _RUNNERS = {
     "seq": lambda tasks, perm, cfg, spec, init: run_baseline_seq(
-        tasks, perm, cfg.pipeline.learner, spec, 0, init),
+        tasks, perm, cfg.pipeline.learner, spec, 0, init, lone_plan(perm)),
     "fed": lambda tasks, perm, cfg, spec, init: fed_compare_run(
-        tasks, perm, 0.0, cfg.pipeline.learner, spec, 0, init),
+        tasks, perm, 0.0, cfg.pipeline.learner, spec, 0, init, lone_plan(perm)),
     "hier": lambda tasks, perm, cfg, spec, init: run_pipeline(
-        tasks, perm, cfg.pipeline, spec, init),
+        tasks, perm, cfg.pipeline, spec, init, 0, lone_plan(perm, cfg.pipeline.group_size)),
 }
 
 

@@ -82,8 +82,8 @@ class _ListReplayBuffer:
        sample_size=st.integers(1, 20))
 def test_array_buffer_matches_list_reference(capacity, sizes, seed, sample_size):
     # batch sizes around the capacity make some batches straddle the fill
-    # boundary; a counts-only buffer makes the same draws and keeps the
-    # same counts
+    # boundary; a counts-only buffer offered as many items makes the same
+    # draws and keeps the same counts
     data = np.random.default_rng(seed)
     buf, ref = ReplayBuffer(capacity), _ListReplayBuffer(capacity)
     counts = ReplayCounts(ReplayBuffer(capacity))
@@ -92,7 +92,7 @@ def test_array_buffer_matches_list_reference(capacity, sizes, seed, sample_size)
         x, y = data.normal(size=(m, 3)), data.integers(0, 5, size=m)
         buf.insert_many(x, y, rng_buf)
         ref.insert_many(x, y, rng_ref)
-        counts.insert_many(x, y, rng_counts)
+        counts.offer(None, np.arange(m), rng_counts)  # only the order's length is read
         assert buf.seen_count == ref.seen_count == counts.seen_count
         assert len(counts) == len(buf)
         assert (rng_buf.bit_generator.state == rng_ref.bit_generator.state
@@ -146,6 +146,8 @@ def test_buffer_validation():
         counts.sample(1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="^a counts-only buffer holds no items$"):
         counts.as_batch()
+    with pytest.raises(ValueError, match="^a counts-only buffer holds no items$"):
+        counts.insert_many(np.eye(3), np.arange(3), np.random.default_rng(0))
 
 
 def test_an_offer_inserts_rows_in_order_and_a_counts_only_offer_reads_none():
@@ -996,7 +998,7 @@ def _nonfinite_fisher_problem():
     gradient of the hidden weight (about 6e199) overflows when squared, so
     its EWC Fisher is nonfinite. The other rows start at weights of 1."""
     spec = ModelSpec((1, 1, 1), task_kind="regression")
-    ones = Batch(np.ones((4, 1)), np.zeros(4))
+    ones = Batch(np.ones((4, 1)), np.zeros((4, 1)))
     tasks = [TaskDataset(0, ones, ones, ones), TaskDataset(1, ones, ones, ones)]
     cfg = LearnerConfig(kind="ewc", learning_rate=1e-300, epochs_per_task=1, batch_size=4)
     params = np.tile([1.0, 0.0, 1.0, 0.0], (5, 1))

@@ -131,6 +131,11 @@ def test_per_sample_rows_match_singleton_batches():
         assert np.max(np.abs(rows[i] - gi)) < 1e-12
 
 
+def _stacked(batch, rows):
+    """`batch` as a stack of `rows` copies, for a (rows, p) stack of params."""
+    return Batch(*(np.broadcast_to(a, (rows, *a.shape)) for a in (batch.inputs, batch.targets)))
+
+
 @settings(max_examples=120, deadline=None)
 @given(widths=st.lists(st.integers(1, 24), min_size=3, max_size=4),
        task_kind=st.sampled_from(("classification", "regression")),
@@ -163,12 +168,13 @@ def test_kernels_match_reference_bitwise(widths, task_kind, n, rows, seed):
     assert np.array_equal(estimate_diag_curvature(w, batch, spec).diag,
                           np.mean(ref * ref, axis=0))
     assert accuracy_eval(w, batch, spec) == ref_accuracy_eval(w, batch, spec)
-    # a (P, p) stack: a stacked batch for the loss, the shared batch for the
-    # loss and the score; every row gets the bits of its own unstacked call
+    # a (P, p) stack: a stacked batch for the loss, the one batch stacked P
+    # times for the loss and taken once for the score; every row gets the
+    # bits of its own unstacked call
     ws = w + 0.3 * rng.normal(size=(rows, spec.param_count))
     stacked = Batch(rng.normal(size=(rows, n, spec.input_dim)), targets(rows, n))
     losses, grads = loss_and_grad(ws, stacked, spec)
-    shared_losses, shared_grads = loss_and_grad(ws, batch, spec)
+    shared_losses, shared_grads = loss_and_grad(ws, _stacked(batch, rows), spec)
     scores = accuracy_eval(ws, batch, spec)
     assert losses.shape == shared_losses.shape == scores.shape == (rows,)
     assert grads.shape == shared_grads.shape == ws.shape
@@ -204,7 +210,7 @@ def test_loss_kernel_gives_the_reference_bits_on_hard_logits():
     def check(out, y, stack=False):
         loss, delta = _output_loss_and_delta(out, Batch(np.zeros((*y.shape, 1)), y), spec)
         for i in range(len(out)) if stack else [None]:
-            row_out, row_y = (out, y) if i is None else (out[i], y if y.ndim == 1 else y[i])
+            row_out, row_y = (out, y) if i is None else (out[i], y[i])
             want = ref_output_loss_and_delta(row_out, Batch(np.zeros((len(row_y), 1)), row_y),
                                              spec)
             got = (loss, delta) if i is None else (loss[i], delta[i])
@@ -215,7 +221,7 @@ def test_loss_kernel_gives_the_reference_bits_on_hard_logits():
             check(_HARD_LOGITS[j : j + 1], _HARD_LABELS[j : j + 1])
         check(_HARD_LOGITS, _HARD_LABELS)
         stack = np.stack([_HARD_LOGITS, _HARD_LOGITS[::-1]])
-        check(stack, _HARD_LABELS, stack=True)  # labels shared by the stack
+        check(stack, np.broadcast_to(_HARD_LABELS, stack.shape[:-1]), stack=True)
         check(stack, np.stack([_HARD_LABELS, _HARD_LABELS[::-1]]), stack=True)
 
 
@@ -241,14 +247,14 @@ def test_no_kernel_writes_into_its_callers_arrays(task_kind):
         if freeze:
             for a in (params, batch.inputs, batch.targets):
                 a.setflags(write=False)
-        out = list(loss_and_grad(params, batch, spec))
-        if batch.inputs.ndim == 2:
-            out.append(accuracy_eval(params, batch, spec))
+        out = [accuracy_eval(params, batch, spec)] if batch.inputs.ndim == 2 else []
+        if batch.inputs.ndim == params.ndim + 1:
+            out += loss_and_grad(params, batch, spec)
         if params.ndim == 1:
             out += [x for pair in sample_factors(params, batch, spec) for x in pair]
         return out
 
-    for params, batch in ((w, shared), (ws, shared), (ws, stacked)):
+    for params, batch in ((w, shared), (ws, shared), (ws, _stacked(shared, rows)), (ws, stacked)):
         copies = [(params.copy(), Batch(batch.inputs.copy(), batch.targets.copy()))
                   for _ in range(2)]
         want, got = (results(*pair, freeze) for pair, freeze in zip(copies, (False, True)))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from bits import same_bits
+from bits import lone_plan, same_bits
 from experiment_reference import sweep_init
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -130,16 +130,18 @@ def test_tie_break_picks_lexicographically_smallest():
 def test_run_pipeline_validates_inputs():
     tasks = _tasks()
     with pytest.raises(ValueError):
-        run_pipeline(tasks, Permutation((0, 1, 2)), _cfg(), SPEC, sweep_init(SPEC))  # no task 3
+        run_pipeline(tasks, Permutation((0, 1, 2)), _cfg(), SPEC, sweep_init(SPEC), 0,
+                     lone_plan((0, 1, 2), 2))  # no task 3
     with pytest.raises(ValueError, match="^group size 9 exceeds the number of tasks 4$"):
         run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(group_size=9), SPEC,
-                     sweep_init(SPEC))
+                     sweep_init(SPEC), 0, lone_plan((0, 1, 2, 3)))
 
 
 def test_run_pipeline_shapes_counts_and_audit():
     tasks = _tasks()
     cfg = _cfg()
-    res = run_pipeline(tasks, Permutation((1, 0, 3, 2)), cfg, SPEC, sweep_init(SPEC))
+    res = run_pipeline(tasks, Permutation((1, 0, 3, 2)), cfg, SPEC, sweep_init(SPEC), 0,
+                       lone_plan((1, 0, 3, 2), 2))
     assert res.matrix.values.shape == (4, 4)
     assert len(res.group_results) == 2
     # groups of 2: 2! trainings each
@@ -159,15 +161,17 @@ def test_run_pipeline_shapes_counts_and_audit():
 def test_run_pipeline_with_no_audit_draws():
     tasks = _tasks()
     order = Permutation((1, 0, 3, 2))
-    res = run_pipeline(tasks, order, _cfg(audit_draws=0), SPEC, sweep_init(SPEC))
-    want = run_pipeline(tasks, order, _cfg(), SPEC, sweep_init(SPEC)).audit
+    res, want = (run_pipeline(tasks, order, cfg, SPEC, sweep_init(SPEC), 0, lone_plan(order, 2))
+                 for cfg in (_cfg(audit_draws=0), _cfg()))
+    want = want.audit
     assert res.audit == {**want, "draws": 0}
     assert res.log[-1] == {"event": "audit", **res.audit}
 
 
 def test_matrix_rows_replicate_within_group_and_final_row_is_post_catchup():
     tasks = _tasks()
-    res = run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(), SPEC, sweep_init(SPEC))
+    res = run_pipeline(tasks, Permutation((0, 1, 2, 3)), _cfg(), SPEC, sweep_init(SPEC), 0,
+                       lone_plan((0, 1, 2, 3), 2))
     a = res.matrix.values
     # stage rows are written per group: positions 0-1 share a row, 2-3 share
     assert np.array_equal(a[0], a[1])
@@ -182,21 +186,21 @@ def test_intra_group_order_invariance_bitwise():
     tasks = _tasks()
     cfg = _cfg()
     # same group memberships {0,1} {2,3}, different orders inside
-    r1 = run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, SPEC, sweep_init(SPEC))
-    r2 = run_pipeline(tasks, Permutation((1, 0, 3, 2)), cfg, SPEC, sweep_init(SPEC))
+    r1, r2, r3 = (run_pipeline(tasks, Permutation(order), cfg, SPEC, sweep_init(SPEC), 0,
+                               lone_plan(order, 2))
+                  for order in ((0, 1, 2, 3), (1, 0, 3, 2), (0, 2, 1, 3)))
     for a, b in zip(r1.hierarchy.levels, r2.hierarchy.levels):
         assert np.array_equal(a, b)
     assert r1.group_results[0].best_perm.order == r2.group_results[0].best_perm.order
     # different membership does change the outcome
-    r3 = run_pipeline(tasks, Permutation((0, 2, 1, 3)), cfg, SPEC, sweep_init(SPEC))
     assert not np.array_equal(r1.hierarchy.top, r3.hierarchy.top)
 
 
 def test_pipeline_deterministic_across_calls():
     tasks = _tasks()
     cfg = _cfg()
-    r1 = run_pipeline(tasks, Permutation((2, 0, 1, 3)), cfg, SPEC, sweep_init(SPEC))
-    r2 = run_pipeline(tasks, Permutation((2, 0, 1, 3)), cfg, SPEC, sweep_init(SPEC))
+    r1, r2 = (run_pipeline(tasks, Permutation((2, 0, 1, 3)), cfg, SPEC, sweep_init(SPEC), 0,
+                           lone_plan((2, 0, 1, 3), 2)) for _ in range(2))
     assert np.array_equal(r1.hierarchy.top, r2.hierarchy.top)
     assert np.array_equal(r1.matrix.values, r2.matrix.values)
 
@@ -213,7 +217,8 @@ def test_single_group_copies_best_local_before_catchup(monkeypatch):
 
     explore = pipeline.explore_group
     monkeypatch.setattr(pipeline, "explore_group", recording)
-    res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC, sweep_init(SPEC))
+    res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC, sweep_init(SPEC), 0,
+                       lone_plan((0, 1), cfg.group_size))
     assert len(res.group_results) == len(winners) == 1
     for level in res.hierarchy.levels:
         assert np.array_equal(level, winners[0].params)
@@ -223,7 +228,8 @@ def test_single_group_copies_best_local_before_catchup(monkeypatch):
 def test_lowrank_curvature_path_runs():
     tasks = _tasks(num_classes=4)
     cfg = _cfg(curvature="lowrank:4")
-    res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC, sweep_init(SPEC))
+    res = run_pipeline(tasks, Permutation((0, 1)), cfg, SPEC, sweep_init(SPEC), 0,
+                       lone_plan((0, 1), 2))
     assert np.isfinite(res.hierarchy.top).all()
     assert res.audit["violations"] == 0
 
@@ -249,7 +255,7 @@ def test_consolidation_failure_names_the_group_or_pass_and_the_level(monkeypatch
     tasks = _tasks(num_classes=num_classes)
     with pytest.raises(ValueError, match=f"^{where}: nonfinite inputs to regularized_solve"):
         run_pipeline(tasks, Permutation(tuple(range(len(tasks)))), _cfg(group_size=group_size),
-                     SPEC, sweep_init(SPEC))
+                     SPEC, sweep_init(SPEC), 0, lone_plan(range(len(tasks)), group_size))
 
 
 def test_gradient_and_curvature_share_the_capped_pool(monkeypatch):
@@ -274,7 +280,7 @@ def test_gradient_and_curvature_share_the_capped_pool(monkeypatch):
 
     monkeypatch.setattr(pipeline, "estimate_gradient", grad)
     monkeypatch.setattr(pipeline, "estimate_diag_curvature", curv)
-    run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, spec, init=w)
+    run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, spec, w, 0, lone_plan((0, 1, 2, 3), 2))
     assert seen["grad"] and len(seen["grad"]) == len(seen["curv"])
     assert all(g is h for g, h in zip(seen["grad"], seen["curv"]))
     assert {pool.n for pool in seen["grad"]} == {7}
@@ -287,7 +293,8 @@ def test_pool_is_built_only_for_groups_that_use_it(monkeypatch, num_classes, gro
     tasks = _tasks(num_classes=num_classes)
     order = Permutation(tuple(range(len(tasks))))
     cfg = _cfg(group_size=group_size)
-    plain = run_pipeline(tasks, order, cfg, SPEC, sweep_init(SPEC))
+    plain = run_pipeline(tasks, order, cfg, SPEC, sweep_init(SPEC), 0,
+                         lone_plan(order, group_size))
     calls = []
     real = pipeline.consolidation_pool
 
@@ -296,7 +303,7 @@ def test_pool_is_built_only_for_groups_that_use_it(monkeypatch, num_classes, gro
         return real(*args)
 
     monkeypatch.setattr(pipeline, "consolidation_pool", counting)
-    res = run_pipeline(tasks, order, cfg, SPEC, sweep_init(SPEC))
+    res = run_pipeline(tasks, order, cfg, SPEC, sweep_init(SPEC), 0, lone_plan(order, group_size))
     assert len(calls) == pools
     for got, want in zip(res.hierarchy.levels, plain.hierarchy.levels):
         assert np.array_equal(got, want)
@@ -420,7 +427,7 @@ def test_divergence_fails_fast_naming_group_ordering_task_and_step():
             r"step 1: minibatch loss is inf")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         run_pipeline(gen_sine_tasks(5, 0), Permutation(tuple(range(5))), cfg, spec,
-                     sweep_init(spec))
+                     sweep_init(spec), 0, lone_plan(range(5), 5))
 
 
 def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
@@ -584,8 +591,8 @@ def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
     # The group's one ordering wins, so its last Fisher is estimated, after
     # scoring.
     spec = ModelSpec((1, 1, 1), task_kind="regression")
-    small = Batch(np.ones((4, 1)), np.zeros(4))
-    huge = Batch(np.ones((4, 1)), np.full(4, 5e153))
+    small = Batch(np.ones((4, 1)), np.zeros((4, 1)))
+    huge = Batch(np.ones((4, 1)), np.full((4, 1), 5e153))
     tasks = [TaskDataset(0, small, small, small), TaskDataset(1, huge, huge, huge)]
     cfg = LearnerConfig(kind="ewc", learning_rate=1e-300, epochs_per_task=1, batch_size=4)
     want = (r"^group 2 \(tasks 1\): ordering 1: task 1: EWC Fisher is not finite after training; "
@@ -605,7 +612,8 @@ def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
 
 def test_write_run_log(tmp_path):
     tasks = _tasks(num_classes=4)
-    res = run_pipeline(tasks, Permutation((0, 1)), _cfg(), SPEC, sweep_init(SPEC))
+    res = run_pipeline(tasks, Permutation((0, 1)), _cfg(), SPEC, sweep_init(SPEC), 0,
+                       lone_plan((0, 1), 2))
     path = str(tmp_path / "run.log")
     write_run_log(path, res.log)
     import json

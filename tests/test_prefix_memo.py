@@ -4,12 +4,12 @@ Every cell takes its leaf from an ArrivalPlan, which trains the trie of all
 planned key chains breadth-first: arrival orders for seq and fed, group
 memberships for hier. Seq and fed cells must match the per-cell runners of
 `experiment_reference` bitwise, fed final weights included; hier cells
-must match run_pipeline called without a plan, field by field; the sweep's
-CSV rows must match both. Running the planned cells in reverse, asking a
-cell twice and asking an order outside the plan show that no shared state
-is written after it is made. Hier memberships explored from one parent
-share their ordering prefixes: a sweep trains each distinct (start,
-prefix) node once.
+must match run_pipeline called with a one-cell plan, field by field; the
+sweep's CSV rows must match both. Running the planned cells in reverse and
+asking a cell that is planned twice show that no shared state is written
+after it is made; a chain outside the plan, or past its last planned take,
+raises. Hier memberships explored from one parent share their ordering
+prefixes: a sweep trains each distinct (start, prefix) node once.
 """
 
 import math
@@ -19,6 +19,7 @@ from itertools import permutations
 import experiment_reference
 import numpy as np
 import pytest
+from bits import lone_plan
 from experiment_reference import arrival_prefixes, sweep_init
 
 from hiercl import curvature, federated, learners, memo, model, pipeline
@@ -79,7 +80,7 @@ def _mu(cfg, method):
     return cfg.prox_mu if method == "fedprox" else 0.0
 
 
-def _cell(cfg, method, perm, seed, plan=None):
+def _cell(cfg, method, perm, seed, plan):
     """The runner's full output for one cell: a matrix, a RunResult or
     (global weights, matrix)."""
     spec, tasks, init = _setup(cfg, seed)
@@ -93,13 +94,14 @@ def _cell(cfg, method, perm, seed, plan=None):
 
 def _reference(cfg, method, perm, seed):
     """The cell computed alone: by the per-cell reference for seq and fed,
-    by run_pipeline without a plan for hier."""
+    by run_pipeline with a one-cell plan for hier."""
     spec, tasks, init = _setup(cfg, seed)
     learner = cfg.pipeline.learner
     if method == "seq":
         return experiment_reference.run_baseline_seq(tasks, perm, learner, spec, seed, init)
     if method == "hier":
-        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed=seed)
+        return run_pipeline(tasks, perm, cfg.pipeline, spec, init, seed,
+                            lone_plan(perm, cfg.pipeline.group_size))
     return experiment_reference.fed_compare_run(tasks, perm, _mu(cfg, method), learner,
                                                 spec, seed, init)
 
@@ -232,23 +234,17 @@ def test_memo_cells_match_fresh_cells_in_any_order(winners, case, method):
     for perm, want in zip(perms[::-1], fresh[::-1]):
         check(_cell(cfg, method, perm, seed, plan), want)
 
-    # cells asked again after later cells have used the plan
+    # cells planned twice, asked again after later cells have used the plan
     planned_winners = winners()
-    plan = _plan(cfg, method, perms)
     ran = perms[: len(perms) // 2 + 1]
+    plan = _plan(cfg, method, perms + ran)
     for perm in ran:
         _cell(cfg, method, perm, seed, plan)
-    for perm, want in zip(ran, fresh):
+    for perm, want in zip(perms, fresh):
         check(_cell(cfg, method, perm, seed, plan), want)
-
-    # an order outside the plan, asked first and again after the plan is used
-    planned_winners = winners()
-    plan = _plan(cfg, method, perms[1:])
-    check(_cell(cfg, method, perms[0], seed, plan), fresh[0])
-    for perm, want in zip(perms[1:], fresh[1:]):
-        check(_cell(cfg, method, perm, seed, plan), want)
-    check(_cell(cfg, method, perms[0], seed, plan), fresh[0])
     assert _holds_nothing(plan)
+    with pytest.raises(ValueError, match="past its last planned take$"):
+        _cell(cfg, method, perms[0], seed, plan)
 
 
 def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
@@ -411,18 +407,15 @@ def test_a_plan_without_shared_prefixes_stores_nothing(monkeypatch, winners):
               for perm in perms}
     prefixes = {chain[: g + 1] for chain in chains for g in range(len(chain))}
     assert len(prefixes) == 4
-    cells = []
     for perm in perms:
-        cells.append(_cell(cfg, "hier", perm, cfg.seeds[0], plan))
+        _cell(cfg, "hier", perm, cfg.seeds[0], plan)
         assert len(explored) == len(prefixes)
     assert _holds_nothing(plan)
-    # a cell asked for after its leaf's last planned take trains alone
-    explored.clear()
-    alone_winners = winners()
-    _assert_same_cell("hier", _cell(cfg, "hier", perms[1], cfg.seeds[0], plan), cells[1],
-                      (alone_winners, planned_winners))
-    assert explored == [(0, 1), (2, 3)]
-    assert _holds_nothing(plan)
+    # a cell asked for after its leaf's last planned take explores nothing
+    with pytest.raises(ValueError, match=r"^chain \(\(0, 1\), \(2, 3\)\) is outside the plan "
+                                         r"or past its last planned take$"):
+        _cell(cfg, "hier", perms[1], cfg.seeds[0], plan)
+    assert len(explored) == len(prefixes)
 
 
 def _distinct_nodes(cfg, perms):
@@ -502,8 +495,7 @@ def test_a_diverged_partly_served_stack_names_its_hier_prefix(monkeypatch, poiso
 
 def test_a_planned_sweep_builds_one_root_per_trie(monkeypatch):
     # a look-up takes its leaf without building the root that only a
-    # trained trie starts from: one root per data seed and method, and one
-    # per cell outside its plan
+    # trained trie starts from: one root per data seed and method
     builds = []
 
     def counting(self, chain, make_root, train_stack):
@@ -523,12 +515,37 @@ def test_a_planned_sweep_builds_one_root_per_trie(monkeypatch):
     perms = _perms(cfg)
     for method in cfg.methods:
         builds.clear()
-        plan = _plan(cfg, method, perms[1:])
-        _cell(cfg, method, perms[0], cfg.seeds[0], plan)  # outside the plan
-        for perm in perms[1:]:
+        plan = _plan(cfg, method, perms)
+        for perm in perms:
             _cell(cfg, method, perm, cfg.seeds[0], plan)  # the first trains the trie
-        _cell(cfg, method, perms[1], cfg.seeds[0], plan)  # after its last planned take
-        assert len(builds) == 3
+        assert len(builds) == 1
+
+
+def test_a_chain_outside_the_plan_or_past_its_last_take_raises_naming_it():
+    # a toy trie whose node is the prefix itself; a take that raises
+    # builds no root and trains nothing
+    built, trained = [], []
+
+    def make_root():
+        built.append(1)
+        return ()
+
+    def train_stack(depth, prefixes, parents):
+        trained.extend(prefixes)
+        return [parent + prefix[-1:] for prefix, parent in zip(prefixes, parents)]
+
+    plan = ArrivalPlan([(0, 1), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"^chain \(2, 0\) is outside the plan or past its "
+                                         r"last planned take$"):
+        plan.take((2, 0), make_root, train_stack)
+    assert built == trained == []
+    assert [plan.take(c, make_root, train_stack) for c in ((0, 1), (0, 1))] == [(0, 1)] * 2
+    with pytest.raises(ValueError, match=r"^chain \(0, 1\) is outside the plan or past its "
+                                         r"last planned take$"):
+        plan.take((0, 1), make_root, train_stack)
+    assert plan.take((1, 0), make_root, train_stack) == (1, 0)
+    assert built == [1] and trained == [(0,), (1,), (0, 1), (1, 0)]
+    assert _holds_nothing(plan)
 
 
 def _reachable(obj) -> list:
