@@ -329,8 +329,8 @@ def train_seq(
     Row i draws from an rng seeded with seeds[i] and offers its samples to
     a clone of its parent's buffer (a new buffer under er when the parent
     has none; a ReplayCounts parent gives a ReplayCounts). Under EWC the
-    call's one pull is lambda times the rows' sums (SigmaF, SigmaF*w*):
-    (p,) when every row holds one sums object, else their (P, p) stack.
+    call's one pull is lambda times the (P, p) stack of the rows' sums
+    (SigmaF, SigmaF*w*).
     Each child keeps its parent's sums and leaves its task's Fisher
     pending, for `settle` by whichever caller continues from it. So child
     i is bitwise the state a lone call on parents[i] gives.
@@ -352,8 +352,7 @@ def train_seq(
     ewc = cfg.kind == "ewc"
     pull = None
     if ewc and parents[0].ewc is not None:
-        one = all(parent.ewc is parents[0].ewc for parent in parents)
-        pull = tuple(cfg.ewc_strength * (sums[0] if one else np.stack(sums))
+        pull = tuple(cfg.ewc_strength * np.stack(sums)
                      for sums in zip(*(parent.ewc for parent in parents)))
     params = train_on_task(np.stack([parent.params for parent in parents]), tasks, cfg, spec,
                            [np.random.default_rng(s) for s in seeds], buffer=buffers, pull=pull)

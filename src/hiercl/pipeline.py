@@ -141,39 +141,39 @@ def explore_group(
     cfg: LearnerConfig,
     spec: ModelSpec,
     base_seed: int,
-    buffer: ReplayBuffer | None = None,
-    ewc=None,
-    shared: dict | None = None,
+    buffer: ReplayBuffer,
+    ewc,
+    shared: dict,
 ) -> GroupExplorationResult:
     """Train every ordering of the group from identical snapshots and pick
     the best score; ties go to the lexicographically smallest ordering.
 
-    The k! orderings are trained as a prefix trie (memo.train_trie): depth
-    d takes the distinct length-(d+1) prefixes, lexicographically, as
-    stacked train_seq calls, one row per prefix. Each prefix is trained
-    once, on its last task, from its parent's settled state (train_seq
-    clones the buffer, and the child shares the EWC sums), with its own rng
-    seeded by derive_seed(base_seed, HIER_STREAM, group index, d + 1,
-    *prefix), so its result depends only on the prefix. Under sgd and ewc,
-    which read no buffer in training, the trie carries only its counts
-    (ReplayCounts) and the winner's chain alone fills a clone of `buffer`,
-    drawing with its prefixes' seeds again (each derived once a call).
-    Every prefix but the full orderings is settled (its EWC Fisher
-    estimated) before its children train. `shared` maps ordering prefixes
-    to settled states of explorations from the same snapshot and group
-    index: a prefix found there is taken, not trained, and every prefix
-    settled here is added. The k! orderings are scored by one
-    accuracy_eval call on the group's validation sets, in task-id order,
-    and only the winner is settled. A nonfinite loss,
-    nonfinite params at the end of a task, or a nonfinite EWC Fisher stop
-    training at once, and the error names the group, its sorted task ids
-    and the first prefix of its stack where that happened (the ordering,
-    for the winner's Fisher)."""
+    The snapshot is the weights `init`, the replay `buffer`, which is never
+    written, and the EWC sums `ewc` (None before any task is settled). The
+    k! orderings are trained as a prefix trie (memo.train_trie): depth d
+    takes the distinct length-(d+1) prefixes, lexicographically, as stacked
+    train_seq calls, one row per prefix. Each prefix is trained once, on its
+    last task, from its parent's settled state (train_seq clones the buffer,
+    and the child shares the EWC sums), with its own rng seeded by
+    derive_seed(base_seed, HIER_STREAM, group index, d + 1, *prefix), so its
+    result depends only on the prefix. Under sgd and ewc, which read no
+    buffer in training, the trie carries only its counts (ReplayCounts) and
+    the winner's chain alone fills a clone of `buffer`, drawing with its
+    prefixes' seeds again (each derived once a call). Every prefix but the
+    full orderings is settled (its EWC Fisher estimated) before its children
+    train. `shared` maps ordering prefixes to settled states of explorations
+    from the same snapshot and group index: a prefix found there is taken,
+    not trained, and every prefix settled here is added; an exploration that
+    shares with none passes {}. The k! orderings are scored by one
+    accuracy_eval call on the group's validation sets, in task-id order, and
+    only the winner is settled. A nonfinite loss, nonfinite params at the
+    end of a task, or a nonfinite EWC Fisher stop training at once, and the
+    error names the group, its sorted task ids and the first prefix of its
+    stack where that happened (the ordering, for the winner's Fisher)."""
     perms = enumerate_intra_group_perms(group)
     eval_batch = _concat_batches([tasks[i].val for i in sorted(group.task_ids)])
     where = f"{_group_name(group)}: ordering"
     last = group.size - 1
-    shared = {} if shared is None else shared
 
     @functools.cache
     def prefix_seed(prefix):
@@ -196,7 +196,7 @@ def explore_group(
             nodes[row] = state
         return nodes
 
-    counts_only = buffer is not None and cfg.kind != "er"
+    counts_only = cfg.kind != "er"
     root = LearnerState(init, ReplayCounts(buffer) if counts_only else buffer, ewc)
     leaves = train_trie([perm.order for perm in perms], root, train_stack, f"{where} prefix")
     states = [leaves[perm.order] for perm in perms]
@@ -222,14 +222,14 @@ def explore_group(
     )
 
 
-def consolidation_pool(buffer: ReplayBuffer, group_batches: list[Batch],
-                       cap: int, seed: int) -> Batch:
+def consolidation_pool(buffer: ReplayBuffer, group_batches: list[Batch], seed: int) -> Batch:
     """The one sample set behind g and H for a group: the buffer's items
-    (slot order) then the group's batches, thinned to `cap` by a seeded
-    uniform draw that keeps their order."""
-    pool = _concat_batches(([buffer.as_batch()] if len(buffer) else []) + group_batches)
-    if pool.n > cap:
-        keep = np.sort(np.random.default_rng(seed).choice(pool.n, size=cap, replace=False))
+    (slot order) then the group's batches, thinned to SAMPLE_CAP by a
+    seeded uniform draw that keeps their order. The buffer has been offered
+    a task, so it holds items."""
+    pool = _concat_batches([buffer.as_batch()] + group_batches)
+    if pool.n > SAMPLE_CAP:
+        keep = np.sort(np.random.default_rng(seed).choice(pool.n, SAMPLE_CAP, replace=False))
         pool = Batch(pool.inputs[keep], pool.targets[keep])
     return pool
 
@@ -293,8 +293,7 @@ def _absorb_group(node: _Prefix, chain: tuple, last: bool, tasks, cfg: PipelineC
     # group 0 only copies the local model; its pool is needed only when it
     # is also the last group, for the catch-up passes
     if group.group_index > 0 or last:
-        pool = consolidation_pool(buffer, [tasks[i].train for i in group.task_ids],
-                                  SAMPLE_CAP, seed)
+        pool = consolidation_pool(buffer, [tasks[i].train for i in group.task_ids], seed)
         estimate = _estimator(cfg, pool, spec)
     try:
         if group.group_index == 0:

@@ -34,6 +34,9 @@ WARN_GROUP_SIZE = 4
 # 24-row stacks, which ran the sweep only about 2% faster than this size
 SCORE_STACK_BYTES = 1 << 19
 
+# the range a sine task's amplitude is drawn from
+SINE_AMPLITUDES = (0.5, 2.0)
+
 
 @dataclass
 class TaskDataset:
@@ -108,14 +111,12 @@ def gen_split_gaussians(
     samples_per_class: int,
     spread: float,
     seed: int,
-    val_per_class: int | None = None,
-    test_per_class: int | None = None,
+    val_per_class: int,
+    test_per_class: int,
 ) -> list[TaskDataset]:
     """Split protocol on Gaussian clusters: one unit-covariance cluster per
     class, class means at radius `spread`, consecutive classes grouped into
     tasks. The final task absorbs any remainder classes."""
-    val_per_class = max(4, samples_per_class // 4) if val_per_class is None else val_per_class
-    test_per_class = samples_per_class if test_per_class is None else test_per_class
     if min(num_classes, classes_per_task, dim, samples_per_class, val_per_class,
            test_per_class) < 1:
         raise ValueError("class/task/dim/sample counts must be positive")
@@ -148,8 +149,8 @@ def gen_permuted_features(
     samples_per_class: int,
     spread: float,
     seed: int,
-    val_per_class: int | None = None,
-    test_per_class: int | None = None,
+    val_per_class: int,
+    test_per_class: int,
 ) -> list[TaskDataset]:
     """Each task is the same Gaussian classification problem with a fixed
     random coordinate permutation applied; task 0 keeps the identity."""
@@ -174,9 +175,9 @@ def gen_sine_tasks(
     seed: int,
     samples_per_task: int = 100,
     noise_std: float = 0.0,
-    amplitude_range: tuple[float, float] = (0.5, 2.0),
 ) -> list[TaskDataset]:
-    """Regression stream: task i fits y = A_i sin(x + phi_i) on x in [-pi, pi].
+    """Regression stream: task i fits y = A_i sin(x + phi_i) on x in [-pi, pi],
+    A_i drawn uniformly from SINE_AMPLITUDES.
 
     With the default noise_std of 0 the targets are bounded by the drawn
     amplitude exactly.
@@ -188,7 +189,7 @@ def gen_sine_tasks(
     rng = np.random.default_rng(seed)
     tasks = []
     for t in range(num_tasks):
-        amp = rng.uniform(*amplitude_range)
+        amp = rng.uniform(*SINE_AMPLITUDES)
         phase = rng.uniform(0.0, 2.0 * math.pi)
 
         def make(r, n, amp=amp, phase=phase):

@@ -97,14 +97,14 @@ def test_gradient_pools_buffer_and_group():
     group = _batch(rng, n=5)
     buf = ReplayBuffer(4)
     buf.insert_many(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4), rng)
-    g = estimate_gradient(w, consolidation_pool(buf, [group], SAMPLE_CAP, 0), SPEC)
+    g = estimate_gradient(w, consolidation_pool(buf, [group], 0), SPEC)
     merged = Batch(
         np.concatenate([buf.as_batch().inputs, group.inputs]),
         np.concatenate([buf.as_batch().targets, group.targets]),
     )
     assert np.array_equal(g, loss_and_grad(w, merged, SPEC)[1])
-    with pytest.raises(ValueError):
-        consolidation_pool(ReplayBuffer(1), [], SAMPLE_CAP, 0)
+    with pytest.raises(ValueError, match="buffer is empty"):
+        consolidation_pool(ReplayBuffer(1), [group], 0)
 
 
 def test_diag_is_mean_squared_per_sample_grads():
@@ -183,19 +183,21 @@ def test_diag_curvature_holds_one_row_block_of_per_sample_gradients():
     assert 1.25 * (block + factor_bytes) < 2 * block + factor_bytes
 
 
-def test_sample_cap_thins_pool_deterministically():
+def test_sample_cap_thins_pool_deterministically(monkeypatch):
+    assert SAMPLE_CAP == 512
+    monkeypatch.setattr("hiercl.pipeline.SAMPLE_CAP", 16)
     rng = np.random.default_rng(4)
     w = init_params(SPEC, 4)
     batch = _batch(rng, n=40)
-    empty = ReplayBuffer(1)
-    pool = consolidation_pool(empty, [batch], 16, 5)
+    buf = ReplayBuffer(1)  # a pool's buffer has been offered a task
+    buf.insert_many(batch.inputs[:1], batch.targets[:1], rng)
+    pool = consolidation_pool(buf, [batch], 5)
     a = estimate_diag_curvature(w, pool, SPEC)
-    b = estimate_diag_curvature(w, consolidation_pool(empty, [batch], 16, 5), SPEC)
+    b = estimate_diag_curvature(w, consolidation_pool(buf, [batch], 5), SPEC)
     assert pool.n == 16
     assert np.array_equal(a.diag, b.diag)
-    c = estimate_diag_curvature(w, consolidation_pool(empty, [batch], 16, 6), SPEC)
+    c = estimate_diag_curvature(w, consolidation_pool(buf, [batch], 6), SPEC)
     assert not np.array_equal(a.diag, c.diag)
-    assert SAMPLE_CAP == 512
 
 
 def test_lowrank_rank_one_case():

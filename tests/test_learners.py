@@ -32,7 +32,8 @@ SPEC = ModelSpec((4, 8, 4))
 
 def _tasks(seed=0):
     return gen_split_gaussians(
-        num_classes=4, classes_per_task=2, dim=4, samples_per_class=12, spread=3.0, seed=seed
+        num_classes=4, classes_per_task=2, dim=4, samples_per_class=12, spread=3.0, seed=seed,
+        val_per_class=4, test_per_class=12,
     )
 
 
@@ -828,10 +829,10 @@ def test_one_schedule_makes_one_loss_and_grad_call_per_step(monkeypatch):
     assert shapes == [(24, (24, 8))] + [(24, (24, 16))] * 5
 
 
-def test_train_seq_passes_shared_anchor_arrays_and_stacks_the_rest(monkeypatch):
-    # the call's one pull (lambda*SigmaF, lambda*SigmaF*w*) is built from
-    # (p,) sums when every row holds one sums object, and from their (P, p)
-    # stack otherwise, equal values or not
+def test_train_seq_pulls_with_the_stack_of_every_rows_sums(monkeypatch):
+    # the call's one pull (lambda*SigmaF, lambda*SigmaF*w*) is the (P, p)
+    # stack of the rows' sums, whether the rows hold one sums object or
+    # each its own
     seen = []
 
     def recording(params, task, cfg, spec, rng, buffer=None, pull=None):
@@ -843,16 +844,12 @@ def test_train_seq_passes_shared_anchor_arrays_and_stacks_the_rest(monkeypatch):
     sums = (np.full(p, 0.5), np.arange(float(p)))
     twin = (sums[0].copy(), sums[1].copy())  # equal values, but another row's own arrays
     ewc = LearnerConfig(kind="ewc", epochs_per_task=1, ewc_strength=3.0)
-    train_seq([LearnerState(init, None, sums), LearnerState(init + 1.0, None, sums)],
-              tasks[:2], ewc, SPEC, [0, 1])
-    a, b = seen.pop()
-    assert same_bits(a, 3.0 * sums[0]) and same_bits(b, 3.0 * sums[1])
-    train_seq([LearnerState(init, None, sums), LearnerState(init, None, twin)],
-              tasks[:2], ewc, SPEC, [0, 1])
-    a, b = seen.pop()
-    assert a.shape == b.shape == (2, p)
-    assert same_bits(a, 3.0 * np.stack([sums[0]] * 2))
-    assert same_bits(b, 3.0 * np.stack([sums[1]] * 2))
+    for other in (sums, twin):
+        train_seq([LearnerState(init, None, sums), LearnerState(init + 1.0, None, other)],
+                  tasks[:2], ewc, SPEC, [0, 1])
+        a, b = seen.pop()
+        assert same_bits(a, 3.0 * np.stack([sums[0]] * 2))
+        assert same_bits(b, 3.0 * np.stack([sums[1]] * 2))
     train_seq([LearnerState(init), LearnerState(init)], tasks[:2], ewc, SPEC, [0, 1])
     assert seen.pop() is None  # no task settled yet
     train_seq([LearnerState(init, None, sums)] * 2, tasks[:2], LearnerConfig(epochs_per_task=1),
@@ -947,7 +944,7 @@ def test_summed_ewc_pull_matches_the_anchor_list_within_rounding(monkeypatch, k,
             parents = [_settled_chain(a, monkeypatch) for a in row_anchors]
         a, b = _ewc_pull(parents, strength, monkeypatch)
         monkeypatch.undo()
-        assert a.shape == b.shape == ((p,) if rows == "shared" else (P, p))
+        assert a.shape == b.shape == (P, p)
         got = a * w - b
         for i in range(P):
             want = ewc_penalty_grad(w[i], row_anchors[i], strength)

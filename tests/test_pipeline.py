@@ -91,7 +91,8 @@ def test_explore_group_counts_and_argmax():
     tasks = _tasks()
     init = init_params(SPEC, 0)
     group = TaskGroup(0, (0, 1, 2))
-    res = explore_group(group, tasks, init, LearnerConfig(epochs_per_task=1), SPEC, base_seed=0)
+    res = explore_group(group, tasks, init, LearnerConfig(epochs_per_task=1), SPEC, base_seed=0,
+                        buffer=ReplayBuffer(50), ewc=None, shared={})
     assert len(res.per_perm_scores) == 6
     best = max(s for _, s in res.per_perm_scores)
     sel = [s for p, s in res.per_perm_scores if p.order == res.best_perm.order]
@@ -99,7 +100,8 @@ def test_explore_group_counts_and_argmax():
     # selected score >= mean of all scores (difference form is rounding-safe)
     assert math.fsum(best - s for _, s in res.per_perm_scores) >= 0.0
     single = explore_group(TaskGroup(1, (3,)), tasks, init,
-                           LearnerConfig(epochs_per_task=1), SPEC, base_seed=0)
+                           LearnerConfig(epochs_per_task=1), SPEC, base_seed=0,
+                           buffer=ReplayBuffer(50), ewc=None, shared={})
     assert len(single.per_perm_scores) == 1
 
 
@@ -121,7 +123,8 @@ def test_tie_break_picks_lexicographically_smallest():
     w = init_params(spec, 0)
     tasks = _constant_score_tasks(spec, w, ids=(0, 1, 2))
     cfg = LearnerConfig(kind="sgd", epochs_per_task=1, weight_decay=0.0)
-    res = explore_group(TaskGroup(0, (2, 0, 1)), tasks, w, cfg, spec, base_seed=0)
+    res = explore_group(TaskGroup(0, (2, 0, 1)), tasks, w, cfg, spec, base_seed=0,
+                        buffer=ReplayBuffer(50), ewc=None, shared={})
     scores = [s for _, s in res.per_perm_scores]
     assert scores == [1.0] * 6
     assert res.best_perm.order == (0, 1, 2)
@@ -407,7 +410,8 @@ def test_diverged_scores_are_rejected_not_selected():
             r"minibatch loss is inf")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(group, gen_sine_tasks(3, 0), init_params(spec, 0),
-                      LearnerConfig(learning_rate=1e8), spec, base_seed=0)
+                      LearnerConfig(learning_rate=1e8), spec, base_seed=0,
+                      buffer=ReplayBuffer(50), ewc=None, shared={})
     # the score table that run recorded, and tables with one bad score
     orders = [p.order for p in enumerate_intra_group_perms(group)]
     for scores in ([math.nan] * 6, [0.5, math.nan, 0.1, 0.2, 0.3, 0.4],
@@ -440,7 +444,8 @@ def test_nonfinite_params_at_task_end_fail_fast_naming_group_and_ordering():
             r"after training")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(3, (1, 0)), gen_sine_tasks(2, 0, samples_per_task=8),
-                      init_params(spec, 0), cfg, spec, base_seed=0)
+                      init_params(spec, 0), cfg, spec, base_seed=0,
+                      buffer=ReplayBuffer(50), ewc=None, shared={})
 
 
 def _assert_same_state(got, want):
@@ -485,7 +490,8 @@ def _one_anchor_sums(init, rng):
 @pytest.mark.parametrize("kind", ["sgd", "er", "ewc"])
 def test_explore_group_matches_serial_orderings_with_prefix_seeds(kind, k):
     group, tasks, init, cfg, buffer, ewc = _explore_case(kind, k)
-    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc)
+    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc,
+                        shared={})
     eval_batch = Batch(np.concatenate([tasks[i].val.inputs for i in range(k)]),
                        np.concatenate([tasks[i].val.targets for i in range(k)]))
     scores, best, want = explore_orderings(group, tasks, init, cfg, SPEC, 11, eval_batch,
@@ -510,7 +516,7 @@ def test_explore_group_trains_each_depth_of_its_prefix_trie_as_one_stack(monkeyp
 
     monkeypatch.setattr(learners, "train_on_task", counting)
     group, tasks, init, cfg, buffer, ewc = _explore_case("er", 4)
-    explore_group(group, tasks, init, cfg, SPEC, base_seed=0, buffer=buffer, ewc=ewc)
+    explore_group(group, tasks, init, cfg, SPEC, base_seed=0, buffer=buffer, ewc=ewc, shared={})
     assert rows == [4, 12, 24, 24]
 
 
@@ -540,7 +546,8 @@ def test_non_replay_exploration_fills_only_the_winners_buffer(monkeypatch):
     # chain whole, one call per task
     group, tasks, init, cfg, buffer, ewc = _explore_case("ewc", 3)
     inserts, cloned = _count_real_buffer_calls(monkeypatch)
-    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc)
+    res = explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc,
+                        shared={})
     assert cloned == [buffer]
     assert inserts == [tasks[t].train.n for t in res.best_perm.order] == [20] * 3
 
@@ -550,7 +557,7 @@ def test_replay_exploration_offers_each_step_to_every_prefixs_clone(monkeypatch)
     # offers each 8-row minibatch of its 20-row task after the step
     group, tasks, init, cfg, buffer, ewc = _explore_case("er", 2)
     inserts, cloned = _count_real_buffer_calls(monkeypatch)
-    explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc)
+    explore_group(group, tasks, init, cfg, SPEC, base_seed=11, buffer=buffer, ewc=ewc, shared={})
     assert len(cloned) == 4 and cloned[:2] == [buffer, buffer]
     assert inserts == [8, 8, 8, 8, 4, 4] * 2  # per depth: each step, then each row
 
@@ -573,7 +580,7 @@ def test_explore_group_estimates_each_fisher_a_later_task_or_the_winner_reads(mo
     cfg = LearnerConfig(kind="ewc", epochs_per_task=1, ewc_strength=2.0, buffer_capacity=5)
     group = TaskGroup(1, tuple(range(4 - k, 4)))
     res = explore_group(group, tasks, init, cfg, SPEC, base_seed=7,
-                        buffer=ReplayBuffer(5), ewc=ewc)
+                        buffer=ReplayBuffer(5), ewc=ewc, shared={})
     assert len(calls) == sum(math.perm(k, j) for j in range(1, k)) + 1
     eval_batch = Batch(np.concatenate([tasks[i].val.inputs for i in group.task_ids]),
                        np.concatenate([tasks[i].val.targets for i in group.task_ids]))
@@ -599,7 +606,7 @@ def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
             r"training diverged$")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(2, (1,)), tasks, np.array([1.0, 0.0, 1.0, 0.0]), cfg, spec,
-                      base_seed=0)
+                      base_seed=0, buffer=ReplayBuffer(50), ewc=None, shared={})
     # in a group of both tasks, prefix 1 (row 1 of the first stack) is
     # settled before its child 1-0 trains, and the error names that prefix
     want = (r"^group 2 \(tasks 0, 1\): ordering prefix 1: task 1: EWC Fisher is not finite "
@@ -607,7 +614,7 @@ def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
             r"training diverged$")
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=want):
         explore_group(TaskGroup(2, (1, 0)), tasks, np.array([1.0, 0.0, 1.0, 0.0]), cfg, spec,
-                      base_seed=0)
+                      base_seed=0, buffer=ReplayBuffer(50), ewc=None, shared={})
 
 
 def test_write_run_log(tmp_path):

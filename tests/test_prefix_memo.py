@@ -45,6 +45,8 @@ _TINY = {
 # 4 tasks (6 at k=3); every learner, group size 1-3, all 24 orders and
 # samples of them. The names are test ids; "running", "pairwise" and
 # "seen" name fed aggregation and ordering-score modes that are gone.
+# "uneven": 9 classes make tasks of 2, 2, 2 and 3 classes, so stacks mix
+# training-set sizes.
 CASES = {
     "er-k2-all-running": {"learner.kind": "er", "run.group_size": "2", "run.perms": "all",
                           "run.seeds": "0,1"},
@@ -58,6 +60,9 @@ CASES = {
     "er-k2-sampled-pairwise": {"learner.kind": "er", "run.group_size": "2",
                                "run.perms": "7", "run.perm_sample_seed": "1",
                                "run.seeds": "5"},
+    "er-k2-uneven-sampled": {"learner.kind": "er", "dataset.num_classes": "9",
+                             "run.group_size": "2", "run.perms": "8",
+                             "run.perm_sample_seed": "2", "run.seeds": "4"},
 }
 
 

@@ -37,7 +37,7 @@ def test_permutation_rejects_repeats():
 def test_task_accuracies_score_each_test_shape_once_with_the_lone_bits(monkeypatch, kind):
     if kind == "classification":
         spec = ModelSpec((4, 7, 6))
-        tasks = gen_split_gaussians(6, 2, 4, 10, 1.0, seed=3, test_per_class=9)
+        tasks = gen_split_gaussians(6, 2, 4, 10, 1.0, seed=3, val_per_class=4, test_per_class=9)
     else:
         spec = ModelSpec((1, 9, 1), task_kind="regression")
         tasks = gen_sine_tasks(3, 3)
@@ -79,7 +79,8 @@ def test_task_accuracies_score_each_test_shape_once_with_the_lone_bits(monkeypat
 
 def test_split_gaussians_shapes_and_classes():
     tasks = gen_split_gaussians(
-        num_classes=10, classes_per_task=2, dim=4, samples_per_class=15, spread=2.0, seed=0
+        num_classes=10, classes_per_task=2, dim=4, samples_per_class=15, spread=2.0, seed=0,
+        val_per_class=4, test_per_class=15,
     )
     assert len(tasks) == 5
     for t, task in enumerate(tasks):
@@ -93,7 +94,8 @@ def test_split_gaussians_shapes_and_classes():
 
 def test_split_gaussians_last_task_absorbs_remainder():
     tasks = gen_split_gaussians(
-        num_classes=7, classes_per_task=2, dim=3, samples_per_class=5, spread=1.0, seed=1
+        num_classes=7, classes_per_task=2, dim=3, samples_per_class=5, spread=1.0, seed=1,
+        val_per_class=4, test_per_class=5,
     )
     assert len(tasks) == 3
     assert tasks[-1].class_ids == (4, 5, 6)
@@ -101,15 +103,16 @@ def test_split_gaussians_last_task_absorbs_remainder():
 
 
 def test_split_gaussians_deterministic():
-    a = gen_split_gaussians(4, 2, 3, 6, 1.5, seed=9)
-    b = gen_split_gaussians(4, 2, 3, 6, 1.5, seed=9)
+    a = gen_split_gaussians(4, 2, 3, 6, 1.5, 9, 4, 6)
+    b = gen_split_gaussians(4, 2, 3, 6, 1.5, 9, 4, 6)
     for ta, tb in zip(a, b):
         assert np.array_equal(ta.train.inputs, tb.train.inputs)
         assert np.array_equal(ta.test.targets, tb.test.targets)
 
 
 def test_permuted_features_task0_identity():
-    tasks = gen_permuted_features(3, num_classes=4, dim=6, samples_per_class=10, spread=2.0, seed=2)
+    tasks = gen_permuted_features(3, num_classes=4, dim=6, samples_per_class=10, spread=2.0, seed=2,
+                                  val_per_class=4, test_per_class=10)
     assert len(tasks) == 3
     base = tasks[0]
     for task in tasks[1:]:
@@ -125,18 +128,18 @@ def test_sine_tasks_bounded_targets():
     for task in tasks:
         assert task.train.inputs.shape == (50, 1)
         assert task.train.targets.shape == (50, 1)
-        # noiseless: |y| <= max amplitude of the drawn range
+        # noiseless: |y| <= the largest amplitude of SINE_AMPLITUDES
         assert np.max(np.abs(task.train.targets)) <= 2.0 + 1e-12
 
 
-def test_generators_substitute_defaults_only_for_none():
+def test_generators_draw_the_given_counts_and_reject_bad_ones():
     base = dict(num_classes=4, classes_per_task=2, dim=3, samples_per_class=8, spread=2.0,
-                seed=0)
+                seed=0, val_per_class=4, test_per_class=8)
     task = gen_split_gaussians(**base)[0]
-    assert task.val.n == 2 * 4 and task.test.n == 2 * 8  # max(4, 8 // 4) and 8 per class
+    assert task.val.n == 2 * 4 and task.test.n == 2 * 8
     for bad in (dict(val_per_class=0), dict(test_per_class=0), dict(test_per_class=-1)):
         with pytest.raises(ValueError, match="counts must be positive"):
-            gen_split_gaussians(**base, **bad)
+            gen_split_gaussians(**{**base, **bad})
     with pytest.raises(ValueError, match="spread must be nonnegative and finite"):
         gen_split_gaussians(**{**base, "spread": float("nan")})
     with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
@@ -192,7 +195,7 @@ def test_sample_full_permutations_exhaustive():
 
 
 def test_dump_load_roundtrip_classification(tmp_path):
-    tasks = gen_split_gaussians(4, 2, 3, 5, 1.0, seed=4)
+    tasks = gen_split_gaussians(4, 2, 3, 5, 1.0, 4, 4, 5)
     path = str(tmp_path / "tasks.txt")
     dump_tasks(tasks, path)
     back = load_tasks(path)
@@ -229,9 +232,10 @@ def test_dump_load_roundtrip_regression(tmp_path):
        seed=st.integers(0, 2**32 - 1))
 def test_dump_load_roundtrip(kind, count, classes, dim, per, noise, seed):
     if kind == "gaussians":
-        tasks = gen_split_gaussians(count * classes, classes, dim, per, 1.5, seed)
+        tasks = gen_split_gaussians(count * classes, classes, dim, per, 1.5, seed,
+                                    max(4, per // 4), per)
     elif kind == "permuted":
-        tasks = gen_permuted_features(count, classes, dim, per, 1.5, seed)
+        tasks = gen_permuted_features(count, classes, dim, per, 1.5, seed, max(4, per // 4), per)
     else:
         tasks = gen_sine_tasks(count, seed, samples_per_task=per, noise_std=noise)
     with tempfile.TemporaryDirectory() as tmp:
