@@ -1,10 +1,12 @@
 """Gradient and curvature estimates of the cumulative loss over one
-sample Batch, plus the regularized solve (H + lambda*I)x = v.
+sample pool, plus the regularized solve (H + lambda*I)x = v.
 
-Runs estimate only the empirical Fisher (mean squared per-sample
-gradients), as its diagonal (DiagFisher) or its top eigenpairs
-(LowRankFisher); each has its own validation, dim, quad_form and solve.
-The Fisher is PSD, so any lambda > 0 makes the system positive definite.
+Each estimate takes the factors of one model.sample_factors pass over the
+pool, so a pool's g and H at one weight vector share that pass. Runs
+estimate only the empirical Fisher (mean squared per-sample gradients), as
+its diagonal (DiagFisher) or its top eigenpairs (LowRankFisher); each has
+its own validation, dim, quad_form and solve. The Fisher is PSD, so any
+lambda > 0 makes the system positive definite.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Batch, ModelSpec, loss_and_grad, per_sample_grads, sample_factors
+from .model import ModelSpec, grad_from_factors, per_sample_grads
 
 _ORTHO_TOL = 1e-8
 
-# bytes of per-sample gradients the diagonal estimate expands at once. A
+# bytes of per-sample gradient rows the diagonal estimate expands at once. A
 # block is squared and summed while it is still in the core's 2 MiB L2
 # cache. At p = 26,122 and n = 240 on a 2-core Xeon, 1 BLAS thread, best
 # of 25 calls: 10.6-10.8 ms at 1 MiB, 10.3-10.4 ms at 2 MiB, 11.8-11.9 ms
@@ -127,25 +129,26 @@ def parse_curvature_spec(text: str) -> tuple[str, int | None]:
                      f"with R a positive integer")
 
 
-def estimate_gradient(params, pool: Batch, spec: ModelSpec) -> np.ndarray:
-    """Mean gradient over the pool."""
-    return loss_and_grad(params, pool, spec)[1]
+def estimate_gradient(factors, spec: ModelSpec) -> np.ndarray:
+    """The pool's mean-loss gradient from its sample_factors: bitwise
+    loss_and_grad's gradient on the same weights and pool."""
+    return grad_from_factors(factors, spec)
 
 
-def estimate_diag_curvature(params, pool: Batch, spec: ModelSpec) -> DiagFisher:
-    """Diagonal of the empirical Fisher: mean squared per-sample gradients.
+def estimate_diag_curvature(factors, spec: ModelSpec) -> DiagFisher:
+    """Diagonal of the empirical Fisher, the mean squared per-sample
+    gradient, from a pool's sample_factors. A per_sample_grads row is its
+    sample's gradient over n, so the diagonal is n times the sum of the
+    squared rows.
 
-    One sample_factors pass; then consecutive row slices of at most
-    DIAG_BLOCK_BYTES of gradients (at least one row) are expanded into one
-    reused block, squared in place and summed into a running (p,) total,
-    so the call holds one block and the factors, not the (n, p) array.
-    np.add.reduce over axis 0 adds rows one after another and np.mean
-    divides that sum by n; adding the running total into a block's first
-    row before reducing it keeps that association, and a row's gradient
-    does not depend on its block, so the result is bitwise the whole-pool
-    mean at any block size."""
-    n, p = pool.n, spec.param_count
-    factors = sample_factors(params, pool, spec)
+    Consecutive row slices of at most DIAG_BLOCK_BYTES (at least one row)
+    are expanded into one reused block, squared in place and summed into a
+    running (p,) total: the call holds one block and the factors, not the
+    (n, p) array. np.add.reduce over axis 0 adds rows one after another;
+    adding the total into a block's first row before reducing it keeps that
+    order, so the result is bitwise n times the whole pool's row-ordered
+    sum at any block size."""
+    n, p = factors[0][0].shape[0], spec.param_count
     step = max(1, DIAG_BLOCK_BYTES // (8 * p))
     block = np.empty((min(step, n), p))
     total = np.zeros(p)
@@ -155,11 +158,12 @@ def estimate_diag_curvature(params, pool: Batch, spec: ModelSpec) -> DiagFisher:
         np.multiply(g, g, out=g)
         g[0] += total
         np.add.reduce(g, axis=0, out=total)
-    return DiagFisher(total / n)
+    return DiagFisher(total * n)
 
 
-def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> LowRankFisher:
-    """Top-r eigenpairs of the empirical Fisher F = G^T G / n.
+def estimate_lowrank_curvature(factors, spec: ModelSpec, r: int) -> LowRankFisher:
+    """Top-r eigenpairs of the empirical Fisher F = G^T G / n, G the pool's
+    (n, p) per-sample gradients from its sample_factors.
 
     When n < p the eigenproblem is solved on the n x n Gram matrix
     G G^T / n; eigenvectors map back through G^T. Effective rank can come
@@ -167,8 +171,9 @@ def estimate_lowrank_curvature(params, pool: Batch, spec: ModelSpec, r: int) -> 
     """
     if r < 1:
         raise ValueError("rank must be positive")
-    g = per_sample_grads(sample_factors(params, pool, spec), spec)
+    g = per_sample_grads(factors, spec)
     n, p = g.shape
+    g *= n  # each row was its sample's share of the mean gradient
     vals, vecs = np.linalg.eigh(g.T @ g / n if p <= n else g @ g.T / n)
     top = np.argsort(vals)[::-1][:r]
     # drop directions with negligible mass. Mapping an eigenvector back

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curvature import estimate_diag_curvature
-from .model import Batch, ModelSpec, loss_and_grad
+from .model import Batch, ModelSpec, loss_and_grad, sample_factors
 from .tasks import TaskDataset
 
 LEARNER_KINDS = ("sgd", "er", "ewc")
@@ -308,7 +308,8 @@ def settle(state: LearnerState, spec: ModelSpec, row: int = 0) -> LearnerState:
     TrainingDiverged with index `row`, the state's row in the caller's stack."""
     if state.pending is None:
         return state
-    fisher = estimate_diag_curvature(state.params, state.pending.train, spec).diag
+    fisher = estimate_diag_curvature(sample_factors(state.params, state.pending.train, spec)[1],
+                                     spec).diag
     if not np.isfinite(fisher).all():
         raise TrainingDiverged(f"task {state.pending.task_id}: EWC Fisher is not finite "
                                f"after training; training diverged", row)

@@ -1,16 +1,18 @@
 """Dense tanh feed-forward model over a flat parameter vector.
 
 All model state lives in a single 1-D float64 array so that second-order
-consolidation can treat the network as a point in R^p. Forward, loss,
-analytic gradients and per-sample gradients are implemented with plain
-numpy; per-sample gradients take one pass over a batch (`sample_factors`)
-and expand any run of its rows into (rows, p) gradients (`per_sample_grads`).
+consolidation can treat the network as a point in R^p. Forward, loss and
+backpropagation are plain numpy, in one pass (`sample_factors`): the mean
+loss over a batch and, per layer, its input activations A and the mean
+loss's deltas D. The gradient (`grad_from_factors`, which `loss_and_grad`
+returns) and any run of rows of per-sample gradients (`per_sample_grads`),
+each row one sample's share of the gradient, are products of those factors.
 
-`loss_and_grad` also takes a (P, p) stack of parameter vectors with a
-stacked (P, n, d) Batch, and `accuracy_eval` a stack scored on one shared
-(n, d) Batch; each returns one result per row. Stacked products go through
-np.matmul and the reductions run along the last axes, so each row gets the
-same bits as a call on that row alone.
+`loss_and_grad` and `sample_factors` also take a (P, p) stack of parameter
+vectors with a stacked (P, n, d) Batch, and `accuracy_eval` a stack scored
+on one shared (n, d) Batch; each returns one result per row. Stacked
+products go through np.matmul and the reductions run along the last axes,
+so each row gets the same bits as a call on that row alone.
 """
 
 from __future__ import annotations
@@ -154,11 +156,16 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     n = out.shape[-2]
     if spec.task_kind == "classification":
         y = np.asarray(batch.targets, dtype=np.intp)
-        # the class-axis max one column at a time: max is exact, NaN propagates
-        # as in out.max, and a signed zero in m cannot reach lse
-        m = out[..., :1].copy()
-        for j in range(1, out.shape[-1]):
-            np.maximum(m, out[..., j : j + 1], out=m)
+        # the class-axis max, by out.max on a lone (n, c) batch and one column
+        # at a time on a stack, the faster at each rank. max is exact, so both
+        # give the same bits: NaN propagates in both, and a signed zero in m
+        # cannot reach lse
+        if out.ndim == 2:
+            m = out.max(axis=-1, keepdims=True)
+        else:
+            m = out[..., :1].copy()
+            for j in range(1, out.shape[-1]):
+                np.maximum(m, out[..., j : j + 1], out=m)
         e = out - m
         np.exp(e, out=e)
         lse = e.sum(axis=-1, keepdims=True)
@@ -179,22 +186,43 @@ def _output_loss_and_delta(out: np.ndarray, batch: Batch, spec: ModelSpec):
     return loss, r
 
 
-def _backprop(acts, delta, layers):
-    """Walk the layers from the last one down, yielding (i, acts[i], delta)
-    with delta the loss gradient w.r.t. layer i's pre-activation output.
+def sample_factors(params: ParamVector, batch: Batch, spec: ModelSpec):
+    """The one forward and backward pass over a batch: (loss, factors), with
+    the mean loss and, per layer in layer order, the input activations A
+    (n, fan_in) and the deltas D (n, fan_out) of the mean loss w.r.t. the
+    layer's pre-activation output. D is already divided by n, so sample
+    i's outer product of A_i and D_i is its share of the gradient, and the
+    shares sum to it. A (P, p) stack with a stacked Batch gives P losses and
+    (P, n, fan) factors, row i bitwise the call on row i alone.
 
     The tanh derivative reuses the stored activation a: 1 - a**2, the same
     bits as recomputing it from the pre-activations. It is multiplied in
-    place into the fresh product delta @ W^T, so no yielded delta is ever
-    written; callers must not write into one either.
+    place into the fresh product D @ W^T. The first layer's A is the batch's
+    own inputs, and no array is copied: callers must not write into them.
     """
-    for i in range(len(layers) - 1, -1, -1):
-        yield i, acts[i], delta
-        if i > 0:
-            slope = np.square(acts[i])
-            np.subtract(1.0, slope, out=slope)
-            delta = delta @ layers[i][0].swapaxes(-1, -2)
-            delta *= slope
+    _check_batch(batch, spec)
+    layers = _split_params(params, spec)
+    acts = _forward(layers, batch.inputs)
+    loss, delta = _output_loss_and_delta(acts[-1], batch, spec)
+    factors = [(acts[-2], delta)]
+    for i in range(len(layers) - 1, 0, -1):
+        slope = np.square(acts[i])
+        np.subtract(1.0, slope, out=slope)
+        delta = delta @ layers[i][0].swapaxes(-1, -2)
+        delta *= slope
+        factors.append((acts[i - 1], delta))
+    return loss, factors[::-1]
+
+
+def grad_from_factors(factors, spec: ModelSpec) -> np.ndarray:
+    """The gradient that sample_factors' factors carry: each layer's A^T D
+    written into its W view of the flat vector and the column sums of D
+    into its b view; (P, p) for a stack's factors."""
+    grad = np.empty((*factors[0][1].shape[:-2], spec.param_count))
+    for (w, b), (a, d) in zip(_split_params(grad, spec), factors):
+        np.matmul(a.swapaxes(-1, -2), d, out=w)
+        d.sum(axis=-2, keepdims=True, out=b)
+    return grad
 
 
 def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
@@ -205,49 +233,13 @@ def loss_and_grad(params: ParamVector, batch: Batch, spec: ModelSpec):
     Batch gives P losses and a (P, p) gradient, row i bitwise equal to the
     call on row i and its minibatch alone.
     """
-    _check_batch(batch, spec)
-    layers = _split_params(params, spec)
-    acts = _forward(layers, batch.inputs)
-    loss, delta = _output_loss_and_delta(acts[-1], batch, spec)
-    grad = np.empty((*delta.shape[:-2], spec.param_count))
-    views = _split_params(grad, spec)
-    for i, a, d in _backprop(acts, delta, layers):
-        w, b = views[i]
-        np.matmul(a.swapaxes(-1, -2), d, out=w)
-        d.sum(axis=-2, keepdims=True, out=b)
-    return loss, grad
-
-
-def sample_factors(params: ParamVector, batch: Batch, spec: ModelSpec):
-    """Per-sample gradient factors of an (n, d) batch from one forward and
-    one backward pass: per layer, in layer order, the input activations A
-    (n, fan_in) and the deltas D (n, fan_out) of each sample's own loss,
-    whose outer products are the per-sample gradients.
-
-    The deltas are not divided by n, and the softmax is formed as
-    normalized exponentials, so sample i's factors equal those of the
-    single-sample batch i up to rounding (loss_and_grad forms the softmax
-    as exp(log-softmax)). The first layer's A is the batch's own inputs,
-    and no array is copied: callers must not write into them.
-    """
-    _check_batch(batch, spec)
-    layers = _split_params(params, spec)
-    acts = _forward(layers, batch.inputs)
-    logits = acts[-1]
-    n = logits.shape[0]
-    if spec.task_kind == "classification":
-        y = np.asarray(batch.targets, dtype=np.intp)
-        m = logits.max(axis=1, keepdims=True)
-        delta = np.exp(logits - m)
-        delta /= delta.sum(axis=1, keepdims=True)
-        delta[np.arange(n), y] -= 1.0
-    else:
-        delta = 2.0 * (logits - batch.targets) / spec.output_dim
-    return [(a, d) for _, a, d in _backprop(acts, delta, layers)][::-1]
+    loss, factors = sample_factors(params, batch, spec)
+    return loss, grad_from_factors(factors, spec)
 
 
 def per_sample_grads(factors, spec: ModelSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """The (rows, p) per-sample gradients of sample_factors rows: each
+    """The (rows, p) per-sample gradients of lone sample_factors rows, each
+    row one sample's share of the gradient (its own gradient over n): each
     layer's bias block is D and its weight block, outer(A_i, D_i) per row,
     is written by np.einsum straight into its (rows, fan_in, fan_out)
     _split_params view. No entry sums over rows, so a row's gradient has

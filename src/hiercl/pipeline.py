@@ -33,7 +33,7 @@ from .learners import (LearnerConfig, LearnerState, ReplayBuffer, ReplayCounts,
                        TrainingDiverged, epoch_plan, settle, train_seq)
 from .memo import ArrivalPlan, train_trie
 from .metrics import AccuracyMatrix
-from .model import Batch, ModelSpec, accuracy_eval
+from .model import Batch, ModelSpec, accuracy_eval, sample_factors
 from .tasks import (Permutation, TaskDataset, TaskGroup, arrival_order,
                     enumerate_intra_group_perms, partition_into_groups, task_accuracies)
 
@@ -236,14 +236,16 @@ def consolidation_pool(buffer: ReplayBuffer, group_batches: list[Batch], seed: i
 
 def _estimator(cfg: PipelineConfig, pool: Batch, spec):
     """estimate(w) -> (g, H) on `pool`: the gradient, then the empirical
-    Fisher's diagonal or top eigenpairs, as cfg.curvature names."""
+    Fisher's diagonal or top eigenpairs, as cfg.curvature names, both from
+    one sample_factors pass at w."""
     variant, rank = parse_curvature_spec(cfg.curvature)
 
     def estimate(w):
-        grad = estimate_gradient(w, pool, spec)
+        factors = sample_factors(w, pool, spec)[1]
+        grad = estimate_gradient(factors, spec)
         if variant == "diagonal":
-            return grad, estimate_diag_curvature(w, pool, spec)
-        return grad, estimate_lowrank_curvature(w, pool, spec, rank)
+            return grad, estimate_diag_curvature(factors, spec)
+        return grad, estimate_lowrank_curvature(factors, spec, rank)
 
     return estimate
 

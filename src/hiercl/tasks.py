@@ -306,11 +306,8 @@ def dump_tasks(tasks: list[TaskDataset], path: str):
                 fh.write(
                     f"# task {task.task_id} {split_name} classes={cls} ydim={t2.shape[1]}\n"
                 )
-                for x, y in zip(batch.inputs, t2):
-                    feats = " ".join(repr(float(v)) for v in x)
-                    labs = " ".join(
-                        str(int(v)) if np.issubdtype(t.dtype, np.integer) else repr(float(v))
-                        for v in y
-                    )
-                    fh.write(f"{feats} {labs}\n")
+                # tolist gives Python floats, or ints for integer labels, whose
+                # str is repr(float(v)) or str(int(v))
+                for x, y in zip(batch.inputs.tolist(), t2.tolist()):
+                    fh.write(f"{' '.join(map(str, x))} {' '.join(map(str, y))}\n")
 

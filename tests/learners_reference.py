@@ -24,7 +24,7 @@ from model_reference import ref_loss_and_grad as loss_and_grad
 
 from hiercl.curvature import estimate_diag_curvature
 from hiercl.learners import LearnerConfig, LearnerState, ReplayBuffer
-from hiercl.model import Batch, ModelSpec
+from hiercl.model import Batch, ModelSpec, sample_factors
 from hiercl.tasks import Permutation, TaskDataset
 
 
@@ -118,7 +118,8 @@ def train_seq(
             (cfg.ewc_strength * state.ewc[0], cfg.ewc_strength * state.ewc[1]),
         )
         if cfg.kind == "ewc":
-            fisher = estimate_diag_curvature(state.params, task.train, spec).diag
+            fisher = estimate_diag_curvature(sample_factors(state.params, task.train, spec)[1],
+                                             spec).diag
             sum_f, sum_fw = state.ewc or (0.0, 0.0)
             state.ewc = (sum_f + fisher, sum_fw + fisher * state.params)
     return state

@@ -3,10 +3,11 @@
 `ref_init_params` is the earlier initializer kept verbatim: one flat
 uniform draw per weight block, joined with zero biases by concatenation.
 `ref_per_sample_grads` and `ref_loss_and_grad` are the earlier model
-kernels kept verbatim: per-layer einsum blocks joined by concatenation,
-and a backward pass that recomputes each hidden derivative from the
-pre-activations. They run on one unstacked batch, through their own
-copies of the parameter split and the output loss
+kernels: per-layer einsum blocks joined by concatenation, and a backward
+pass that recomputes each hidden derivative from the pre-activations. Both
+backpropagate the mean loss's output deltas, so a per-sample row is that
+sample's share of the gradient. They run on one unstacked batch, through
+their own copies of the parameter split and the output loss
 (`ref_output_loss_and_delta`: a whole-axis max, one expression for the
 log-sum-exp, the softmax as exp(log-softmax)), so the library's stacked
 kernels are checked against code they do not share. The library kernels
@@ -159,21 +160,11 @@ def ref_loss_and_grad(params, batch: Batch, spec: ModelSpec):
 
 
 def ref_per_sample_grads(params, batch: Batch, spec: ModelSpec) -> np.ndarray:
+    """Each sample's share of the mean loss's gradient, one row per sample."""
     _check_batch(batch, spec)
     acts, pre = _ref_forward(params, batch.inputs, spec)
-    out = acts[-1]
-    n = out.shape[0]
-    if spec.task_kind == "classification":
-        y = np.asarray(batch.targets, dtype=np.intp)
-        m = out.max(axis=1, keepdims=True)
-        p = np.exp(out - m)
-        p /= p.sum(axis=1, keepdims=True)
-        delta = p.copy()
-        delta[np.arange(n), y] -= 1.0
-    else:
-        t = _regression_targets(batch)
-        delta = 2.0 * (out - t) / t.shape[1]
-
+    n = acts[-1].shape[0]
+    _, delta = ref_output_loss_and_delta(acts[-1], batch, spec)
     layers = _split_params(params, spec)
     pieces = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):

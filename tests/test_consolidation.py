@@ -17,7 +17,7 @@ from hiercl.consolidation import (
 )
 from hiercl.curvature import (DiagFisher, LowRankFisher, estimate_diag_curvature,
                               estimate_gradient)
-from hiercl.model import Batch, ModelSpec, init_params
+from hiercl.model import Batch, ModelSpec, init_params, sample_factors
 from consolidation_reference import (DenseCurvature, descent_reference_min, materialize,
                                      two_step_recursive_check)
 
@@ -229,7 +229,8 @@ def test_levels_with_the_bits_of_the_level_below_share_its_estimates():
 
     def estimate(w):
         calls.append(w)
-        return estimate_gradient(w, pool, spec), estimate_diag_curvature(w, pool, spec)
+        factors = sample_factors(w, pool, spec)[1]
+        return estimate_gradient(factors, spec), estimate_diag_curvature(factors, spec)
 
     def per_level(state, w_local):
         """Every level evaluates its own estimates."""

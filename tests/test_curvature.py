@@ -32,6 +32,11 @@ def _batch(rng, n=10, spec=SPEC):
     return Batch(rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.output_dim, size=n))
 
 
+def _factors(w, pool, spec=SPEC):
+    """The factors of one sample_factors pass, which every estimate takes."""
+    return sample_factors(w, pool, spec)[1]
+
+
 def test_parse_curvature_spec():
     assert parse_curvature_spec("diag") == ("diagonal", None)
     assert parse_curvature_spec("diagonal") == ("diagonal", None)
@@ -75,7 +80,7 @@ def test_gradient_matches_samplewise_average():
     rng = np.random.default_rng(0)
     w = init_params(SPEC, 1)
     batch = _batch(rng, n=14)
-    g = estimate_gradient(w, batch, SPEC)
+    g = estimate_gradient(_factors(w, batch), SPEC)
     per = [loss_and_grad(w, Batch(batch.inputs[i : i + 1], batch.targets[i : i + 1]), SPEC)[1]
            for i in range(batch.n)]
     assert np.max(np.abs(g - np.mean(per, axis=0))) < 1e-10
@@ -87,7 +92,7 @@ def test_gradient_zero_on_perfect_fit():
     w = init_params(spec, 0)
     x = rng.normal(size=(8, 2))
     batch = Batch(x, predict(w, x, spec))
-    g = estimate_gradient(w, batch, spec)
+    g = estimate_gradient(_factors(w, batch, spec), spec)
     assert np.max(np.abs(g)) == 0.0
 
 
@@ -97,7 +102,7 @@ def test_gradient_pools_buffer_and_group():
     group = _batch(rng, n=5)
     buf = ReplayBuffer(4)
     buf.insert_many(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4), rng)
-    g = estimate_gradient(w, consolidation_pool(buf, [group], 0), SPEC)
+    g = estimate_gradient(_factors(w, consolidation_pool(buf, [group], 0)), SPEC)
     merged = Batch(
         np.concatenate([buf.as_batch().inputs, group.inputs]),
         np.concatenate([buf.as_batch().targets, group.targets]),
@@ -107,13 +112,31 @@ def test_gradient_pools_buffer_and_group():
         consolidation_pool(ReplayBuffer(1), [group], 0)
 
 
+def test_gradient_from_factors_is_bitwise_loss_and_grads():
+    # a classification pool, an (n, 1) regression pool and a (P, p) stack
+    # with a stacked batch
+    rng = np.random.default_rng(13)
+    reg = ModelSpec((2, 5, 1), task_kind="regression")
+    ws = init_params(SPEC, 13) + 0.3 * rng.normal(size=(4, SPEC.param_count))
+    stacked = Batch(rng.normal(size=(4, 9, 3)), rng.integers(0, 3, size=(4, 9)))
+    for w, pool, spec in ((ws[0], _batch(rng, n=30), SPEC),
+                          (init_params(reg, 1), Batch(rng.normal(size=(12, 2)),
+                                                      rng.normal(size=(12, 1))), reg),
+                          (ws, stacked, SPEC)):
+        g = estimate_gradient(_factors(w, pool, spec), spec)
+        assert same_bits(g, loss_and_grad(w, pool, spec)[1])
+
+
 def test_diag_is_mean_squared_per_sample_grads():
+    # a row is its sample's share of the mean gradient, g_i / n, so the mean
+    # of the squared g_i is n times the row-ordered sum of the squared rows
     rng = np.random.default_rng(3)
     w = init_params(SPEC, 3)
     batch = _batch(rng, n=9)
-    est = estimate_diag_curvature(w, batch, SPEC)
-    rows = per_sample_grads(sample_factors(w, batch, SPEC), SPEC)
-    assert np.array_equal(est.diag, np.mean(rows * rows, axis=0))
+    factors = _factors(w, batch)
+    est = estimate_diag_curvature(factors, SPEC)
+    rows = per_sample_grads(factors, SPEC)
+    assert same_bits(est.diag, 9 * np.sum(rows * rows, axis=0))
     assert np.all(est.diag >= 0.0)
 
 
@@ -131,8 +154,9 @@ def test_blocked_diag_is_bitwise_the_whole_pool_mean_on_the_wide_net(spec, n):
     w = init_params(spec, 7)
     batch = _batch(rng, n=n, spec=spec)
     assert n * spec.param_count * 8 > curvature.DIAG_BLOCK_BYTES
-    rows = per_sample_grads(sample_factors(w, batch, spec), spec)
-    assert same_bits(estimate_diag_curvature(w, batch, spec).diag, np.mean(rows * rows, axis=0))
+    factors = _factors(w, batch, spec)
+    rows = per_sample_grads(factors, spec)
+    assert same_bits(estimate_diag_curvature(factors, spec).diag, n * np.sum(rows * rows, axis=0))
 
 
 def test_diag_curvature_sums_one_row_blocks_in_order(monkeypatch):
@@ -149,9 +173,9 @@ def test_diag_curvature_sums_one_row_blocks_in_order(monkeypatch):
     rng = np.random.default_rng(11)
     w = init_params(SPEC, 11)
     batch = _batch(rng, n=37)
-    est = estimate_diag_curvature(w, batch, SPEC)
+    factors = _factors(w, batch)
+    est = estimate_diag_curvature(factors, SPEC)
     # consecutive single rows of the pool's factors, in order
-    factors = sample_factors(w, batch, SPEC)
     assert len(seen) == batch.n
     for layer, (a, d) in enumerate(factors):
         assert same_bits(np.concatenate([f[layer][0] for f in seen]), a)
@@ -159,7 +183,7 @@ def test_diag_curvature_sums_one_row_blocks_in_order(monkeypatch):
     # every block is written into the one buffer of the estimate
     assert all(len(b) == 1 and np.shares_memory(b, blocks[0]) for b in blocks)
     rows = per_sample_grads(factors, SPEC)
-    assert same_bits(est.diag, np.mean(rows * rows, axis=0))
+    assert same_bits(est.diag, batch.n * np.sum(rows * rows, axis=0))
 
 
 def test_diag_curvature_holds_one_row_block_of_per_sample_gradients():
@@ -173,7 +197,7 @@ def test_diag_curvature_holds_one_row_block_of_per_sample_gradients():
     factor_bytes = 8 * n * sum(spec.layer_widths[:-1] + spec.layer_widths[1:])
     tracemalloc.start()
     try:
-        estimate_diag_curvature(w, batch, spec)
+        estimate_diag_curvature(_factors(w, batch, spec), spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -192,11 +216,11 @@ def test_sample_cap_thins_pool_deterministically(monkeypatch):
     buf = ReplayBuffer(1)  # a pool's buffer has been offered a task
     buf.insert_many(batch.inputs[:1], batch.targets[:1], rng)
     pool = consolidation_pool(buf, [batch], 5)
-    a = estimate_diag_curvature(w, pool, SPEC)
-    b = estimate_diag_curvature(w, consolidation_pool(buf, [batch], 5), SPEC)
+    a = estimate_diag_curvature(_factors(w, pool), SPEC)
+    b = estimate_diag_curvature(_factors(w, consolidation_pool(buf, [batch], 5)), SPEC)
     assert pool.n == 16
     assert np.array_equal(a.diag, b.diag)
-    c = estimate_diag_curvature(w, consolidation_pool(buf, [batch], 6), SPEC)
+    c = estimate_diag_curvature(_factors(w, consolidation_pool(buf, [batch], 6)), SPEC)
     assert not np.array_equal(a.diag, c.diag)
 
 
@@ -205,8 +229,8 @@ def test_lowrank_rank_one_case():
     spec = ModelSpec((2, 3, 2))
     w = init_params(spec, 0) + 0.1 * rng.normal(size=spec.param_count)
     batch = Batch(rng.normal(size=(1, 2)), np.array([1]))
-    est = estimate_lowrank_curvature(w, batch, spec, r=5)
-    v = per_sample_grads(sample_factors(w, batch, spec), spec)[0]
+    est = estimate_lowrank_curvature(_factors(w, batch, spec), spec, r=5)
+    v = per_sample_grads(_factors(w, batch, spec), spec)[0]  # n = 1: the row is the gradient
     u, d = est.u, est.d
     assert u.shape[1] == 1
     assert abs(d[0] - v @ v) < 1e-10
@@ -218,8 +242,8 @@ def test_lowrank_reconstructs_low_rank_fisher():
     rng = np.random.default_rng(6)
     w = init_params(SPEC, 6) + 0.1 * rng.normal(size=SPEC.param_count)
     batch = _batch(rng, n=6)
-    est = estimate_lowrank_curvature(w, batch, SPEC, r=6)
-    g = per_sample_grads(sample_factors(w, batch, SPEC), SPEC)
+    est = estimate_lowrank_curvature(_factors(w, batch), SPEC, r=6)
+    g = batch.n * per_sample_grads(_factors(w, batch), SPEC)
     fisher = g.T @ g / batch.n
     assert np.max(np.abs(materialize(est) - fisher)) < 1e-8
     u, d = est.u, est.d
@@ -236,10 +260,10 @@ def test_lowrank_direct_route_matches_gram_route():
     batch = Batch(rng.normal(size=(20, 2)), rng.integers(0, 2, size=20))
     small = Batch(batch.inputs[:8], batch.targets[:8])  # n < p takes the gram route
     for data in (batch, small):
-        est = estimate_lowrank_curvature(w, data, spec, r=4)
+        est = estimate_lowrank_curvature(_factors(w, data, spec), spec, r=4)
         u, d = est.u, est.d
         assert np.allclose(u.T @ u, np.eye(d.size), atol=1e-8)
-        g = per_sample_grads(sample_factors(w, data, spec), spec)
+        g = data.n * per_sample_grads(_factors(w, data, spec), spec)
         fisher = g.T @ g / g.shape[0]
         # top eigenvalues agree with the dense Fisher's
         vals = np.linalg.eigvalsh(fisher)[::-1][: d.size]
@@ -257,9 +281,9 @@ def test_lowrank_gram_route_keeps_only_eigenpairs_it_can_map_back(seed, rank):
     rng = np.random.default_rng(seed)
     w = init_params(spec, seed) + 0.3 * rng.normal(size=spec.param_count)
     pool = Batch(rng.normal(size=(12, 1)), rng.normal(size=(12, 1)))
-    est = estimate_lowrank_curvature(w, pool, spec, rank)
+    est = estimate_lowrank_curvature(_factors(w, pool, spec), spec, rank)
     assert est.d.size and est.d.min() > 1e-8 * est.d.max()
-    g = per_sample_grads(sample_factors(w, pool, spec), spec)
+    g = 12 * per_sample_grads(_factors(w, pool, spec), spec)
     assert np.abs(g.T @ (g @ est.u) / 12 - est.u * est.d).max() < 1e-10
 
 
@@ -270,8 +294,8 @@ def test_quad_form_matches_materialized():
     v = rng.normal(size=SPEC.param_count)
     a = rng.normal(size=(SPEC.param_count, SPEC.param_count))
     for est in (
-        estimate_diag_curvature(w, batch, SPEC),
-        estimate_lowrank_curvature(w, batch, SPEC, r=4),
+        estimate_diag_curvature(_factors(w, batch), SPEC),
+        estimate_lowrank_curvature(_factors(w, batch), SPEC, r=4),
         DenseCurvature((a + a.T) / 2),
     ):
         assert abs(est.quad_form(v) - v @ materialize(est) @ v) < 1e-8

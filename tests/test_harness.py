@@ -589,7 +589,7 @@ def test_a_failed_cell_names_its_seed_method_and_order(tmp_path, monkeypatch):
     # a nonfinite gradient fails the first consolidation of the first hier cell
     real = pipeline.estimate_gradient
     monkeypatch.setattr(pipeline, "estimate_gradient",
-                        lambda params, pool, spec: real(params, pool, spec) * np.nan)
+                        lambda factors, spec: real(factors, spec) * np.nan)
     cfg = build_experiment_config({
         "dataset.num_classes": "4", "dataset.classes_per_task": "2", "run.group_size": "1",
         "run.hidden": "3", "run.perms": "3", "run.seeds": "0"})

@@ -24,7 +24,7 @@ from hiercl.learners import (
     train_on_task,
     train_seq,
 )
-from hiercl.model import Batch, ModelSpec, init_params, loss_and_grad, predict
+from hiercl.model import Batch, ModelSpec, init_params, loss_and_grad, predict, sample_factors
 from hiercl.tasks import Permutation, TaskDataset, gen_sine_tasks, gen_split_gaussians
 
 SPEC = ModelSpec((4, 8, 4))
@@ -416,7 +416,8 @@ def test_train_seq_ewc_accumulates_anchors():
     assert settle(settled, SPEC) is settled
     assert settled.pending is None and settled.params is state.params
     assert state.pending is tasks[1] and all(map(np.array_equal, state.ewc, before))
-    fisher = curvature.estimate_diag_curvature(state.params, tasks[1].train, SPEC).diag
+    fisher = curvature.estimate_diag_curvature(sample_factors(state.params, tasks[1].train, SPEC)[1],
+                                               SPEC).diag
     assert np.all(fisher >= 0.0) and np.all(before[0] >= 0.0)
     # new arrays hold SigmaF + F and SigmaF*w* + F*w
     assert not any(np.shares_memory(a, b) for a in settled.ewc for b in state.ewc)
@@ -888,7 +889,7 @@ def _settled_chain(anchors, monkeypatch):
     `settle`, with `learners.estimate_diag_curvature` giving each F."""
     fishers = iter([fisher for _, fisher in anchors])
     monkeypatch.setattr(learners, "estimate_diag_curvature",
-                        lambda params, pool, spec: SimpleNamespace(diag=next(fishers)))
+                        lambda factors, spec: SimpleNamespace(diag=next(fishers)))
     state, task = LearnerState(anchors[0][0]), _tasks()[0]
     for w_star, _ in anchors:
         state = settle(LearnerState(w_star, None, state.ewc, task), SPEC)

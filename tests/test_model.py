@@ -110,25 +110,46 @@ def test_gradient_matches_finite_differences():
 
 
 def test_per_sample_grads_mean_is_batch_grad():
+    # a row is its sample's share of the mean gradient: n times it is the
+    # sample's own gradient
     rng = np.random.default_rng(1)
     for spec, make in ((CLS, _cls_batch), (REG, _reg_batch)):
         w = init_params(spec, 3) + 0.1 * rng.normal(size=spec.param_count)
         batch = make(rng, n=12)
-        rows = per_sample_grads(sample_factors(w, batch, spec), spec)
+        rows = per_sample_grads(sample_factors(w, batch, spec)[1], spec)
         assert rows.shape == (12, spec.param_count)
         _, g = loss_and_grad(w, batch, spec)
-        assert np.max(np.abs(rows.mean(axis=0) - g)) < 1e-10
+        assert np.max(np.abs((12 * rows).mean(axis=0) - g)) < 1e-10
+
+
+def test_per_sample_grad_rows_sum_to_the_gradient():
+    # the rows and the gradient are products of the same factors summed in
+    # different orders (A^T D against a row-by-row sum). Each sum of n terms
+    # is within n*eps times the sum of their magnitudes, so they agree within
+    # twice that, entry by entry
+    rng = np.random.default_rng(12)
+    one_out = ModelSpec((1, 8, 1), task_kind="regression")
+    for spec, make in ((CLS, _cls_batch), (REG, _reg_batch), (one_out, _reg_batch)):
+        for n in (1, 12, 50):
+            w = init_params(spec, n) + 0.3 * rng.normal(size=spec.param_count)
+            batch = make(rng, n=n, spec=spec)
+            loss, factors = sample_factors(w, batch, spec)
+            rows = per_sample_grads(factors, spec)
+            want_loss, g = loss_and_grad(w, batch, spec)
+            assert same_bits(loss, want_loss)
+            bound = 2 * n * np.finfo(float).eps * np.abs(rows).sum(axis=0)
+            assert np.all(np.abs(rows.sum(axis=0) - g) <= bound)
 
 
 def test_per_sample_rows_match_singleton_batches():
     rng = np.random.default_rng(2)
     w = init_params(CLS, 5) + 0.1 * rng.normal(size=CLS.param_count)
     batch = _cls_batch(rng, n=6)
-    rows = per_sample_grads(sample_factors(w, batch, CLS), CLS)
+    rows = per_sample_grads(sample_factors(w, batch, CLS)[1], CLS)
     for i in range(batch.n):
         one = Batch(batch.inputs[i : i + 1], batch.targets[i : i + 1])
         _, gi = loss_and_grad(w, one, CLS)
-        assert np.max(np.abs(rows[i] - gi)) < 1e-12
+        assert np.max(np.abs(batch.n * rows[i] - gi)) < 1e-12
 
 
 def _stacked(batch, rows):
@@ -156,17 +177,17 @@ def test_kernels_match_reference_bitwise(widths, task_kind, n, rows, seed):
     batch = Batch(rng.normal(size=(n, spec.input_dim)), targets(n))
     ref = ref_per_sample_grads(w, batch, spec)
     # array_equal counts -0.0 == +0.0: einsum stores a -0.0 product as +0.0
-    factors = sample_factors(w, batch, spec)
+    loss, factors = sample_factors(w, batch, spec)
     assert np.array_equal(per_sample_grads(factors, spec), ref)
     # into a given block: every entry is written, none kept from before
     out = np.full((n, spec.param_count), np.nan)
     assert per_sample_grads(factors, spec, out=out) is out
     assert np.array_equal(out, ref)
-    loss, g = loss_and_grad(w, batch, spec)
     ref_loss, ref_g = ref_loss_and_grad(w, batch, spec)
-    assert loss == ref_loss and np.array_equal(g, ref_g)
-    assert np.array_equal(estimate_diag_curvature(w, batch, spec).diag,
-                          np.mean(ref * ref, axis=0))
+    assert loss == ref_loss and np.array_equal(loss_and_grad(w, batch, spec)[1], ref_g)
+    # n times the row-ordered sum of the squared rows
+    assert np.array_equal(estimate_diag_curvature(factors, spec).diag,
+                          n * np.sum(ref * ref, axis=0))
     assert accuracy_eval(w, batch, spec) == ref_accuracy_eval(w, batch, spec)
     # a (P, p) stack: a stacked batch for the loss, the one batch stacked P
     # times for the loss and taken once for the score; every row gets the
@@ -250,8 +271,8 @@ def test_no_kernel_writes_into_its_callers_arrays(task_kind):
         out = [accuracy_eval(params, batch, spec)] if batch.inputs.ndim == 2 else []
         if batch.inputs.ndim == params.ndim + 1:
             out += loss_and_grad(params, batch, spec)
-        if params.ndim == 1:
-            out += [x for pair in sample_factors(params, batch, spec) for x in pair]
+            loss, factors = sample_factors(params, batch, spec)
+            out += [loss, *(x for pair in factors for x in pair)]
         return out
 
     for params, batch in ((w, shared), (ws, shared), (ws, _stacked(shared, rows)), (ws, stacked)):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from pipeline_reference import explore_orderings
 from pipeline_reference import selection_audit as per_draw_selection_audit
 
-from hiercl import curvature, learners, pipeline
+from hiercl import curvature, learners, model, pipeline
 from hiercl.learners import LearnerConfig, ReplayBuffer
 from hiercl.model import Batch, ModelSpec, init_params, predict
 from hiercl.pipeline import (
@@ -250,8 +251,8 @@ def test_consolidation_failure_names_the_group_or_pass_and_the_level(monkeypatch
     # a nonfinite gradient at the chosen estimate makes the solve refuse it
     real, count = pipeline.estimate_gradient, itertools.count()
 
-    def poisoned(params, pool, spec):
-        grad = real(params, pool, spec)
+    def poisoned(factors, spec):
+        grad = real(factors, spec)
         return grad * np.nan if next(count) == bad_call else grad
 
     monkeypatch.setattr(pipeline, "estimate_gradient", poisoned)
@@ -270,23 +271,58 @@ def test_gradient_and_curvature_share_the_capped_pool(monkeypatch):
     monkeypatch.setattr(pipeline, "SAMPLE_CAP", 7)
     cfg = _cfg(learner=LearnerConfig(kind="er", epochs_per_task=1,
                                      weight_decay=0.0, buffer_capacity=8))
-    seen = {"grad": [], "curv": []}
+    seen = {"pass": [], "grad": [], "curv": []}
+    real_pass = pipeline.sample_factors
     real_grad, real_curv = pipeline.estimate_gradient, pipeline.estimate_diag_curvature
 
-    def grad(params, pool, spec):
-        seen["grad"].append(pool)
-        return real_grad(params, pool, spec)
+    def one_pass(params, pool, spec):
+        loss, factors = real_pass(params, pool, spec)
+        seen["pass"].append((pool, factors))
+        return loss, factors
 
-    def curv(params, pool, spec):
-        seen["curv"].append(pool)
-        return real_curv(params, pool, spec)
+    def grad(factors, spec):
+        seen["grad"].append(factors)
+        return real_grad(factors, spec)
 
+    def curv(factors, spec):
+        seen["curv"].append(factors)
+        return real_curv(factors, spec)
+
+    monkeypatch.setattr(pipeline, "sample_factors", one_pass)
     monkeypatch.setattr(pipeline, "estimate_gradient", grad)
     monkeypatch.setattr(pipeline, "estimate_diag_curvature", curv)
     run_pipeline(tasks, Permutation((0, 1, 2, 3)), cfg, spec, w, 0, lone_plan((0, 1, 2, 3), 2))
-    assert seen["grad"] and len(seen["grad"]) == len(seen["curv"])
-    assert all(g is h for g, h in zip(seen["grad"], seen["curv"]))
-    assert {pool.n for pool in seen["grad"]} == {7}
+    assert seen["grad"] and len(seen["grad"]) == len(seen["curv"]) == len(seen["pass"])
+    # each estimate's g and H take the factors of its own pass
+    assert all(g is h is f for g, h, (_, f) in zip(seen["grad"], seen["curv"], seen["pass"]))
+    assert {pool.n for pool, _ in seen["pass"]} == {7}
+
+
+@pytest.mark.parametrize("curv", ["diag", "lowrank:4"])
+def test_one_estimate_is_one_model_pass(monkeypatch, curv):
+    # g and H of one estimate come from one sample_factors call, and no
+    # hiercl module's loss_and_grad runs
+    calls = []
+    real_pass, real_loss = pipeline.sample_factors, model.loss_and_grad
+
+    def one_pass(params, pool, spec):
+        calls.append("sample_factors")
+        return real_pass(params, pool, spec)
+
+    def counted(params, batch, spec):
+        calls.append("loss_and_grad")
+        return real_loss(params, batch, spec)
+
+    assert not hasattr(curvature, "loss_and_grad")
+    monkeypatch.setattr(pipeline, "sample_factors", one_pass)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hiercl" and getattr(mod, "loss_and_grad", None) is real_loss:
+            monkeypatch.setattr(mod, "loss_and_grad", counted)
+    rng = np.random.default_rng(0)
+    pool = Batch(rng.normal(size=(20, 4)), rng.integers(0, 8, size=20))
+    grad, fisher = pipeline._estimator(_cfg(curvature=curv), pool, SPEC)(init_params(SPEC, 0))
+    assert calls == ["sample_factors"]
+    assert grad.shape == (SPEC.param_count,) and fisher.dim == SPEC.param_count
 
 
 @pytest.mark.parametrize("num_classes, group_size, pools", [(8, 1, 3), (8, 2, 1), (4, 2, 1)])
@@ -569,9 +605,9 @@ def test_explore_group_estimates_each_fisher_a_later_task_or_the_winner_reads(mo
     # only the winner's is estimated
     calls = []
 
-    def counting(params, pool, spec):
-        calls.append(params.shape)
-        return curvature.estimate_diag_curvature(params, pool, spec)
+    def counting(factors, spec):
+        calls.append(factors[0][0].shape)
+        return curvature.estimate_diag_curvature(factors, spec)
 
     monkeypatch.setattr(learners, "estimate_diag_curvature", counting)
     tasks = _tasks()
@@ -592,14 +628,16 @@ def test_explore_group_estimates_each_fisher_a_later_task_or_the_winner_reads(mo
 
 
 def test_nonfinite_winner_fisher_fails_naming_group_ordering_and_task():
-    # task 1's targets are 5e153: its loss (about 2.5e307) and the params
-    # stay finite, the step at lr=1e-300 barely moves them, and the sum of
-    # its squared per-sample output-bias gradients (4 x 1e308) overflows.
-    # The group's one ordering wins, so its last Fisher is estimated, after
-    # scoring.
+    # task 1 is one sample with target 1e154: its loss (about 1e308) and
+    # the params stay finite, the step at lr=1e-300 barely moves them, and
+    # its squared output-bias gradient (4e308) overflows. The Fisher's
+    # output-bias entry is 4 times the loss, and the loss of n samples is
+    # formed from their sum, so only a task of fewer than 4 samples can have
+    # a finite loss and a nonfinite Fisher. The group's one ordering wins,
+    # so its last Fisher is estimated, after scoring.
     spec = ModelSpec((1, 1, 1), task_kind="regression")
     small = Batch(np.ones((4, 1)), np.zeros((4, 1)))
-    huge = Batch(np.ones((4, 1)), np.full((4, 1), 5e153))
+    huge = Batch(np.ones((1, 1)), np.full((1, 1), 1e154))
     tasks = [TaskDataset(0, small, small, small), TaskDataset(1, huge, huge, huge)]
     cfg = LearnerConfig(kind="ewc", learning_rate=1e-300, epochs_per_task=1, batch_size=4)
     want = (r"^group 2 \(tasks 1\): ordering 1: task 1: EWC Fisher is not finite after training; "

@@ -260,9 +260,9 @@ def test_seq_ewc_nodes_are_settled_once_before_they_are_stored(monkeypatch):
     # the depth (none at depth 0, where no task is settled yet)
     fishers, stacks, steps = [], [], []
 
-    def counting(params, pool, spec):
-        fishers.append(params.shape)
-        return curvature.estimate_diag_curvature(params, pool, spec)
+    def counting(factors, spec):
+        fishers.append(factors[0][0].shape)
+        return curvature.estimate_diag_curvature(factors, spec)
 
     def recording(parents, tasks, cfg, spec, seeds):
         stacks.append((len(parents), len(tasks), len(seeds),
@@ -350,8 +350,8 @@ def test_a_diverged_stack_names_its_arrival_prefix(monkeypatch):
     # the third settled node of depth 0 gets a nonfinite Fisher
     calls = []
 
-    def poisoned(params, pool, spec):
-        est = curvature.estimate_diag_curvature(params, pool, spec)
+    def poisoned(factors, spec):
+        est = curvature.estimate_diag_curvature(factors, spec)
         calls.append(1)
         return replace(est, diag=est.diag * np.nan) if len(calls) == 3 else est
 
@@ -477,8 +477,8 @@ def test_a_diverged_partly_served_stack_names_its_hier_prefix(monkeypatch, poiso
         # {0, 1} settles (0,), (1,) and its winner; (2,) is the fourth
         calls = []
 
-        def poisoned(params, pool, spec):
-            est = curvature.estimate_diag_curvature(params, pool, spec)
+        def poisoned(factors, spec):
+            est = curvature.estimate_diag_curvature(factors, spec)
             calls.append(1)
             return replace(est, diag=est.diag * np.nan) if len(calls) == 4 else est
 
